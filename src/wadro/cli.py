@@ -195,14 +195,19 @@ def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
     G = gradient_field(c, mu)
     metric = cfg.metric()
     out = {"sigma": sigma, "price": value(c, mu)}
+
+    def certified(rep):
+        # an unconverged value is written as NaN, like a failed sigma point
+        return rep.value if rep.converged else float("nan")
+
     if "unconstrained" in cfg.sets:
-        out["G_ad"] = sens_unconstrained(mu, G, metric).value
+        out["G_ad"] = certified(sens_unconstrained(mu, G, metric))
     if "martingale" in cfg.sets:
-        out["G_ad_M"] = sens_martingale(mu, G, metric).value
+        out["G_ad_M"] = certified(sens_martingale(mu, G, metric))
     if "marginal" in cfg.sets:
-        out["G_ad_m"] = sens_marginal(mu, G, metric, bins).value
+        out["G_ad_m"] = certified(sens_marginal(mu, G, metric, bins))
     if "mart_marginal" in cfg.sets:
-        out["G_ad_Mm"] = sens_mart_marginal(mu, G, bins, metric.p).value
+        out["G_ad_Mm"] = certified(sens_mart_marginal(mu, G, bins, metric.p))
     out["vega"] = vega(spec, c)
     return out
 

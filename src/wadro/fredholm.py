@@ -11,16 +11,16 @@ component of the martingale-plus-marginal sensitivity solves
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .measure import BinPartition, GridMeasure, bin_masses
+from .measure import BinPartition, GridMeasure
 
 NEUMANN_GATE = 0.999
 NEUMANN_TOL = 1e-12
 NEUMANN_MAX_TERMS = 10_000
 DUAL_PATH_TOL = 1e-8
-POWER_TOL = 1e-10
 
 
 class FredholmError(ValueError):
@@ -48,21 +48,38 @@ class FredholmOperator:
         """K restricted to zero-mean input: K - 1 w1^T."""
         return self.K - np.outer(np.ones(self.n1), self.w1)
 
+    @cached_property
+    def norm(self) -> float:
+        """Operator norm of K on mu1-weighted zero-mean functions, computed once.
 
-def build_operator(mu: GridMeasure, bins: BinPartition) -> FredholmOperator:
-    """Assemble the operator from the joint atom masses."""
-    idx = bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
-    fwd = np.zeros((mu.n1, bins.m))          # P(bin | x1 = i)
-    for i in range(mu.n1):
-        np.add.at(fwd[i], idx[i], mu.q[i])
-    mass = bin_masses(mu, bins)
-    back = (fwd * mu.w1[:, None]).T / mass[:, None]   # P(x1 = i' | bin)
-    K = fwd @ back
+        K is self-adjoint in L2(mu1), so ``W^(1/2) K0 W^(-1/2)`` (W = diag(w1))
+        is symmetric up to rounding; it annihilates sqrt(w1), the image of the
+        constants, and its largest absolute eigenvalue is the norm.
+        """
+        d = np.sqrt(self.w1)
+        M = (self.zero_mean_matrix() * (1.0 / d)[None, :]) * d[:, None]
+        return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
+
+
+def build_operator(mu: GridMeasure, bins: BinPartition,
+                   weights: np.ndarray | None = None) -> FredholmOperator:
+    """Assemble the operator from the joint atom masses, or from nonnegative
+    atom ``weights`` (n1, n2) with positive weight on every row and bin."""
+    idx = bins.assign(mu.x2.ravel())
+    weights = mu.atom_masses() if weights is None else weights
+    rows = np.repeat(np.arange(mu.n1), mu.n2)
+    C = np.bincount(rows * bins.m + idx, weights.ravel(), mu.n1 * bins.m).reshape(mu.n1, bins.m)
+    r, b = C.sum(axis=1), C.sum(axis=0)
+    if np.any(r <= 0) or np.any(b <= 0):
+        raise FredholmError("a row of atoms or a bin has zero weight")
+    # P(bin | x1 = i) times P(x1 = i' | bin)
+    K = (C / r[:, None]) @ (C / b[None, :]).T
+    w1 = r / r.sum()
     if np.max(np.abs(K.sum(axis=1) - 1.0)) > 1e-12:
         raise FredholmError("operator rows do not sum to one")
-    if np.max(np.abs(mu.w1 @ K - mu.w1)) > 1e-12:
+    if np.max(np.abs(w1 @ K - w1)) > 1e-12:
         raise FredholmError("operator does not preserve the mu1-mean")
-    return FredholmOperator(K, mu.w1.copy(), bins.m)
+    return FredholmOperator(K, w1, bins.m)
 
 
 def apply_forward(mu: GridMeasure, bins: BinPartition, u: np.ndarray) -> np.ndarray:
@@ -74,44 +91,15 @@ def apply_forward(mu: GridMeasure, bins: BinPartition, u: np.ndarray) -> np.ndar
 def contraction_norm(op: FredholmOperator, alpha: str = "l2") -> float:
     """Operator norm of K on mu1-weighted zero-mean functions.
 
-    ``l2`` runs power iteration (with zero-mean re-projection) on the
-    similarity-transformed matrix and returns the largest singular value;
-    ``linf`` returns the row-sum bound of the projected matrix, which is an
-    upper bound for the norm on the zero-mean subspace.
+    ``l2`` returns the exact norm :attr:`FredholmOperator.norm`; ``linf``
+    returns the row-sum bound of the projected matrix, which is an upper
+    bound for the norm on the zero-mean subspace.
     """
-    K0 = op.zero_mean_matrix()
     if alpha == "linf":
-        return float(np.max(np.abs(K0).sum(axis=1)))
+        return float(np.max(np.abs(op.zero_mean_matrix()).sum(axis=1)))
     if alpha != "l2":
         raise FredholmError(f"unsupported norm {alpha!r}")
-    d = np.sqrt(op.w1)
-    M = (K0 * (1.0 / d)[None, :]) * d[:, None]
-    A = M.T @ M
-    n = op.n1
-    # deterministic start with a zero-mean-like sign pattern
-    v = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    v -= (d @ v) * d
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.zeros(n)
-        v[0] = 1.0
-        v -= (d @ v) * d
-        nv = np.linalg.norm(v)
-    v /= nv
-    lam = 0.0
-    for _ in range(20_000):
-        w = A @ v
-        w -= (d @ w) * d
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            return 0.0
-        w /= nw
-        lam_new = float(w @ (A @ w))
-        if abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam, v = lam_new, w
-    return float(np.sqrt(max(lam, 0.0)))
+    return op.norm
 
 
 def _check_zero_mean(op: FredholmOperator, rhs: np.ndarray) -> None:
@@ -133,9 +121,8 @@ def solve(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
         h_direct = np.linalg.solve(np.eye(n) - K0, rhs)
     except np.linalg.LinAlgError:
         h_direct = None
-    norm = contraction_norm(op, "l2")
     h_neumann = None
-    if norm < NEUMANN_GATE:
+    if op.norm < NEUMANN_GATE:
         term = rhs.copy()
         acc = rhs.copy()
         for _ in range(NEUMANN_MAX_TERMS):

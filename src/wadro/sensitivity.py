@@ -1,12 +1,15 @@
 """First-order model-risk sensitivities and optimal hedging multipliers.
 
-Every sensitivity is the infimum, over the active hedging multipliers, of
-the dual norm of the gradient field plus the hedge field.  At p = 2 the
-first-order conditions are linear and solved in closed form; for general
-p > 1 a damped fixed-point iteration on the first-order conditions uses
-the p = 2 solve as preconditioner.  Both paths report the normalized
-optimal direction together with a first-order-condition residual
-certificate.
+Every sensitivity is the infimum, over the active hedging multipliers u, of
+the dual norm of the gradient field S plus the hedge field F(u): the
+minimum of the convex Phi(u) = sum mw |S + F(u)|^p', p' = p / (p - 1).  A
+globalized Newton method minimizes it.  Each step solves the quadratic model
+by the block elimination that is the p = 2 closed form, with the Hessian's
+per-atom weights in place of the masses, and an Armijo line search accepts
+it; at p = 2 the first step is exact.  For p > 2, |s|^p' is smoothed to
+(s^2 + eps^2)^(p'/2) with eps driven toward zero.  Every report carries the
+normalized optimal direction, a first-order-condition residual certificate
+and whether it met FOC_TOL.
 """
 
 from __future__ import annotations
@@ -23,8 +26,13 @@ from .measure import (BinPartition, GridMeasure, MARTINGALE_RTOL, bin_centers,
                       bin_masses, cond_exp_1, quantile_bins)
 
 FOC_TOL = 1e-8
-FOC_MAX_ITER = 10_000
-FOC_DAMPING = 0.5
+FOC_MAX_ITER = 200
+ARMIJO = 1e-4
+STEP_MIN = 1e-10
+SOLVED = 1e-6
+EPS_SHRINK = 0.1
+EPS_FLOOR = 1e-30
+WEIGHT_FLOOR = 1e-12
 CONTRACTION_FLAG = fredholm.NEUMANN_GATE
 
 
@@ -123,6 +131,7 @@ class SensitivityReport:
     T2: np.ndarray
     foc_residual: float
     iterations: int
+    converged: bool
     lambda_hat: np.ndarray | None = None
     h_hat: np.ndarray | None = None
     f1: np.ndarray | None = None
@@ -177,7 +186,9 @@ def _primal_norm(mw: np.ndarray, T1: np.ndarray, T2: np.ndarray, metric: Metric)
 
 def _direction(mw, S1, S2, metric: Metric):
     """Normalized optimal direction T = N_d(S)/c with unit primal norm."""
-    if metric.adapted:
+    if metric.p == 2.0:         # N_d is the identity
+        T1, T2 = S1, S2
+    elif metric.adapted:
         T1, T2 = n_map(S1, metric.p), n_map(S2, metric.p)
     else:
         mag = np.hypot(S1, S2)
@@ -190,53 +201,47 @@ def _direction(mw, S1, S2, metric: Metric):
 
 
 class _FlagProblem:
-    """FOC state for the martingale / marginal flag combinations."""
+    """Hedge map and Newton step for the martingale / marginal flag combinations.
+
+    The multipliers ``u = (f1, f2, h)`` (None when inactive) give the hedge
+    field ``F1 = f1(x1) - h(x1)``, ``F2 = f2(bin(x2)) + h(x1)``.
+    """
 
     def __init__(self, mu: GridMeasure, G: GradientField, metric: Metric,
                  cs: ConstraintSet, bins: BinPartition | None):
         self.mu = mu
-        self.metric = metric
         self.cs = cs
         self.mw = mu.atom_masses()
         self.S1_0, self.S2_0 = _grad_d(mu, G, metric)
         self.warnings: list[str] = []
         self.bins = None
-        self.binidx = None
-        self.op = None
         if cs.marginal2:
             self.bins = bins if bins is not None else quantile_bins(mu, mu.n2)
             self.binidx = self.bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
             self.binmass = bin_masses(mu, self.bins)
-            if cs.martingale:
-                self.op = fredholm.build_operator(mu, self.bins)
-                self.contraction = fredholm.contraction_norm(self.op, "l2")
-                if cs.marginal1 and self.contraction >= CONTRACTION_FLAG:
-                    msg = (f"informational-discrepancy contraction {self.contraction:.6f} >= "
+            if cs.martingale and cs.marginal1:
+                op = fredholm.build_operator(mu, self.bins)
+                contraction = fredholm.contraction_norm(op, "l2")
+                if contraction >= CONTRACTION_FLAG:
+                    msg = (f"informational-discrepancy contraction {contraction:.6f} >= "
                            f"{CONTRACTION_FLAG}; using regularized hedge solve")
                     warnings.warn(msg, RuntimeWarning, stacklevel=4)
                     self.warnings.append(msg)
-        self.f1 = np.zeros(mu.n1) if cs.marginal1 else None
-        self.f2 = np.zeros(self.bins.m) if cs.marginal2 else None
-        self.h = np.zeros(mu.n1) if cs.martingale else None
+        self.u = (np.zeros(mu.n1) if cs.marginal1 else None,
+                  np.zeros(self.bins.m) if cs.marginal2 else None,
+                  np.zeros(mu.n1) if cs.martingale else None)
 
-    def _e2(self, fld: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.bins.m)
-        np.add.at(acc, self.binidx.ravel(), (self.mw * fld).ravel())
-        return acc / self.binmass
-
-    def _e1_of_bin(self, u: np.ndarray) -> np.ndarray:
-        return np.sum(self.mu.q * u[self.binidx], axis=1)
-
-    def hedge_field(self):
+    def field(self, u):
+        f1, f2, h = u
         F1 = np.zeros_like(self.S1_0)
         F2 = np.zeros_like(self.S2_0)
-        if self.f1 is not None:
-            F1 += self.f1[:, None]
-        if self.f2 is not None:
-            F2 += self.f2[self.binidx]
-        if self.h is not None:
-            F1 -= self.h[:, None]
-            F2 += self.h[:, None]
+        if f1 is not None:
+            F1 += f1[:, None]
+        if f2 is not None:
+            F2 += f2[self.binidx]
+        if h is not None:
+            F1 -= h[:, None]
+            F2 += h[:, None]
         return F1, F2
 
     def residual(self, T1, T2):
@@ -244,85 +249,69 @@ class _FlagProblem:
         if self.cs.marginal1:
             comps["m1"] = cond_exp_1(self.mu, T1)
         if self.cs.marginal2:
-            comps["m2"] = self._e2(T2)
+            comps["m2"] = np.bincount(self.binidx.ravel(), (self.mw * T2).ravel(),
+                                      self.bins.m) / self.binmass
         if self.cs.martingale:
             comps["M"] = cond_exp_1(self.mu, T2 - T1)
         return comps
 
-    def correction(self, comps):
-        """Solve the p = 2 linear map L(field(du)) = R for du."""
-        R1 = comps.get("m1")
-        R2 = comps.get("m2")
-        RM = comps.get("M")
+    def correction(self, G1, G2, D1, D2):
+        """Solve ``A^T diag(D) A du = A^T G`` for the hedge map A.
+
+        D1, D2 are per-atom weights on F1, F2 and G1, G2 per-atom values.
+        f1 eliminates row by row; f2 couples to h only through the weights D2
+        per (row, bin), so eliminating it leaves ``diag(r2) K_D`` with K_D the
+        conditional-expectation operator of the measure reweighted by D2.
+        At D = mw this is the p = 2 closed form.
+        """
+        cs = self.cs
+        g1, r1 = G1.sum(axis=1), D1.sum(axis=1)
+        gh, r2 = G2.sum(axis=1) - g1, D2.sum(axis=1)
         df1 = df2 = dh = None
-        if self.cs.martingale:
-            if self.cs.marginal1 and self.cs.marginal2:
-                rhs = RM + R1 - self._e1_of_bin(R2)
-                rhs = rhs - float(self.mu.w1 @ rhs)
-                if self.contraction >= CONTRACTION_FLAG:
-                    dh = fredholm.solve_regularized(self.op, rhs)
+        if cs.marginal2:
+            idx = self.binidx.ravel()
+            b2 = np.bincount(idx, D2.ravel(), self.bins.m)
+            df2 = np.bincount(idx, G2.ravel(), self.bins.m) / b2
+        if cs.martingale:
+            if cs.marginal2:
+                rhs = gh - np.sum(D2 * df2[self.binidx], axis=1)
+                op = fredholm.build_operator(self.mu, self.bins, D2)
+                if cs.marginal1:
+                    rhs = (rhs + g1) / r2
+                    rhs = rhs - float(op.w1 @ rhs)
+                    if op.norm >= CONTRACTION_FLAG:
+                        dh = fredholm.solve_regularized(op, rhs)
+                    else:
+                        dh = fredholm.solve(op, rhs)
                 else:
-                    dh = fredholm.solve(self.op, rhs)
-                df1 = R1 + dh
-                df2 = R2 - self._e2(np.broadcast_to(dh[:, None], self.mw.shape))
-            elif self.cs.marginal2:
-                rhs = RM - self._e1_of_bin(R2)
-                dh = np.linalg.solve(2.0 * np.eye(self.mu.n1) - self.op_matrix(), rhs)
-                df2 = R2 - self._e2(np.broadcast_to(dh[:, None], self.mw.shape))
-            elif self.cs.marginal1:
-                dh = R1 + RM
-                df1 = 2.0 * R1 + RM
+                    dh = np.linalg.solve(np.diag(r1 + r2) - r2[:, None] * op.K, rhs)
+                df2 = df2 - np.bincount(idx, (D2 * dh[:, None]).ravel(), self.bins.m) / b2
+            elif cs.marginal1:
+                dh = (g1 + gh) / r2
             else:
-                dh = 0.5 * RM
-        else:
-            if self.cs.marginal1:
-                df1 = R1
-            if self.cs.marginal2:
-                df2 = R2
+                dh = gh / (r1 + r2)
+        if cs.marginal1:
+            df1 = g1 / r1 if dh is None else g1 / r1 + dh
         return df1, df2, dh
 
-    def op_matrix(self):
-        if self.op is None:
-            self.op = fredholm.build_operator(self.mu, self.bins)
-            self.contraction = fredholm.contraction_norm(self.op, "l2")
-        return self.op.K
-
-    def update(self, duple, scale: float):
-        df1, df2, dh = duple
-        if df1 is not None:
-            self.f1 -= scale * df1
-        if df2 is not None:
-            self.f2 -= scale * df2
-        if dh is not None:
-            self.h -= scale * dh
-        if self.h is not None and self.cs.marginal1 and self.cs.marginal2:
-            # zero-mean representative; the shift is absorbed by f1 and f2
-            c = float(self.mu.w1 @ self.h)
-            if c != 0.0:
-                self.h = self.h - c
-                self.f1 = self.f1 - c
-                self.f2 = self.f2 + c
-
-    def snapshot(self):
-        return (None if self.f1 is None else self.f1.copy(),
-                None if self.f2 is None else self.f2.copy(),
-                None if self.h is None else self.h.copy())
-
-    def restore(self, state):
-        self.f1, self.f2, self.h = (None if s is None else s.copy() for s in state)
-
     def multipliers(self):
-        return {"f1": None if self.f1 is None else self.f1.copy(),
-                "f2": None if self.f2 is None else self.f2.copy(),
-                "h_hat": None if self.h is None else self.h.copy()}
+        f1, f2, h = self.u
+        if h is not None and f1 is not None and f2 is not None:
+            # zero-mean representative; the shift is absorbed by f1 and f2
+            c = float(self.mu.w1 @ h)
+            h, f1, f2 = h - c, f1 - c, f2 + c
+        return {"f1": f1, "f2": f2, "h_hat": h}
 
 
 class _GeneralProblem:
-    """FOC state for mean (phi) and conditional (psi) constraints."""
+    """Hedge map and Newton step for mean (phi) and conditional (psi) constraints.
+
+    The multipliers ``u = (lambda, h)`` give the hedge field
+    ``F = sum_a lambda_a dphi_a + h(x1) dpsi``.
+    """
 
     def __init__(self, mu: GridMeasure, G: GradientField, metric: Metric, cs: ConstraintSet):
         self.mu = mu
-        self.metric = metric
         self.cs = cs
         self.mw = mu.atom_masses()
         self.S1_0, self.S2_0 = _grad_d(mu, G, metric)
@@ -346,7 +335,6 @@ class _GeneralProblem:
             self.psi1 = np.asarray(psi.d1(a, mu.x2), dtype=float) + np.zeros_like(mu.x2)
             self.psi1 = np.broadcast_to(cond_exp_1(mu, self.psi1)[:, None], mu.x2.shape).copy()
             self.psi2 = np.asarray(psi.d2(a, mu.x2), dtype=float) + np.zeros_like(mu.x2)
-            self.psi_gram = cond_exp_1(mu, self.psi1 ** 2 + self.psi2 ** 2)
             if np.min(cond_exp_1(mu, self.psi2 ** 2)) <= 1e-14:
                 raise SensitivityError(
                     "E1[(d2 psi)^2] is degenerate on some atom (assumption A (iii) surrogate)")
@@ -358,43 +346,39 @@ class _GeneralProblem:
                     raise SensitivityError(
                         "mean constraint spans the conditional-constraint direction "
                         "(non-redundancy assumption A (iv) violated)")
-        self.lam = np.zeros(self.k)
-        self.h = np.zeros(mu.n1) if cs.cond_psi is not None else None
-        self._assemble_p2()
-
-    def _assemble_p2(self):
-        k = self.k
-        self.Gphi = np.zeros((k, k))
-        for a in range(k):
-            for b in range(k):
-                self.Gphi[a, b] = np.sum(self.mw * (self.phi1[a] * self.phi1[b]
-                                                    + self.phi2[a] * self.phi2[b]))
-        if self.h is not None:
-            self.Bx = np.zeros((k, self.mu.n1))   # E1[phi_a . psi] per atom
-            for a in range(k):
-                self.Bx[a] = cond_exp_1(self.mu, self.phi1[a] * self.psi1
-                                        + self.phi2[a] * self.psi2)
-        if k:
-            cond = np.linalg.cond(self._reduced_matrix())
+        self.u = (np.zeros(self.k), np.zeros(mu.n1) if cs.cond_psi is not None else None)
+        if self.k:
+            Hll, Hlh, Hhh = self._blocks(self.mw, self.mw)
+            cond = np.linalg.cond(self._reduced(Hll, Hlh, Hhh))
             if not np.isfinite(cond) or cond > 1e12:
                 raise SensitivityError(
                     "normal matrix is singular (positive-definiteness assumption violated)")
 
-    def _reduced_matrix(self):
-        M = self.Gphi.copy()
-        if self.h is not None:
-            M -= (self.Bx * self.mu.w1[None, :] / self.psi_gram[None, :]) @ self.Bx.T
-        return M
+    def _blocks(self, D1, D2):
+        """Blocks of ``A^T diag(D) A``: (lambda, lambda), (lambda, h), diagonal (h, h)."""
+        Hll = np.array([[np.sum(D1 * pa1 * pb1 + D2 * pa2 * pb2)
+                         for pb1, pb2 in zip(self.phi1, self.phi2)]
+                        for pa1, pa2 in zip(self.phi1, self.phi2)]).reshape(self.k, self.k)
+        if self.psi1 is None:
+            return Hll, None, None
+        Hlh = np.array([np.sum(D1 * p1 * self.psi1 + D2 * p2 * self.psi2, axis=1)
+                        for p1, p2 in zip(self.phi1, self.phi2)]).reshape(self.k, self.mu.n1)
+        return Hll, Hlh, np.sum(D1 * self.psi1 ** 2 + D2 * self.psi2 ** 2, axis=1)
 
-    def hedge_field(self):
+    @staticmethod
+    def _reduced(Hll, Hlh, Hhh):
+        return Hll if Hlh is None else Hll - (Hlh / Hhh[None, :]) @ Hlh.T
+
+    def field(self, u):
+        lam, h = u
         F1 = np.zeros_like(self.S1_0)
         F2 = np.zeros_like(self.S2_0)
         for a in range(self.k):
-            F1 += self.lam[a] * self.phi1[a]
-            F2 += self.lam[a] * self.phi2[a]
-        if self.h is not None:
-            F1 += self.psi1 * self.h[:, None]
-            F2 += self.psi2 * self.h[:, None]
+            F1 += lam[a] * self.phi1[a]
+            F2 += lam[a] * self.phi2[a]
+        if h is not None:
+            F1 += self.psi1 * h[:, None]
+            F2 += self.psi2 * h[:, None]
         return F1, F2
 
     def residual(self, T1, T2):
@@ -402,40 +386,25 @@ class _GeneralProblem:
         if self.k:
             comps["phi"] = np.array([np.sum(self.mw * (p1 * T1 + p2 * T2))
                                      for p1, p2 in zip(self.phi1, self.phi2)])
-        if self.h is not None:
+        if self.psi1 is not None:
             comps["psi"] = cond_exp_1(self.mu, self.psi1 * T1 + self.psi2 * T2)
         return comps
 
-    def correction(self, comps):
-        Rphi = comps.get("phi")
-        Rpsi = comps.get("psi")
-        if self.h is None:
-            dlam = np.linalg.solve(self.Gphi, Rphi)
-            return dlam, None
-        if self.k == 0:
-            return None, Rpsi / self.psi_gram
-        red = Rphi - (self.Bx * self.mu.w1[None, :] / self.psi_gram[None, :]) @ Rpsi
-        dlam = np.linalg.solve(self._reduced_matrix(), red)
-        dh = (Rpsi - self.Bx.T @ dlam) / self.psi_gram
-        return dlam, dh
-
-    def update(self, duple, scale: float):
-        dlam, dh = duple
-        if dlam is not None:
-            self.lam = self.lam - scale * dlam
-        if dh is not None:
-            self.h = self.h - scale * dh
-
-    def snapshot(self):
-        return (self.lam.copy(), None if self.h is None else self.h.copy())
-
-    def restore(self, state):
-        self.lam = state[0].copy()
-        self.h = None if state[1] is None else state[1].copy()
+    def correction(self, G1, G2, D1, D2):
+        """Solve ``A^T diag(D) A du = A^T G``; h is eliminated row by row."""
+        Hll, Hlh, Hhh = self._blocks(D1, D2)
+        gl = np.array([np.sum(G1 * p1 + G2 * p2) for p1, p2 in zip(self.phi1, self.phi2)])
+        if Hlh is None:
+            return np.linalg.solve(Hll, gl), None
+        gh = np.sum(G1 * self.psi1 + G2 * self.psi2, axis=1)
+        dlam = np.zeros(0)
+        if self.k:
+            dlam = np.linalg.solve(self._reduced(Hll, Hlh, Hhh), gl - Hlh @ (gh / Hhh))
+        return dlam, (gh - Hlh.T @ dlam) / Hhh
 
     def multipliers(self):
-        return {"lambda_hat": self.lam.copy() if self.k else None,
-                "h_hat": None if self.h is None else self.h.copy()}
+        lam, h = self.u
+        return {"lambda_hat": lam if self.k else None, "h_hat": h}
 
 
 def _residual_norm(problem, comps) -> float:
@@ -459,64 +428,97 @@ def _residual_norm(problem, comps) -> float:
     return worst
 
 
+def _objective(mw, S1, S2, metric: Metric, pc: float, eps: float) -> float:
+    """Smoothed objective: sum mw psi(S), |s|^pc replaced by (s^2 + eps^2)^(pc/2)."""
+    e2 = eps * eps
+    if metric.adapted:
+        return float(np.sum(mw * ((S1 * S1 + e2) ** (0.5 * pc) + (S2 * S2 + e2) ** (0.5 * pc))))
+    return float(np.sum(mw * (S1 * S1 + S2 * S2 + e2) ** (0.5 * pc)))
+
+
+def _newton_weights(mw, S1, S2, metric: Metric, pc: float, eps: float):
+    """Per-atom gradient (G1, G2) and Hessian weights (D1, D2) of the smoothed objective.
+
+    The classical ball's per-atom Hessian is a 2x2 block; the larger of its
+    two eigenvalues serves as one scalar weight for both components, so the
+    quadratic model majorizes the objective near S and its step descends.
+    """
+    if pc == 2.0:
+        return 2.0 * mw * S1, 2.0 * mw * S2, 2.0 * mw, 2.0 * mw
+    e2 = eps * eps
+
+    def weights(sq):
+        # gradient factor and radial second derivative of (sq + eps^2)^(pc/2),
+        # floored so that no row or bin loses all weight to underflow
+        v = sq + e2
+        w = pc * mw * v ** (0.5 * pc - 1.0)
+        return w, np.maximum(w * ((pc - 1.0) * sq + e2) / v, np.finfo(float).tiny)
+
+    if metric.adapted:
+        (w1, D1), (w2, D2) = weights(S1 * S1), weights(S2 * S2)
+        return w1 * S1, w2 * S2, D1, D2
+    w, radial = weights(S1 * S1 + S2 * S2)
+    D = np.maximum(w, radial)
+    return w * S1, w * S2, D, D
+
+
+def _axpy(u, t, du):
+    return tuple(None if a is None else a + t * b for a, b in zip(u, du))
+
+
 def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityReport:
-    mw = problem.mw
+    """Globalized Newton on the dual-norm objective, certified by the FOC residual.
+
+    ``warm_start`` starts from the p = 2 closed form.  For p' < 2 the
+    smoothing eps starts at the scale of the field and shrinks tenfold each
+    time a Newton decrement shows the smoothed problem solved; for p' > 2 it
+    stays at a floor that only keeps every row and bin at positive weight.
+    """
+    mw, pc = problem.mw, metric.p_conj
+    scale = float(np.sqrt(np.sum(mw * (problem.S1_0 ** 2 + problem.S2_0 ** 2))))
+    floor = (EPS_FLOOR if pc < 2.0 else WEIGHT_FLOOR) * scale
+    eps = scale if pc < 2.0 else floor
     if warm_start:
-        # p = 2 closed form (exact solve of the linearized FOC)
-        F1, F2 = problem.hedge_field()
-        comps0 = problem.residual(problem.S1_0 + F1, problem.S2_0 + F2)
-        if comps0:
-            problem.update(problem.correction(comps0), 1.0)
-    iterations = 0
-    res = 0.0
-    damping = FOC_DAMPING
-    best_res = np.inf
-    best_state = None
-    improved_streak = 0
+        G1, G2, D1, D2 = _newton_weights(mw, problem.S1_0, problem.S2_0, metric, 2.0, 0.0)
+        problem.u = _axpy(problem.u, -1.0, problem.correction(G1, G2, D1, D2))
+    converged = False
     for it in range(FOC_MAX_ITER + 1):
-        F1, F2 = problem.hedge_field()
+        F1, F2 = problem.field(problem.u)
         S1, S2 = problem.S1_0 + F1, problem.S2_0 + F2
-        T1, T2, c = _direction(mw, S1, S2, metric)
-        if c == 0.0:
-            res = 0.0
-            iterations = it
+        T1, T2, _ = _direction(mw, S1, S2, metric)
+        res = _residual_norm(problem, problem.residual(T1, T2))
+        if res <= FOC_TOL:
+            converged = True
             break
-        comps = problem.residual(T1, T2)
-        res = _residual_norm(problem, comps)
-        iterations = it
-        if res <= FOC_TOL or not comps:
+        if it == FOC_MAX_ITER:
             break
-        # trust-region flavored damping: for p > 2 the duality map's
-        # derivative is unbounded near zeros of the dual field, so the
-        # nominal step can overshoot; shrink the step from the best state
-        if res < best_res:
-            best_res = res
-            best_state = problem.snapshot()
-            improved_streak += 1
-            if improved_streak >= 3:        # hysteresis against thrashing
-                damping = min(1.5 * damping, FOC_DAMPING)
-        elif res > 1.2 * best_res:
-            problem.restore(best_state)
-            improved_streak = 0
-            damping *= 0.5
-            if damping >= 1e-8:
-                continue            # retry from the best state, smaller step
-        if it == FOC_MAX_ITER or damping < 1e-8:
-            if best_state is not None:
-                problem.restore(best_state)
-                res = best_res
-                F1, F2 = problem.hedge_field()
-                S1, S2 = problem.S1_0 + F1, problem.S2_0 + F2
-                T1, T2, c = _direction(mw, S1, S2, metric)
-            msg = f"FOC iteration did not converge: residual {res:.3e} after {it} steps"
-            warnings.warn(msg, RuntimeWarning, stacklevel=3)
-            problem.warnings.append(msg)
-            break
-        problem.update(problem.correction(comps), damping * c)
-    value = _dual_norm(mw, S1, S2, metric)
+        G1, G2, D1, D2 = _newton_weights(mw, S1, S2, metric, pc, eps)
+        du = problem.correction(G1, G2, D1, D2)
+        t = 1.0
+        if pc != 2.0:           # Armijo backtracking on the smoothed objective
+            dF1, dF2 = problem.field(du)
+            phi0 = _objective(mw, S1, S2, metric, pc, eps)
+            slope = float(np.sum(G1 * dF1 + G2 * dF2))
+            while _objective(mw, S1 - t * dF1, S2 - t * dF2, metric, pc, eps) \
+                    > phi0 - ARMIJO * t * slope:
+                t *= 0.5
+                if t < STEP_MIN:
+                    break
+            if t < STEP_MIN:    # no decrease left at this smoothing
+                if eps <= floor:
+                    break
+                eps = max(EPS_SHRINK * eps, floor)
+                continue
+            if slope <= SOLVED * phi0:      # smoothed problem solved: sharpen it
+                eps = max(EPS_SHRINK * eps, floor)
+        problem.u = _axpy(problem.u, -t, du)
+    if not converged:
+        msg = f"FOC iteration did not converge: residual {res:.3e} after {it} steps"
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        problem.warnings.append(msg)
     out = SensitivityReport(
-        value=value, metric=metric, constraints=problem.cs.label(),
-        T1=T1, T2=T2, foc_residual=res, iterations=iterations,
+        value=_dual_norm(mw, S1, S2, metric), metric=metric, constraints=problem.cs.label(),
+        T1=T1, T2=T2, foc_residual=res, iterations=it, converged=converged,
         bins=getattr(problem, "bins", None), warnings=tuple(problem.warnings))
     for key, val in problem.multipliers().items():
         setattr(out, key, val)
@@ -534,9 +536,9 @@ def solve_foc(mu: GridMeasure, G: GradientField, metric: Metric,
               warm_start: bool = True) -> SensitivityReport:
     """Minimize the dual norm over the active multipliers via the FOC.
 
-    ``warm_start=False`` iterates the damped fixed point from zero
-    multipliers instead of starting at the p = 2 closed form, which keeps
-    the two solution paths independent for cross-validation.
+    ``warm_start=False`` starts Newton from zero multipliers instead of the
+    p = 2 closed form, which keeps the two starting points independent for
+    cross-validation.
     """
     if constraints.mean_phi or constraints.cond_psi is not None:
         if constraints.martingale or constraints.marginal1 or constraints.marginal2:
@@ -610,6 +612,7 @@ def report_to_json(report: SensitivityReport) -> dict:
         "constraints": report.constraints,
         "foc_residual": report.foc_residual,
         "iterations": report.iterations,
+        "converged": report.converged,
         "lambda_hat": arr(report.lambda_hat),
         "h_hat": arr(report.h_hat),
         "f1": arr(report.f1),

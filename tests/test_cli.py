@@ -2,12 +2,17 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from wadro import cli
-from wadro.measure import canonical_test_measure, to_csv
+import wadro
+from wadro import cli, sensitivity
+from wadro.criterion import gradient_field, preset
+from wadro.measure import ModelSpec, build_model, canonical_test_measure, quantile_bins, to_csv
 
 
 def run_cli(args):
@@ -150,6 +155,54 @@ def test_curve_partial_failure_writes_nan_markers(tmp_path):
     assert len(rows) == 2
     assert rows[0]["price"] not in ("", "nan")
     assert rows[1]["price"] == "nan"
+
+
+def test_curve_writes_nan_for_unconverged_values(tmp_path, monkeypatch):
+    # one step is the p = 2 warm start, which cannot certify a p = 1.5 value
+    monkeypatch.setattr(sensitivity, "FOC_MAX_ITER", 1)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        rc = run_cli(["curve", "--set", "metric.p=1.5", "--set", "model.sigma=0.5",
+                      "--set", "model.n1=8", "--set", "model.n2=8", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    row = next(csv.DictReader(open(tmp_path / "curve.csv")))
+    assert float(row["G_ad"]) > 0                # no multipliers: nothing to iterate
+    for col in ("G_ad_M", "G_ad_m", "G_ad_Mm"):
+        assert row[col] == "nan"
+        assert row[f"relative_{col}"] == ""
+
+
+def test_curve_p3_certified_and_fast(tmp_path):
+    # p = 3 (p' = 3/2): the dual field's duality map is not Lipschitz at zero
+    argv = ["curve", "--set", "metric.p=3", "--set", "model.n1=16", "--set", "model.n2=16",
+            "--set", "model.sigma=0.5", "--out", str(tmp_path)]
+    t0 = time.perf_counter()
+    assert run_cli(argv) == cli.EXIT_OK
+    assert time.perf_counter() - t0 < 2.0
+    row = next(csv.DictReader(open(tmp_path / "curve.csv")))
+    # a fixed point stalled at FOC residual 1.4e-1 reported 0.3110546 here
+    assert float(row["G_ad_m"]) < 0.3110546
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    G = gradient_field(preset("american_put"), mu)
+    metric = sensitivity.Metric("wp_adapted", 3.0)
+    bins = quantile_bins(mu, 16)
+    for col, cs in (("G_ad", sensitivity.ConstraintSet()),
+                    ("G_ad_M", sensitivity.ConstraintSet(martingale=True)),
+                    ("G_ad_m", sensitivity.ConstraintSet(marginal1=True, marginal2=True)),
+                    ("G_ad_Mm", sensitivity.ConstraintSet(martingale=True, marginal1=True,
+                                                          marginal2=True))):
+        rep = sensitivity.solve_foc(mu, G, metric, cs, bins)
+        assert rep.converged and rep.foc_residual <= 1e-8 and not rep.warnings
+        assert float(row[col]) == rep.value
+
+
+def test_import_loads_no_scipy():
+    # the library is numpy-only; scipy serves the tests as an independent check
+    src = os.path.dirname(os.path.dirname(wadro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, wadro; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_default_sigma_grid_csv_floats(tmp_path):

@@ -44,6 +44,24 @@ def test_structure_checks(family):
     assert np.max(np.abs(mu.w1 @ op.K - mu.w1)) <= 1e-12
 
 
+def test_reweighted_operator_tolerates_zero_atoms():
+    mu = build_model(ModelSpec("black_scholes", 0.7, 8, 8))
+    bins = quantile_bins(mu, 8)
+    default = build_operator(mu, bins)
+    assert np.allclose(build_operator(mu, bins, mu.atom_masses()).K, default.K,
+                       rtol=0, atol=1e-15)
+    weights = mu.atom_masses() * np.linspace(1.0, 3.0, 8)[None, :]
+    weights[2, :4] = 0.0
+    op = build_operator(mu, bins, weights)
+    r = weights.sum(axis=1)
+    assert np.allclose(op.w1, r / r.sum(), rtol=1e-14)
+    assert np.max(np.abs(op.K.sum(axis=1) - 1.0)) <= 1e-12
+    assert 0.0 < contraction_norm(op, "l2") < 1.0
+    weights[3, :] = 0.0
+    with pytest.raises(FredholmError):
+        build_operator(mu, bins, weights)
+
+
 def test_contraction_power_iteration_matches_svd():
     mu = build_model(ModelSpec("bachelier", 1.0, 24, 24))
     op = build_operator(mu, quantile_bins(mu, 24))

@@ -219,7 +219,7 @@ def test_solve_foc_zero_gradient_short_circuits():
     mu = canonical_test_measure()
     rep = solve_foc(mu, _const_field(mu, 0.0, 0.0), W2AD,
                     ConstraintSet(martingale=True))
-    assert rep.value == 0.0 and rep.iterations == 0
+    assert rep.value == 0.0 and rep.iterations == 0 and rep.converged
 
 
 @pytest.mark.parametrize("family,sigma", [("bachelier", 1.0), ("black_scholes", 0.5)])
@@ -260,11 +260,27 @@ def test_positive_homogeneity():
     s = 3.5
     Gs = GradientField(s * G.g1, s * G.g2)
     for make in (lambda m, g: sens_martingale(m, g, W2AD),
-                 lambda m, g: sens_mart_marginal(m, g)):
+                 lambda m, g: sens_mart_marginal(m, g),
+                 lambda m, g: sens_martingale(m, g, Metric("wp_adapted", 1.5)),
+                 lambda m, g: sens_mart_marginal(m, g, p=1.5)):
         rep1 = make(mu, G)
         rep2 = make(mu, Gs)
         assert abs(rep2.value - s * rep1.value) <= 1e-10 * max(1.0, s)
         assert np.max(np.abs(rep2.h_hat - s * rep1.h_hat)) <= 1e-9
+
+
+def test_mart_marginal_with_underflowing_atom_masses():
+    # w1 * q underflows to 0 on some atoms, as on large Gauss-Hermite grids
+    base = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    w1 = base.w1.copy()
+    w1[0] = 1e-315
+    w1[1:] /= w1[1:].sum()
+    mu = GridMeasure(base.x1, w1, base.x2, base.q, is_martingale=True)
+    assert np.any(mu.atom_masses() == 0.0)
+    G = gradient_field(american_put(side="buyer"), mu)
+    for p in (2.0, 1.5, 1.1, 3.0):
+        rep = sens_mart_marginal(mu, G, quantile_bins(mu, 16), p)
+        assert rep.converged and np.isfinite(rep.value), p
 
 
 def test_adapted_below_classical_at_p2():
@@ -279,6 +295,7 @@ def test_report_serialization():
     rep = sens_mart_marginal(mu, G)
     blob = report_to_json(rep)
     assert blob["value"] == rep.value
+    assert blob["converged"] is True
     assert blob["metric"]["ball"] == "wp_adapted"
     assert len(blob["h_hat"]) == mu.n1
     rows1, rows2 = report_tables(rep, mu)
@@ -317,15 +334,57 @@ def test_monotone_chain_general_p():
     mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
     G = gradient_field(american_put(side="buyer"), mu)
     bins = quantile_bins(mu, 16)
-    m = Metric("wp_adapted", 1.5)
-    unc = solve_foc(mu, G, m, ConstraintSet(), bins).value
-    mart = solve_foc(mu, G, m, ConstraintSet(martingale=True), bins).value
-    marg = solve_foc(mu, G, m, ConstraintSet(marginal1=True, marginal2=True), bins).value
-    both = solve_foc(mu, G, m,
-                     ConstraintSet(martingale=True, marginal1=True, marginal2=True),
-                     bins).value
-    assert both <= min(mart, marg) + 1e-8
-    assert min(mart, marg) <= unc + 1e-8
+    for ball in ("wp_adapted", "wp"):
+        for p in (1.5, 3.0):
+            m = Metric(ball, p)
+            reps = [solve_foc(mu, G, m, cs, bins) for cs in (
+                ConstraintSet(), ConstraintSet(martingale=True),
+                ConstraintSet(marginal1=True, marginal2=True),
+                ConstraintSet(martingale=True, marginal1=True, marginal2=True))]
+            assert all(r.converged and r.foc_residual <= 1e-8 for r in reps), (ball, p)
+            unc, mart, marg, both = (r.value for r in reps)
+            assert both <= min(mart, marg) + 1e-8
+            assert min(mart, marg) <= unc + 1e-8
+
+
+def _random_martingale(rng, n):
+    x1 = np.sort(1.0 + rng.uniform(-0.5, 0.5, n))
+    q = rng.dirichlet(np.full(n, 4.0), size=n)
+    off = np.sort(rng.uniform(-0.6, 0.6, (n, n)), axis=1)
+    off -= np.sum(q * off, axis=1, keepdims=True)
+    return GridMeasure(x1, rng.dirichlet(np.full(n, 4.0)), x1[:, None] + off, q,
+                       is_martingale=True)
+
+
+def test_value_is_an_infimum_over_multipliers():
+    # every multiplier choice u bounds the value: G <= Phi(u)^(1/p')
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        mu = _random_martingale(rng, 6)
+        G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
+        bins = quantile_bins(mu, 6)
+        bidx = bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
+        mw = mu.atom_masses()
+        for metric in (Metric("wp_adapted", 1.5), W2AD, Metric("wp_adapted", 3.0),
+                       Metric("wp", 1.5), Metric("wp", 3.0)):
+            pc = metric.p_conj
+            S1 = adapted_gradient(mu, G).g1 if metric.adapted else G.g1
+            for cs in (ConstraintSet(martingale=True),
+                       ConstraintSet(marginal1=True, marginal2=True),
+                       ConstraintSet(martingale=True, marginal1=True, marginal2=True)):
+                rep = solve_foc(mu, G, metric, cs, bins)
+                assert rep.converged, (metric, cs.label())
+                for _ in range(5):
+                    f1 = rng.normal(size=mu.n1) * cs.marginal1
+                    f2 = rng.normal(size=bins.m) * cs.marginal2
+                    h = rng.normal(size=mu.n1) * cs.martingale
+                    R1 = S1 + f1[:, None] - h[:, None]
+                    R2 = G.g2 + f2[bidx] + h[:, None]
+                    if metric.adapted:
+                        phi = np.sum(mw * (np.abs(R1) ** pc + np.abs(R2) ** pc))
+                    else:
+                        phi = np.sum(mw * np.hypot(R1, R2) ** pc)
+                    assert rep.value <= phi ** (1.0 / pc) + 1e-12
 
 
 def test_fredholm_value_against_direct_minimization():
@@ -364,20 +423,23 @@ def test_bordered_system_against_direct_minimization():
     G = gradient_field(american_put(side="buyer"), mu)
     phi = MeanConstraint(lambda a, b: b * b, lambda a, b: np.zeros_like(a),
                          lambda a, b: 2 * b, "second_moment")
-    rep = sens_general(mu, G, W2AD, phi=[phi], psi=martingale_psi())
     mw = mu.atom_masses()
     g1d = cond_exp_1(mu, G.g1)[:, None]
     p2 = 2 * mu.x2
+    for metric in (W2AD, Metric("wp_adapted", 1.5)):
+        rep = sens_general(mu, G, metric, phi=[phi], psi=martingale_psi())
+        assert rep.converged
+        pc = metric.p_conj
 
-    def objective(v):
-        lam, h = v[0], v[1:]
-        S1 = g1d - h[:, None]
-        S2 = G.g2 + lam * p2 + h[:, None]
-        return float(np.sum(mw * (S1 ** 2 + S2 ** 2)))
+        def objective(v):
+            lam, h = v[0], v[1:]
+            S1 = g1d - h[:, None]
+            S2 = G.g2 + lam * p2 + h[:, None]
+            return float(np.sum(mw * (np.abs(S1) ** pc + np.abs(S2) ** pc)))
 
-    res = scipy_opt.minimize(objective, np.zeros(1 + mu.n1), method="L-BFGS-B",
-                             options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-14})
-    direct = math.sqrt(res.fun)
-    assert rep.value <= direct + 1e-12
-    assert abs(direct - rep.value) <= 1e-6
-    assert abs(res.x[0] - rep.lambda_hat[0]) <= 1e-4
+        res = scipy_opt.minimize(objective, np.zeros(1 + mu.n1), method="L-BFGS-B",
+                                 options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-14})
+        direct = res.fun ** (1.0 / pc)
+        assert rep.value <= direct + 1e-12
+        assert abs(direct - rep.value) <= 1e-6
+        assert abs(res.x[0] - rep.lambda_hat[0]) <= 1e-4
