@@ -266,6 +266,9 @@ def cmd_curve(cfg: RunConfig) -> int:
                  f"{cfg.criterion} sensitivities ({cfg.family})", "sigma", "sensitivity",
                  logx=True)
     print(f"wrote {path} and curve.svg ({len(rows)} sigma points)")
+    if all("price" not in res for res in results):
+        print("every sigma point failed", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -300,7 +303,10 @@ def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
     print(f"value G'(0) = {rep.value!r}  [{rep.constraints}]")
     if rep.h_hat is not None:
         stats = hedge_jump_stats(mu, rep.h_hat, c)
-        print(f"h jump ratio = {stats['jump_ratio']:.3f} at x1 = {stats['jump_x1']!r}")
+        if stats["jump_ratio"] is None:
+            print("h jump ratio = n/a")
+        else:
+            print(f"h jump ratio = {stats['jump_ratio']:.3f} at x1 = {stats['jump_x1']!r}")
         if stats["boundary_x1"] is not None:
             print(f"exercise boundary near x1 = {stats['boundary_x1']!r} "
                   f"(within {stats['cells_from_boundary']} grid cell(s))")
@@ -310,11 +316,17 @@ def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
 
 def hedge_jump_stats(mu: GridMeasure, h: np.ndarray, c: Criterion) -> dict:
     """Locate the largest adjacent-atom jump of h and relate it to the
-    exercise boundary of the stopping rule."""
+    exercise boundary of the stopping rule.
+
+    The jump ratio is the largest adjacent jump over the median of the
+    jumps above rounding level (1e-12 max|h|): h is often flat on most rows,
+    where a median over all jumps is 0 or noise.  It is None when no jump
+    exceeds rounding level.
+    """
     dh = np.abs(np.diff(h))
-    med = float(np.median(dh))
+    moving = dh[dh > 1e-12 * float(np.max(np.abs(h)))]
     k = int(np.argmax(dh))
-    ratio = float(dh[k] / med) if med > 0 else float("inf") if dh[k] > 0 else 0.0
+    ratio = float(dh[k] / np.median(moving)) if moving.size else None
     out = {"jump_ratio": ratio, "jump_x1": float(0.5 * (mu.x1[k] + mu.x1[k + 1])),
            "boundary_x1": None, "cells_from_boundary": None, "exercise_mass": 0.0}
     if c.kind != "linear":

@@ -21,7 +21,7 @@ from . import fredholm
 from .criterion import Criterion, value as criterion_value
 from .measure import (BinPartition, GridMeasure, MeasureError, bin_masses,
                       marginal_2, quantile_bins)
-from .simplex import InfeasibleError, LPError, solve_lp
+from .simplex import InaccurateError, InfeasibleError, LPError, solve_lp
 
 LP_VARIABLE_CAP = 5_000
 NEWTON_MAX_ITER = 50
@@ -159,11 +159,14 @@ def default_target_support(mu: GridMeasure, radii, martingale=False,
     return np.unique(allpts, axis=0)
 
 
-def dro_lp(prob: DiscreteBallProblem):
-    """Solve the ball supremum LP; returns (optimal value, diagnostics).
+def transport_lp(prob: DiscreteBallProblem) -> dict:
+    """The ball supremum as an LP: maximize c.x subject to A_eq x = b_eq,
+    A_ub x <= b_ub, x >= 0; keyword arguments for ``solve_lp``.
 
-    Coupling variables with transport cost above the budget are pruned
-    (they cannot carry enough mass to matter on the candidate support).
+    The variables are coupling masses from atoms of mu to candidate targets.
+    Pairs with transport cost above the budget are pruned (they cannot carry
+    enough mass to matter on the candidate support); the one inequality row
+    is the transport budget.
     """
     mu = prob.mu
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
@@ -173,7 +176,7 @@ def dro_lp(prob: DiscreteBallProblem):
     budget = prob.radius ** prob.p
     dist2 = ((atoms[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)
     cost = dist2 ** (prob.p / 2.0)
-    keep = cost <= budget * (1.0 + 1e-9) + 1e-15
+    keep = _within_budget(cost, budget)
     pairs = np.argwhere(keep)
     nv = pairs.shape[0]
     if nv > LP_VARIABLE_CAP:
@@ -181,52 +184,63 @@ def dro_lp(prob: DiscreteBallProblem):
     if nv == 0 or np.any(~keep.any(axis=1)):
         raise InfeasibleError("some atom cannot reach any candidate target within the budget")
 
-    rows = []
-    rhs = []
-    # mass conservation per mu atom
-    for a in range(atoms.shape[0]):
-        row = np.zeros(nv)
-        row[pairs[:, 0] == a] = 1.0
-        rows.append(row)
-        rhs.append(masses[a])
     tcol = pairs[:, 1]
+    cols = np.arange(nv)
+
+    def family(row_of, values, nrows):
+        """Constraint rows: variable k enters row row_of[k] with values[k]."""
+        B = np.zeros((nrows, nv))
+        B[row_of, cols] = values
+        return B
+
+    # mass conservation per mu atom
+    blocks = [family(pairs[:, 0], 1.0, atoms.shape[0])]
+    rhs = [masses]
     if prob.martingale:
-        y1v, grp = np.unique(tgt[:, 0], return_inverse=True)
-        gap = tgt[:, 1] - tgt[:, 0]
-        for g in range(y1v.size):
-            sel = grp[tcol] == g
-            if not np.any(sel):
-                continue
-            row = np.zeros(nv)
-            row[sel] = gap[tcol[sel]]
-            rows.append(row)
-            rhs.append(0.0)
+        # one conditional-mean row per first coordinate that some variable uses
+        _, grp = np.unique(tgt[:, 0], return_inverse=True)
+        used, row_of = np.unique(grp[tcol], return_inverse=True)
+        blocks.append(family(row_of, (tgt[:, 1] - tgt[:, 0])[tcol], used.size))
+        rhs.append(np.zeros(used.size))
     if prob.marginal2:
         z, m2 = marginal_2(mu)
         snap = _snap_to(tgt[:, 1], z, "second coordinates outside supp(mu2)")
-        for zi in range(z.size):
-            row = np.zeros(nv)
-            row[snap[tcol] == zi] = 1.0
-            rows.append(row)
-            rhs.append(m2[zi])
+        blocks.append(family(snap[tcol], 1.0, z.size))
+        rhs.append(m2)
         if np.unique(snap).size < z.size:
             raise InfeasibleError("candidate support misses part of supp(mu2)")
     if prob.marginal1:
         snap = _snap_to(tgt[:, 0], mu.x1, "first coordinates outside supp(mu1)")
-        for zi in range(mu.x1.size):
-            row = np.zeros(nv)
-            row[snap[tcol] == zi] = 1.0
-            rows.append(row)
-            rhs.append(mu.w1[zi])
+        blocks.append(family(snap[tcol], 1.0, mu.x1.size))
+        rhs.append(mu.w1)
         if np.unique(snap).size < mu.x1.size:
             raise InfeasibleError("candidate support misses part of supp(mu1)")
 
-    cvec = fvals[tcol]
-    cub = cost[pairs[:, 0], pairs[:, 1]][None, :]
-    res = solve_lp(cvec, A_eq=np.asarray(rows), b_eq=np.asarray(rhs),
-                   A_ub=cub, b_ub=np.array([budget]), maximize=True)
-    info = {"variables": nv, "pivots": res.pivots,
-            "cost_used": float(cub[0] @ res.x), "budget": budget}
+    return {"c": fvals[tcol], "A_eq": np.vstack(blocks), "b_eq": np.concatenate(rhs),
+            "A_ub": cost[pairs[:, 0], pairs[:, 1]][None, :], "b_ub": np.array([budget])}
+
+
+def _within_budget(cost, budget):
+    """cost <= budget up to 1e-9 of the budget, plus an absolute 1e-15 that
+    admits the rounding-level costs of coincident atoms at radius 0."""
+    return cost <= budget * (1.0 + 1e-9) + 1e-15
+
+
+def dro_lp(prob: DiscreteBallProblem):
+    """Solve the ball supremum LP; returns (optimal value, diagnostics).
+
+    Raises InaccurateError when the returned coupling overspends the budget
+    by more than ``_within_budget`` admits.  The solver's own certificate
+    bounds the budget row only to FEAS_TOL of its scale, which counts the
+    slack coefficient 1 and so is absolute for budgets below 1.
+    """
+    lp = transport_lp(prob)
+    res = solve_lp(**lp, maximize=True)
+    info = {"variables": lp["c"].size, "pivots": res.pivots,
+            "cost_used": float(lp["A_ub"][0] @ res.x), "budget": float(lp["b_ub"][0])}
+    if not _within_budget(info["cost_used"], info["budget"]):
+        raise InaccurateError(f"returned point breaks the transport budget: cost "
+                              f"{info['cost_used']:.6e} against {info['budget']:.6e}")
     return float(res.fun), info
 
 
@@ -262,6 +276,13 @@ def _wp_1d_pow(x, wx, y, wy, p):
     return float(np.sum(lens * np.abs(x[ix] - y[iy]) ** p))
 
 
+def _optimal_transport_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """min sum C * pi over couplings pi (row-major variables) of masses a and b."""
+    n, m = C.shape
+    A_eq = np.vstack([np.repeat(np.eye(n), m, axis=1), np.tile(np.eye(m), n)])
+    return solve_lp(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b])).fun
+
+
 def bicausal_distance(mu, nu, p: float = 2.0) -> float:
     """Adapted (nested) Wasserstein distance between two discrete laws.
 
@@ -277,20 +298,7 @@ def bicausal_distance(mu, nu, p: float = 2.0) -> float:
     for i in range(n):
         for k in range(m):
             C[i, k] = abs(x1[i] - y1[k]) ** p + _wp_1d_pow(xz[i], xq[i], yz[k], yq[k], p)
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m:(i + 1) * m] = 1.0
-        rows.append(row)
-        rhs.append(w1[i])
-    for k in range(m):
-        row = np.zeros(n * m)
-        row[k::m] = 1.0
-        rows.append(row)
-        rhs.append(v1[k])
-    res = solve_lp(C.ravel(), A_eq=np.asarray(rows), b_eq=np.asarray(rhs), maximize=False)
-    return float(max(res.fun, 0.0) ** (1.0 / p))
+    return float(max(_optimal_transport_cost(C, w1, v1), 0.0) ** (1.0 / p))
 
 
 def classical_distance(mu, nu, p: float = 2.0) -> float:
@@ -306,20 +314,7 @@ def classical_distance(mu, nu, p: float = 2.0) -> float:
         raise OracleError("flattened coupling too large for the exact solver")
     diff = ax[:, None, :] - bx[None, :, :]
     C = (diff ** 2).sum(axis=2) ** (p / 2.0)
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m:(i + 1) * m] = 1.0
-        rows.append(row)
-        rhs.append(am[i])
-    for k in range(m):
-        row = np.zeros(n * m)
-        row[k::m] = 1.0
-        rows.append(row)
-        rhs.append(bm[k])
-    res = solve_lp(C.ravel(), A_eq=np.asarray(rows), b_eq=np.asarray(rhs), maximize=False)
-    return float(max(res.fun, 0.0) ** (1.0 / p))
+    return float(max(_optimal_transport_cost(C, am, bm), 0.0) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -675,22 +670,25 @@ def oracle_report(mu: GridMeasure, objective, r_list, reports: dict,
     out = {"radii": r_arr, "constraint_sets": {}}
     for label, ref in reports.items():
         flags = flag_table[label]
-        vals = []
+        vals, pivots, used = [], [], []
         v0, _ = dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [], **flags),
                                            0.0, ref.metric.p, objective=objective, **flags))
         for r in r_arr:
             # per-radius candidate support keeps the LP small; the shifted
             # copies at scale r are exactly what the ball at radius r can use
             tgt = default_target_support(mu, [r], **flags)
-            v, _ = dro_lp(DiscreteBallProblem(mu, tgt, r, ref.metric.p,
-                                              objective=objective, **flags))
+            v, info = dro_lp(DiscreteBallProblem(mu, tgt, r, ref.metric.p,
+                                                 objective=objective, **flags))
             vals.append(v)
+            pivots.append(info["pivots"])
+            used.append(info["cost_used"] / info["budget"] if info["budget"] else None)
         slope, fit_res = slope_estimate([0.0] + r_arr, [v0] + vals)
         closed = ref.value
         scale = max(abs(closed), 1e-6)
         ok = abs(slope - closed) <= tolerance * scale
         out["constraint_sets"][label] = {
             "lp_values": vals, "value_at_zero": v0,
+            "lp_pivots": pivots, "budget_used": used,
             "slope": slope, "fit_residual": fit_res,
             "closed_form": closed, "pass": bool(ok),
             "monotone": bool(np.all(np.diff([v0] + vals) >= -1e-9)),

@@ -46,7 +46,8 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
     xs_all = [float(x) for _, xs, _ in series for x in xs if math.isfinite(x)]
     ys_all = [float(y) for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
+        # nothing to plot: a unit domain, one decade on a log axis
+        xs_all, ys_all = ([1.0, 10.0] if logx else [0.0, 1.0]), [0.0, 1.0]
     fx = (lambda v: math.log10(v)) if logx else (lambda v: v)
     x_lo, x_hi = min(map(fx, xs_all)), max(map(fx, xs_all))
     y_lo, y_hi = min(ys_all), max(ys_all)

@@ -13,6 +13,9 @@ import wadro
 from wadro import cli, sensitivity
 from wadro.criterion import gradient_field, preset
 from wadro.measure import ModelSpec, build_model, canonical_test_measure, quantile_bins, to_csv
+from wadro.svgplot import line_chart
+
+from lattice import lattice_measure
 
 
 def run_cli(args):
@@ -90,7 +93,24 @@ def test_svg_sidecar_matches_plot(tmp_path):
     assert np.allclose(ys, 1.0, atol=1e-10)
 
 
-def test_hedge_constant_strategy(tmp_path):
+def test_line_chart_without_finite_points():
+    for logx in (False, True):
+        svg = line_chart([("G", [0.5, 80.0], [float("nan")] * 2)], logx=logx)
+        assert svg.startswith("<svg") and "polyline" not in svg
+
+
+def test_curve_with_every_sigma_failed_exits_check_failed(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning, match="sigma=80 failed"):
+        rc = run_cli(["curve", "--set", "model.sigma=80.0", "--set", "model.n1=8",
+                      "--set", "model.n2=8", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert "every sigma point failed" in capsys.readouterr().err
+    assert (tmp_path / "curve.svg").exists()
+    row = next(csv.DictReader(open(tmp_path / "curve.csv")))
+    assert row["price"] == "nan"
+
+
+def test_hedge_constant_strategy(tmp_path, capsys):
     rc = run_cli(["hedge", "--sigma", "1.0",
                   "--set", "criterion.name=linear:x2",
                   "--set", "constraints.sets=martingale",
@@ -100,6 +120,8 @@ def test_hedge_constant_strategy(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "hedge_h.csv")))
     hvals = np.array([float(r["h"]) for r in rows])
     assert np.allclose(hvals, -0.5, atol=1e-12)
+    # every jump of a constant h is rounding: no ratio to report
+    assert "h jump ratio = n/a" in capsys.readouterr().out
 
 
 def test_hedge_put_jump_near_boundary(tmp_path, capsys):
@@ -108,7 +130,7 @@ def test_hedge_put_jump_near_boundary(tmp_path, capsys):
                   "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
-    assert "jump ratio" in out
+    assert "jump ratio" in out and "n/a" not in out and "inf" not in out
     assert "within 0 grid cell" in out or "within 1 grid cell" in out
 
 
@@ -143,6 +165,30 @@ def test_oracle_report_written(tmp_path):
     rep = json.load(open(tmp_path / "oracle.json"))
     assert rep["pass"]
     assert set(rep["constraint_sets"]) == {"none", "martingale", "marginal2", "both"}
+    for res in rep["constraint_sets"].values():
+        assert len(res["lp_pivots"]) == len(res["budget_used"]) == len(rep["radii"])
+        assert all(isinstance(k, int) and k > 0 for k in res["lp_pivots"])
+        assert all(0.0 <= u <= 1.0 + 1e-9 for u in res["budget_used"])
+
+
+def test_oracle_reports_no_overspent_coupling(tmp_path, capsys):
+    # a 7x7 lattice 0.15 apart, where the martingale LP at radius 0.2 pivots
+    # on near-zero elements; an unchecked point spent 2.23 times the budget.
+    # Either the fault is reported or every coupling keeps its budget.
+    path = tmp_path / "measure.csv"
+    with open(path, "w", newline="") as f:
+        to_csv(lattice_measure(76, 7, 0.15, 1.0, 0.02), f)
+    rc = run_cli(["oracle", "--set", "criterion.name=linear:x2",
+                  "--set", f"model.measure_csv={path}",
+                  "--set", "oracle.radii=0.05,0.1,0.2", "--out", str(tmp_path)])
+    report = tmp_path / "oracle.json"
+    if not report.exists():                 # the solver reports the fault
+        assert rc == cli.EXIT_CHECK_FAILED
+        assert "oracle failed: returned point breaks" in capsys.readouterr().err
+        return
+    assert rc in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    for res in json.load(open(report))["constraint_sets"].values():
+        assert all(u is None or u <= 1.0 + 1e-9 for u in res["budget_used"])
 
 
 def test_curve_partial_failure_writes_nan_markers(tmp_path):

@@ -12,7 +12,8 @@ from wadro.oracle import (DiscreteBallProblem, OracleError, bicausal_distance,
 from wadro.sensitivity import (ConstraintSet, MeanConstraint, W2, W2AD,
                                sens_mart_marginal, sens_martingale,
                                sens_unconstrained, solve_foc)
-from wadro.simplex import InfeasibleError
+from wadro import oracle
+from wadro.simplex import InaccurateError, InfeasibleError, LPResult, solve_lp
 
 
 def _obj_y2(y1, y2):
@@ -24,6 +25,25 @@ def test_dro_lp_zero_radius_recovers_value():
     tgt = default_target_support(mu, [0.1])
     v, _ = dro_lp(DiscreteBallProblem(mu, tgt, 0.0, 2.0, objective=_obj_y2))
     assert abs(v - value(preset("linear:x2"), mu)) <= 1e-10
+
+
+def test_dro_lp_rejects_budget_overspend(monkeypatch):
+    # the solver's own check bounds the budget row (scale 1) to an absolute
+    # 1e-9; dro_lp bounds it to 1e-9 of the budget
+    mu = canonical_test_measure()
+    prob = DiscreteBallProblem(mu, default_target_support(mu, [0.1]), 0.1, 2.0,
+                               objective=_obj_y2)
+    v, info = dro_lp(prob)
+    assert info["cost_used"] <= info["budget"] * (1.0 + 1e-9)
+    assert info["cost_used"] >= info["budget"] * (1.0 - 1e-9)     # the budget binds
+
+    def overspend(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        return LPResult(x=res.x * (1.0 + 1e-7), fun=res.fun, pivots=res.pivots)
+
+    monkeypatch.setattr(oracle, "solve_lp", overspend)
+    with pytest.raises(InaccurateError, match="transport budget"):
+        dro_lp(prob)
 
 
 def test_dro_lp_kantorovich_bound_p1():

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from wadro.simplex import (InfeasibleError, LPError, UnboundedError, solve_lp)
+from lattice import lattice_measure
+from wadro.measure import canonical_test_measure
+from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
+from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
+                           _certify, solve_lp)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
+
+FLAGS = {"none": {}, "martingale": {"martingale": True}, "marginal2": {"marginal2": True},
+         "both": {"martingale": True, "marginal2": True}}
 
 
 def test_simple_box():
@@ -37,8 +44,7 @@ def test_variable_cap():
         solve_lp(np.zeros(5001), A_eq=np.zeros((1, 5001)), b_eq=np.zeros(1))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_against_scipy_linprog(seed):
+def _dense_lp(seed):
     rng = np.random.default_rng(1000 + seed)
     n, m_ub, m_eq = 14, 5, 3
     c = rng.standard_normal(n)
@@ -48,18 +54,88 @@ def test_against_scipy_linprog(seed):
     x_feas = rng.uniform(0.0, 0.5, n)
     b_eq = A_eq @ x_feas            # guarantees feasibility
     b_ub = np.maximum(b_ub, A_ub @ x_feas + 0.1)
-    ref = scipy_opt.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                            bounds=(0, None), method="highs")
-    if ref.status == 3:
+    return {"c": c, "A_eq": A_eq, "b_eq": b_eq, "A_ub": A_ub, "b_ub": b_ub}
+
+
+def _ball_lp(mu, flags, r):
+    tgt = default_target_support(mu, [r], **FLAGS[flags])
+    return transport_lp(DiscreteBallProblem(mu, tgt, r, 2.0, objective=lambda y1, y2: y2,
+                                            **FLAGS[flags]))
+
+
+def _lp_case(case):
+    """(LP keyword arguments, maximize) for a test_against_scipy_linprog case."""
+    if isinstance(case, int):                  # 14-variable dense LP
+        return _dense_lp(case), False
+    if case == "redundant-row":                # phase one drops a duplicated row
+        lp = _dense_lp(0)
+        lp["A_eq"] = np.vstack([lp["A_eq"], lp["A_eq"][:1]])
+        lp["b_eq"] = np.append(lp["b_eq"], lp["b_eq"][0])
+        return lp, False
+    # sparse transport LPs of the oracle: the pivot columns are mostly zero
+    name, flags = case.split("-")
+    mu = (canonical_test_measure() if name == "canonical"
+          else lattice_measure(5, 9, 0.5, 3.0, 0.04))
+    return _ball_lp(mu, flags, 0.1), True
+
+
+def _assert_feasible(x, lp, tol):
+    assert np.all(x >= -tol)
+    assert np.max(np.abs(lp["A_eq"] @ x - lp["b_eq"])) <= tol
+    assert np.max(lp["A_ub"] @ x - lp["b_ub"]) <= tol
+
+
+def _highs(lp, maximize):
+    sign = -1.0 if maximize else 1.0
+    ref = scipy_opt.linprog(sign * lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
+                            b_eq=lp["b_eq"], bounds=(0, None), method="highs")
+    return ref.status, sign * ref.fun if ref.status == 0 else None
+
+
+@pytest.mark.parametrize("case", [*range(8), "redundant-row",
+                                  *(f"{m}-{f}" for m in ("canonical", "lattice9")
+                                    for f in FLAGS)])
+def test_against_scipy_linprog(case):
+    lp, maximize = _lp_case(case)
+    status, ref = _highs(lp, maximize)
+    if status == 3:
         with pytest.raises(UnboundedError):
-            solve_lp(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, maximize=False)
+            solve_lp(**lp, maximize=maximize)
         return
-    assert ref.status == 0
-    res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, maximize=False)
-    assert abs(res.fun - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
-    assert np.all(res.x >= -1e-9)
-    assert np.max(np.abs(A_eq @ res.x - b_eq)) <= 1e-8
-    assert np.max(A_ub @ res.x - b_ub) <= 1e-8
+    assert status == 0
+    res = solve_lp(**lp, maximize=maximize)
+    assert abs(res.fun - ref) <= 1e-9 * max(1.0, abs(ref))
+    _assert_feasible(res.x, lp, 1e-9)
+
+
+def test_certificate_checks_each_constraint_kind():
+    rows = (np.array([[1.0, 1.0]]), np.array([1.0]), np.array([[1.0, 0.0]]), np.array([0.5]),
+            np.array([1.0, 1.0]))
+    _certify(np.array([0.5, 0.5]), *rows)
+    _certify(np.array([0.5, 0.5 + 1e-12]), *rows)
+    for x in ([0.5, 0.5 + 1e-6],             # equality
+              [0.6, 0.4],                    # inequality
+              [-1e-6, 1.0 + 1e-6]):          # sign
+        with pytest.raises(InaccurateError):
+            _certify(np.array(x), *rows)
+
+
+def test_certificate_rejects_inaccurate_pivots():
+    # 7x7 lattice 0.15 apart: at radius 0.2 the martingale LP couples
+    # neighbouring atoms, and the ratio test accepts pivots on elements just
+    # above PIVOT_TOL; the uncertified point spent 2.23 times the budget
+    mu = lattice_measure(76, 7, 0.15, 1.0, 0.02)
+    lp = _ball_lp(mu, "martingale", 0.2)
+    assert lp["c"].size == 2069 and lp["A_eq"].shape[0] == 84
+    status, ref = _highs(lp, True)
+    assert status == 0 and abs(ref - 1.0570434) <= 1e-6
+    try:
+        res = solve_lp(**lp, maximize=True)
+    except LPError:
+        return
+    assert abs(res.fun - ref) <= 1e-7 * max(1.0, abs(ref))
+    _assert_feasible(res.x, lp, 1e-9)
+    assert lp["A_ub"][0] @ res.x <= lp["b_ub"][0] * (1.0 + 1e-9)
 
 
 def test_against_scipy_unbounded_guard():
