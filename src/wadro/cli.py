@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import sys
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -300,7 +301,8 @@ def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
         series.append(("f2", [r[0] for r in rows2], [r[1] for r in rows2]))
     _write_chart(os.path.join(cfg.out_dir, "hedge.svg"), series,
                  f"hedging profiles at sigma={sigma:g} ({which})", "state", "multiplier")
-    print(f"value G'(0) = {rep.value!r}  [{rep.constraints}]")
+    status = "" if rep.converged else f"  not converged (FOC residual {rep.foc_residual:.3e})"
+    print(f"value G'(0) = {rep.value!r}  [{rep.constraints}]{status}")
     if rep.h_hat is not None:
         stats = hedge_jump_stats(mu, rep.h_hat, c)
         if stats["jump_ratio"] is None:
@@ -311,7 +313,7 @@ def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
             print(f"exercise boundary near x1 = {stats['boundary_x1']!r} "
                   f"(within {stats['cells_from_boundary']} grid cell(s))")
         print(f"stage-1 exercise mass = {stats['exercise_mass']:.3e}")
-    return EXIT_OK
+    return EXIT_OK if rep.converged else EXIT_CHECK_FAILED
 
 
 def hedge_jump_stats(mu: GridMeasure, h: np.ndarray, c: Criterion) -> dict:
@@ -470,25 +472,31 @@ def _selfcheck_items(cfg: RunConfig):
             ("contraction counterexample", contraction_counterexample)]
 
 
+def _took(start: float) -> str:
+    return f"{time.perf_counter() - start:7.3f} s"
+
+
 def cmd_selfcheck(cfg: RunConfig, measure_path: str | None = None) -> int:
     failures = 0
     if measure_path is not None:
+        start = time.perf_counter()
         try:
             from_csv(measure_path)
-            print(f"{'measure file invariants':32s} PASS")
+            print(f"{'measure file invariants':32s} PASS  {_took(start)}")
         except (MeasureError, ValueError, OSError) as exc:
-            print(f"{'measure file invariants':32s} FAIL  ({exc})")
+            print(f"{'measure file invariants':32s} FAIL  {_took(start)}  ({exc})")
             failures += 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name, fn in _selfcheck_items(cfg):
+            start = time.perf_counter()
             try:
                 ok = fn()
             except Exception as exc:   # a crashed check is a failed check
-                print(f"{name:32s} FAIL  ({type(exc).__name__}: {exc})")
+                print(f"{name:32s} FAIL  {_took(start)}  ({type(exc).__name__}: {exc})")
                 failures += 1
                 continue
-            print(f"{name:32s} {'PASS' if ok else 'FAIL'}")
+            print(f"{name:32s} {'PASS' if ok else 'FAIL'}  {_took(start)}")
             failures += 0 if ok else 1
     print(f"{'-' * 40}\n{failures} failure(s)")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED

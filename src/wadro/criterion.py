@@ -189,24 +189,17 @@ def preset(name: str) -> Criterion:
 
 
 def _stage_values(c: Criterion, mu) -> tuple[np.ndarray, np.ndarray]:
-    """(l1 on x1 atoms, E1[l2] per row) for stopping criteria, row protocol."""
-    x1 = np.asarray([row[0] for row in mu.iter_rows()])
-    ell1 = c.l1(x1)
-    cont = np.array([np.sum(qv * c.l2(zv)) for _, _, zv, qv in mu.iter_rows()])
-    return ell1, cont
+    """(l1 on x1 atoms, E1[l2] per row) for stopping criteria."""
+    return c.l1(mu.x1), mu.row_expectation(lambda a, z: c.l2(z))
 
 
 def value(c: Criterion, mu) -> float:
-    """Criterion value; accepts any measure implementing iter_rows()."""
+    """Criterion value on any measure with ``x1``, ``w1`` and ``row_expectation``."""
     if c.kind == "linear":
-        acc = 0.0
-        for x1i, w1i, zv, qv in mu.iter_rows():
-            acc += w1i * np.sum(qv * c.f(np.full_like(zv, x1i), zv))
-        return float(acc)
+        return float(mu.w1 @ mu.row_expectation(c.f))
     ell1, cont = _stage_values(c, mu)
-    w1 = np.asarray([row[1] for row in mu.iter_rows()])
     agg = np.minimum if c.kind == "stop_buyer" else np.maximum
-    return float(w1 @ agg(ell1, cont))
+    return float(mu.w1 @ agg(ell1, cont))
 
 
 def stopping_rule(c: Criterion, mu: GridMeasure) -> StoppingRule:

@@ -11,7 +11,7 @@ marginal.
 from __future__ import annotations
 
 import csv
-import io
+import functools
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -102,8 +102,17 @@ class GridMeasure:
         t2 = np.broadcast_to(np.asarray(theta2, dtype=float), self.x2.shape)
         return GridMeasure(self.x1 + r * t1, self.w1, self.x2 + r * t2, self.q)
 
+    def row_expectation(self, fn) -> np.ndarray:
+        """v[i] = sum_j q[i,j] fn(x1[i], x2[i,j]), one value per first-stage atom.
+
+        ``fn`` is evaluated once on the whole grid; each row is then summed
+        exactly as a per-row ``np.sum`` would sum it.
+        """
+        a = np.broadcast_to(self.x1[:, None], self.x2.shape)
+        return np.sum(self.q * fn(a, self.x2), axis=1)
+
     def iter_rows(self):
-        """Yield (x1[i], w1[i], x2 row, q row) for the common row protocol."""
+        """Yield (x1[i], w1[i], x2 row, q row); the distance oracles read rows this way."""
         for i in range(self.n1):
             yield self.x1[i], self.w1[i], self.x2[i], self.q[i]
 
@@ -130,7 +139,17 @@ class ModelSpec:
 
 
 def std_normal_nodes(n: int, quadrature: str = "gauss_hermite") -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights integrating against the standard normal law."""
+    """Nodes and weights integrating against the standard normal law.
+
+    The nodes are computed once per ``(n, quadrature)``; every call returns
+    fresh copies, so a caller that writes into them leaves the cache intact.
+    """
+    z, w = _cached_nodes(n, quadrature)
+    return z.copy(), w.copy()
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_nodes(n: int, quadrature: str) -> tuple[np.ndarray, np.ndarray]:
     if quadrature == "gauss_hermite":
         z, w = np.polynomial.hermite_e.hermegauss(n)
         w = w / w.sum()
@@ -140,6 +159,8 @@ def std_normal_nodes(n: int, quadrature: str = "gauss_hermite") -> tuple[np.ndar
         w = np.full(n, 1.0 / n)
     else:
         raise MeasureError(f"unknown quadrature {quadrature!r}")
+    z.flags.writeable = False
+    w.flags.writeable = False
     return z, w
 
 
@@ -214,14 +235,10 @@ def quantile_bins(mu: GridMeasure, m: int) -> BinPartition:
         raise MeasureError("need at least one bin")
     z, mass = marginal_2(mu)
     cum = np.cumsum(mass)
-    cuts = []
-    for k in range(1, m):
-        # an atom whose cumulative mass hits k/m exactly stays below the cut
-        t = np.searchsorted(cum, k / m, side="right")
-        if t == 0 or t >= z.size:
-            continue
-        cuts.append(0.5 * (z[t - 1] + z[t]))
-    interior = np.unique(np.asarray(cuts))
+    # an atom whose cumulative mass hits k/m exactly stays below the cut
+    t = np.searchsorted(cum, np.arange(1, m) / m, side="right")
+    t = t[(t > 0) & (t < z.size)]
+    interior = np.unique(0.5 * (z[t - 1] + z[t]))
     span = z[-1] - z[0] if z.size > 1 else 1.0
     pad = max(1e-9, 1e-9 * abs(span))
     edges = np.concatenate(([z[0] - pad], interior, [z[-1] + pad]))
@@ -373,10 +390,3 @@ def from_csv(path_or_buf, is_martingale: bool = False) -> GridMeasure:
     finally:
         if own:
             f.close()
-
-
-def roundtrip_csv(mu: GridMeasure) -> GridMeasure:
-    buf = io.StringIO()
-    to_csv(mu, buf)
-    buf.seek(0)
-    return from_csv(buf, is_martingale=mu.is_martingale)

@@ -49,6 +49,10 @@ class RaggedMeasure:
             z, q = self.rows[i]
             yield self.x1[i], self.w1[i], z, q
 
+    def row_expectation(self, fn) -> np.ndarray:
+        """v[i] = sum_j q_i[j] fn(x1[i], z_i[j]); rows differ in length, so loop."""
+        return np.array([np.sum(q * fn(np.full_like(z, a), z)) for a, _, z, q in self.iter_rows()])
+
     def martingale_residual(self) -> float:
         worst = 0.0
         for x1i, _, z, q in self.iter_rows():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -121,7 +122,18 @@ def test_hedge_constant_strategy(tmp_path, capsys):
     hvals = np.array([float(r["h"]) for r in rows])
     assert np.allclose(hvals, -0.5, atol=1e-12)
     # every jump of a constant h is rounding: no ratio to report
-    assert "h jump ratio = n/a" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "h jump ratio = n/a" in out and "not converged" not in out
+
+
+def test_hedge_marks_unconverged_solve(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        rc = run_cli(["hedge", "--sigma", "0.1", "--set", "metric.p=6",
+                      "--set", "model.n1=16", "--set", "model.n2=16",
+                      "--set", "constraints.sets=mart_marginal", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("value G'(0)"))
+    assert "not converged (FOC residual" in line
 
 
 def test_hedge_put_jump_near_boundary(tmp_path, capsys):
@@ -139,6 +151,9 @@ def test_selfcheck_passes(tmp_path, capsys):
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    # every check reports its wall time next to its verdict
+    checks = out.split("-" * 40)[0].splitlines()
+    assert len(checks) == 8 and all(re.search(r" PASS +\d+\.\d{3} s$", ln) for ln in checks)
 
 
 def test_selfcheck_rejects_corrupted_measure(tmp_path, capsys):

@@ -7,7 +7,9 @@ import pytest
 from wadro.criterion import (Criterion, CriterionError, american_put,
                              exercise_mass, gradient_field, linear_criterion,
                              preset, stopping_rule, value, vega)
-from wadro.measure import GridMeasure, ModelSpec, build_model, cond_exp_1
+from wadro.measure import GridMeasure, ModelSpec, build_model, cond_exp_1, quantile_bins
+from wadro.oracle import feasible_family_mart_marginal
+from wadro.sensitivity import sens_mart_marginal
 
 
 def test_linear_value_is_mean_for_martingales():
@@ -60,6 +62,74 @@ def test_stopping_rule_matches_value_branches():
         cont = cond_exp_1(mu, c.l2(mu.x2))
         branch = np.where(rule.stop_at_1, ell1, cont)
         assert abs(float(mu.w1 @ branch) - value(c, mu)) <= 1e-12
+
+
+def _random_grid_measure(rng, n1, n2):
+    """Rows around the put's strikes, so both stopping branches are taken."""
+    x1 = 0.6 + np.cumsum(rng.uniform(0.2, 1.0, n1)) * (1.4 / n1)
+    x2 = (x1[:, None] - 0.5 + np.cumsum(rng.uniform(0.1, 1.0, (n1, n2)), axis=1) / n2)
+    return GridMeasure(x1, rng.dirichlet(np.ones(n1)), x2,
+                       rng.dirichlet(np.ones(n2), size=n1))
+
+
+def _rows(mu):
+    return [(mu.x1[i], mu.w1[i], mu.x2[i], mu.q[i]) for i in range(mu.n1)]
+
+
+def _loop_stage_values(c, rows):
+    """(l1 on x1 atoms, E1[l2] per row), one row at a time."""
+    ell1 = c.l1(np.asarray([a for a, _, _, _ in rows]))
+    cont = np.array([np.sum(q * c.l2(z)) for _, _, z, q in rows])
+    return ell1, cont
+
+
+def _loop_value(c, rows):
+    if c.kind == "linear":
+        acc = 0.0
+        for a, w, z, q in rows:
+            acc += w * np.sum(q * c.f(np.full_like(z, a), z))
+        return float(acc)
+    ell1, cont = _loop_stage_values(c, rows)
+    agg = np.minimum if c.kind == "stop_buyer" else np.maximum
+    return float(np.asarray([w for _, w, _, _ in rows]) @ agg(ell1, cont))
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 3), (5, 7), (33, 17), (40, 300), (128, 128)])
+def test_put_value_and_rule_match_row_loop(n1, n2):
+    mu = _random_grid_measure(np.random.default_rng(n1 * n2), n1, n2)
+    for side in ("buyer", "seller"):
+        c = american_put(side=side)
+        assert value(c, mu) == _loop_value(c, _rows(mu))
+        ell1, cont = _loop_stage_values(c, _rows(mu))
+        tie = np.abs(ell1 - cont) <= c.tie_tol
+        stop = ((ell1 < cont) if side == "buyer" else (ell1 > cont)) & ~tie
+        rule = stopping_rule(c, mu)
+        assert np.array_equal(rule.stop_at_1, stop)
+        assert np.array_equal(rule.tie_at, np.nonzero(tie)[0])
+
+
+@pytest.mark.parametrize("name", ["linear:x1", "linear:x2-x1", "linear:x2^2"])
+def test_linear_value_matches_row_loop(name):
+    # the rows are weighted by one dot product instead of a running sum, so
+    # the two agree to the rounding bound of summing n1 terms
+    mu = _random_grid_measure(np.random.default_rng(5), 128, 128)
+    c = preset(name)
+    a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
+    terms = mu.w1 * np.sum(mu.q * c.f(a, mu.x2), axis=1)
+    tol = 2 * mu.n1 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
+    assert abs(value(c, mu) - _loop_value(c, _rows(mu))) <= tol
+
+
+def test_ragged_value_matches_row_loop():
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    put = american_put(side="buyer")
+    bins = quantile_bins(mu, 8)
+    direction = sens_mart_marginal(mu, gradient_field(put, mu), bins).T2
+    nu = feasible_family_mart_marginal(mu, direction, r_list=(1e-2,), bins=bins).measures[0]
+    rows = [(a, w, z, q) for a, w, (z, q) in zip(nu.x1, nu.w1, nu.rows)]
+    assert any(z.size != mu.n2 for _, _, z, _ in rows)
+    for c in (put, american_put(side="seller"), preset("linear:x2"), preset("linear:x2^2")):
+        assert abs(value(c, nu) - _loop_value(c, rows)) <= 1e-15
 
 
 def test_stopping_rule_never_stops_for_huge_intrinsic():

@@ -1,5 +1,6 @@
 import io
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from wadro.measure import (BinPartition, GridMeasure, MeasureError, ModelSpec,
                            bin_centers, build_model, canonical_test_measure,
                            cond_exp_1, cond_exp_2, from_csv, info_discrepancy_check,
-                           marginal_2, quantile_bins, sign_copy_measure, to_csv)
+                           marginal_2, quantile_bins, sign_copy_measure, std_normal_nodes,
+                           to_csv)
 
 
 def test_bachelier_three_point_nodes():
@@ -131,6 +133,63 @@ def test_quantile_bins_cover_atoms():
     assert idx.min() >= 0 and idx.max() < bins.m
     counts = np.bincount(idx, minlength=bins.m)
     assert np.all(counts > 0)
+
+
+def _quantile_edges_per_cut(mu, m):
+    """The partition's edges with one searchsorted per cut point."""
+    z, mass = marginal_2(mu)
+    cum = np.cumsum(mass)
+    cuts = []
+    for k in range(1, m):
+        t = np.searchsorted(cum, k / m, side="right")
+        if t == 0 or t >= z.size:
+            continue
+        cuts.append(0.5 * (z[t - 1] + z[t]))
+    interior = np.unique(np.asarray(cuts))
+    span = z[-1] - z[0] if z.size > 1 else 1.0
+    pad = max(1e-9, 1e-9 * abs(span))
+    return np.concatenate(([z[0] - pad], interior, [z[-1] + pad]))
+
+
+@pytest.mark.parametrize("mu", [
+    build_model(ModelSpec("black_scholes", 0.7, 16, 16)),
+    build_model(ModelSpec("bachelier", 0.3, 64, 64, "equally_weighted")),
+    canonical_test_measure(),
+    sign_copy_measure(32),
+])
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 64, 500])
+def test_quantile_bins_match_per_cut_search(mu, m):
+    assert np.array_equal(quantile_bins(mu, m).edges, _quantile_edges_per_cut(mu, m))
+
+
+@pytest.mark.parametrize("quadrature", ["gauss_hermite", "equally_weighted"])
+@pytest.mark.parametrize("n", [2, 16, 128])
+def test_std_normal_nodes_match_direct_computation(n, quadrature):
+    if quadrature == "gauss_hermite":
+        z, w = np.polynomial.hermite_e.hermegauss(n)
+        w = w / w.sum()
+    else:
+        nd = NormalDist()
+        z = np.array([nd.inv_cdf((k + 0.5) / n) for k in range(n)])
+        w = np.full(n, 1.0 / n)
+    for _ in range(2):          # the first call may fill the cache, the second reads it
+        zc, wc = std_normal_nodes(n, quadrature)
+        assert np.array_equal(zc, z) and np.array_equal(wc, w)
+
+
+def test_std_normal_nodes_writes_do_not_reach_the_cache():
+    z0, w0 = (a.copy() for a in std_normal_nodes(16))
+    z, w = std_normal_nodes(16)
+    z[:] = 0.0
+    w *= 2.0
+    z1, w1 = std_normal_nodes(16)
+    assert np.array_equal(z1, z0) and np.array_equal(w1, w0)
+
+
+def test_std_normal_nodes_rejects_unknown_quadrature():
+    for _ in range(2):
+        with pytest.raises(MeasureError):
+            std_normal_nodes(8, "simpson")
 
 
 def test_bin_partition_rejects_bad_edges():
