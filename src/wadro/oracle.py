@@ -19,8 +19,8 @@ import numpy as np
 
 from . import fredholm
 from .criterion import Criterion, value as criterion_value
-from .measure import (BinPartition, GridMeasure, MeasureError, bin_masses,
-                      marginal_2, quantile_bins)
+from .measure import (MARTINGALE_RTOL, BinPartition, GridMeasure, MeasureError,
+                      bin_masses, marginal_2, quantile_bins)
 from .simplex import InaccurateError, InfeasibleError, LPError, solve_lp
 
 LP_VARIABLE_CAP = 5_000
@@ -163,65 +163,104 @@ def default_target_support(mu: GridMeasure, radii, martingale=False,
     return np.unique(allpts, axis=0)
 
 
-def transport_lp(prob: DiscreteBallProblem) -> dict:
-    """The ball supremum as an LP: maximize c.x subject to A_eq x = b_eq,
-    A_ub x <= b_ub, x >= 0; keyword arguments for ``solve_lp``.
+BUDGET_ROW = 0                          # position of the transport budget in A_ub
 
-    The variables are coupling masses from atoms of mu to candidate targets.
+
+def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
+    """The ball supremum as an LP in displacement form about mu.
+
+    Returns ``(lp, v0)``: ``lp`` holds the keyword arguments of ``solve_lp``
+    for  maximize c.x  subject to  A_eq x = b_eq, A_ub x <= b_ub, x >= 0,
+    and the supremum is v0 plus the LP optimum.
+
+    A coupling sends mass from the atoms of mu to candidate targets.  An
+    atom's stay pair (the target at its own coordinates, cost 0) is no
+    variable: it carries what the atom's moves leave, so the atom's mass row
+    reads  sum of its moves <= m_a,  and mu's identity coupling, of value
+    v0 = sum_a m_a f(a), is the origin.  A move earns f(t) - f(a), and each
+    martingale or marginal row says that the moves leave mu's value of that
+    constraint unchanged, so its right-hand side is exactly 0 once every atom
+    has a stay pair.  An atom without one keeps the equality row
+    sum_t x[a,t] = m_a, and its own share of each constraint goes to the
+    right-hand side.  Row ``BUDGET_ROW`` of A_ub is the transport budget.
     Pairs with transport cost above the budget are pruned (they cannot carry
-    enough mass to matter on the candidate support); the one inequality row
-    is the transport budget.
+    enough mass to matter on the candidate support).
+
+    Raises OracleError when mu misses a constraint it is asked to keep (a
+    martingale residual above MARTINGALE_RTOL).
     """
     mu = prob.mu
+    if prob.martingale:
+        tol = MARTINGALE_RTOL * max(1.0, float(np.max(np.abs(mu.x1))))
+        if mu.martingale_residual() > tol:
+            raise OracleError(f"mu is not a martingale: residual {mu.martingale_residual():.3e} "
+                              f"exceeds {tol:.3e}")
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
     masses = mu.atom_masses().ravel()
     tgt = prob.target_support
     fvals = prob.objective_values()
     budget = prob.radius ** prob.p
-    dist2 = ((atoms[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)
-    cost = dist2 ** (prob.p / 2.0)
-    keep = _within_budget(cost, budget)
-    pairs = np.argwhere(keep)
-    nv = pairs.shape[0]
+    d1 = atoms[:, 0, None] - tgt[None, :, 0]
+    d2 = atoms[:, 1, None] - tgt[None, :, 1]
+    cost = (d1 * d1 + d2 * d2) ** (prob.p / 2.0)
+    coincide = (d1 == 0.0) & (d2 == 0.0)
+    stays = coincide.any(axis=1)
+    keep = _within_budget(cost, budget) & ~coincide
+    moving = keep.any(axis=1)
+    if np.any(~(stays | moving)):
+        raise InfeasibleError("some atom cannot reach any candidate target within the budget")
+    src, tcol = np.nonzero(keep)
+    nv = src.size
     if nv > LP_VARIABLE_CAP:
         raise OracleError(f"{nv} coupling variables exceed the {LP_VARIABLE_CAP} cap")
-    if nv == 0 or np.any(~keep.any(axis=1)):
-        raise InfeasibleError("some atom cannot reach any candidate target within the budget")
-
-    tcol = pairs[:, 1]
+    f_stay = np.where(stays, fvals[np.argmax(coincide, axis=1)], 0.0)
     cols = np.arange(nv)
+    leaves = stays[src]                 # moves that take mass off a stay pair
 
-    def family(row_of, values, nrows):
-        """Constraint rows: variable k enters row row_of[k] with values[k]."""
+    def family(row_t, val_t, row_a, val_a, nrows):
+        """Constraint rows in which target t weighs val_t[t] in row row_t[t]
+        and atom a weighs val_a[a] in row row_a[a] (-1: in none).  A move
+        weighs its target's weight less its atom's when it leaves a stay
+        pair; an atom without one owes its weight times its mass."""
+        val_t = np.broadcast_to(val_t, row_t.shape)
+        val_a = np.broadcast_to(val_a, row_a.shape)
         B = np.zeros((nrows, nv))
-        B[row_of, cols] = values
-        return B
+        B[row_t[tcol], cols] = val_t[tcol]
+        B[row_a[src[leaves]], cols[leaves]] -= val_a[src[leaves]]
+        owes = ~stays & (row_a >= 0)
+        rhs = np.bincount(row_a[owes], weights=(val_a * masses)[owes], minlength=nrows)
+        used = np.any(B != 0.0, axis=1) | (rhs != 0.0)
+        return B[used], rhs[used]
 
-    # mass conservation per mu atom
-    blocks = [family(pairs[:, 0], 1.0, atoms.shape[0])]
-    rhs = [masses]
+    mass = np.zeros((atoms.shape[0], nv))
+    mass[src, cols] = 1.0
+    capped = stays & moving             # stay atoms with a move: mass row <= m_a
+    eq = [(mass[~stays], masses[~stays])]
     if prob.martingale:
-        # one conditional-mean row per first coordinate that some variable uses
-        _, grp = np.unique(tgt[:, 0], return_inverse=True)
-        used, row_of = np.unique(grp[tcol], return_inverse=True)
-        blocks.append(family(row_of, (tgt[:, 1] - tgt[:, 0])[tcol], used.size))
-        rhs.append(np.zeros(used.size))
+        # one conditional-mean row per first coordinate of the targets
+        g1, row_t = np.unique(tgt[:, 0], return_inverse=True)
+        at = np.minimum(np.searchsorted(g1, atoms[:, 0]), g1.size - 1)
+        row_a = np.where(g1[at] == atoms[:, 0], at, -1)
+        eq.append(family(row_t, tgt[:, 1] - tgt[:, 0], row_a, atoms[:, 1] - atoms[:, 0],
+                         g1.size))
     if prob.marginal2:
-        z, m2 = marginal_2(mu)
+        z, _ = marginal_2(mu)
         snap = _snap_to(tgt[:, 1], z, "second coordinates outside supp(mu2)")
-        blocks.append(family(snap[tcol], 1.0, z.size))
-        rhs.append(m2)
         if np.unique(snap).size < z.size:
             raise InfeasibleError("candidate support misses part of supp(mu2)")
+        eq.append(family(snap, 1.0, _snap_to(atoms[:, 1], z, "atoms outside supp(mu2)"),
+                         1.0, z.size))
     if prob.marginal1:
         snap = _snap_to(tgt[:, 0], mu.x1, "first coordinates outside supp(mu1)")
-        blocks.append(family(snap[tcol], 1.0, mu.x1.size))
-        rhs.append(mu.w1)
         if np.unique(snap).size < mu.x1.size:
             raise InfeasibleError("candidate support misses part of supp(mu1)")
+        eq.append(family(snap, 1.0, np.repeat(np.arange(mu.n1), mu.n2), 1.0, mu.n1))
 
-    return {"c": fvals[tcol], "A_eq": np.vstack(blocks), "b_eq": np.concatenate(rhs),
-            "A_ub": cost[pairs[:, 0], pairs[:, 1]][None, :], "b_ub": np.array([budget])}
+    lp = {"c": fvals[tcol] - f_stay[src],
+          "A_eq": np.vstack([B for B, _ in eq]), "b_eq": np.concatenate([b for _, b in eq]),
+          "A_ub": np.vstack([cost[src, tcol], mass[capped]]),
+          "b_ub": np.concatenate([[budget], masses[capped]])}
+    return lp, float(masses @ f_stay)
 
 
 def _within_budget(cost, budget):
@@ -233,19 +272,25 @@ def _within_budget(cost, budget):
 def dro_lp(prob: DiscreteBallProblem):
     """Solve the ball supremum LP; returns (optimal value, diagnostics).
 
-    Raises InaccurateError when the returned coupling overspends the budget
-    by more than ``_within_budget`` admits.  The solver's own certificate
-    bounds the budget row only to FEAS_TOL of its scale, which counts the
-    slack coefficient 1 and so is absolute for budgets below 1.
+    The value is mu's identity value v0 plus the optimal gain of the moves
+    (see ``transport_lp``); an LP with no move left, as at radius 0, is
+    answered by v0 without a solve.  Raises InaccurateError when the
+    returned coupling overspends the budget by more than ``_within_budget``
+    admits, which is 1e-9 of the budget where the solver's own certificate
+    allows FEAS_TOL of the largest of the budget and its costs.
     """
-    lp = transport_lp(prob)
-    res = solve_lp(**lp, maximize=True)
-    info = {"variables": lp["c"].size, "pivots": res.pivots,
-            "cost_used": float(lp["A_ub"][0] @ res.x), "budget": float(lp["b_ub"][0])}
+    lp, v0 = transport_lp(prob)
+    x, gain, pivots = np.zeros(0), 0.0, 0
+    if lp["c"].size:
+        res = solve_lp(**lp, maximize=True)
+        x, gain, pivots = res.x, res.fun, res.pivots
+    info = {"variables": lp["c"].size, "pivots": pivots,
+            "cost_used": float(lp["A_ub"][BUDGET_ROW] @ x),
+            "budget": float(lp["b_ub"][BUDGET_ROW])}
     if not _within_budget(info["cost_used"], info["budget"]):
         raise InaccurateError(f"returned point breaks the transport budget: cost "
                               f"{info['cost_used']:.6e} against {info['budget']:.6e}")
-    return float(res.fun), info
+    return v0 + float(gain), info
 
 
 def slope_estimate(radii, values):
@@ -674,7 +719,7 @@ def oracle_report(mu: GridMeasure, objective, r_list, reports: dict,
     out = {"radii": r_arr, "constraint_sets": {}}
     for label, ref in reports.items():
         flags = flag_table[label]
-        vals, pivots, used = [], [], []
+        vals, pivots, nvars, used = [], [], [], []
         v0, _ = dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [], **flags),
                                            0.0, ref.metric.p, objective=objective, **flags))
         for r in r_arr:
@@ -685,6 +730,7 @@ def oracle_report(mu: GridMeasure, objective, r_list, reports: dict,
                                                  objective=objective, **flags))
             vals.append(v)
             pivots.append(info["pivots"])
+            nvars.append(info["variables"])
             used.append(info["cost_used"] / info["budget"] if info["budget"] else None)
         slope, fit_res = slope_estimate([0.0] + r_arr, [v0] + vals)
         closed = ref.value
@@ -692,7 +738,7 @@ def oracle_report(mu: GridMeasure, objective, r_list, reports: dict,
         ok = abs(slope - closed) <= tolerance * scale
         out["constraint_sets"][label] = {
             "lp_values": vals, "value_at_zero": v0,
-            "lp_pivots": pivots, "budget_used": used,
+            "lp_pivots": pivots, "lp_variables": nvars, "budget_used": used,
             "slope": slope, "fit_residual": fit_res,
             "closed_form": closed, "pass": bool(ok),
             "monotone": bool(np.all(np.diff([v0] + vals) >= -1e-9)),

@@ -1,15 +1,30 @@
-"""Dense two-phase simplex with Bland's anticycling rule.
+"""Dense two-phase simplex with Harris's ratio test and Bland's anticycling rule.
 
 Deterministic and dependency-free; sized for the desk-scale linear programs
 the oracle module produces (a few thousand variables).  Problems are stated
 as  max/min c.x  subject to  A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
-The tableau is dense, but a pivot updates only the rows whose entry in the
-pivot column is nonzero: on the oracle's transport LPs that is a few percent
-of the rows.  Phase one keeps no artificial columns, since no step reads
-them.  Before returning, the solver checks its point against the caller's
-own rows (feasibility to FEAS_TOL of each row's scale) and raises
-InaccurateError when pivots on near-zero elements have lost it.
+Rows are equilibrated (each divided by the largest of its entries and its
+rhs) and sign-normalized.  The slack of every <= row with a nonnegative rhs
+starts basic; only the other rows get artificial variables, and phase one
+runs only while their sum is positive, so an LP whose origin is feasible
+(as the oracle's displacement form is) starts in phase two.  Artificials
+left basic at level zero are pivoted out on the largest entry of their row.
+
+While the objective moves, the entering column is the most negative reduced
+cost and the leaving row comes from Harris's two-pass ratio test: among the
+rows that block the step to within HARRIS_TOL it takes the largest pivot
+element, where the textbook test took the exact minimum ratio however small
+its element.  During degenerate stalls Bland's rule takes over, which
+guarantees termination.
+
+The tableau is dense, but a pivot updates only the rows that its column
+moves by more than DROP_TOL: on the oracle's transport LPs that is a few
+percent of the rows, the rest being zero or rounding noise.  Phase one keeps
+no artificial columns, since no step reads them.  Before returning, the
+solver checks its point against the caller's own rows (feasibility to
+FEAS_TOL of each row's scale) and raises InaccurateError when pivots on
+near-zero elements have lost it.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-10
+DROP_TOL = 1e-14
 FEAS_TOL = 1e-9
 MAX_PIVOTS = 200_000
 MAX_VARIABLES = 5_000
@@ -51,9 +67,10 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    # only rows with a nonzero pivot-column entry change (0 * x leaves finite
-    # entries as they are); on transport LPs the column is mostly zero
-    nz = np.flatnonzero(colvals)
+    # only rows whose pivot-column entry moves them by more than DROP_TOL
+    # change; on transport LPs the column is mostly zero or rounding noise
+    # that cancellation left where an exact pivot leaves 0
+    nz = np.flatnonzero(np.abs(colvals) * np.max(np.abs(T[row])) > DROP_TOL)
     T[nz] -= colvals[nz, None] * T[row]
     # exact unit column to stop drift
     T[:, col] = 0.0
@@ -62,19 +79,50 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 STALL_LIMIT = 12
+HARRIS_TOL = 1e-11          # how far a Harris step may push a basic variable below 0
+PHASE_ONE_TOL = 1e-12       # artificial sum at which phase one stops
+TIE_RTOL = 1e-3             # Bland ties on elements below this share of the largest lose
 
 
-def _bland_loop(T: np.ndarray, basis: np.ndarray, ncols: int, start_pivots: int) -> int:
-    """Run minimizing pivots on tableau T (last row = objective, last col = rhs).
+def _ratio_row(T: np.ndarray, basis: np.ndarray, col: int, harris: bool) -> int:
+    """Leaving row for entering column ``col``.
 
-    Pivots on the most negative reduced cost while the objective moves and
-    falls back to Bland's anticycling rule during degenerate stalls, which
-    guarantees termination.
+    Harris's two-pass test: the first pass bounds the step by each row's
+    ratio relaxed by HARRIS_TOL, the second takes the largest pivot element
+    among the rows whose ratio is within that bound.  A basic variable can
+    then fall below 0 by at most HARRIS_TOL.  Without ``harris`` the test is
+    the textbook minimum ratio with Bland's tie-break (smallest basic
+    variable), which anticycling needs.
     """
     m = T.shape[0] - 1
+    rows = np.flatnonzero(T[:m, col] > PIVOT_TOL)
+    if rows.size == 0:
+        raise UnboundedError("objective unbounded along a feasible ray")
+    alpha = T[rows, col]
+    level = np.maximum(T[rows, -1], 0.0)
+    if harris:
+        bound = np.min((level + HARRIS_TOL) / alpha)
+        within = np.flatnonzero(level <= bound * alpha)
+        return int(rows[within[np.argmax(alpha[within])]])
+    ratios = level / alpha
+    best = np.min(ratios)
+    near = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+    ties = rows[near[alpha[near] >= TIE_RTOL * np.max(alpha[near])]]
+    return int(ties[np.argmin(basis[ties])])
+
+
+def _bland_loop(T: np.ndarray, basis: np.ndarray, ncols: int, start_pivots: int,
+                floor: float = np.inf) -> int:
+    """Run minimizing pivots on tableau T (last row = objective, last col = rhs).
+
+    Pivots on the most negative reduced cost with Harris's ratio test while
+    the objective moves, and falls back to Bland's anticycling rule during
+    degenerate stalls, which guarantees termination.  Stops once the
+    objective is at most ``-floor`` (T[-1, -1] >= floor).
+    """
     pivots = start_pivots
     stall = 0
-    while True:
+    while T[-1, -1] < floor:
         red = T[-1, :ncols]
         if stall < STALL_LIMIT:
             col = int(np.argmin(red))
@@ -85,19 +133,15 @@ def _bland_loop(T: np.ndarray, basis: np.ndarray, ncols: int, start_pivots: int)
             if candidates.size == 0:
                 return pivots
             col = int(candidates[0])                  # Bland: smallest index
-        rows = np.nonzero(T[:m, col] > PIVOT_TOL)[0]
-        if rows.size == 0:
-            raise UnboundedError("objective unbounded along a feasible ray")
-        ratios = T[rows, -1] / T[rows, col]
-        best = np.min(ratios)
-        ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        row = int(ties[np.argmin(basis[ties])])       # Bland: smallest basic var
+        row = _ratio_row(T, basis, col, harris=stall < STALL_LIMIT)
+        T[row, -1] = max(T[row, -1], 0.0)             # a Harris step's undershoot
         before = T[-1, -1]
         _pivot(T, basis, row, col)
         stall = 0 if T[-1, -1] > before + 1e-13 * (1.0 + abs(before)) else stall + 1
         pivots += 1
         if pivots - start_pivots > MAX_PIVOTS:
             raise LPError("pivot limit exceeded")
+    return pivots
 
 
 def _constraint_rows(A, b, n: int, name: str):
@@ -117,10 +161,9 @@ def _certify(x, A_eq, b_eq, A_ub, b_ub, scale) -> None:
     Row residuals are taken in the units the tableau works in, i.e. divided
     by the equilibration scale of each row; a negative entry of x is measured
     against max(1, max|x|), so an optimum at x = 0 with rounding-level entries
-    passes.  FEAS_TOL bounds both.  An inequality row's scale counts its
-    slack coefficient 1, so a row whose entries and rhs are all below 1 is
-    checked only to an absolute FEAS_TOL; callers that need a bound relative
-    to the rhs check it themselves (see oracle.dro_lp).
+    passes.  FEAS_TOL bounds both.  A row's scale is the largest of its
+    entries and its rhs, so a transport budget is checked relative to the
+    budget.
     """
     if np.min(x, initial=0.0) < -FEAS_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0))):
         raise InaccurateError(f"returned point has a negative entry {np.min(x):.3e}")
@@ -150,57 +193,63 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
     m = n_eq + n_ub
     if not m:
         raise LPError("no constraints")
-    A = np.zeros((m, n + n_ub))
-    A[:n_eq, :n] = A_eq
-    A[n_eq:, :n] = A_ub
-    A[n_eq:, n:] = np.eye(n_ub)                       # slack variables
-    b = np.concatenate([b_eq, b_ub])
-    # row equilibration, then sign-normalize the rhs
-    scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(b))
-    scale[scale == 0.0] = 1.0
-    A /= scale[:, None]
-    b /= scale
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
     ntot = n + n_ub
-    # phase one: artificial basis.  The artificial columns are never read
-    # (entering candidates are [:ntot]), so the tableau omits them and a basis
-    # entry >= ntot marks an artificial variable.
+    # tableau: rows, then the objective; columns: variables, slacks, then the
+    # rhs.  The artificial columns are never read (entering candidates are
+    # [:ntot]), so the tableau omits them and a basis entry >= ntot marks an
+    # artificial variable.
     T = np.zeros((m + 1, ntot + 1))
-    T[:m, :ntot] = A
-    T[:m, -1] = b
-    basis = np.arange(ntot, ntot + m)
-    T[-1, :] = -T[:m, :].sum(axis=0)                  # minimize sum of artificials
-    pivots = _bland_loop(T, basis, ntot, 0)
-    if T[-1, -1] < -FEAS_TOL:
-        raise InfeasibleError(f"phase one residual {-T[-1, -1]:.3e}")
-    # drive leftover artificials out of the basis / drop redundant rows
-    keep_rows = []
-    for i in range(m):
-        if basis[i] >= ntot:
-            piv = np.nonzero(np.abs(T[i, :ntot]) > PIVOT_TOL)[0]
-            if piv.size:
-                _pivot(T, basis, i, int(piv[0]))
+    T[:n_eq, :n] = A_eq
+    T[n_eq:m, :n] = A_ub
+    T[:m, -1] = np.concatenate([b_eq, b_ub])
+    # row equilibration, then sign-normalize the rhs; the slacks are added
+    # in row units
+    scale = np.max(np.abs(T[:m]), axis=1)
+    scale[scale == 0.0] = 1.0
+    T[:m] /= scale[:, None]
+    neg = T[:m, -1] < 0
+    T[np.flatnonzero(neg)] *= -1.0
+    T[np.arange(n_eq, m), np.arange(n, ntot)] = np.where(neg[n_eq:], -1.0, 1.0)
+    # the slack of a <= row with nonnegative rhs starts basic; every other
+    # row gets an artificial variable
+    slack_start = np.zeros(m, dtype=bool)
+    slack_start[n_eq:] = ~neg[n_eq:]
+    basis = np.where(slack_start, n - n_eq + np.arange(m), ntot + np.arange(m))
+    art = np.flatnonzero(~slack_start)
+    pivots = 0
+    if art.size:
+        # phase one: minimize the sum of artificials while it is positive
+        T[-1, :] = -T[art, :].sum(axis=0)
+        pivots = _bland_loop(T, basis, ntot, 0, floor=-PHASE_ONE_TOL)
+        if T[-1, -1] < -FEAS_TOL:
+            raise InfeasibleError(f"phase one residual {-T[-1, -1]:.3e}")
+        # drive leftover artificials (level at most PHASE_ONE_TOL, taken as 0)
+        # out of the basis on the row's largest entry; a row without one is
+        # redundant: drop it
+        keep_rows = np.ones(m + 1, dtype=bool)
+        for i in np.flatnonzero(basis >= ntot):
+            j = int(np.argmax(np.abs(T[i, :ntot])))
+            if abs(T[i, j]) > PIVOT_TOL:
+                T[i, -1] = 0.0
+                _pivot(T, basis, i, j)
                 pivots += 1
-                keep_rows.append(i)
-            # else: redundant row, drop it
-        else:
-            keep_rows.append(i)
-    keep_rows = np.asarray(keep_rows, dtype=int)
-    T2 = np.zeros((keep_rows.size + 1, ntot + 1))
-    T2[:-1] = T[keep_rows]
-    basis = basis[keep_rows]
+            else:
+                keep_rows[i] = False
+        if not keep_rows.all():
+            T = T[keep_rows]
+            basis = basis[keep_rows[:m]]
 
     obj = np.zeros(ntot)
     obj[:n] = -c if maximize else c
-    T2[-1, :ntot] = obj
-    for i, bi in enumerate(basis):                    # reduce over the basis
-        T2[-1, :] -= T2[-1, bi] * T2[i, :]
-    pivots = _bland_loop(T2, basis, ntot, pivots)
+    T[-1, :ntot] = obj
+    T[-1, -1] = 0.0
+    T[-1] -= obj[basis] @ T[:-1]                      # reduce over the basis
+    pivots = _bland_loop(T, basis, ntot, pivots)
     x = np.zeros(ntot)
-    x[basis] = T2[:-1, -1]
+    x[basis] = T[:-1, -1]
+    # entries below one rounding unit of the largest are noise from pivots
+    # on degenerate rows: a Harris step can leave them on either side of 0
+    x[np.abs(x) <= np.finfo(float).eps * np.max(np.abs(x), initial=0.0)] = 0.0
     fun = float(obj @ x)
     _certify(x[:n], A_eq, b_eq, A_ub, b_ub, scale)
     return LPResult(x=x[:n], fun=-fun if maximize else fun, pivots=pivots)

@@ -1,5 +1,7 @@
 """Random martingale measures on jittered lattices, shared by the tests."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from wadro.measure import GridMeasure
@@ -12,7 +14,8 @@ def lattice_measure(seed, n, spacing, centre, jitter):
     second-stage offsets ``spacing`` apart around 0, each moved by up to
     ``jitter``; weights are Dirichlet(4) draws, and every row's offsets are
     recentred under its weights.  Draws come from ``default_rng(seed)`` in
-    the order: x1 jitter, w1, then q and the offset jitter row by row.
+    the order: x1 jitter, w1, then q and the offset jitter row by row.  A
+    ``numpy.random.Generator`` as ``seed`` is drawn from where it stands.
     """
     rng = np.random.default_rng(seed)
     base = spacing * (np.arange(n) - (n - 1) / 2)
@@ -26,3 +29,45 @@ def lattice_measure(seed, n, spacing, centre, jitter):
         x2[i] = x1[i] + (off - q[i] @ off)
     return GridMeasure(x1, w1, x2, q, is_martingale=True)
 
+
+class Reproducer(NamedTuple):
+    """A ball LP for the payoff x2 (p = 2) on a lattice measure.
+
+    The measure is the ``draw``-th lattice_measure drawn from
+    ``default_rng(seed)``; the candidate support is
+    ``default_target_support`` at ``radius`` for ``constraints``.
+    """
+
+    spacing: float
+    seed: int
+    constraints: str            # a key of CONSTRAINT_FLAGS
+    radius: float
+    n: int = 7
+    centre: float = 1.0
+    jitter: float = 0.02
+    draw: int = 1
+
+    def measure(self) -> GridMeasure:
+        rng = np.random.default_rng(self.seed)
+        for _ in range(self.draw):
+            mu = lattice_measure(rng, self.n, self.spacing, self.centre, self.jitter)
+        return mu
+
+
+CONSTRAINT_FLAGS = {"none": {}, "martingale": {"martingale": True},
+                    "marginal1": {"marginal1": True}, "marginal2": {"marginal2": True},
+                    "both": {"martingale": True, "marginal2": True}}
+
+# LPs on which the dense simplex with the textbook ratio test raised: the 16
+# of a 1,200-LP sweep (7x7 lattices around 1 with jitter 0.02, seeds 0-149,
+# 0.1 and 0.15 apart, martingale and both sets, r in {0.1, 0.2}), 15 with
+# InaccurateError and seed 117 with UnboundedError, plus the benchmark's kind
+# of 9x9 measure (second draw of default_rng(2)) at a radius that couples
+# nothing.  A later solver for the oracle's LPs is checked on the same LPs.
+REPRODUCERS = (
+    *(Reproducer(0.1, seed, "martingale", 0.2)
+      for seed in (18, 22, 30, 53, 63, 73, 101, 104, 111, 114, 118, 122, 142, 149)),
+    Reproducer(0.15, 76, "martingale", 0.2),
+    Reproducer(0.15, 117, "martingale", 0.1),
+    Reproducer(0.5, 2, "martingale", 0.001, n=9, centre=3.0, jitter=0.04, draw=2),
+)

@@ -12,7 +12,7 @@ import pytest
 
 import wadro
 from wadro import cli, sensitivity
-from wadro.criterion import gradient_field, preset
+from wadro.criterion import gradient_field, preset, value
 from wadro.measure import ModelSpec, build_model, canonical_test_measure, quantile_bins, to_csv
 from wadro.svgplot import line_chart
 
@@ -181,28 +181,38 @@ def test_oracle_report_written(tmp_path):
     assert rep["pass"]
     assert set(rep["constraint_sets"]) == {"none", "martingale", "marginal2", "both"}
     for res in rep["constraint_sets"].values():
-        assert len(res["lp_pivots"]) == len(res["budget_used"]) == len(rep["radii"])
-        assert all(isinstance(k, int) and k > 0 for k in res["lp_pivots"])
+        assert (len(res["lp_pivots"]) == len(res["lp_variables"]) == len(res["budget_used"])
+                == len(rep["radii"]))
+        # an LP can be optimal at its starting basis: the identity coupling
+        assert all(isinstance(k, int) and k >= 0 for k in res["lp_pivots"])
+        # every radius moves some mass: each set has a displacement variable
+        assert all(isinstance(k, int) and k > 0 for k in res["lp_variables"])
         assert all(0.0 <= u <= 1.0 + 1e-9 for u in res["budget_used"])
+    sets = rep["constraint_sets"]
+    assert sets["none"]["lp_variables"][0] > sets["marginal2"]["lp_variables"][0]
+    # with the second marginal pinned, every coupling gives the payoff x2
+    # mu's own value, so each LP is optimal at the identity coupling it
+    # starts from (up to the rounding of grid sums such as 0.8 + 0.1, which
+    # make some shifted atoms miss other atoms by 1e-16)
+    v0 = value(preset("linear:x2"), canonical_test_measure())
+    res = sets["marginal2"]
+    assert res["value_at_zero"] == pytest.approx(v0, rel=1e-15)
+    assert res["lp_values"] == pytest.approx([v0] * len(res["lp_values"]), rel=1e-14)
 
 
-def test_oracle_reports_no_overspent_coupling(tmp_path, capsys):
-    # a 7x7 lattice 0.15 apart, where the martingale LP at radius 0.2 pivots
-    # on near-zero elements; an unchecked point spent 2.23 times the budget.
-    # Either the fault is reported or every coupling keeps its budget.
+def test_oracle_reports_no_overspent_coupling(tmp_path):
+    # a 7x7 lattice 0.15 apart, where the martingale LP at radius 0.2 couples
+    # neighbouring atoms.  A textbook ratio test pivoted on near-zero
+    # elements there: an unchecked point spent 2.23 times the budget, a
+    # checked one failed the run.  Every set now solves within its budget.
     path = tmp_path / "measure.csv"
     with open(path, "w", newline="") as f:
         to_csv(lattice_measure(76, 7, 0.15, 1.0, 0.02), f)
     rc = run_cli(["oracle", "--set", "criterion.name=linear:x2",
                   "--set", f"model.measure_csv={path}",
                   "--set", "oracle.radii=0.05,0.1,0.2", "--out", str(tmp_path)])
-    report = tmp_path / "oracle.json"
-    if not report.exists():                 # the solver reports the fault
-        assert rc == cli.EXIT_CHECK_FAILED
-        assert "oracle failed: returned point breaks" in capsys.readouterr().err
-        return
-    assert rc in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
-    for res in json.load(open(report))["constraint_sets"].values():
+    assert rc == cli.EXIT_OK
+    for res in json.load(open(tmp_path / "oracle.json"))["constraint_sets"].values():
         assert all(u is None or u <= 1.0 + 1e-9 for u in res["budget_used"])
 
 

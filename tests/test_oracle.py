@@ -28,8 +28,8 @@ def test_dro_lp_zero_radius_recovers_value():
 
 
 def test_dro_lp_rejects_budget_overspend(monkeypatch):
-    # the solver's own check bounds the budget row (scale 1) to an absolute
-    # 1e-9; dro_lp bounds it to 1e-9 of the budget
+    # the solver's own check bounds the budget row to 1e-9 of the largest of
+    # the budget and its costs; dro_lp bounds it to 1e-9 of the budget
     mu = canonical_test_measure()
     prob = DiscreteBallProblem(mu, default_target_support(mu, [0.1]), 0.1, 2.0,
                                objective=_obj_y2)
@@ -100,9 +100,24 @@ def test_dro_lp_marginal_support_mismatch():
                                    objective=_obj_y2))
 
 
+def test_dro_lp_rejects_measure_off_its_constraint():
+    # the displacement form takes mu's own martingale residual as 0, so mu
+    # must keep the constraint the LP keeps
+    mu = canonical_test_measure()
+    off = GridMeasure(mu.x1, mu.w1, mu.x2 + 1e-6, mu.q)
+    tgt = default_target_support(off, [0.1], martingale=True)
+    dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [0.1], martingale=True), 0.1,
+                               2.0, martingale=True, objective=_obj_y2))
+    with pytest.raises(OracleError, match="not a martingale"):
+        dro_lp(DiscreteBallProblem(off, tgt, 0.1, 2.0, martingale=True, objective=_obj_y2))
+
+
 def test_dro_lp_infeasible_when_budget_too_small():
     mu = canonical_test_measure()
-    tgt = default_target_support(mu, [0.1])[mu.n1 * mu.n2:]   # drop the atoms
+    atoms = {(a, z) for a, row in zip(mu.x1, mu.x2) for z in row}
+    tgt = default_target_support(mu, [0.1])
+    tgt = tgt[[tuple(t) not in atoms for t in tgt]]            # drop the atoms
+    assert tgt.shape[0] == default_target_support(mu, [0.1]).shape[0] - mu.n1 * mu.n2
     with pytest.raises(InfeasibleError):
         dro_lp(DiscreteBallProblem(mu, tgt, 1e-4, 2.0, objective=_obj_y2))
 

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from lattice import lattice_measure
+from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure
 from wadro.measure import canonical_test_measure
-from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
+from wadro.oracle import (BUDGET_ROW, DiscreteBallProblem, default_target_support, dro_lp,
+                          transport_lp)
 from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
                            _certify, solve_lp)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
-
-FLAGS = {"none": {}, "martingale": {"martingale": True}, "marginal2": {"marginal2": True},
-         "both": {"martingale": True, "marginal2": True}}
 
 
 def test_simple_box():
@@ -59,8 +57,9 @@ def _dense_lp(seed):
 
 def _ball_lp(mu, flags, r):
     tgt = default_target_support(mu, [r], **FLAGS[flags])
-    return transport_lp(DiscreteBallProblem(mu, tgt, r, 2.0, objective=lambda y1, y2: y2,
-                                            **FLAGS[flags]))
+    lp, _ = transport_lp(DiscreteBallProblem(mu, tgt, r, 2.0, objective=lambda y1, y2: y2,
+                                             **FLAGS[flags]))
+    return lp
 
 
 def _lp_case(case):
@@ -81,8 +80,8 @@ def _lp_case(case):
 
 def _assert_feasible(x, lp, tol):
     assert np.all(x >= -tol)
-    assert np.max(np.abs(lp["A_eq"] @ x - lp["b_eq"])) <= tol
-    assert np.max(lp["A_ub"] @ x - lp["b_ub"]) <= tol
+    assert np.max(np.abs(lp["A_eq"] @ x - lp["b_eq"]), initial=0.0) <= tol
+    assert np.max(lp["A_ub"] @ x - lp["b_ub"], initial=-np.inf) <= tol
 
 
 def _highs(lp, maximize):
@@ -122,20 +121,109 @@ def test_certificate_checks_each_constraint_kind():
 
 def test_certificate_rejects_inaccurate_pivots():
     # 7x7 lattice 0.15 apart: at radius 0.2 the martingale LP couples
-    # neighbouring atoms, and the ratio test accepts pivots on elements just
-    # above PIVOT_TOL; the uncertified point spent 2.23 times the budget
+    # neighbouring atoms.  A textbook ratio test pivoted on elements just
+    # above PIVOT_TOL there and reached a point that spent 2.23 times the
+    # budget; the certificate turned it into InaccurateError.  Harris's test
+    # solves it.
     mu = lattice_measure(76, 7, 0.15, 1.0, 0.02)
     lp = _ball_lp(mu, "martingale", 0.2)
-    assert lp["c"].size == 2069 and lp["A_eq"].shape[0] == 84
+    assert lp["c"].size == 2020 and lp["A_eq"].shape[0] == 35 and lp["A_ub"].shape[0] == 50
     status, ref = _highs(lp, True)
-    assert status == 0 and abs(ref - 1.0570434) <= 1e-6
-    try:
-        res = solve_lp(**lp, maximize=True)
-    except LPError:
-        return
-    assert abs(res.fun - ref) <= 1e-7 * max(1.0, abs(ref))
+    assert status == 0
+    res = solve_lp(**lp, maximize=True)
+    assert abs(res.fun - ref) <= 1e-9 * max(1.0, abs(ref))
     _assert_feasible(res.x, lp, 1e-9)
-    assert lp["A_ub"][0] @ res.x <= lp["b_ub"][0] * (1.0 + 1e-9)
+    assert lp["A_ub"][BUDGET_ROW] @ res.x <= lp["b_ub"][BUDGET_ROW] * (1.0 + 1e-9)
+
+
+def _payoff(y1, y2):
+    return y2 + 0.5 * y1 * y2
+
+
+def _full_coupling_value(prob):
+    """HiGHS's optimum of the ball LP over every (atom, target) pair within
+    the budget, stay pairs included, written from the definition."""
+    mu = prob.mu
+    atoms = np.array([(a, z) for a, row in zip(mu.x1, mu.x2) for z in row])
+    masses = mu.atom_masses().ravel()
+    tgt = prob.target_support
+    budget = prob.radius ** prob.p
+    cost = (((atoms[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)) ** (prob.p / 2.0)
+    src, dst = np.nonzero(cost <= budget * (1.0 + 1e-9) + 1e-15)
+    costs = cost[src, dst]
+    t1, t2 = tgt[dst].T
+    rows, rhs = [], []
+    for i, m in enumerate(masses):                       # each atom ships its mass
+        rows.append(src == i)
+        rhs.append(m)
+    if prob.martingale:                                  # E[Y2 - Y1 | Y1] = 0
+        for g in np.unique(t1):
+            rows.append(np.where(t1 == g, t2 - t1, 0.0))
+            rhs.append(0.0)
+    if prob.marginal2:                                   # Y2 has mu's second marginal
+        order = np.argsort(mu.x2.ravel(), kind="stable")
+        z, zm = mu.x2.ravel()[order], masses[order]
+        for group in np.split(np.arange(z.size), np.flatnonzero(np.diff(z) > 1e-9) + 1):
+            rows.append((t2 >= z[group[0]] - 1e-9) & (t2 <= z[group[-1]] + 1e-9))
+            rhs.append(np.sum(zm[group]))
+    if prob.marginal1:                                   # Y1 has mu's first marginal
+        for a, w in zip(mu.x1, mu.w1):
+            rows.append(np.abs(t1 - a) <= 1e-9)
+            rhs.append(w)
+    ref = scipy_opt.linprog(-prob.objective(t1, t2), A_ub=[costs], b_ub=[budget],
+                            A_eq=np.array(rows, dtype=float), b_eq=rhs, bounds=(0, None),
+                            method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+def _without_atoms(mu, tgt):
+    atoms = {(a, z) for a, row in zip(mu.x1, mu.x2) for z in row}
+    return tgt[[tuple(t) not in atoms for t in tgt]]
+
+
+_MEASURES = {"canonical": canonical_test_measure,
+             "lattice9": lambda: lattice_measure(5, 9, 0.5, 3.0, 0.04),
+             "coupled7": lambda: lattice_measure(18, 7, 0.1, 1.0, 0.02)}
+
+
+@pytest.mark.parametrize("name", [*_MEASURES, "canonical-no-atoms"])
+@pytest.mark.parametrize("flags", FLAGS)
+def test_dro_lp_equals_full_coupling_lp(name, flags):
+    # the displacement form about mu against the LP over every pair
+    mu = _MEASURES[name.split("-")[0]]()
+    # off the canned measure's 0.1 grid, so that shifted atoms are no atoms
+    for r in ((0.0, 0.02, 0.1, 0.2) if name in _MEASURES else (0.05, 0.15)):
+        tgt = default_target_support(mu, [r], **FLAGS[flags])
+        if name not in _MEASURES:
+            tgt = _without_atoms(mu, tgt)
+        prob = DiscreteBallProblem(mu, tgt, r, 2.0, objective=_payoff, **FLAGS[flags])
+        value, info = dro_lp(prob)
+        ref = _full_coupling_value(prob)
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref)), (r, value, ref)
+        assert (info["variables"] == 0) == (r == 0.0)
+        if name in _MEASURES:
+            # every atom keeps its stay pair: the constraint rows are
+            # homogeneous by construction, not up to mu's rounding
+            lp, v0 = transport_lp(prob)
+            assert not np.any(lp["b_eq"])
+            assert v0 == pytest.approx(np.sum(mu.atom_masses() * _payoff(mu.x1[:, None], mu.x2)),
+                                       rel=1e-15)
+
+
+@pytest.mark.parametrize("case", REPRODUCERS, ids=lambda c: f"{c.spacing}-{c.seed}-{c.radius}")
+def test_reproducer_lps(case):
+    # LPs on which the textbook ratio test broke its rows or reported a
+    # bounded LP unbounded
+    mu = case.measure()
+    flags = FLAGS[case.constraints]
+    prob = DiscreteBallProblem(mu, default_target_support(mu, [case.radius], **flags),
+                               case.radius, 2.0, objective=lambda y1, y2: y2, **flags)
+    lp, v0 = transport_lp(prob)
+    res = solve_lp(**lp, maximize=True)
+    _assert_feasible(res.x, lp, 1e-9)
+    ref = _full_coupling_value(prob)
+    assert abs(v0 + res.fun - ref) <= 1e-9 * abs(ref)
 
 
 def test_against_scipy_unbounded_guard():
