@@ -30,12 +30,11 @@ import numpy as np
 from . import fredholm, oracle
 from .criterion import Criterion, CriterionError, exercise_mass, gradient_field, preset, stopping_rule, value, vega
 from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
-                      bin_centers, canonical_test_measure, cond_exp_1, from_csv,
-                      info_discrepancy_check, marginal_2, quantile_bins,
-                      sign_copy_measure)
-from .sensitivity import (ConstraintSet, Metric, SensitivityError,
+                      canonical_test_measure, cond_exp_1, from_csv,
+                      info_discrepancy_check, quantile_bins, sign_copy_measure)
+from .sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, SensitivityError,
                           marginal_value_closed_form, report_tables,
-                          report_to_json, sens_marginal, sens_mart_marginal,
+                          sens_marginal, sens_mart_marginal,
                           sens_martingale, sens_unconstrained, solve_foc)
 from .svgplot import line_chart
 
@@ -45,7 +44,10 @@ EXIT_BAD_CONFIG = 2
 
 DEFAULT_SIGMA_GRID = tuple(float(x) for x in
                            np.exp(np.linspace(np.log(0.05), np.log(1.5), 20)))
-CONSTRAINT_CHOICES = ("unconstrained", "martingale", "marginal", "mart_marginal")
+CONSTRAINT_CHOICES = tuple(CONSTRAINT_SETS)
+# curve.csv column of each constraint set
+CURVE_COLUMNS = {"unconstrained": "G_ad", "martingale": "G_ad_M", "marginal": "G_ad_m",
+                 "mart_marginal": "G_ad_Mm"}
 
 CONFIG_KEYS = """\
 configuration keys (section.key, with defaults):
@@ -61,7 +63,9 @@ configuration keys (section.key, with defaults):
   constraints.sets    comma list of unconstrained, martingale, marginal,
                       mart_marginal                    [all four]
   output.dir          output directory                 [.]
-  output.bins         bin count for E2                 [n2]
+  output.bins         upper bound on the E2 bin count  [n2]
+                      (quantile cuts between the same two atoms merge:
+                      64 on 64x64 gives 44, 128 on 128x128 gives 84)
   output.workers      sweep worker threads             [1]
   output.seed         seed for randomized check fixtures [0]
   oracle.radii        comma list of LP radii           [0.02,0.05,0.1,0.2]
@@ -90,8 +94,9 @@ class RunConfig:
     seed: int = 0
     oracle_radii: tuple = (0.02, 0.05, 0.1, 0.2)
 
-    def metric(self) -> Metric:
-        return Metric(self.ball, self.p)
+    def metric(self, which: str = "") -> Metric:
+        """The configured ball; the set ``mart_marginal`` always takes the adapted one."""
+        return Metric("wp_adapted" if which == "mart_marginal" else self.ball, self.p)
 
     def model_spec(self, sigma: float) -> ModelSpec:
         return ModelSpec(self.family, sigma, self.n1, self.n2, self.quadrature)
@@ -190,25 +195,20 @@ def _write_chart(path: str, series, title, xlabel, ylabel, logx=False) -> None:
 
 
 def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
+    """One curve row: the model, its binning, gradient and operator are built
+    once and shared by every constraint set's solve."""
     spec = cfg.model_spec(sigma)
     mu = build_model(spec)
-    bins = quantile_bins(mu, cfg.bins or cfg.n2)
     G = gradient_field(c, mu)
-    metric = cfg.metric()
+    bins = quantile_bins(mu, cfg.bins or cfg.n2)
+    state = PointState(mu, G, cfg.metric(), bins)
+    adapted = state if state.metric.adapted else PointState(
+        mu, G, cfg.metric("mart_marginal"), bins)
     out = {"sigma": sigma, "price": value(c, mu)}
-
-    def certified(rep):
+    for name in cfg.sets:
+        rep = solve_foc(adapted if name == "mart_marginal" else state, CONSTRAINT_SETS[name])
         # an unconverged value is written as NaN, like a failed sigma point
-        return rep.value if rep.converged else float("nan")
-
-    if "unconstrained" in cfg.sets:
-        out["G_ad"] = certified(sens_unconstrained(mu, G, metric))
-    if "martingale" in cfg.sets:
-        out["G_ad_M"] = certified(sens_martingale(mu, G, metric))
-    if "marginal" in cfg.sets:
-        out["G_ad_m"] = certified(sens_marginal(mu, G, metric, bins))
-    if "mart_marginal" in cfg.sets:
-        out["G_ad_Mm"] = certified(sens_mart_marginal(mu, G, bins, metric.p))
+        out[CURVE_COLUMNS[name]] = rep.value if rep.converged else float("nan")
     out["vega"] = vega(spec, c)
     return out
 
@@ -235,9 +235,7 @@ def cmd_curve(cfg: RunConfig) -> int:
             idx, res = run(t)
             results[idx] = res
 
-    sens_cols = [col for flag, col in (("unconstrained", "G_ad"), ("martingale", "G_ad_M"),
-                                       ("marginal", "G_ad_m"), ("mart_marginal", "G_ad_Mm"))
-                 if flag in cfg.sets]
+    sens_cols = [col for name, col in CURVE_COLUMNS.items() if name in cfg.sets]
     header = ["sigma", "price"] + sens_cols + ["vega"] + [f"relative_{cn}" for cn in sens_cols]
     rows = []
     for res in results:
@@ -277,18 +275,10 @@ def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
     c = cfg.load_criterion()
     spec = cfg.model_spec(sigma)
     mu = build_model(spec)
-    bins = quantile_bins(mu, cfg.bins or cfg.n2)
     G = gradient_field(c, mu)
     which = cfg.sets[0] if len(cfg.sets) == 1 else "mart_marginal"
-    metric = cfg.metric()
-    if which == "martingale":
-        rep = sens_martingale(mu, G, metric)
-    elif which == "marginal":
-        rep = sens_marginal(mu, G, metric, bins)
-    elif which == "unconstrained":
-        rep = sens_unconstrained(mu, G, metric)
-    else:
-        rep = sens_mart_marginal(mu, G, bins, metric.p)
+    state = PointState(mu, G, cfg.metric(which), quantile_bins(mu, cfg.bins or cfg.n2))
+    rep = solve_foc(state, CONSTRAINT_SETS[which])
     rows1, rows2 = report_tables(rep, mu)
     _write_csv(os.path.join(cfg.out_dir, "hedge_h.csv"), ["x1", "h", "f1"], rows1)
     _write_csv(os.path.join(cfg.out_dir, "hedge_f2.csv"), ["x2_bin_center", "f2"], rows2)
@@ -360,14 +350,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
         print("the LP oracle needs a linear criterion (e.g. linear:x2)", file=sys.stderr)
         return EXIT_BAD_CONFIG
     G = gradient_field(c, mu)
-    bins = quantile_bins(mu, min(cfg.bins or mu.n2, mu.n2))
-    w2 = Metric("wp", 2.0)
-    reports = {
-        "none": sens_unconstrained(mu, G, w2),
-        "martingale": sens_martingale(mu, G, w2),
-        "marginal2": solve_foc(mu, G, w2, ConstraintSet(marginal2=True), bins),
-        "both": solve_foc(mu, G, w2, ConstraintSet(martingale=True, marginal2=True), bins),
-    }
+    state = PointState(mu, G, Metric("wp", 2.0), quantile_bins(mu, min(cfg.bins or mu.n2, mu.n2)))
+    reports = {label: solve_foc(state, ConstraintSet(**flags))
+               for label, flags in oracle.FLAG_TABLE.items()}
     try:
         rep = oracle.oracle_report(mu, lambda y1, y2: c.f(y1, y2), list(radii), reports)
     except (oracle.OracleError, oracle.LPError) as exc:
@@ -422,8 +407,7 @@ def _selfcheck_items(cfg: RunConfig):
 
     def fredholm_certificate():
         mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
-        bins = quantile_bins(mu, 16)
-        op = fredholm.build_operator(mu, bins)
+        op = fredholm.build_operator(quantile_bins(mu, 16))
         if not fredholm.contraction_norm(op, "l2") < 1:
             return False
         rhs = rng.standard_normal(16)
@@ -447,20 +431,15 @@ def _selfcheck_items(cfg: RunConfig):
     def oracle_sandwich():
         mu = canonical_test_measure()
         G = gradient_field(preset("linear:x2"), mu)
-        w2 = Metric("wp", 2.0)
-        reports = {
-            "none": sens_unconstrained(mu, G, w2),
-            "martingale": sens_martingale(mu, G, w2),
-            "marginal2": solve_foc(mu, G, w2, ConstraintSet(marginal2=True)),
-            "both": solve_foc(mu, G, w2, ConstraintSet(martingale=True, marginal2=True)),
-        }
+        state = PointState(mu, G, Metric("wp", 2.0))
+        reports = {label: solve_foc(state, ConstraintSet(**flags))
+                   for label, flags in oracle.FLAG_TABLE.items()}
         rep = oracle.oracle_report(mu, lambda y1, y2: y2, [0.02, 0.05, 0.1, 0.2], reports)
         return rep["pass"]
 
     def contraction_counterexample():
         mu = sign_copy_measure(32)
-        bins = quantile_bins(mu, 32)
-        return info_discrepancy_check(mu, bins) > 0.99
+        return info_discrepancy_check(quantile_bins(mu, 32)) > 0.99
 
     return [("measure invariants", measure_invariants),
             ("criterion consistency", criterion_consistency),

@@ -15,9 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .measure import BinPartition, GridMeasure
+from .measure import Binning
 
 NEUMANN_GATE = 0.999
+SINGULAR_GATE = 1.0 - 1e-12
 NEUMANN_TOL = 1e-12
 NEUMANN_MAX_TERMS = 10_000
 DUAL_PATH_TOL = 1e-8
@@ -61,14 +62,15 @@ class FredholmOperator:
         return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
 
 
-def build_operator(mu: GridMeasure, bins: BinPartition,
-                   weights: np.ndarray | None = None) -> FredholmOperator:
-    """Assemble the operator from the joint atom masses, or from nonnegative
-    atom ``weights`` (n1, n2) with positive weight on every row and bin."""
-    idx = bins.assign(mu.x2.ravel())
+def build_operator(bins: Binning, weights: np.ndarray | None = None) -> FredholmOperator:
+    """Assemble the operator of the binned measure from its joint atom masses,
+    or from nonnegative atom ``weights`` (n1, n2) with positive weight on
+    every row and bin."""
+    mu = bins.mu
     weights = mu.atom_masses() if weights is None else weights
     rows = np.repeat(np.arange(mu.n1), mu.n2)
-    C = np.bincount(rows * bins.m + idx, weights.ravel(), mu.n1 * bins.m).reshape(mu.n1, bins.m)
+    C = np.bincount(rows * bins.m + bins.index.ravel(), weights.ravel(),
+                    mu.n1 * bins.m).reshape(mu.n1, bins.m)
     r, b = C.sum(axis=1), C.sum(axis=0)
     if np.any(r <= 0) or np.any(b <= 0):
         raise FredholmError("a row of atoms or a bin has zero weight")
@@ -80,12 +82,6 @@ def build_operator(mu: GridMeasure, bins: BinPartition,
     if np.max(np.abs(w1 @ K - w1)) > 1e-12:
         raise FredholmError("operator does not preserve the mu1-mean")
     return FredholmOperator(K, w1, bins.m)
-
-
-def apply_forward(mu: GridMeasure, bins: BinPartition, u: np.ndarray) -> np.ndarray:
-    """E1 of a bin function: (A u)[i] = sum_b P(bin b | i) u[b]."""
-    idx = bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
-    return np.sum(mu.q * np.asarray(u, dtype=float)[idx], axis=1)
 
 
 def contraction_norm(op: FredholmOperator, alpha: str = "l2") -> float:
@@ -111,10 +107,16 @@ def solve(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - K) h = rhs on the zero-mean subspace.
 
     Runs the Neumann series (when the contraction norm allows) and a direct
-    solve of the projected system; the two must agree within 1e-8.
+    solve of the projected system; the two must agree within 1e-8.  Raises
+    when the norm is 1 to rounding (at least ``SINGULAR_GATE``): I - K0 is
+    then singular on the zero-mean subspace, and a direct solve can return
+    a huge h at a small residual.  ``solve_regularized`` answers there.
     """
     rhs = np.asarray(rhs, dtype=float)
     _check_zero_mean(op, rhs)
+    if op.norm >= SINGULAR_GATE:
+        raise FredholmError(f"contraction norm {op.norm!r} is 1 to rounding: "
+                            "I - K is singular on zero-mean functions")
     K0 = op.zero_mean_matrix()
     n = op.n1
     try:

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import fredholm
 from .criterion import Criterion, value as criterion_value
-from .measure import (MARTINGALE_RTOL, BinPartition, GridMeasure, MeasureError,
-                      bin_masses, marginal_2, quantile_bins)
+from .measure import (MARTINGALE_RTOL, MERGE_TOL, Binning, GridMeasure, MeasureError,
+                      marginal_2, quantile_bins)
 from .simplex import InaccurateError, InfeasibleError, LPError, solve_lp
 
 LP_VARIABLE_CAP = 5_000
@@ -58,19 +58,6 @@ class RaggedMeasure:
         for x1i, _, z, q in self.iter_rows():
             worst = max(worst, abs(float(q @ z) - x1i))
         return worst
-
-    def marginal2(self):
-        zs = np.concatenate([z for z, _ in self.rows])
-        ms = np.concatenate([w * q for w, (_, q) in zip(self.w1, self.rows)])
-        order = np.argsort(zs, kind="stable")
-        zs, ms = zs[order], ms[order]
-        keep = np.empty(zs.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(zs) > 1e-12
-        groups = np.cumsum(keep) - 1
-        out = np.zeros(int(groups[-1]) + 1)
-        np.add.at(out, groups, ms)
-        return zs[keep], out
 
 
 def _gather_rows(mu):
@@ -124,12 +111,16 @@ class DiscreteBallProblem:
         return vals
 
 
-def _snap_to(values: np.ndarray, atoms: np.ndarray, err: str) -> np.ndarray:
-    """Index of the atom each value coincides with (1e-9 tolerance)."""
+def _nearest(values: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Index of the nearest of the sorted ``atoms`` to each value."""
     idx = np.clip(np.searchsorted(atoms, values), 0, atoms.size - 1)
     left = np.clip(idx - 1, 0, atoms.size - 1)
-    use_left = np.abs(atoms[left] - values) < np.abs(atoms[idx] - values)
-    idx = np.where(use_left, left, idx)
+    return np.where(np.abs(atoms[left] - values) < np.abs(atoms[idx] - values), left, idx)
+
+
+def _snap_to(values: np.ndarray, atoms: np.ndarray, err: str) -> np.ndarray:
+    """Index of the atom each value coincides with (1e-9 tolerance)."""
+    idx = _nearest(values, atoms)
     if np.max(np.abs(atoms[idx] - values)) > 1e-9:
         raise OracleError(f"target support has {err}")
     return idx
@@ -146,7 +137,9 @@ def default_target_support(mu: GridMeasure, radii, martingale=False,
     Shifts along both axes and the normalized diagonals; the diagonal
     directions are what martingale-preserving moves need (equal shift in
     both coordinates exhausts the budget at distance r).  Coordinates pinned
-    by a marginal constraint are never shifted.
+    by a marginal constraint are never shifted.  A shift that lands within
+    rounding of an atom (MERGE_TOL of the support's scale in each
+    coordinate) is that atom, not a target of its own.
     """
     dirs = np.vstack([_AXIS_DIRS, _DIAG_DIRS])
     if marginal1:
@@ -154,13 +147,12 @@ def default_target_support(mu: GridMeasure, radii, martingale=False,
     if marginal2:
         dirs = dirs[dirs[:, 1] == 0.0]
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
-    pts = [atoms]
-    for r in np.atleast_1d(radii):
-        if r > 0:
-            for d in dirs:
-                pts.append(atoms + r * d)
-    allpts = np.vstack(pts)
-    return np.unique(allpts, axis=0)
+    pts = np.vstack([atoms] + [atoms + r * d for r in np.atleast_1d(radii) if r > 0 for d in dirs])
+    # each point's nearest atom: its row by x1, then its column within that row
+    i = _nearest(pts[:, 0], mu.x1)
+    near = atoms[i * mu.n2 + np.argmin(np.abs(mu.x2[i] - pts[:, 1, None]), axis=1)]
+    snap = np.all(np.abs(near - pts) <= MERGE_TOL * max(1.0, float(np.max(np.abs(atoms)))), axis=1)
+    return np.unique(np.where(snap[:, None], near, pts), axis=0)
 
 
 BUDGET_ROW = 0                          # position of the transport budget in A_ub
@@ -514,7 +506,7 @@ def feasible_family_general(mu: GridMeasure, theta, phi=(), psi=None,
 
 def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
                                   r_list=(1e-3, 5e-4),
-                                  bins: BinPartition | None = None) -> FeasibleFamily:
+                                  bins: Binning | None = None) -> FeasibleFamily:
     """Martingale couplings keeping both marginals of mu at quantile-grid
     resolution, close to mu displaced by (0, r theta2).
 
@@ -534,11 +526,13 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
     """
     theta2 = np.asarray(theta2, dtype=float)
     bins = bins if bins is not None else quantile_bins(mu, mu.n2)
+    if bins.mu is not mu:
+        raise OracleError("the binning was built for another measure")
     warns = []
     contraction = None
     op = None
     try:
-        op = fredholm.build_operator(mu, bins)
+        op = fredholm.build_operator(bins)
         contraction = fredholm.contraction_norm(op, "l2")
     except (fredholm.FredholmError, MeasureError) as exc:
         warns.append(f"contraction check failed: {exc}")
@@ -551,18 +545,12 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
     mwf = mw.ravel()
     n1 = mu.n1
     row_of = np.arange(mwf.size) // mu.n2
-    binidx = bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
-    binmass = bin_masses(mu, bins)
+    binmass = bins.mass
     bnd = np.cumsum(binmass)
     lo_edge = bins.edges[:-1]
     hi_edge = bins.edges[1:]
     width = hi_edge - lo_edge
     inset = 1e-12 * np.maximum(width, 1.0)
-
-    def e2_of_a(a):
-        acc = np.zeros(bins.m)
-        np.add.at(acc, binidx.ravel(), (mw * a[:, None]).ravel())
-        return (acc / binmass)[binidx]
 
     def fragments(x2p):
         flat = x2p.ravel()
@@ -573,9 +561,7 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
         return row_of[fa], fb, fm, pos
 
     def row_means(fr, fm, fp):
-        acc = np.zeros(n1)
-        np.add.at(acc, fr, fm * fp)
-        return acc / mu.w1
+        return np.bincount(fr, fm * fp, n1) / mu.w1
 
     def solve_run(r):
         """Newton on a |-> conditional means of the rearranged cloud minus X1.
@@ -601,7 +587,7 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
             improved = False
             for _ in range(8):
                 a2 = a + scale * step
-                cand = fragments(base + a2[:, None] - e2_of_a(a2))
+                cand = fragments(base + a2[:, None] - bins.e2(a2[:, None])[bins.index])
                 g2 = row_means(cand[0], cand[2], cand[3]) - mu.x1
                 g2 -= float(mu.w1 @ g2)
                 res2 = float(np.max(np.abs(g2)))
@@ -638,13 +624,9 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
             keep[0] = True
             keep[1:] = np.diff(z) > 0.0
             grpz = np.cumsum(keep) - 1
-            zm = z[keep]
-            qm = np.zeros(zm.size)
-            np.add.at(qm, grpz, q)
-            rows.append((zm, qm))
+            rows.append((z[keep], np.bincount(grpz, q)))
         nu = RaggedMeasure(mu.x1.copy(), mu.w1.copy(), tuple(rows))
-        colmass = np.zeros(bins.m)
-        np.add.at(colmass, fb, fm)
+        colmass = np.bincount(fb, fm, bins.m)
         measures.append(nu)
         mults.append({"a": a.copy(),
                       "a_norm": float(np.sqrt(np.sum(mu.w1 * a ** 2)))})
@@ -702,6 +684,12 @@ def family_slope(c: Criterion, mu, family: FeasibleFamily, richardson: bool = Tr
     return slopes[-1]
 
 
+# the constraint flags of each set the LP sandwich checks, by report label
+FLAG_TABLE = {"none": {}, "martingale": {"martingale": True},
+              "marginal2": {"marginal2": True},
+              "both": {"martingale": True, "marginal2": True}}
+
+
 def oracle_report(mu: GridMeasure, objective, r_list, reports: dict,
                   tolerance: float = 0.05) -> dict:
     """Run the LP sandwich against closed-form reports; JSON-ready output.
@@ -713,20 +701,20 @@ def oracle_report(mu: GridMeasure, objective, r_list, reports: dict,
     r_arr = [float(r) for r in r_list]
     if len(r_arr) < 3:
         raise OracleError("slope estimation needs at least 3 radii")
-    flag_table = {"none": {}, "martingale": {"martingale": True},
-                  "marginal2": {"marginal2": True},
-                  "both": {"martingale": True, "marginal2": True}}
     out = {"radii": r_arr, "constraint_sets": {}}
+    # per-radius candidate supports keep the LPs small: the shifted copies at
+    # scale r are exactly what the ball at radius r can use.  They depend on
+    # the marginal2 flag and r only, so the sets share them
+    supports = {(pinned, r): default_target_support(mu, [r], marginal2=pinned)
+                for pinned in (False, True) for r in [0.0] + r_arr}
     for label, ref in reports.items():
-        flags = flag_table[label]
+        flags = FLAG_TABLE[label]
+        pinned = flags.get("marginal2", False)
         vals, pivots, nvars, used = [], [], [], []
-        v0, _ = dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [], **flags),
-                                           0.0, ref.metric.p, objective=objective, **flags))
+        v0, _ = dro_lp(DiscreteBallProblem(mu, supports[pinned, 0.0], 0.0, ref.metric.p,
+                                           objective=objective, **flags))
         for r in r_arr:
-            # per-radius candidate support keeps the LP small; the shifted
-            # copies at scale r are exactly what the ball at radius r can use
-            tgt = default_target_support(mu, [r], **flags)
-            v, info = dro_lp(DiscreteBallProblem(mu, tgt, r, ref.metric.p,
+            v, info = dro_lp(DiscreteBallProblem(mu, supports[pinned, r], r, ref.metric.p,
                                                  objective=objective, **flags))
             vals.append(v)
             pivots.append(info["pivots"])

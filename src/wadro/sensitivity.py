@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import fredholm
 from .criterion import GradientField
-from .measure import (BinPartition, GridMeasure, MARTINGALE_RTOL, bin_centers,
-                      bin_masses, cond_exp_1, quantile_bins)
+from .measure import Binning, GridMeasure, MARTINGALE_RTOL, cond_exp_1, quantile_bins
 
 FOC_TOL = 1e-8
 FOC_MAX_ITER = 200
@@ -136,7 +136,7 @@ class SensitivityReport:
     h_hat: np.ndarray | None = None
     f1: np.ndarray | None = None
     f2: np.ndarray | None = None
-    bins: BinPartition | None = None
+    bins: Binning | None = None
     warnings: tuple = ()
 
     def direction(self) -> GradientField:
@@ -159,11 +159,34 @@ def adapted_gradient(mu: GridMeasure, G: GradientField) -> GradientField:
     return GradientField(np.broadcast_to(g1[:, None], G.g1.shape).copy(), G.g2.copy())
 
 
-def _grad_d(mu: GridMeasure, G: GradientField, metric: Metric):
-    if metric.adapted:
-        Ga = adapted_gradient(mu, G)
-        return Ga.g1, Ga.g2
-    return np.asarray(G.g1, dtype=float), np.asarray(G.g2, dtype=float)
+class PointState:
+    """What every constraint set's solve at one (mu, G, metric) reads.
+
+    Built once and passed to ``solve_foc`` for each set: the gradient field
+    in the ball's form (``S1``, ``S2``, read-only), the binning ``bins`` (the
+    one passed in, else mu's quantile binning into n2 bins on first use) and
+    mu's Fredholm operator ``op``, built on first use with its norm cached.
+    """
+
+    def __init__(self, mu: GridMeasure, G: GradientField, metric: Metric,
+                 bins: Binning | None = None):
+        self.mu, self.metric = mu, metric
+        S = adapted_gradient(mu, G) if metric.adapted else G
+        # read-only copies: the solves share them, and G stays the caller's
+        self.S1, self.S2 = np.array(S.g1), np.array(S.g2)
+        self.S1.flags.writeable = self.S2.flags.writeable = False
+        if bins is not None:
+            if bins.mu is not mu:
+                raise SensitivityError("the binning was built for another measure")
+            self.bins = bins
+
+    @cached_property
+    def bins(self) -> Binning:
+        return quantile_bins(self.mu, self.mu.n2)
+
+    @cached_property
+    def op(self) -> fredholm.FredholmOperator:
+        return fredholm.build_operator(self.bins)
 
 
 def _dual_norm(mw: np.ndarray, S1: np.ndarray, S2: np.ndarray, metric: Metric) -> float:
@@ -204,24 +227,23 @@ class _FlagProblem:
     """Hedge map and Newton step for the martingale / marginal flag combinations.
 
     The multipliers ``u = (f1, f2, h)`` (None when inactive) give the hedge
-    field ``F1 = f1(x1) - h(x1)``, ``F2 = f2(bin(x2)) + h(x1)``.
+    field ``F1 = f1(x1) - h(x1)``, ``F2 = f2(bin(x2)) + h(x1)``.  With the
+    martingale and second-marginal flags, ``op`` is mu's Fredholm operator.
     """
 
-    def __init__(self, mu: GridMeasure, G: GradientField, metric: Metric,
-                 cs: ConstraintSet, bins: BinPartition | None):
-        self.mu = mu
+    def __init__(self, state: PointState, cs: ConstraintSet):
+        mu = self.mu = state.mu
         self.cs = cs
         self.mw = mu.atom_masses()
-        self.S1_0, self.S2_0 = _grad_d(mu, G, metric)
+        self.S1_0, self.S2_0 = state.S1, state.S2
         self.warnings: list[str] = []
-        self.bins = None
+        self.bins = self.op = None
         if cs.marginal2:
-            self.bins = bins if bins is not None else quantile_bins(mu, mu.n2)
-            self.binidx = self.bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
-            self.binmass = bin_masses(mu, self.bins)
+            self.bins = state.bins
+            if cs.martingale:
+                self.op = state.op
             if cs.martingale and cs.marginal1:
-                op = fredholm.build_operator(mu, self.bins)
-                contraction = fredholm.contraction_norm(op, "l2")
+                contraction = fredholm.contraction_norm(self.op, "l2")
                 if contraction >= CONTRACTION_FLAG:
                     msg = (f"informational-discrepancy contraction {contraction:.6f} >= "
                            f"{CONTRACTION_FLAG}; using regularized hedge solve")
@@ -238,7 +260,7 @@ class _FlagProblem:
         if f1 is not None:
             F1 += f1[:, None]
         if f2 is not None:
-            F2 += f2[self.binidx]
+            F2 += f2[self.bins.index]
         if h is not None:
             F1 -= h[:, None]
             F2 += h[:, None]
@@ -249,33 +271,33 @@ class _FlagProblem:
         if self.cs.marginal1:
             comps["m1"] = cond_exp_1(self.mu, T1)
         if self.cs.marginal2:
-            comps["m2"] = np.bincount(self.binidx.ravel(), (self.mw * T2).ravel(),
-                                      self.bins.m) / self.binmass
+            comps["m2"] = self.bins.e2(T2)
         if self.cs.martingale:
             comps["M"] = cond_exp_1(self.mu, T2 - T1)
         return comps
 
-    def correction(self, G1, G2, D1, D2):
+    def correction(self, G1, G2, D1, D2, op=None):
         """Solve ``A^T diag(D) A du = A^T G`` for the hedge map A.
 
         D1, D2 are per-atom weights on F1, F2 and G1, G2 per-atom values.
         f1 eliminates row by row; f2 couples to h only through the weights D2
         per (row, bin), so eliminating it leaves ``diag(r2) K_D`` with K_D the
-        conditional-expectation operator of the measure reweighted by D2.
-        At D = mw this is the p = 2 closed form.
+        conditional-expectation operator of the measure reweighted by D2;
+        ``op`` is K_D when the caller has it.  At D = mw this is the p = 2
+        closed form.
         """
         cs = self.cs
         g1, r1 = G1.sum(axis=1), D1.sum(axis=1)
         gh, r2 = G2.sum(axis=1) - g1, D2.sum(axis=1)
         df1 = df2 = dh = None
         if cs.marginal2:
-            idx = self.binidx.ravel()
-            b2 = np.bincount(idx, D2.ravel(), self.bins.m)
-            df2 = np.bincount(idx, G2.ravel(), self.bins.m) / b2
+            b2 = self.bins.sums(D2)
+            df2 = self.bins.sums(G2) / b2
         if cs.martingale:
             if cs.marginal2:
-                rhs = gh - np.sum(D2 * df2[self.binidx], axis=1)
-                op = fredholm.build_operator(self.mu, self.bins, D2)
+                rhs = gh - np.sum(D2 * df2[self.bins.index], axis=1)
+                if op is None:
+                    op = fredholm.build_operator(self.bins, D2)
                 if cs.marginal1:
                     rhs = (rhs + g1) / r2
                     rhs = rhs - float(op.w1 @ rhs)
@@ -285,7 +307,7 @@ class _FlagProblem:
                         dh = fredholm.solve(op, rhs)
                 else:
                     dh = np.linalg.solve(np.diag(r1 + r2) - r2[:, None] * op.K, rhs)
-                df2 = df2 - np.bincount(idx, (D2 * dh[:, None]).ravel(), self.bins.m) / b2
+                df2 = df2 - self.bins.sums(D2 * dh[:, None]) / b2
             elif cs.marginal1:
                 dh = (g1 + gh) / r2
             else:
@@ -310,11 +332,14 @@ class _GeneralProblem:
     ``F = sum_a lambda_a dphi_a + h(x1) dpsi``.
     """
 
-    def __init__(self, mu: GridMeasure, G: GradientField, metric: Metric, cs: ConstraintSet):
-        self.mu = mu
+    op = None
+
+    def __init__(self, state: PointState, cs: ConstraintSet):
+        mu = self.mu = state.mu
+        metric = state.metric
         self.cs = cs
         self.mw = mu.atom_masses()
-        self.S1_0, self.S2_0 = _grad_d(mu, G, metric)
+        self.S1_0, self.S2_0 = state.S1, state.S2
         self.warnings: list[str] = []
         a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
         self.phi1 = []
@@ -390,8 +415,11 @@ class _GeneralProblem:
             comps["psi"] = cond_exp_1(self.mu, self.psi1 * T1 + self.psi2 * T2)
         return comps
 
-    def correction(self, G1, G2, D1, D2):
-        """Solve ``A^T diag(D) A du = A^T G``; h is eliminated row by row."""
+    def correction(self, G1, G2, D1, D2, op=None):
+        """Solve ``A^T diag(D) A du = A^T G``; h is eliminated row by row.
+
+        ``op`` is unused: this hedge map has no Fredholm operator.
+        """
         Hll, Hlh, Hhh = self._blocks(D1, D2)
         gl = np.array([np.sum(G1 * p1 + G2 * p2) for p1, p2 in zip(self.phi1, self.phi2)])
         if Hlh is None:
@@ -422,7 +450,7 @@ def _residual_norm(problem, comps) -> float:
         if key == "phi":
             worst = max(worst, float(np.max(np.abs(v))))
         elif key == "m2":
-            worst = max(worst, float(np.sqrt(np.sum(problem.binmass * v ** 2))))
+            worst = max(worst, float(np.sqrt(np.sum(problem.bins.mass * v ** 2))))
         else:
             worst = max(worst, float(np.sqrt(np.sum(w1 * v ** 2))))
     return worst
@@ -478,9 +506,11 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
     scale = float(np.sqrt(np.sum(mw * (problem.S1_0 ** 2 + problem.S2_0 ** 2))))
     floor = (EPS_FLOOR if pc < 2.0 else WEIGHT_FLOOR) * scale
     eps = scale if pc < 2.0 else floor
+    # the p = 2 weights are 2 mw, and scaling the weights leaves the Fredholm
+    # operator bit for bit unchanged: mu's own serves every p = 2 step
     if warm_start:
         G1, G2, D1, D2 = _newton_weights(mw, problem.S1_0, problem.S2_0, metric, 2.0, 0.0)
-        problem.u = _axpy(problem.u, -1.0, problem.correction(G1, G2, D1, D2))
+        problem.u = _axpy(problem.u, -1.0, problem.correction(G1, G2, D1, D2, problem.op))
     converged = False
     for it in range(FOC_MAX_ITER + 1):
         F1, F2 = problem.field(problem.u)
@@ -493,7 +523,7 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
         if it == FOC_MAX_ITER:
             break
         G1, G2, D1, D2 = _newton_weights(mw, S1, S2, metric, pc, eps)
-        du = problem.correction(G1, G2, D1, D2)
+        du = problem.correction(G1, G2, D1, D2, problem.op if pc == 2.0 else None)
         t = 1.0
         if pc != 2.0:           # Armijo backtracking on the smoothed objective
             dF1, dF2 = problem.field(du)
@@ -531,8 +561,7 @@ def _require_martingale(mu: GridMeasure) -> None:
         raise SensitivityError("martingale constraint needs a martingale measure")
 
 
-def solve_foc(mu: GridMeasure, G: GradientField, metric: Metric,
-              constraints: ConstraintSet, bins: BinPartition | None = None,
+def solve_foc(state: PointState, constraints: ConstraintSet,
               warm_start: bool = True) -> SensitivityReport:
     """Minimize the dual norm over the active multipliers via the FOC.
 
@@ -544,41 +573,50 @@ def solve_foc(mu: GridMeasure, G: GradientField, metric: Metric,
         if constraints.martingale or constraints.marginal1 or constraints.marginal2:
             raise SensitivityError(
                 "mean/conditional constraints cannot be mixed with marginal flags")
-        return _run_foc(_GeneralProblem(mu, G, metric, constraints), metric, warm_start)
+        return _run_foc(_GeneralProblem(state, constraints), state.metric, warm_start)
     if constraints.martingale:
-        _require_martingale(mu)
-    return _run_foc(_FlagProblem(mu, G, metric, constraints, bins), metric, warm_start)
+        _require_martingale(state.mu)
+    return _run_foc(_FlagProblem(state, constraints), state.metric, warm_start)
+
+
+# the four constraint sets of the paper's study, by their command-line names
+CONSTRAINT_SETS = {
+    "unconstrained": ConstraintSet(),
+    "martingale": ConstraintSet(martingale=True),
+    "marginal": ConstraintSet(marginal1=True, marginal2=True),
+    "mart_marginal": ConstraintSet(martingale=True, marginal1=True, marginal2=True),
+}
 
 
 def sens_unconstrained(mu: GridMeasure, G: GradientField, metric: Metric) -> SensitivityReport:
-    return solve_foc(mu, G, metric, ConstraintSet())
+    return solve_foc(PointState(mu, G, metric), CONSTRAINT_SETS["unconstrained"])
 
 
 def sens_martingale(mu: GridMeasure, G: GradientField, metric: Metric) -> SensitivityReport:
-    return solve_foc(mu, G, metric, ConstraintSet(martingale=True))
+    return solve_foc(PointState(mu, G, metric), CONSTRAINT_SETS["martingale"])
 
 
 def sens_marginal(mu: GridMeasure, G: GradientField, metric: Metric,
-                  bins: BinPartition | None = None) -> SensitivityReport:
-    return solve_foc(mu, G, metric, ConstraintSet(marginal1=True, marginal2=True), bins)
+                  bins: Binning | None = None) -> SensitivityReport:
+    return solve_foc(PointState(mu, G, metric, bins), CONSTRAINT_SETS["marginal"])
 
 
 def sens_mart_marginal(mu: GridMeasure, G: GradientField,
-                       bins: BinPartition | None = None, p: float = 2.0) -> SensitivityReport:
+                       bins: Binning | None = None, p: float = 2.0) -> SensitivityReport:
     """Martingale plus both marginals under the adapted ball (hedge via Fredholm)."""
-    return solve_foc(mu, G, Metric("wp_adapted", p),
-                     ConstraintSet(martingale=True, marginal1=True, marginal2=True), bins)
+    return solve_foc(PointState(mu, G, Metric("wp_adapted", p), bins),
+                     CONSTRAINT_SETS["mart_marginal"])
 
 
 def sens_general(mu: GridMeasure, G: GradientField, metric: Metric,
                  phi=(), psi: CondConstraint | None = None) -> SensitivityReport:
     """Sensitivity under mean constraints phi and conditional constraint psi."""
     cs = ConstraintSet(mean_phi=tuple(phi), cond_psi=psi)
-    return solve_foc(mu, G, metric, cs)
+    return solve_foc(PointState(mu, G, metric), cs)
 
 
 def marginal_value_closed_form(mu: GridMeasure, G: GradientField, metric: Metric,
-                               bins: BinPartition | None = None) -> float:
+                               bins: Binning | None = None) -> float:
     """Variance-style p = 2 expression for the marginal-constrained value.
 
     Independent of the optimization path: centers each gradient component by
@@ -586,18 +624,12 @@ def marginal_value_closed_form(mu: GridMeasure, G: GradientField, metric: Metric
     """
     if metric.p != 2.0:
         raise SensitivityError("closed form is for p = 2")
-    bins = bins if bins is not None else quantile_bins(mu, mu.n2)
-    G1d, G2d = _grad_d(mu, G, metric)
+    st = PointState(mu, G, metric, bins)
     mw = mu.atom_masses()
-    idx = bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
-    mass = bin_masses(mu, bins)
-    e2 = np.zeros(bins.m)
-    np.add.at(e2, idx.ravel(), (mw * G2d).ravel())
-    e2 /= mass
-    c2 = G2d - e2[idx]
+    c2 = st.S2 - st.bins.e2(st.S2)[st.bins.index]
     if metric.adapted:
         return float(np.sqrt(np.sum(mw * c2 ** 2)))
-    c1 = G1d - cond_exp_1(mu, G1d)[:, None]
+    c1 = st.S1 - cond_exp_1(mu, st.S1)[:, None]
     return float(np.sqrt(np.sum(mw * (c1 ** 2 + c2 ** 2))))
 
 
@@ -629,6 +661,6 @@ def report_tables(report: SensitivityReport, mu: GridMeasure):
     rows1 = [(float(mu.x1[i]), float(h[i]), float(f1[i])) for i in range(n1)]
     rows2 = []
     if report.f2 is not None and report.bins is not None:
-        centers = bin_centers(mu, report.bins)
+        centers = report.bins.e2(mu.x2)
         rows2 = [(float(centers[b]), float(report.f2[b])) for b in range(report.bins.m)]
     return rows1, rows2

@@ -15,11 +15,10 @@ from wadro import fredholm
 from wadro.cli import hedge_jump_stats
 from wadro.criterion import american_put, exercise_mass, gradient_field, preset
 from wadro.measure import (ModelSpec, build_model, canonical_test_measure,
-                           cond_exp_1, cond_exp_2, quantile_bins,
-                           sign_copy_measure)
+                           cond_exp_1, quantile_bins, sign_copy_measure)
 from wadro.oracle import (family_slope, feasible_family_mart_marginal,
                           oracle_report)
-from wadro.sensitivity import (ConstraintSet, Metric, W2, W2AD,
+from wadro.sensitivity import (ConstraintSet, Metric, PointState, W2, W2AD,
                                sens_marginal, sens_mart_marginal,
                                sens_martingale, sens_unconstrained, solve_foc)
 from wadro.criterion import GradientField, value
@@ -70,8 +69,8 @@ def test_criterion_2_dual_path_p2_equivalence():
                 # at p = 2 Newton's first step from zero is the closed form;
                 # at p = 1.5 the two starting points give two paths
                 for metric in (W2AD, Metric("wp_adapted", 1.5)):
-                    closed = solve_foc(mu, G, metric, cs, bins)
-                    iterated = solve_foc(mu, G, metric, cs, bins, warm_start=False)
+                    closed = solve_foc(PointState(mu, G, metric, bins), cs)
+                    iterated = solve_foc(PointState(mu, G, metric, bins), cs, warm_start=False)
                     assert closed.converged and iterated.converged
                     worst = max(worst, abs(closed.value - iterated.value))
                     assert abs(closed.value - iterated.value) <= 1e-8
@@ -86,12 +85,11 @@ def test_criterion_3_fredholm_certificate():
     for family in ("black_scholes", "bachelier"):
         mu = build_model(ModelSpec(family, 1.0, 32, 32))
         bins = quantile_bins(mu, 32)
-        op = fredholm.build_operator(mu, bins)
+        op = fredholm.build_operator(bins)
         norm = fredholm.contraction_norm(op, "l2")
         assert norm < 1.0
         G = gradient_field(put, mu)
-        e2 = cond_exp_2(mu, G.g2, bins)
-        rhs = fredholm.apply_forward(mu, bins, e2) - cond_exp_1(mu, G.g2)
+        rhs = cond_exp_1(mu, bins.e2(G.g2)[bins.index]) - cond_exp_1(mu, G.g2)
         rhs -= float(mu.w1 @ rhs)
         h = fredholm.solve(op, rhs)          # internally: Neumann vs direct <= 1e-8
         K0 = op.zero_mean_matrix()
@@ -116,8 +114,8 @@ def test_criterion_4_oracle_sandwich_classical():
     reports = {
         "none": sens_unconstrained(mu, G, W2),
         "martingale": sens_martingale(mu, G, W2),
-        "marginal2": solve_foc(mu, G, W2, ConstraintSet(marginal2=True)),
-        "both": solve_foc(mu, G, W2, ConstraintSet(martingale=True, marginal2=True)),
+        "marginal2": solve_foc(PointState(mu, G, W2), ConstraintSet(marginal2=True)),
+        "both": solve_foc(PointState(mu, G, W2), ConstraintSet(martingale=True, marginal2=True)),
     }
     rep = oracle_report(mu, lambda y1, y2: y2, [0.02, 0.05, 0.1, 0.2],
                         reports, tolerance=0.05)
@@ -201,7 +199,7 @@ def test_criterion_8_contraction_counterexample():
     t0 = time.time()
     mu = sign_copy_measure(64)
     bins = quantile_bins(mu, 64)
-    op = fredholm.build_operator(mu, bins)
+    op = fredholm.build_operator(bins)
     norm = fredholm.contraction_norm(op, "l2")
     assert norm > 0.99
     G = _const_field(mu, 0.0, 1.0)

@@ -192,8 +192,10 @@ def test_oracle_report_written(tmp_path):
     assert sets["none"]["lp_variables"][0] > sets["marginal2"]["lp_variables"][0]
     # with the second marginal pinned, every coupling gives the payoff x2
     # mu's own value, so each LP is optimal at the identity coupling it
-    # starts from (up to the rounding of grid sums such as 0.8 + 0.1, which
-    # make some shifted atoms miss other atoms by 1e-16)
+    # starts from.  Pivots are not pinned: from r = 0.1 on, moves between
+    # neighbouring atoms bring in the zero-rhs marginal rows, whose
+    # artificials the simplex pivots out of its basis (8 per LP, also on a
+    # lattice whose sums are exact)
     v0 = value(preset("linear:x2"), canonical_test_measure())
     res = sets["marginal2"]
     assert res["value_at_zero"] == pytest.approx(v0, rel=1e-15)
@@ -261,9 +263,35 @@ def test_curve_p3_certified_and_fast(tmp_path):
                     ("G_ad_m", sensitivity.ConstraintSet(marginal1=True, marginal2=True)),
                     ("G_ad_Mm", sensitivity.ConstraintSet(martingale=True, marginal1=True,
                                                           marginal2=True))):
-        rep = sensitivity.solve_foc(mu, G, metric, cs, bins)
+        rep = sensitivity.solve_foc(sensitivity.PointState(mu, G, metric, bins), cs)
         assert rep.converged and rep.foc_residual <= 1e-8 and not rep.warnings
         assert float(row[col]) == rep.value
+
+
+def test_curve_point_bins_the_atoms_once(tmp_path, monkeypatch):
+    # the four constraint sets share one binning: one search of the edges
+    cfg = cli.load_config(None, {"model.n1": "32", "model.n2": "32",
+                                 "output.dir": str(tmp_path)})
+    sizes = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        sizes.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    row = cli._curve_point(cfg, cfg.load_criterion(), 0.5)
+    assert all(np.isfinite(row[col]) for col in cli.CURVE_COLUMNS.values())
+    assert sizes.count(32 * 32) == 1
+
+
+@pytest.mark.parametrize("n,m", [(64, 44), (128, 84)])
+def test_output_bins_is_an_upper_bound(n, m):
+    # quantile cuts that fall between the same two atoms merge; the help
+    # text states these two counts
+    mu = build_model(ModelSpec("black_scholes", 0.5, n, n))
+    assert quantile_bins(mu, n).m == m
+    assert f"{n} on {n}x{n} gives {m}" in " ".join(cli.CONFIG_KEYS.split())
 
 
 def test_import_loads_no_scipy():

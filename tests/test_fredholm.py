@@ -4,7 +4,7 @@ import pytest
 from wadro.fredholm import (FredholmError, FredholmOperator, build_operator,
                             contraction_norm, solve, solve_regularized)
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
-                           cond_exp_2, quantile_bins, sign_copy_measure)
+                           quantile_bins, sign_copy_measure)
 from wadro.criterion import american_put, gradient_field
 from wadro import fredholm
 
@@ -20,7 +20,7 @@ def _product_measure(n1=5, n2=7):
 
 def test_product_measure_kernel_is_rank_one():
     mu = _product_measure()
-    op = build_operator(mu, quantile_bins(mu, 4))
+    op = build_operator(quantile_bins(mu, 4))
     assert np.max(np.abs(op.K - mu.w1[None, :])) <= 1e-12
     assert contraction_norm(op, "l2") <= 1e-10
     assert contraction_norm(op, "linf") <= 1e-10
@@ -32,14 +32,14 @@ def test_product_measure_kernel_is_rank_one():
 def test_single_first_stage_atom():
     mu = GridMeasure(np.array([0.0]), np.array([1.0]),
                      np.array([[-1.0, 1.0]]), np.array([[0.5, 0.5]]))
-    op = build_operator(mu, quantile_bins(mu, 2))
+    op = build_operator(quantile_bins(mu, 2))
     assert op.K.shape == (1, 1) and abs(op.K[0, 0] - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("family", ["bachelier", "black_scholes"])
 def test_structure_checks(family):
     mu = build_model(ModelSpec(family, 1.0, 32, 32))
-    op = build_operator(mu, quantile_bins(mu, 32))
+    op = build_operator(quantile_bins(mu, 32))
     assert np.max(np.abs(op.K.sum(axis=1) - 1.0)) <= 1e-12
     assert np.max(np.abs(mu.w1 @ op.K - mu.w1)) <= 1e-12
 
@@ -47,24 +47,24 @@ def test_structure_checks(family):
 def test_reweighted_operator_tolerates_zero_atoms():
     mu = build_model(ModelSpec("black_scholes", 0.7, 8, 8))
     bins = quantile_bins(mu, 8)
-    default = build_operator(mu, bins)
-    assert np.allclose(build_operator(mu, bins, mu.atom_masses()).K, default.K,
+    default = build_operator(bins)
+    assert np.allclose(build_operator(bins, mu.atom_masses()).K, default.K,
                        rtol=0, atol=1e-15)
     weights = mu.atom_masses() * np.linspace(1.0, 3.0, 8)[None, :]
     weights[2, :4] = 0.0
-    op = build_operator(mu, bins, weights)
+    op = build_operator(bins, weights)
     r = weights.sum(axis=1)
     assert np.allclose(op.w1, r / r.sum(), rtol=1e-14)
     assert np.max(np.abs(op.K.sum(axis=1) - 1.0)) <= 1e-12
     assert 0.0 < contraction_norm(op, "l2") < 1.0
     weights[3, :] = 0.0
     with pytest.raises(FredholmError):
-        build_operator(mu, bins, weights)
+        build_operator(bins, weights)
 
 
 def test_contraction_power_iteration_matches_svd():
     mu = build_model(ModelSpec("bachelier", 1.0, 24, 24))
-    op = build_operator(mu, quantile_bins(mu, 24))
+    op = build_operator(quantile_bins(mu, 24))
     norm = contraction_norm(op, "l2")
     d = np.sqrt(mu.w1)
     M = (op.zero_mean_matrix() * (1.0 / d)[None, :]) * d[:, None]
@@ -73,7 +73,7 @@ def test_contraction_power_iteration_matches_svd():
 
 def test_contraction_permutation_invariant():
     mu = build_model(ModelSpec("black_scholes", 0.7, 16, 16))
-    op = build_operator(mu, quantile_bins(mu, 16))
+    op = build_operator(quantile_bins(mu, 16))
     rng = np.random.default_rng(3)
     perm = rng.permutation(16)
     P = np.eye(16)[perm]
@@ -83,15 +83,15 @@ def test_contraction_permutation_invariant():
 
 def test_sign_copy_counterexample():
     mu = sign_copy_measure(64)
-    op = build_operator(mu, quantile_bins(mu, 64))
+    op = build_operator(quantile_bins(mu, 64))
     assert contraction_norm(op, "l2") >= 0.99
 
 
 def test_bachelier_norm_decreases_to_single_bin():
     mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
-    fine = contraction_norm(build_operator(mu, quantile_bins(mu, 32)), "l2")
-    coarse = contraction_norm(build_operator(mu, quantile_bins(mu, 4)), "l2")
-    single = contraction_norm(build_operator(mu, quantile_bins(mu, 1)), "l2")
+    fine = contraction_norm(build_operator(quantile_bins(mu, 32)), "l2")
+    coarse = contraction_norm(build_operator(quantile_bins(mu, 4)), "l2")
+    single = contraction_norm(build_operator(quantile_bins(mu, 1)), "l2")
     assert 0.0 < fine < 1.0
     assert coarse <= fine + 1e-12
     assert single <= 1e-12
@@ -99,15 +99,14 @@ def test_bachelier_norm_decreases_to_single_bin():
 
 def _put_rhs(mu, bins):
     G = gradient_field(american_put(side="buyer"), mu)
-    e2 = cond_exp_2(mu, G.g2, bins)
-    rhs = fredholm.apply_forward(mu, bins, e2) - cond_exp_1(mu, G.g2)
+    rhs = cond_exp_1(mu, bins.e2(G.g2)[bins.index]) - cond_exp_1(mu, G.g2)
     return rhs - float(mu.w1 @ rhs)
 
 
 def test_solve_dual_path_on_put_rhs():
     mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
     bins = quantile_bins(mu, 32)
-    op = build_operator(mu, bins)
+    op = build_operator(bins)
     rhs = _put_rhs(mu, bins)
     h = solve(op, rhs)
     K0 = op.zero_mean_matrix()
@@ -127,7 +126,7 @@ def test_solve_dual_path_on_put_rhs():
 def test_neumann_increments_decay_geometrically():
     mu = build_model(ModelSpec("black_scholes", 1.0, 24, 24))
     bins = quantile_bins(mu, 24)
-    op = build_operator(mu, bins)
+    op = build_operator(bins)
     norm = contraction_norm(op, "l2")
     K0 = op.zero_mean_matrix()
     term = _put_rhs(mu, bins)
@@ -143,29 +142,42 @@ def test_neumann_increments_decay_geometrically():
 
 def test_solve_rejects_nonzero_mean():
     mu = build_model(ModelSpec("bachelier", 1.0, 8, 8))
-    op = build_operator(mu, quantile_bins(mu, 8))
+    op = build_operator(quantile_bins(mu, 8))
     with pytest.raises(FredholmError):
         solve(op, np.ones(8))
 
 
 def test_zero_rhs():
     mu = build_model(ModelSpec("bachelier", 1.0, 8, 8))
-    op = build_operator(mu, quantile_bins(mu, 8))
+    op = build_operator(quantile_bins(mu, 8))
     assert np.allclose(solve(op, np.zeros(8)), 0.0)
 
 
 def test_regularized_solve_on_critical_operator():
     mu = sign_copy_measure(32)
-    op = build_operator(mu, quantile_bins(mu, 32))
+    op = build_operator(quantile_bins(mu, 32))
     rhs = np.array([0.5, -0.5])
     h = solve_regularized(op, rhs)
     assert np.all(np.isfinite(h))
     assert abs(float(op.w1 @ h)) <= 1e-10
 
 
+def test_solve_refuses_an_operator_of_norm_one():
+    # 398 bins on 200 sign-copy rows: the norm is 1 + 7e-16, so the Neumann
+    # path is skipped, and a direct solve answered |h| ~ 1.5e15 at a
+    # residual of 6.7e-16, which no residual check would catch
+    mu = sign_copy_measure(200)
+    bins = quantile_bins(mu, 400)
+    op = build_operator(bins)
+    assert bins.m == 398 and op.norm >= 1.0 - 1e-12
+    with pytest.raises(FredholmError, match="singular"):
+        solve(op, np.array([1.0, -1.0]))
+    assert np.all(np.isfinite(solve_regularized(op, np.array([1.0, -1.0]))))
+
+
 def test_operator_csv_export(tmp_path):
     mu = build_model(ModelSpec("bachelier", 1.0, 6, 6))
-    op = build_operator(mu, quantile_bins(mu, 6))
+    op = build_operator(quantile_bins(mu, 6))
     path = tmp_path / "kernel.csv"
     fredholm.to_csv(op, str(path))
     loaded = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -5,9 +5,9 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from wadro.measure import (BinPartition, GridMeasure, MeasureError, ModelSpec,
-                           bin_centers, build_model, canonical_test_measure,
-                           cond_exp_1, cond_exp_2, from_csv, info_discrepancy_check,
+from wadro.measure import (BinPartition, Binning, GridMeasure, MeasureError, ModelSpec,
+                           build_model, canonical_test_measure,
+                           cond_exp_1, from_csv, info_discrepancy_check,
                            marginal_2, quantile_bins, sign_copy_measure, std_normal_nodes,
                            to_csv)
 
@@ -106,12 +106,15 @@ def _product_measure(n1=4, n2=6):
 def test_cond_exp_2_constant_and_product():
     mu = build_model(ModelSpec("bachelier", 1.0, 8, 8))
     bins = quantile_bins(mu, 8)
-    u = cond_exp_2(mu, np.full_like(mu.x2, 3.25), bins)
+    u = bins.e2(np.full_like(mu.x2, 3.25))
     assert np.allclose(u, 3.25, atol=1e-13)
     prod = _product_measure()
     pbins = quantile_bins(prod, 3)
     f = np.tile(prod.x1[:, None] ** 2, (1, prod.n2))
-    u = cond_exp_2(prod, f, pbins)
+    u = pbins.e2(f)
+    assert np.array_equal(pbins.e2(prod.x1[:, None] ** 2), u)
+    with pytest.raises(MeasureError):
+        pbins.e2(np.ones((prod.n1 + 1, 1)))
     expect = float(prod.w1 @ prod.x1 ** 2)
     assert np.allclose(u, expect, atol=1e-14)
 
@@ -121,8 +124,8 @@ def test_cond_exp_2_gaussian_conditioning():
     mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
     bins = quantile_bins(mu, 32)
     field = np.tile(mu.x1[:, None], (1, mu.n2))
-    u = cond_exp_2(mu, field, bins)
-    centers = bin_centers(mu, bins)
+    u = bins.e2(field)
+    centers = bins.e2(mu.x2)
     assert np.max(np.abs(u - centers / 2.0)) <= 0.05
 
 
@@ -197,6 +200,14 @@ def test_bin_partition_rejects_bad_edges():
         BinPartition(np.array([0.0, 0.0, 1.0]), 2)
 
 
+def test_binning_rejects_empty_bins_and_atoms_outside():
+    prod = _product_measure(2, 4)           # x2 atoms at -2, -2/3, 2/3, 2
+    with pytest.raises(MeasureError, match="empty"):
+        Binning(np.array([-3.0, -2.5, 3.0]), 2, prod)
+    with pytest.raises(MeasureError, match="outside"):
+        Binning(np.array([-1.0, 0.0, 3.0]), 2, prod)
+
+
 def test_marginal_2_single_row_and_merge():
     x1 = np.array([0.5])
     mu = GridMeasure(x1, np.array([1.0]), np.array([[0.0, 1.0, 2.0]]),
@@ -222,21 +233,21 @@ def test_marginal_2_mass_and_moments():
 def test_info_discrepancy_product_is_zero():
     prod = _product_measure()
     bins = quantile_bins(prod, 4)
-    assert info_discrepancy_check(prod, bins) <= 1e-12
+    assert info_discrepancy_check(bins) <= 1e-12
 
 
 def test_info_discrepancy_sign_copy_hits_one():
     for n2 in (16, 32, 64):
         mu = sign_copy_measure(n2)
         bins = quantile_bins(mu, n2)
-        val = info_discrepancy_check(mu, bins)
+        val = info_discrepancy_check(bins)
         assert val > 0.99
 
 
 def test_info_discrepancy_bachelier_strictly_inside():
     mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
     bins = quantile_bins(mu, 32)
-    val = info_discrepancy_check(mu, bins)
+    val = info_discrepancy_check(bins)
     assert 0.0 < val < 1.0
 
 
@@ -284,5 +295,5 @@ def test_cond_exp_2_contraction():
     mu = build_model(ModelSpec("black_scholes", 0.6, 12, 12))
     bins = quantile_bins(mu, 12)
     field = rng.standard_normal(mu.x2.shape)
-    u = cond_exp_2(mu, field, bins)
+    u = bins.e2(field)
     assert np.max(np.abs(u)) <= np.max(np.abs(field)) + 1e-15

@@ -9,7 +9,7 @@ from wadro.oracle import (DiscreteBallProblem, OracleError, bicausal_distance,
                           family_slope, feasible_family_general,
                           feasible_family_mart_marginal, oracle_report,
                           slope_estimate, taper_boundary)
-from wadro.sensitivity import (ConstraintSet, MeanConstraint, W2, W2AD,
+from wadro.sensitivity import (ConstraintSet, MeanConstraint, PointState, W2, W2AD,
                                sens_mart_marginal, sens_martingale,
                                sens_unconstrained, solve_foc)
 from wadro import oracle
@@ -180,14 +180,34 @@ def test_bicausal_triangle_inequality():
         assert dac <= dab + dbc + 1e-9
 
 
+def test_target_support_snaps_rounding_misses_onto_atoms():
+    # on the canned grid 0.8 + 0.1 misses the atom 0.9 by 1e-16; such a
+    # shift is that atom.  Shifts along x1 alone then give the support of a
+    # lattice whose sums are exact (steps of 1/8 instead of 1/10)
+    mu = canonical_test_measure()
+    steps = np.arange(-2.0, 3.0)
+    x1 = 1.0 + 0.125 * steps
+    exact = GridMeasure(x1, mu.w1, x1[:, None] + 0.125 * steps[None, :], mu.q,
+                        is_martingale=True)
+    atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
+    for flags in ({}, {"martingale": True}, {"marginal2": True}):
+        for r in (0.1, 0.2):
+            tgt = default_target_support(mu, [r], **flags)
+            gap = np.max(np.abs(tgt[:, None, :] - atoms[None, :, :]), axis=2).min(axis=1)
+            assert np.all((gap == 0.0) | (gap > 1e-9)), (flags, r)
+    for r in (0.1, 0.2):
+        assert (default_target_support(mu, [r], marginal2=True).shape
+                == default_target_support(exact, [1.25 * r], marginal2=True).shape)
+
+
 def test_oracle_report_sandwich():
     mu = canonical_test_measure()
     G = gradient_field(preset("linear:x2"), mu)
     reports = {
         "none": sens_unconstrained(mu, G, W2),
         "martingale": sens_martingale(mu, G, W2),
-        "marginal2": solve_foc(mu, G, W2, ConstraintSet(marginal2=True)),
-        "both": solve_foc(mu, G, W2, ConstraintSet(martingale=True, marginal2=True)),
+        "marginal2": solve_foc(PointState(mu, G, W2), ConstraintSet(marginal2=True)),
+        "both": solve_foc(PointState(mu, G, W2), ConstraintSet(martingale=True, marginal2=True)),
     }
     rep = oracle_report(mu, _obj_y2, [0.02, 0.05, 0.1, 0.2], reports)
     assert rep["pass"]

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from wadro import fredholm
 from wadro.criterion import GradientField, american_put, gradient_field, preset
 from wadro.measure import (GridMeasure, ModelSpec, build_model,
                            canonical_test_measure, quantile_bins)
 from wadro.sensitivity import (CondConstraint, ConstraintSet, MeanConstraint,
-                               Metric, SensitivityError, W2, W2AD,
+                               Metric, PointState, SensitivityError, W2, W2AD,
                                adapted_gradient, marginal_value_closed_form,
                                martingale_psi, n_map, report_tables,
                                report_to_json, sens_general, sens_marginal,
@@ -191,7 +192,8 @@ def test_solve_foc_p15_against_golden_section():
                      np.column_stack([x1 - 0.5, x1 + 0.5]), np.full((2, 2), 0.5),
                      is_martingale=True)
     metric = Metric("wp_adapted", 1.5)
-    rep = solve_foc(mu, _const_field(mu, 0.0, 1.0), metric, ConstraintSet(martingale=True))
+    rep = solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), metric),
+                    ConstraintSet(martingale=True))
     pc = metric.p_conj
 
     def obj(h):
@@ -217,7 +219,7 @@ def test_solve_foc_p15_against_golden_section():
 
 def test_solve_foc_zero_gradient_short_circuits():
     mu = canonical_test_measure()
-    rep = solve_foc(mu, _const_field(mu, 0.0, 0.0), W2AD,
+    rep = solve_foc(PointState(mu, _const_field(mu, 0.0, 0.0), W2AD),
                     ConstraintSet(martingale=True))
     assert rep.value == 0.0 and rep.iterations == 0 and rep.converged
 
@@ -231,7 +233,8 @@ def test_report_certificates_and_normalization(family, sigma):
                sens_martingale(mu, G, W2AD),
                sens_marginal(mu, G, W2AD, bins),
                sens_mart_marginal(mu, G, bins),
-               solve_foc(mu, G, Metric("wp_adapted", 1.5), ConstraintSet(martingale=True))]
+               solve_foc(PointState(mu, G, Metric("wp_adapted", 1.5)),
+                         ConstraintSet(martingale=True))]
     for rep in reports:
         assert rep.value >= 0.0
         assert rep.foc_residual <= 1e-8
@@ -248,7 +251,7 @@ def test_solve_foc_never_silent_on_hard_exponents():
         import warnings as _w
         with _w.catch_warnings():
             _w.simplefilter("ignore")
-            rep = solve_foc(mu, G, Metric("wp_adapted", 3.0),
+            rep = solve_foc(PointState(mu, G, Metric("wp_adapted", 3.0)),
                             ConstraintSet(martingale=True))
     assert rep.foc_residual <= 1e-8 or rep.warnings
     assert rep.foc_residual <= 1e-6
@@ -281,6 +284,33 @@ def test_mart_marginal_with_underflowing_atom_masses():
     for p in (2.0, 1.5, 1.1, 3.0):
         rep = sens_mart_marginal(mu, G, quantile_bins(mu, 16), p)
         assert rep.converged and np.isfinite(rep.value), p
+
+
+def test_p2_mart_marginal_builds_one_operator(monkeypatch):
+    # the warm start's weights 2 mw give mu's own operator bit for bit, so
+    # the solve reuses it and its norm instead of building a second one
+    calls = {"operator": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fredholm, "FredholmOperator",
+                        counted("operator", fredholm.FredholmOperator))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
+    rep = sens_mart_marginal(mu, gradient_field(american_put(side="buyer"), mu),
+                             quantile_bins(mu, 32))
+    assert rep.converged and rep.iterations == 0
+    assert calls == {"operator": 1, "eigvalsh": 1}
+
+
+def test_point_state_refuses_another_measures_binning():
+    mu, other = canonical_test_measure(), canonical_test_measure()
+    with pytest.raises(SensitivityError, match="another measure"):
+        PointState(mu, _const_field(mu, 0.0, 1.0), W2AD, quantile_bins(other, 5))
 
 
 def test_adapted_below_classical_at_p2():
@@ -337,7 +367,7 @@ def test_monotone_chain_general_p():
     for ball in ("wp_adapted", "wp"):
         for p in (1.5, 3.0):
             m = Metric(ball, p)
-            reps = [solve_foc(mu, G, m, cs, bins) for cs in (
+            reps = [solve_foc(PointState(mu, G, m, bins), cs) for cs in (
                 ConstraintSet(), ConstraintSet(martingale=True),
                 ConstraintSet(marginal1=True, marginal2=True),
                 ConstraintSet(martingale=True, marginal1=True, marginal2=True))]
@@ -363,7 +393,7 @@ def test_value_is_an_infimum_over_multipliers():
         mu = _random_martingale(rng, 6)
         G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
         bins = quantile_bins(mu, 6)
-        bidx = bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
+        bidx = bins.index
         mw = mu.atom_masses()
         for metric in (Metric("wp_adapted", 1.5), W2AD, Metric("wp_adapted", 3.0),
                        Metric("wp", 1.5), Metric("wp", 3.0)):
@@ -372,7 +402,7 @@ def test_value_is_an_infimum_over_multipliers():
             for cs in (ConstraintSet(martingale=True),
                        ConstraintSet(marginal1=True, marginal2=True),
                        ConstraintSet(martingale=True, marginal1=True, marginal2=True)):
-                rep = solve_foc(mu, G, metric, cs, bins)
+                rep = solve_foc(PointState(mu, G, metric, bins), cs)
                 assert rep.converged, (metric, cs.label())
                 for _ in range(5):
                     f1 = rng.normal(size=mu.n1) * cs.marginal1
