@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import os
 import sys
@@ -120,6 +121,18 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
+# each configuration key's RunConfig field and the parser of its text
+_CONFIG_FIELDS = {
+    "model.family": ("family", str.strip), "model.sigma": ("sigmas", _parse_floats),
+    "model.n1": ("n1", int), "model.n2": ("n2", int), "metric.p": ("p", float),
+    "model.quadrature": ("quadrature", str.strip), "metric.ball": ("ball", str.strip),
+    "model.measure_csv": ("measure_csv", str.strip), "criterion.name": ("criterion", str.strip),
+    "constraints.sets": ("sets", lambda t: tuple(s.strip() for s in t.split(",") if s.strip())),
+    "output.dir": ("out_dir", str.strip), "output.bins": ("bins", int),
+    "output.workers": ("workers", int), "output.seed": ("seed", int),
+    "oracle.radii": ("oracle_radii", _parse_floats)}
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     cfg = RunConfig()
     raw = {}
@@ -132,36 +145,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             for key, val in parser.items(section):
                 raw[f"{section}.{key}"] = val
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    if "model.family" in raw:
-        cfg.family = raw["model.family"].strip()
-    if "model.sigma" in raw:
-        cfg.sigmas = _parse_floats(str(raw["model.sigma"]))
-    if "model.n1" in raw:
-        cfg.n1 = int(raw["model.n1"])
-    if "model.n2" in raw:
-        cfg.n2 = int(raw["model.n2"])
-    if "model.quadrature" in raw:
-        cfg.quadrature = raw["model.quadrature"].strip()
-    if "model.measure_csv" in raw:
-        cfg.measure_csv = raw["model.measure_csv"].strip()
-    if "criterion.name" in raw:
-        cfg.criterion = raw["criterion.name"].strip()
-    if "metric.ball" in raw:
-        cfg.ball = raw["metric.ball"].strip()
-    if "metric.p" in raw:
-        cfg.p = float(raw["metric.p"])
-    if "constraints.sets" in raw:
-        cfg.sets = tuple(s.strip() for s in str(raw["constraints.sets"]).split(",") if s.strip())
-    if "output.dir" in raw:
-        cfg.out_dir = raw["output.dir"].strip()
-    if "output.bins" in raw:
-        cfg.bins = int(raw["output.bins"])
-    if "output.workers" in raw:
-        cfg.workers = int(raw["output.workers"])
-    if "output.seed" in raw:
-        cfg.seed = int(raw["output.seed"])
-    if "oracle.radii" in raw:
-        cfg.oracle_radii = _parse_floats(str(raw["oracle.radii"]))
+    for key, (field, parse) in _CONFIG_FIELDS.items():
+        if key in raw:
+            setattr(cfg, field, parse(str(raw[key])))
     cfg.validate()
     return cfg
 
@@ -481,6 +467,7 @@ def cmd_selfcheck(cfg: RunConfig, measure_path: str | None = None) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
+@functools.cache     # parsing leaves the parser unchanged: --set appends to a copy
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wadro",

@@ -111,16 +111,11 @@ class DiscreteBallProblem:
         return vals
 
 
-def _nearest(values: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """Index of the nearest of the sorted ``atoms`` to each value."""
+def _snap_to(values: np.ndarray, atoms: np.ndarray, err: str) -> np.ndarray:
+    """Index of the sorted ``atoms`` each value coincides with (1e-9 tolerance)."""
     idx = np.clip(np.searchsorted(atoms, values), 0, atoms.size - 1)
     left = np.clip(idx - 1, 0, atoms.size - 1)
-    return np.where(np.abs(atoms[left] - values) < np.abs(atoms[idx] - values), left, idx)
-
-
-def _snap_to(values: np.ndarray, atoms: np.ndarray, err: str) -> np.ndarray:
-    """Index of the atom each value coincides with (1e-9 tolerance)."""
-    idx = _nearest(values, atoms)
+    idx = np.where(np.abs(atoms[left] - values) < np.abs(atoms[idx] - values), left, idx)
     if np.max(np.abs(atoms[idx] - values)) > 1e-9:
         raise OracleError(f"target support has {err}")
     return idx
@@ -137,9 +132,10 @@ def default_target_support(mu: GridMeasure, radii, martingale=False,
     Shifts along both axes and the normalized diagonals; the diagonal
     directions are what martingale-preserving moves need (equal shift in
     both coordinates exhausts the budget at distance r).  Coordinates pinned
-    by a marginal constraint are never shifted.  A shift that lands within
-    rounding of an atom (MERGE_TOL of the support's scale in each
-    coordinate) is that atom, not a target of its own.
+    by a marginal constraint are never shifted.  Points within rounding of
+    each other (MERGE_TOL of the support's scale) are one target: each
+    coordinate snaps onto its clusters (the second among points of equal
+    first), whose atom coordinate, if any, stays exact.
     """
     dirs = np.vstack([_AXIS_DIRS, _DIAG_DIRS])
     if marginal1:
@@ -148,11 +144,20 @@ def default_target_support(mu: GridMeasure, radii, martingale=False,
         dirs = dirs[dirs[:, 1] == 0.0]
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
     pts = np.vstack([atoms] + [atoms + r * d for r in np.atleast_1d(radii) if r > 0 for d in dirs])
-    # each point's nearest atom: its row by x1, then its column within that row
-    i = _nearest(pts[:, 0], mu.x1)
-    near = atoms[i * mu.n2 + np.argmin(np.abs(mu.x2[i] - pts[:, 1, None]), axis=1)]
-    snap = np.all(np.abs(near - pts) <= MERGE_TOL * max(1.0, float(np.max(np.abs(atoms)))), axis=1)
-    return np.unique(np.where(snap[:, None], near, pts), axis=0)
+    tol = MERGE_TOL * max(1.0, float(np.max(np.abs(atoms))))
+    is_atom = np.arange(len(pts)) < len(atoms)
+    group = np.zeros(len(pts))
+    for k in range(2):
+        # a cluster: values of one group whose sorted gaps are at most tol;
+        # each takes its first value, atoms' values coming first
+        order = np.lexsort((pts[:, k], group))
+        v, g = pts[order, k], group[order]
+        cluster = np.cumsum((np.diff(v, prepend=-np.inf) > tol) | (np.diff(g, prepend=g[0]) != 0))
+        rank = np.lexsort((~is_atom[order], cluster))
+        pts[order, k] = v[rank[np.diff(cluster[rank], prepend=0) > 0]][cluster - 1]
+        group = pts[:, 0]
+    pts = pts[order]                    # sorted by (x1, x2), so repeats are neighbours
+    return pts[np.r_[True, np.any(np.diff(pts, axis=0) != 0.0, axis=1)]]
 
 
 BUDGET_ROW = 0                          # position of the transport budget in A_ub
@@ -176,7 +181,9 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
     sum_t x[a,t] = m_a, and its own share of each constraint goes to the
     right-hand side.  Row ``BUDGET_ROW`` of A_ub is the transport budget.
     Pairs with transport cost above the budget are pruned (they cannot carry
-    enough mass to matter on the candidate support).
+    enough mass to matter on the candidate support).  They are found by
+    reach: a pair within the budget moves the first coordinate at most the
+    budget's p-th root, so each atom tests the targets in that window only.
 
     Raises OracleError when mu misses a constraint it is asked to keep (a
     martingale residual above MARTINGALE_RTOL).
@@ -192,20 +199,32 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
     tgt = prob.target_support
     fvals = prob.objective_values()
     budget = prob.radius ** prob.p
-    d1 = atoms[:, 0, None] - tgt[None, :, 0]
-    d2 = atoms[:, 1, None] - tgt[None, :, 1]
+    na, nt = len(atoms), len(tgt)
+    # each atom's window of first coordinates (see above); the margin covers
+    # the rounding of the cost and of the window's ends
+    order = np.argsort(tgt[:, 0], kind="stable")
+    reach = (_budget_cap(budget) ** (1.0 / prob.p) * (1.0 + 1e-6)
+             + 4.0 * np.spacing(np.max(np.abs(atoms)) + np.max(np.abs(tgt))))
+    lo, hi = np.searchsorted(tgt[order, 0], atoms[:, :1] + [-reach, reach]).T
+    src = np.repeat(np.arange(na), hi - lo)
+    tcol = order[np.arange(src.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+    src, tcol = np.divmod(np.sort(src * nt + tcol), nt)     # the order np.nonzero gives
+    d1 = atoms[src, 0] - tgt[tcol, 0]
+    d2 = atoms[src, 1] - tgt[tcol, 1]
     cost = (d1 * d1 + d2 * d2) ** (prob.p / 2.0)
     coincide = (d1 == 0.0) & (d2 == 0.0)
-    stays = coincide.any(axis=1)
-    keep = _within_budget(cost, budget) & ~coincide
-    moving = keep.any(axis=1)
+    stay_atoms, first = np.unique(src[coincide], return_index=True)
+    stays = np.bincount(stay_atoms, minlength=na) > 0
+    f_stay = np.zeros(na)
+    f_stay[stay_atoms] = fvals[tcol[coincide][first]]
+    keep = (cost <= _budget_cap(budget)) & ~coincide
+    src, tcol, cost = src[keep], tcol[keep], cost[keep]
+    moving = np.bincount(src, minlength=na) > 0
     if np.any(~(stays | moving)):
         raise InfeasibleError("some atom cannot reach any candidate target within the budget")
-    src, tcol = np.nonzero(keep)
     nv = src.size
     if nv > LP_VARIABLE_CAP:
         raise OracleError(f"{nv} coupling variables exceed the {LP_VARIABLE_CAP} cap")
-    f_stay = np.where(stays, fvals[np.argmax(coincide, axis=1)], 0.0)
     cols = np.arange(nv)
     leaves = stays[src]                 # moves that take mass off a stay pair
 
@@ -250,15 +269,16 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
 
     lp = {"c": fvals[tcol] - f_stay[src],
           "A_eq": np.vstack([B for B, _ in eq]), "b_eq": np.concatenate([b for _, b in eq]),
-          "A_ub": np.vstack([cost[src, tcol], mass[capped]]),
+          "A_ub": np.vstack([cost, mass[capped]]),
           "b_ub": np.concatenate([[budget], masses[capped]])}
     return lp, float(masses @ f_stay)
 
 
-def _within_budget(cost, budget):
-    """cost <= budget up to 1e-9 of the budget, plus an absolute 1e-15 that
-    admits the rounding-level costs of coincident atoms at radius 0."""
-    return cost <= budget * (1.0 + 1e-9) + 1e-15
+def _budget_cap(budget):
+    """The largest cost within the budget: 1e-9 of the budget above it, plus
+    an absolute 1e-15 that admits the rounding-level costs of coincident
+    atoms at radius 0."""
+    return budget * (1.0 + 1e-9) + 1e-15
 
 
 def dro_lp(prob: DiscreteBallProblem):
@@ -267,7 +287,7 @@ def dro_lp(prob: DiscreteBallProblem):
     The value is mu's identity value v0 plus the optimal gain of the moves
     (see ``transport_lp``); an LP with no move left, as at radius 0, is
     answered by v0 without a solve.  Raises InaccurateError when the
-    returned coupling overspends the budget by more than ``_within_budget``
+    returned coupling overspends the budget by more than ``_budget_cap``
     admits, which is 1e-9 of the budget where the solver's own certificate
     allows FEAS_TOL of the largest of the budget and its costs.
     """
@@ -279,7 +299,7 @@ def dro_lp(prob: DiscreteBallProblem):
     info = {"variables": lp["c"].size, "pivots": pivots,
             "cost_used": float(lp["A_ub"][BUDGET_ROW] @ x),
             "budget": float(lp["b_ub"][BUDGET_ROW])}
-    if not _within_budget(info["cost_used"], info["budget"]):
+    if not info["cost_used"] <= _budget_cap(info["budget"]):
         raise InaccurateError(f"returned point breaks the transport budget: cost "
                               f"{info['cost_used']:.6e} against {info['budget']:.6e}")
     return v0 + float(gain), info

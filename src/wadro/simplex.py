@@ -9,7 +9,10 @@ rhs) and sign-normalized.  The slack of every <= row with a nonnegative rhs
 starts basic; only the other rows get artificial variables, and phase one
 runs only while their sum is positive, so an LP whose origin is feasible
 (as the oracle's displacement form is) starts in phase two.  Artificials
-left basic at level zero are pivoted out on the largest entry of their row.
+left basic at level zero stay there, with no drive-out pass or row drop: a
+column entering with a nonzero entry in such a row pivots there at ratio 0
+(Bazaraa, Jarvis & Sherali, Linear Programming and Network Flows, on the
+two-phase method), and a redundant row keeps its artificial at 0.
 
 While the objective moves, the entering column is the most negative reduced
 cost and the leaving row comes from Harris's two-pass ratio test: among the
@@ -20,8 +23,8 @@ guarantees termination.
 
 The tableau is dense, but a pivot updates only the rows that its column
 moves by more than DROP_TOL: on the oracle's transport LPs that is a few
-percent of the rows, the rest being zero or rounding noise.  Phase one keeps
-no artificial columns, since no step reads them.  Before returning, the
+percent of the rows, the rest being zero or rounding noise.  Neither phase
+keeps artificial columns, since no step reads them.  Before returning, the
 solver checks its point against the caller's own rows (feasibility to
 FEAS_TOL of each row's scale) and raises InaccurateError when pivots on
 near-zero elements have lost it.
@@ -63,80 +66,82 @@ class LPResult:
     pivots: int
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    # only rows whose pivot-column entry moves them by more than DROP_TOL
-    # change; on transport LPs the column is mostly zero or rounding noise
-    # that cancellation left where an exact pivot leaves 0
-    nz = np.flatnonzero(np.abs(colvals) * np.max(np.abs(T[row])) > DROP_TOL)
-    T[nz] -= colvals[nz, None] * T[row]
-    # exact unit column to stop drift
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
-
-
 STALL_LIMIT = 12
 HARRIS_TOL = 1e-11          # how far a Harris step may push a basic variable below 0
 PHASE_ONE_TOL = 1e-12       # artificial sum at which phase one stops
 TIE_RTOL = 1e-3             # Bland ties on elements below this share of the largest lose
 
 
-def _ratio_row(T: np.ndarray, basis: np.ndarray, col: int, harris: bool) -> int:
-    """Leaving row for entering column ``col``.
-
-    Harris's two-pass test: the first pass bounds the step by each row's
-    ratio relaxed by HARRIS_TOL, the second takes the largest pivot element
-    among the rows whose ratio is within that bound.  A basic variable can
-    then fall below 0 by at most HARRIS_TOL.  Without ``harris`` the test is
-    the textbook minimum ratio with Bland's tie-break (smallest basic
-    variable), which anticycling needs.
-    """
-    m = T.shape[0] - 1
-    rows = np.flatnonzero(T[:m, col] > PIVOT_TOL)
-    if rows.size == 0:
-        raise UnboundedError("objective unbounded along a feasible ray")
-    alpha = T[rows, col]
-    level = np.maximum(T[rows, -1], 0.0)
-    if harris:
-        bound = np.min((level + HARRIS_TOL) / alpha)
-        within = np.flatnonzero(level <= bound * alpha)
-        return int(rows[within[np.argmax(alpha[within])]])
-    ratios = level / alpha
-    best = np.min(ratios)
-    near = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
-    ties = rows[near[alpha[near] >= TIE_RTOL * np.max(alpha[near])]]
-    return int(ties[np.argmin(basis[ties])])
-
-
 def _bland_loop(T: np.ndarray, basis: np.ndarray, ncols: int, start_pivots: int,
-                floor: float = np.inf) -> int:
+                floor: float = np.inf, pinned=()) -> int:
     """Run minimizing pivots on tableau T (last row = objective, last col = rhs).
 
     Pivots on the most negative reduced cost with Harris's ratio test while
     the objective moves, and falls back to Bland's anticycling rule during
     degenerate stalls, which guarantees termination.  Stops once the
     objective is at most ``-floor`` (T[-1, -1] >= floor).
+
+    Harris's two-pass test: the first pass bounds the step by each row's
+    ratio relaxed by HARRIS_TOL, the second takes the largest pivot element
+    among the rows whose ratio is within that bound.  A basic variable can
+    then fall below 0 by at most HARRIS_TOL.  In a stall the test is the
+    textbook minimum ratio with Bland's tie-break (smallest basic variable),
+    which anticycling needs.  Before either, a ``pinned`` row (its basic
+    variable an artificial at level 0) in which the entering column has an
+    entry above PIVOT_TOL in magnitude is the pivot row, at ratio 0.
     """
+    m = T.shape[0] - 1
+    red = T[-1, :ncols]
+    rhs = T[:m, -1]
+    pinned = np.asarray(pinned, dtype=np.intp)
     pivots = start_pivots
     stall = 0
     while T[-1, -1] < floor:
-        red = T[-1, :ncols]
-        if stall < STALL_LIMIT:
-            col = int(np.argmin(red))
+        harris = stall < STALL_LIMIT
+        if harris:
+            col = red.argmin()
             if red[col] >= -PIVOT_TOL:
                 return pivots
         else:
-            candidates = np.nonzero(red < -PIVOT_TOL)[0]
+            candidates = (red < -PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
                 return pivots
-            col = int(candidates[0])                  # Bland: smallest index
-        row = _ratio_row(T, basis, col, harris=stall < STALL_LIMIT)
-        T[row, -1] = max(T[row, -1], 0.0)             # a Harris step's undershoot
+            col = candidates[0]                       # Bland: smallest index
+        column = T[:m, col]
+        k = np.abs(column[pinned]).argmax() if pinned.size else -1
+        if k >= 0 and abs(column[pinned[k]]) > PIVOT_TOL:
+            row = pinned[k]
+            pinned = pinned[pinned != row]
+        else:
+            rows = (column > PIVOT_TOL).nonzero()[0]
+            if rows.size == 0:
+                raise UnboundedError("objective unbounded along a feasible ray")
+            alpha = column[rows]
+            level = np.maximum(rhs[rows], 0.0)
+            if harris:
+                bound = ((level + HARRIS_TOL) / alpha).min()
+                within = (level <= bound * alpha).nonzero()[0]
+                row = rows[within[alpha[within].argmax()]]
+            else:
+                ratios = level / alpha
+                best = ratios.min()
+                near = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
+                ties = rows[near[alpha[near] >= TIE_RTOL * alpha[near].max()]]
+                row = ties[basis[ties].argmin()]
+            rhs[row] = max(rhs[row], 0.0)             # a Harris step's undershoot
         before = T[-1, -1]
-        _pivot(T, basis, row, col)
+        prow = T[row]
+        prow /= prow[col]
+        colvals = T[:, col].copy()
+        colvals[row] = 0.0
+        # only rows whose pivot-column entry moves them by more than DROP_TOL
+        # change; on transport LPs the column is mostly zero or rounding
+        # noise that cancellation left where an exact pivot leaves 0
+        nz = (np.abs(colvals) * np.abs(prow).max() > DROP_TOL).nonzero()[0]
+        T[nz] -= colvals[nz, None] * prow
+        T[:, col] = 0.0                               # exact unit column to stop drift
+        prow[col] = 1.0
+        basis[row] = col
         stall = 0 if T[-1, -1] > before + 1e-13 * (1.0 + abs(before)) else stall + 1
         pivots += 1
         if pivots - start_pivots > MAX_PIVOTS:
@@ -223,29 +228,17 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
         pivots = _bland_loop(T, basis, ntot, 0, floor=-PHASE_ONE_TOL)
         if T[-1, -1] < -FEAS_TOL:
             raise InfeasibleError(f"phase one residual {-T[-1, -1]:.3e}")
-        # drive leftover artificials (level at most PHASE_ONE_TOL, taken as 0)
-        # out of the basis on the row's largest entry; a row without one is
-        # redundant: drop it
-        keep_rows = np.ones(m + 1, dtype=bool)
-        for i in np.flatnonzero(basis >= ntot):
-            j = int(np.argmax(np.abs(T[i, :ntot])))
-            if abs(T[i, j]) > PIVOT_TOL:
-                T[i, -1] = 0.0
-                _pivot(T, basis, i, j)
-                pivots += 1
-            else:
-                keep_rows[i] = False
-        if not keep_rows.all():
-            T = T[keep_rows]
-            basis = basis[keep_rows[:m]]
-
-    obj = np.zeros(ntot)
+    # artificials left basic (level at most PHASE_ONE_TOL, taken as 0) stay;
+    # an artificial's index is ntot + its row, its objective coefficient 0
+    pinned = np.flatnonzero(basis >= ntot)
+    T[pinned, -1] = 0.0
+    obj = np.zeros(ntot + m)
     obj[:n] = -c if maximize else c
-    T[-1, :ntot] = obj
+    T[-1, :ntot] = obj[:ntot]
     T[-1, -1] = 0.0
     T[-1] -= obj[basis] @ T[:-1]                      # reduce over the basis
-    pivots = _bland_loop(T, basis, ntot, pivots)
-    x = np.zeros(ntot)
+    pivots = _bland_loop(T, basis, ntot, pivots, pinned=pinned)
+    x = np.zeros(ntot + m)
     x[basis] = T[:-1, -1]
     # entries below one rounding unit of the largest are noise from pivots
     # on degenerate rows: a Harris step can leave them on either side of 0

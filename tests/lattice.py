@@ -63,7 +63,8 @@ CONSTRAINT_FLAGS = {"none": {}, "martingale": {"martingale": True},
 # 0.1 and 0.15 apart, martingale and both sets, r in {0.1, 0.2}), 15 with
 # InaccurateError and seed 117 with UnboundedError, plus the benchmark's kind
 # of 9x9 measure (second draw of default_rng(2)) at a radius that couples
-# nothing.  A later solver for the oracle's LPs is checked on the same LPs.
+# nothing.  ``lp_sweep.py`` re-runs that sweep against HiGHS; a later solver
+# for the oracle's LPs is checked on the sweep and on these LPs.
 REPRODUCERS = (
     *(Reproducer(0.1, seed, "martingale", 0.2)
       for seed in (18, 22, 30, 53, 63, 73, 101, 104, 111, 114, 118, 122, 142, 149)),

@@ -1,0 +1,71 @@
+"""The oracle's coupled ball LPs solved by ``solve_lp`` and by scipy's HiGHS.
+
+    PYTHONPATH=src python tests/lp_sweep.py
+
+The sweep: 7x7 ``lattice_measure`` draws 0.1 and 0.15 apart (centre 1,
+jitter 0.02, seeds 0-149), the ``martingale`` and ``both`` sets at radii 0.1
+and 0.2, objective y2; 1,200 LPs, whose nearby atoms couple.  It prints one
+JSON line: ``lps``, ``failed`` (solve_lp raised), ``max_rel_err`` (of the
+ball value against HiGHS on the same LP), ``pivots`` (summed) and
+``solve_s`` (time in solve_lp).  Not collected by pytest; the LPs on which
+earlier solvers failed are ``lattice.REPRODUCERS``, which the tests solve.
+"""
+
+import json
+import time
+
+from scipy.optimize import linprog
+
+from lattice import CONSTRAINT_FLAGS, Reproducer
+from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
+from wadro.simplex import LPError, solve_lp
+
+
+def sweep_cases():
+    for spacing in (0.1, 0.15):
+        for seed in range(150):
+            for constraints in ("martingale", "both"):
+                for radius in (0.1, 0.2):
+                    yield Reproducer(spacing, seed, constraints, radius)
+
+
+def case_lp(case):
+    """(solve_lp keyword arguments, v0) of a Reproducer's ball LP."""
+    mu = case.measure()
+    flags = CONSTRAINT_FLAGS[case.constraints]
+    prob = DiscreteBallProblem(mu, default_target_support(mu, [case.radius], **flags),
+                               case.radius, 2.0, objective=lambda y1, y2: y2, **flags)
+    return transport_lp(prob)
+
+
+def highs_value(lp) -> float:
+    ref = linprog(-lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
+                  b_eq=lp["b_eq"], bounds=(0, None), method="highs")
+    if ref.status != 0:
+        raise RuntimeError(f"HiGHS status {ref.status}: {ref.message}")
+    return -ref.fun
+
+
+def main() -> None:
+    lps = failed = pivots = 0
+    max_rel_err = solve_s = 0.0
+    for case in sweep_cases():
+        lp, v0 = case_lp(case)
+        lps += 1
+        start = time.perf_counter()
+        try:
+            res = solve_lp(**lp, maximize=True)
+        except LPError:
+            failed += 1
+            continue
+        finally:
+            solve_s += time.perf_counter() - start
+        pivots += res.pivots
+        ref = v0 + highs_value(lp)
+        max_rel_err = max(max_rel_err, abs(v0 + res.fun - ref) / abs(ref))
+    print(json.dumps({"lps": lps, "failed": failed, "max_rel_err": max_rel_err,
+                      "pivots": pivots, "solve_s": round(solve_s, 2)}))
+
+
+if __name__ == "__main__":
+    main()

@@ -32,6 +32,23 @@ def test_bad_config_exit_code(tmp_path):
     assert rc == cli.EXIT_BAD_CONFIG
 
 
+def test_successive_mains_share_no_parser_state(monkeypatch):
+    # the parser is built once per process; each call's --set list is its own
+    seen = []
+
+    def record(path, overrides):
+        seen.append(overrides)
+        raise cli.ConfigError("stop here")
+
+    monkeypatch.setattr(cli, "load_config", record)
+    for argv in (["curve", "--set", "model.sigma=0.5", "--set", "model.n=8"],
+                 ["oracle", "--set", "oracle.radii=0.1,0.2,0.3"], ["curve"]):
+        assert run_cli(argv) == cli.EXIT_BAD_CONFIG
+    assert seen == [{"model.sigma": "0.5", "model.n": "8"}, {"oracle.radii": "0.1,0.2,0.3"}, {}]
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(["curve"]).set == []
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("""

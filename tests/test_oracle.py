@@ -182,22 +182,25 @@ def test_bicausal_triangle_inequality():
 
 def test_target_support_snaps_rounding_misses_onto_atoms():
     # on the canned grid 0.8 + 0.1 misses the atom 0.9 by 1e-16; such a
-    # shift is that atom.  Shifts along x1 alone then give the support of a
-    # lattice whose sums are exact (steps of 1/8 instead of 1/10)
+    # shift is that atom.  Two shifts that miss each other so, as
+    # (0.8, 0.6000000000000001) + (0.1, 0) and (0.9, 0.7) + (0, -0.1) do, are
+    # one target.  The supports are then those of a lattice whose sums are
+    # exact (steps of 1/8 instead of 1/10)
     mu = canonical_test_measure()
     steps = np.arange(-2.0, 3.0)
     x1 = 1.0 + 0.125 * steps
     exact = GridMeasure(x1, mu.w1, x1[:, None] + 0.125 * steps[None, :], mu.q,
                         is_martingale=True)
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
-    for flags in ({}, {"martingale": True}, {"marginal2": True}):
+    for flags in ({}, {"martingale": True}, {"marginal1": True}, {"marginal2": True}):
         for r in (0.1, 0.2):
             tgt = default_target_support(mu, [r], **flags)
             gap = np.max(np.abs(tgt[:, None, :] - atoms[None, :, :]), axis=2).min(axis=1)
             assert np.all((gap == 0.0) | (gap > 1e-9)), (flags, r)
-    for r in (0.1, 0.2):
-        assert (default_target_support(mu, [r], marginal2=True).shape
-                == default_target_support(exact, [1.25 * r], marginal2=True).shape)
+            apart = np.max(np.abs(tgt[:, None, :] - tgt[None, :, :]), axis=2)
+            assert np.all(apart[np.triu_indices(len(tgt), 1)] > 1e-9), (flags, r)
+            assert tgt.shape == default_target_support(exact, [1.25 * r], **flags).shape
+    assert [len(default_target_support(mu, [r])) for r in (0.1, 0.2)] == [145, 165]
 
 
 def test_oracle_report_sandwich():

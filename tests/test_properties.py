@@ -3,11 +3,15 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from lattice import CONSTRAINT_FLAGS, lattice_measure
 from wadro.criterion import GradientField
 from wadro.measure import BinPartition, GridMeasure, quantile_bins
+from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
 from wadro.sensitivity import CONSTRAINT_SETS, W2AD, PointState, solve_foc
+from wadro.simplex import solve_lp
 
 
 @st.composite
@@ -56,3 +60,21 @@ def test_shared_point_state_matches_standalone_solves(grid):
     # more constraints can only lower the infimum
     assert both <= min(mart, marg) + slack
     assert max(mart, marg) <= unc + slack
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 5), st.floats(0.1, 0.15),
+       st.sampled_from(sorted(CONSTRAINT_FLAGS)), st.sampled_from([0.1, 0.2]))
+def test_ball_lp_matches_highs(seed, n, spacing, constraints, r):
+    # random lattices whose nearby atoms couple; solve_lp certifies its
+    # point against the LP's rows (or raises) and must reach HiGHS's optimum
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    mu = lattice_measure(seed, n, spacing, 1.0, 0.02)
+    flags = CONSTRAINT_FLAGS[constraints]
+    lp, v0 = transport_lp(DiscreteBallProblem(mu, default_target_support(mu, [r], **flags), r,
+                                              2.0, objective=lambda y1, y2: y2 + 0.5 * y1 * y2,
+                                              **flags))
+    res = solve_lp(**lp, maximize=True)
+    ref = linprog(-lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"], b_eq=lp["b_eq"],
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert abs(res.fun + ref.fun) <= 1e-9 * abs(v0 - ref.fun)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure
-from wadro.measure import canonical_test_measure
+from wadro.measure import canonical_test_measure, marginal_2
 from wadro.oracle import (BUDGET_ROW, DiscreteBallProblem, default_target_support, dro_lp,
                           transport_lp)
 from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
@@ -66,7 +66,7 @@ def _lp_case(case):
     """(LP keyword arguments, maximize) for a test_against_scipy_linprog case."""
     if isinstance(case, int):                  # 14-variable dense LP
         return _dense_lp(case), False
-    if case == "redundant-row":                # phase one drops a duplicated row
+    if case == "redundant-row":                # a duplicated row keeps its artificial
         lp = _dense_lp(0)
         lp["A_eq"] = np.vstack([lp["A_eq"], lp["A_eq"][:1]])
         lp["b_eq"] = np.append(lp["b_eq"], lp["b_eq"][0])
@@ -209,6 +209,87 @@ def test_dro_lp_equals_full_coupling_lp(name, flags):
             assert not np.any(lp["b_eq"])
             assert v0 == pytest.approx(np.sum(mu.atom_masses() * _payoff(mu.x1[:, None], mu.x2)),
                                        rel=1e-15)
+
+
+def _all_pairs_lp(prob):
+    """transport_lp's LP written from its definition: every (atom, target)
+    pair is tested, and the columns come in np.nonzero order."""
+    mu = prob.mu
+    atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
+    masses = mu.atom_masses().ravel()
+    tgt = prob.target_support
+    f = prob.objective_values()
+    budget = prob.radius ** prob.p
+    d1 = atoms[:, 0, None] - tgt[None, :, 0]
+    d2 = atoms[:, 1, None] - tgt[None, :, 1]
+    cost = (d1 * d1 + d2 * d2) ** (prob.p / 2.0)
+    same = (d1 == 0.0) & (d2 == 0.0)
+    stays = same.any(axis=1)
+    src, dst = np.nonzero((cost <= budget * (1.0 + 1e-9) + 1e-15) & ~same)
+    f_stay = np.where(stays, f[same.argmax(axis=1)], 0.0)
+    moves = np.equal.outer(np.arange(atoms.shape[0]), src).astype(float)
+    A_eq, b_eq = [moves[~stays]], [masses[~stays]]
+
+    def family(keys, key_t, w_t, key_a, w_a):
+        # one row per key: a move weighs its target's weight, less its
+        # atom's when it leaves a stay pair; an atom without one owes
+        for k in keys:
+            row = np.where(key_t[dst] == k, w_t[dst], 0.0)
+            row -= np.where(stays[src] & (key_a[src] == k), w_a[src], 0.0)
+            rhs = 0.0
+            for a in np.flatnonzero(~stays & (key_a == k)):
+                rhs += w_a[a] * masses[a]
+            if np.any(row != 0.0) or rhs != 0.0:
+                A_eq.append(row[None])
+                b_eq.append([rhs])
+
+    def pooled(values, support):
+        return support[np.abs(values[:, None] - support[None, :]).argmin(axis=1)]
+
+    if prob.martingale:
+        family(np.unique(tgt[:, 0]), tgt[:, 0], tgt[:, 1] - tgt[:, 0],
+               atoms[:, 0], atoms[:, 1] - atoms[:, 0])
+    if prob.marginal2:
+        z = marginal_2(mu)[0]
+        family(z, pooled(tgt[:, 1], z), np.ones(len(tgt)), pooled(atoms[:, 1], z),
+               np.ones(len(atoms)))
+    if prob.marginal1:
+        family(mu.x1, pooled(tgt[:, 0], mu.x1), np.ones(len(tgt)), atoms[:, 0],
+               np.ones(len(atoms)))
+    capped = stays & moves.any(axis=1)
+    return {"c": f[dst] - f_stay[src], "A_eq": np.vstack(A_eq), "b_eq": np.concatenate(b_eq),
+            "A_ub": np.vstack([cost[src, dst], moves[capped]]),
+            "b_ub": np.concatenate([[budget], masses[capped]])}
+
+
+@pytest.mark.parametrize("name", _MEASURES)
+@pytest.mark.parametrize("flags", FLAGS)
+def test_transport_lp_equals_all_pairs_assembly(name, flags):
+    # pairs found by reach are the pairs within budget, in the same order;
+    # the support of twice the radius adds targets out of reach, and the
+    # reversed support is not sorted by first coordinate
+    mu = _MEASURES[name]()
+    for r, p in ((0.02, 2.0), (0.1, 2.0), (0.1, 1.5), (0.2, 2.0)):
+        for radii, step in (([r], 1), ([r, 2 * r], 1), ([r], -1)):
+            tgt = default_target_support(mu, radii, **FLAGS[flags])[::step]
+            prob = DiscreteBallProblem(mu, tgt, r, p, objective=_payoff, **FLAGS[flags])
+            lp, _ = transport_lp(prob)
+            ref = _all_pairs_lp(prob)
+            for key in ref:
+                assert np.array_equal(lp[key], ref[key]), (r, p, radii, step, key)
+
+
+def test_zero_level_artificials_cost_no_pivots():
+    # the both set's equality rows have rhs 0, so their artificials stay
+    # basic at level 0; no move on this lattice gains, so no pivot is taken
+    # (pivoting the 27 artificials out took 27 per LP)
+    mu = _MEASURES["lattice9"]()
+    for r in (0.02, 0.05, 0.1, 0.2):
+        prob = DiscreteBallProblem(mu, default_target_support(mu, [r], marginal2=True), r, 2.0,
+                                   objective=lambda y1, y2: y2, **FLAGS["both"])
+        lp, _ = transport_lp(prob)
+        assert lp["A_eq"].shape[0] == 27
+        assert dro_lp(prob)[1]["pivots"] == 0
 
 
 @pytest.mark.parametrize("case", REPRODUCERS, ids=lambda c: f"{c.spacing}-{c.seed}-{c.radius}")
