@@ -114,10 +114,10 @@ class GridMeasure:
         a = np.broadcast_to(self.x1[:, None], self.x2.shape)
         return np.sum(self.q * fn(a, self.x2), axis=1)
 
-    def iter_rows(self):
-        """Yield (x1[i], w1[i], x2 row, q row); the distance oracles read rows this way."""
-        for i in range(self.n1):
-            yield self.x1[i], self.w1[i], self.x2[i], self.q[i]
+    @property
+    def rows(self) -> tuple:
+        """(x2 row, q row) per first-stage atom, as ``RaggedMeasure`` stores them."""
+        return tuple(zip(self.x2, self.q))
 
 
 @dataclass(frozen=True)

@@ -42,32 +42,15 @@ class RaggedMeasure:
 
     x1: np.ndarray
     w1: np.ndarray
-    rows: tuple
-
-    def iter_rows(self):
-        for i in range(self.x1.size):
-            z, q = self.rows[i]
-            yield self.x1[i], self.w1[i], z, q
+    rows: tuple                         # (x2 row, q row) per first-stage atom
 
     def row_expectation(self, fn) -> np.ndarray:
         """v[i] = sum_j q_i[j] fn(x1[i], z_i[j]); rows differ in length, so loop."""
-        return np.array([np.sum(q * fn(np.full_like(z, a), z)) for a, _, z, q in self.iter_rows()])
+        return np.array([np.sum(q * fn(np.full_like(z, a), z))
+                         for a, (z, q) in zip(self.x1, self.rows)])
 
     def martingale_residual(self) -> float:
-        worst = 0.0
-        for x1i, _, z, q in self.iter_rows():
-            worst = max(worst, abs(float(q @ z) - x1i))
-        return worst
-
-
-def _gather_rows(mu):
-    x1, w1, zs, qs = [], [], [], []
-    for a, w, z, q in mu.iter_rows():
-        x1.append(a)
-        w1.append(w)
-        zs.append(np.asarray(z, dtype=float))
-        qs.append(np.asarray(q, dtype=float))
-    return np.asarray(x1), np.asarray(w1), zs, qs
+        return max(abs(float(q @ z) - a) for a, (z, q) in zip(self.x1, self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +108,11 @@ _AXIS_DIRS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 _DIAG_DIRS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]) / np.sqrt(2.0)
 
 
-def default_target_support(mu: GridMeasure, radii, martingale=False,
-                           marginal1=False, marginal2=False) -> np.ndarray:
+def default_target_support(mu: GridMeasure, radii, marginal1=False,
+                           marginal2=False) -> np.ndarray:
     """Atoms of mu plus unit-direction shifts at every requested radius.
 
-    Shifts along both axes and the normalized diagonals; the diagonal
-    directions are what martingale-preserving moves need (equal shift in
-    both coordinates exhausts the budget at distance r).  Coordinates pinned
+    Shifts along both axes and the normalized diagonals.  Coordinates pinned
     by a marginal constraint are never shifted.  Points within rounding of
     each other (MERGE_TOL of the support's scale) are one target: each
     coordinate snaps onto its clusters (the second among points of equal
@@ -350,26 +331,25 @@ def bicausal_distance(mu, nu, p: float = 2.0) -> float:
     Inner conditional costs are exact 1-D quantile couplings; the outer
     first-stage coupling is a small transportation LP.
     """
-    x1, w1, xz, xq = _gather_rows(mu)
-    y1, v1, yz, yq = _gather_rows(nu)
-    n, m = x1.size, y1.size
+    n, m = mu.x1.size, nu.x1.size
     if n * m > LP_VARIABLE_CAP:
         raise OracleError("first-stage coupling too large for the exact solver")
     C = np.empty((n, m))
-    for i in range(n):
-        for k in range(m):
-            C[i, k] = abs(x1[i] - y1[k]) ** p + _wp_1d_pow(xz[i], xq[i], yz[k], yq[k], p)
-    return float(max(_optimal_transport_cost(C, w1, v1), 0.0) ** (1.0 / p))
+    targets = tuple(zip(nu.x1, nu.rows))
+    for i, (a, (xz, xq)) in enumerate(zip(mu.x1, mu.rows)):
+        for k, (b, (yz, yq)) in enumerate(targets):
+            C[i, k] = abs(a - b) ** p + _wp_1d_pow(xz, xq, yz, yq, p)
+    return float(max(_optimal_transport_cost(C, mu.w1, nu.w1), 0.0) ** (1.0 / p))
 
 
 def classical_distance(mu, nu, p: float = 2.0) -> float:
     """Classical W_p between the flattened atom clouds (exact small LP)."""
-    x1, w1, xz, xq = _gather_rows(mu)
-    y1, v1, yz, yq = _gather_rows(nu)
-    ax = np.concatenate([np.column_stack([np.full(z.size, a), z]) for a, z in zip(x1, xz)])
-    am = np.concatenate([w * q for w, q in zip(w1, xq)])
-    bx = np.concatenate([np.column_stack([np.full(z.size, a), z]) for a, z in zip(y1, yz)])
-    bm = np.concatenate([w * q for w, q in zip(v1, yq)])
+    def cloud(law):
+        return (np.concatenate([np.column_stack([np.full(z.size, a), z])
+                                for a, (z, _) in zip(law.x1, law.rows)]),
+                np.concatenate([w * q for w, (_, q) in zip(law.w1, law.rows)]))
+
+    (ax, am), (bx, bm) = cloud(mu), cloud(nu)
     n, m = am.size, bm.size
     if n * m > LP_VARIABLE_CAP:
         raise OracleError("flattened coupling too large for the exact solver")

@@ -2,11 +2,15 @@
 
 Every sensitivity is the infimum, over the active hedging multipliers u, of
 the dual norm of the gradient field S plus the hedge field F(u): the
-minimum of the convex Phi(u) = sum mw |S + F(u)|^p', p' = p / (p - 1).  A
-globalized Newton method minimizes it.  Each step solves the quadratic model
-by the block elimination that is the p = 2 closed form, with the Hessian's
-per-atom weights in place of the masses, and an Armijo line search accepts
-it; at p = 2 the first step is exact.  For p > 2, |s|^p' is smoothed to
+minimum of the convex Phi(u) = sum mw |S + F(u)|^p', p' = p / (p - 1).  One
+hedge map F serves every constraint set: static hedges f1, f2 for the
+marginals, mean multipliers lambda, and a dynamic hedge h for a conditional
+constraint E[psi(X) | X1] = 0, entering with the weights (E1[d1 psi], d2 psi);
+the martingale flag is psi = x2 - x1, with weights (-1, 1).  A globalized
+Newton method minimizes Phi.  Each step solves the quadratic model by the
+block elimination that is the p = 2 closed form, with the Hessian's per-atom
+weights in place of the masses, and an Armijo line search accepts it; at
+p = 2 the first step is exact.  For p > 2, |s|^p' is smoothed to
 (s^2 + eps^2)^(p'/2) with eps driven toward zero.  Every report carries the
 normalized optimal direction, a first-order-condition residual certificate
 and whether it met FOC_TOL.
@@ -97,6 +101,15 @@ def martingale_psi() -> CondConstraint:
 
 @dataclass(frozen=True)
 class ConstraintSet:
+    """Constraints kept on the perturbed law.
+
+    ``martingale`` is the conditional constraint ``martingale_psi()``,
+    E[X2 - X1 | X1] = 0, whose hedge weights (-1, 1) are exact on either
+    ball; ``cond_psi`` is any other conditional constraint (adapted ball
+    only).  A set holds at most one conditional constraint, and mean or
+    conditional constraints do not mix with the marginal flags.
+    """
+
     martingale: bool = False
     marginal1: bool = False
     marginal2: bool = False
@@ -105,11 +118,8 @@ class ConstraintSet:
 
     def __post_init__(self):
         if self.martingale and self.cond_psi is not None:
-            a = np.linspace(-1.3, 2.1, 7)
-            b = a[::-1] + 0.4
-            if np.max(np.abs(self.cond_psi.fn(a, b) - (b - a))) > 1e-9:
-                raise SensitivityError(
-                    "martingale flag with a conditional constraint other than x2 - x1 is redundant")
+            raise SensitivityError("the martingale flag is the conditional constraint x2 - x1; "
+                                   "a set holds one conditional constraint")
 
     def label(self) -> str:
         parts = [name for flag, name in ((self.martingale, "M"), (self.marginal1, "m1"),
@@ -189,22 +199,14 @@ class PointState:
         return fredholm.build_operator(self.bins)
 
 
-def _dual_norm(mw: np.ndarray, S1: np.ndarray, S2: np.ndarray, metric: Metric) -> float:
-    pc = metric.p_conj
+def _norm(mw: np.ndarray, X1: np.ndarray, X2: np.ndarray, metric: Metric, q: float) -> float:
+    """The ball's L^q norm of a per-atom pair: q = p' is the dual norm of S,
+    q = p the primal norm of T."""
     if metric.adapted:
-        val = np.sum(mw * (np.abs(S1) ** pc + np.abs(S2) ** pc))
+        val = np.sum(mw * (np.abs(X1) ** q + np.abs(X2) ** q))
     else:
-        val = np.sum(mw * np.hypot(S1, S2) ** pc)
-    return float(val ** (1.0 / pc))
-
-
-def _primal_norm(mw: np.ndarray, T1: np.ndarray, T2: np.ndarray, metric: Metric) -> float:
-    p = metric.p
-    if metric.adapted:
-        val = np.sum(mw * (np.abs(T1) ** p + np.abs(T2) ** p))
-    else:
-        val = np.sum(mw * np.hypot(T1, T2) ** p)
-    return float(val ** (1.0 / p))
+        val = np.sum(mw * np.hypot(X1, X2) ** q)
+    return float(val ** (1.0 / q))
 
 
 def _direction(mw, S1, S2, metric: Metric):
@@ -217,22 +219,32 @@ def _direction(mw, S1, S2, metric: Metric):
         mag = np.hypot(S1, S2)
         fac = np.power(mag, metric.p_conj - 2.0, where=mag > 0, out=np.zeros_like(mag))
         T1, T2 = fac * S1, fac * S2
-    c = _primal_norm(mw, T1, T2, metric)
+    c = _norm(mw, T1, T2, metric, metric.p)
     if c == 0.0:
         return np.zeros_like(S1), np.zeros_like(S2), 0.0
     return T1 / c, T2 / c, c
 
 
-class _FlagProblem:
-    """Hedge map and Newton step for the martingale / marginal flag combinations.
+class _HedgeMap:
+    """Hedge map and Newton step for every constraint set.
 
-    The multipliers ``u = (f1, f2, h)`` (None when inactive) give the hedge
-    field ``F1 = f1(x1) - h(x1)``, ``F2 = f2(bin(x2)) + h(x1)``.  With the
+    The multipliers ``u = (f1, f2, h, lam)`` (None when inactive) give the
+    hedge field ``F1 = f1(x1) + c1 h(x1) + sum_a lam_a d1phi_a``,
+    ``F2 = f2(bin(x2)) + c2 h(x1) + sum_a lam_a d2phi_a``.  h hedges the
+    conditional constraint with the per-row weight ``c1 = E1[d1 psi]`` and
+    the per-atom weight ``c2 = d2 psi``; the martingale is psi = x2 - x1,
+    with c1 = -1 and the unit c2 left implicit (``c2`` None).  With the
     martingale and second-marginal flags, ``op`` is mu's Fredholm operator.
     """
 
     def __init__(self, state: PointState, cs: ConstraintSet):
         mu = self.mu = state.mu
+        if cs.mean_phi or cs.cond_psi is not None:
+            if cs.martingale or cs.marginal1 or cs.marginal2:
+                raise SensitivityError(
+                    "mean/conditional constraints cannot be mixed with marginal flags")
+        if cs.martingale:
+            _require_martingale(mu)
         self.cs = cs
         self.mw = mu.atom_masses()
         self.S1_0, self.S2_0 = state.S1, state.S2
@@ -249,21 +261,62 @@ class _FlagProblem:
                            f"{CONTRACTION_FLAG}; using regularized hedge solve")
                     warnings.warn(msg, RuntimeWarning, stacklevel=4)
                     self.warnings.append(msg)
+        a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
+
+        def partials(c):
+            return (np.asarray(c.d1(a, mu.x2), dtype=float) + np.zeros_like(mu.x2),
+                    np.asarray(c.d2(a, mu.x2), dtype=float) + np.zeros_like(mu.x2))
+
+        self.phi = []
+        for c in cs.mean_phi:
+            p1, p2 = partials(c)
+            if state.metric.adapted:
+                p1 = np.broadcast_to(cond_exp_1(mu, p1)[:, None], p1.shape).copy()
+            self.phi.append((p1, p2))
+        self.c1 = self.c2 = None
+        if cs.martingale:
+            self.c1 = -np.ones(mu.n1)
+        elif cs.cond_psi is not None:
+            if not state.metric.adapted:
+                raise SensitivityError("conditional constraints require the adapted ball")
+            d1, self.c2 = partials(cs.cond_psi)
+            self.c1 = cond_exp_1(mu, d1)
+            if np.min(cond_exp_1(mu, self.c2 ** 2)) <= 1e-14:
+                raise SensitivityError(
+                    "E1[(d2 psi)^2] is degenerate on some atom (assumption A (iii) surrogate)")
+            for p1, p2 in self.phi:
+                if (np.max(np.abs(p1 + p2)) < 1e-12
+                        and np.max(np.abs(p1 - p1[0, 0])) < 1e-12
+                        and np.max(np.abs(self.c1[:, None] + self.c2)) < 1e-12):
+                    raise SensitivityError(
+                        "mean constraint spans the conditional-constraint direction "
+                        "(non-redundancy assumption A (iv) violated)")
+        # None, not an empty array, when inactive: every Newton step carries u
         self.u = (np.zeros(mu.n1) if cs.marginal1 else None,
                   np.zeros(self.bins.m) if cs.marginal2 else None,
-                  np.zeros(mu.n1) if cs.martingale else None)
+                  None if self.c1 is None else np.zeros(mu.n1),
+                  np.zeros(len(self.phi)) if self.phi else None)
+        if self.phi:
+            cond = np.linalg.cond(self._complement(self.mw, self.mw)[0])
+            if not np.isfinite(cond) or cond > 1e12:
+                raise SensitivityError(
+                    "normal matrix is singular (positive-definiteness assumption violated)")
 
     def field(self, u):
-        f1, f2, h = u
+        f1, f2, h, lam = u
         F1 = np.zeros_like(self.S1_0)
         F2 = np.zeros_like(self.S2_0)
         if f1 is not None:
             F1 += f1[:, None]
         if f2 is not None:
             F2 += f2[self.bins.index]
+        if lam is not None:
+            for la, (p1, p2) in zip(lam, self.phi):
+                F1 += la * p1
+                F2 += la * p2
         if h is not None:
-            F1 -= h[:, None]
-            F2 += h[:, None]
+            F1 += (self.c1 * h)[:, None]
+            F2 += h[:, None] if self.c2 is None else self.c2 * h[:, None]
         return F1, F2
 
     def residual(self, T1, T2):
@@ -272,167 +325,95 @@ class _FlagProblem:
             comps["m1"] = cond_exp_1(self.mu, T1)
         if self.cs.marginal2:
             comps["m2"] = self.bins.e2(T2)
-        if self.cs.martingale:
-            comps["M"] = cond_exp_1(self.mu, T2 - T1)
+        if self.c1 is not None:
+            comps["h"] = cond_exp_1(self.mu, T2 - T1 if self.c2 is None
+                                    else self.c1[:, None] * T1 + self.c2 * T2)
+        if self.phi:
+            comps["phi"] = np.array([np.sum(self.mw * (p1 * T1 + p2 * T2)) for p1, p2 in self.phi])
         return comps
 
-    def correction(self, G1, G2, D1, D2, op=None):
-        """Solve ``A^T diag(D) A du = A^T G`` for the hedge map A.
+    def _solve_u(self, G1, G2, D1, D2, op):
+        """The (f1, f2, h) block of ``A^T diag(D) A du = A^T G``; lam stays None.
 
-        D1, D2 are per-atom weights on F1, F2 and G1, G2 per-atom values.
-        f1 eliminates row by row; f2 couples to h only through the weights D2
-        per (row, bin), so eliminating it leaves ``diag(r2) K_D`` with K_D the
-        conditional-expectation operator of the measure reweighted by D2;
-        ``op`` is K_D when the caller has it.  At D = mw this is the p = 2
-        closed form.
+        f2 eliminates bin by bin.  c1 is constant on each row, so f1 absorbs
+        h's first component.  h is left with ``diag(d) - diag(r2) K_D``, K_D
+        the conditional-expectation operator of the measure reweighted by D2
+        (``op`` when the caller has it): with f1, ``r2 (I - K_D)`` on
+        zero-mean functions.  f2 meets no h but the martingale's, whose c2 is
+        one.
         """
         cs = self.cs
         g1, r1 = G1.sum(axis=1), D1.sum(axis=1)
-        gh, r2 = G2.sum(axis=1) - g1, D2.sum(axis=1)
         df1 = df2 = dh = None
         if cs.marginal2:
             b2 = self.bins.sums(D2)
             df2 = self.bins.sums(G2) / b2
-        if cs.martingale:
+        if self.c1 is not None:
+            if self.c2 is None:
+                rhs, r2 = G2.sum(axis=1), D2.sum(axis=1)
+            else:
+                rhs, r2 = np.sum(self.c2 * G2, axis=1), np.sum(D2 * self.c2 ** 2, axis=1)
+            rhs = rhs + self.c1 * g1
             if cs.marginal2:
-                rhs = gh - np.sum(D2 * df2[self.bins.index], axis=1)
+                rhs = rhs - np.sum(D2 * df2[self.bins.index], axis=1)
+            if cs.marginal1:    # f1 takes c1 g1 and c1^2 r1 back out
+                rhs, d = rhs - self.c1 * g1, r2
+            else:
+                d = self.c1 * self.c1 * r1 + r2
+            if not cs.marginal2:
+                dh = rhs / d
+            else:
                 if op is None:
                     op = fredholm.build_operator(self.bins, D2)
                 if cs.marginal1:
-                    rhs = (rhs + g1) / r2
+                    rhs = rhs / d
                     rhs = rhs - float(op.w1 @ rhs)
                     if op.norm >= CONTRACTION_FLAG:
                         dh = fredholm.solve_regularized(op, rhs)
                     else:
                         dh = fredholm.solve(op, rhs)
                 else:
-                    dh = np.linalg.solve(np.diag(r1 + r2) - r2[:, None] * op.K, rhs)
+                    dh = np.linalg.solve(np.diag(d) - r2[:, None] * op.K, rhs)
                 df2 = df2 - self.bins.sums(D2 * dh[:, None]) / b2
-            elif cs.marginal1:
-                dh = (g1 + gh) / r2
-            else:
-                dh = gh / (r1 + r2)
         if cs.marginal1:
-            df1 = g1 / r1 if dh is None else g1 / r1 + dh
-        return df1, df2, dh
+            df1 = g1 / r1 if dh is None else g1 / r1 - self.c1 * dh
+        return df1, df2, dh, None
+
+    def _complement(self, D1, D2, op=None):
+        """Schur complement of the (f1, f2, h) block in ``A^T diag(D) A``,
+        and that block's solves against each mean constraint's column."""
+        Z = [self._solve_u(D1 * p1, D2 * p2, D1, D2, op) for p1, p2 in self.phi]
+        E = [self.field(z) for z in Z]
+        S = np.array([[np.sum(D1 * q1 * (p1 - e1) + D2 * q2 * (p2 - e2))
+                       for (p1, p2), (e1, e2) in zip(self.phi, E)] for q1, q2 in self.phi])
+        return S, Z
+
+    def correction(self, G1, G2, D1, D2, op=None):
+        """Solve ``A^T diag(D) A du = A^T G`` for the hedge map A.
+
+        D1, D2 are per-atom weights on F1, F2 and G1, G2 per-atom values; at
+        D = mw this is the p = 2 closed form.  The mean multipliers border
+        the (f1, f2, h) block: one block solve per mean constraint, then the
+        k x k Schur complement.
+        """
+        du = self._solve_u(G1, G2, D1, D2, op)
+        if not self.phi:
+            return du
+        S, Z = self._complement(D1, D2, op)
+        F1, F2 = self.field(du)
+        gl = [np.sum(p1 * (G1 - D1 * F1) + p2 * (G2 - D2 * F2)) for p1, p2 in self.phi]
+        dlam = np.linalg.solve(S, gl)
+        for la, z in zip(dlam, Z):
+            du = _axpy(du, -la, z)
+        return du[:3] + (dlam,)
 
     def multipliers(self):
-        f1, f2, h = self.u
+        f1, f2, h, lam = self.u
         if h is not None and f1 is not None and f2 is not None:
             # zero-mean representative; the shift is absorbed by f1 and f2
             c = float(self.mu.w1 @ h)
             h, f1, f2 = h - c, f1 - c, f2 + c
-        return {"f1": f1, "f2": f2, "h_hat": h}
-
-
-class _GeneralProblem:
-    """Hedge map and Newton step for mean (phi) and conditional (psi) constraints.
-
-    The multipliers ``u = (lambda, h)`` give the hedge field
-    ``F = sum_a lambda_a dphi_a + h(x1) dpsi``.
-    """
-
-    op = None
-
-    def __init__(self, state: PointState, cs: ConstraintSet):
-        mu = self.mu = state.mu
-        metric = state.metric
-        self.cs = cs
-        self.mw = mu.atom_masses()
-        self.S1_0, self.S2_0 = state.S1, state.S2
-        self.warnings: list[str] = []
-        a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
-        self.phi1 = []
-        self.phi2 = []
-        for c in cs.mean_phi:
-            p1 = np.asarray(c.d1(a, mu.x2), dtype=float) + np.zeros_like(mu.x2)
-            p2 = np.asarray(c.d2(a, mu.x2), dtype=float) + np.zeros_like(mu.x2)
-            if metric.adapted:
-                p1 = np.broadcast_to(cond_exp_1(mu, p1)[:, None], p1.shape).copy()
-            self.phi1.append(p1)
-            self.phi2.append(p2)
-        self.k = len(self.phi1)
-        self.psi1 = self.psi2 = None
-        if cs.cond_psi is not None:
-            if not metric.adapted:
-                raise SensitivityError("conditional constraints require the adapted ball")
-            psi = cs.cond_psi
-            self.psi1 = np.asarray(psi.d1(a, mu.x2), dtype=float) + np.zeros_like(mu.x2)
-            self.psi1 = np.broadcast_to(cond_exp_1(mu, self.psi1)[:, None], mu.x2.shape).copy()
-            self.psi2 = np.asarray(psi.d2(a, mu.x2), dtype=float) + np.zeros_like(mu.x2)
-            if np.min(cond_exp_1(mu, self.psi2 ** 2)) <= 1e-14:
-                raise SensitivityError(
-                    "E1[(d2 psi)^2] is degenerate on some atom (assumption A (iii) surrogate)")
-        if self.k and cs.cond_psi is not None:
-            for p1, p2 in zip(self.phi1, self.phi2):
-                if (np.max(np.abs(p1 + p2)) < 1e-12
-                        and np.max(np.abs(p1 - p1[0, 0])) < 1e-12
-                        and np.max(np.abs(self.psi1 + self.psi2)) < 1e-12):
-                    raise SensitivityError(
-                        "mean constraint spans the conditional-constraint direction "
-                        "(non-redundancy assumption A (iv) violated)")
-        self.u = (np.zeros(self.k), np.zeros(mu.n1) if cs.cond_psi is not None else None)
-        if self.k:
-            Hll, Hlh, Hhh = self._blocks(self.mw, self.mw)
-            cond = np.linalg.cond(self._reduced(Hll, Hlh, Hhh))
-            if not np.isfinite(cond) or cond > 1e12:
-                raise SensitivityError(
-                    "normal matrix is singular (positive-definiteness assumption violated)")
-
-    def _blocks(self, D1, D2):
-        """Blocks of ``A^T diag(D) A``: (lambda, lambda), (lambda, h), diagonal (h, h)."""
-        Hll = np.array([[np.sum(D1 * pa1 * pb1 + D2 * pa2 * pb2)
-                         for pb1, pb2 in zip(self.phi1, self.phi2)]
-                        for pa1, pa2 in zip(self.phi1, self.phi2)]).reshape(self.k, self.k)
-        if self.psi1 is None:
-            return Hll, None, None
-        Hlh = np.array([np.sum(D1 * p1 * self.psi1 + D2 * p2 * self.psi2, axis=1)
-                        for p1, p2 in zip(self.phi1, self.phi2)]).reshape(self.k, self.mu.n1)
-        return Hll, Hlh, np.sum(D1 * self.psi1 ** 2 + D2 * self.psi2 ** 2, axis=1)
-
-    @staticmethod
-    def _reduced(Hll, Hlh, Hhh):
-        return Hll if Hlh is None else Hll - (Hlh / Hhh[None, :]) @ Hlh.T
-
-    def field(self, u):
-        lam, h = u
-        F1 = np.zeros_like(self.S1_0)
-        F2 = np.zeros_like(self.S2_0)
-        for a in range(self.k):
-            F1 += lam[a] * self.phi1[a]
-            F2 += lam[a] * self.phi2[a]
-        if h is not None:
-            F1 += self.psi1 * h[:, None]
-            F2 += self.psi2 * h[:, None]
-        return F1, F2
-
-    def residual(self, T1, T2):
-        comps = {}
-        if self.k:
-            comps["phi"] = np.array([np.sum(self.mw * (p1 * T1 + p2 * T2))
-                                     for p1, p2 in zip(self.phi1, self.phi2)])
-        if self.psi1 is not None:
-            comps["psi"] = cond_exp_1(self.mu, self.psi1 * T1 + self.psi2 * T2)
-        return comps
-
-    def correction(self, G1, G2, D1, D2, op=None):
-        """Solve ``A^T diag(D) A du = A^T G``; h is eliminated row by row.
-
-        ``op`` is unused: this hedge map has no Fredholm operator.
-        """
-        Hll, Hlh, Hhh = self._blocks(D1, D2)
-        gl = np.array([np.sum(G1 * p1 + G2 * p2) for p1, p2 in zip(self.phi1, self.phi2)])
-        if Hlh is None:
-            return np.linalg.solve(Hll, gl), None
-        gh = np.sum(G1 * self.psi1 + G2 * self.psi2, axis=1)
-        dlam = np.zeros(0)
-        if self.k:
-            dlam = np.linalg.solve(self._reduced(Hll, Hlh, Hhh), gl - Hlh @ (gh / Hhh))
-        return dlam, (gh - Hlh.T @ dlam) / Hhh
-
-    def multipliers(self):
-        lam, h = self.u
-        return {"lambda_hat": lam if self.k else None, "h_hat": h}
+        return {"f1": f1, "f2": f2, "h_hat": h, "lambda_hat": lam}
 
 
 def _residual_norm(problem, comps) -> float:
@@ -445,8 +426,6 @@ def _residual_norm(problem, comps) -> float:
     worst = 0.0
     w1 = problem.mu.w1
     for key, v in comps.items():
-        if not np.size(v):
-            continue
         if key == "phi":
             worst = max(worst, float(np.max(np.abs(v))))
         elif key == "m2":
@@ -546,13 +525,10 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
         msg = f"FOC iteration did not converge: residual {res:.3e} after {it} steps"
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
         problem.warnings.append(msg)
-    out = SensitivityReport(
-        value=_dual_norm(mw, S1, S2, metric), metric=metric, constraints=problem.cs.label(),
+    return SensitivityReport(
+        value=_norm(mw, S1, S2, metric, pc), metric=metric, constraints=problem.cs.label(),
         T1=T1, T2=T2, foc_residual=res, iterations=it, converged=converged,
-        bins=getattr(problem, "bins", None), warnings=tuple(problem.warnings))
-    for key, val in problem.multipliers().items():
-        setattr(out, key, val)
-    return out
+        bins=problem.bins, warnings=tuple(problem.warnings), **problem.multipliers())
 
 
 def _require_martingale(mu: GridMeasure) -> None:
@@ -569,14 +545,7 @@ def solve_foc(state: PointState, constraints: ConstraintSet,
     p = 2 closed form, which keeps the two starting points independent for
     cross-validation.
     """
-    if constraints.mean_phi or constraints.cond_psi is not None:
-        if constraints.martingale or constraints.marginal1 or constraints.marginal2:
-            raise SensitivityError(
-                "mean/conditional constraints cannot be mixed with marginal flags")
-        return _run_foc(_GeneralProblem(state, constraints), state.metric, warm_start)
-    if constraints.martingale:
-        _require_martingale(state.mu)
-    return _run_foc(_FlagProblem(state, constraints), state.metric, warm_start)
+    return _run_foc(_HedgeMap(state, constraints), state.metric, warm_start)
 
 
 # the four constraint sets of the paper's study, by their command-line names

@@ -58,6 +58,12 @@ CONSTRAINT_FLAGS = {"none": {}, "martingale": {"martingale": True},
                     "marginal1": {"marginal1": True}, "marginal2": {"marginal2": True},
                     "both": {"martingale": True, "marginal2": True}}
 
+
+def pinned(flags: dict) -> dict:
+    """The marginal flags of a set: the ones ``default_target_support`` reads."""
+    return {k: v for k, v in flags.items() if k != "martingale"}
+
+
 # LPs on which the dense simplex with the textbook ratio test raised: the 16
 # of a 1,200-LP sweep (7x7 lattices around 1 with jitter 0.02, seeds 0-149,
 # 0.1 and 0.15 apart, martingale and both sets, r in {0.1, 0.2}), 15 with

@@ -16,7 +16,7 @@ import time
 
 from scipy.optimize import linprog
 
-from lattice import CONSTRAINT_FLAGS, Reproducer
+from lattice import CONSTRAINT_FLAGS, Reproducer, pinned
 from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
 from wadro.simplex import LPError, solve_lp
 
@@ -33,7 +33,7 @@ def case_lp(case):
     """(solve_lp keyword arguments, v0) of a Reproducer's ball LP."""
     mu = case.measure()
     flags = CONSTRAINT_FLAGS[case.constraints]
-    prob = DiscreteBallProblem(mu, default_target_support(mu, [case.radius], **flags),
+    prob = DiscreteBallProblem(mu, default_target_support(mu, [case.radius], **pinned(flags)),
                                case.radius, 2.0, objective=lambda y1, y2: y2, **flags)
     return transport_lp(prob)
 

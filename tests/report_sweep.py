@@ -1,0 +1,157 @@
+"""Every SensitivityReport over a grid of models, payoffs, balls, exponents and
+constraint sets, written to a pickle and compared between two such pickles.
+
+The grid: the canned 5x5 measure and the Black-Scholes and Bachelier models
+on 16x16 and 64x64 grids at sigma 0.1, 0.5 and 1; the American put and the
+payoff x2^2; both balls; p in {1.5, 2, 3}; the eight martingale/marginal flag
+sets, a conditional constraint (x2 - x1 and x2^2 - x1^2), a mean constraint
+and a mean constraint with a conditional one.  A solve that raises is
+recorded as the error's type and message.
+
+    PYTHONPATH=src python tests/report_sweep.py --write reports.pkl
+    PYTHONPATH=src python tests/report_sweep.py --compare old.pkl new.pkl
+
+``--compare`` prints, per (constraint set, p), how many reports are
+byte-identical, the largest difference of each field, and every combination
+whose raised error changed.  Differences are relative to the field's largest
+entry, except that the direction T = (T1, T2), of unit norm, differs by the
+mass-weighted L^p norm of the difference, and the residual, the iteration
+count and the converged flag by their absolute differences.  Not collected
+by the test suite (no ``test_`` prefix).
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import pickle
+import warnings
+
+import numpy as np
+
+from wadro.criterion import gradient_field, preset
+from wadro.measure import ModelSpec, build_model, canonical_test_measure
+from wadro.sensitivity import (CondConstraint, ConstraintSet, MeanConstraint, Metric, PointState,
+                               martingale_psi, solve_foc)
+
+FIELDS = ("value", "T1", "T2", "f1", "f2", "h_hat", "lambda_hat", "foc_residual", "iterations",
+          "converged")
+ABSOLUTE = ("foc_residual", "iterations", "converged")
+
+PSI_SQ = CondConstraint(lambda a, b: b ** 2 - a ** 2, lambda a, b: -2.0 * a,
+                        lambda a, b: 2.0 * b, "x2^2-x1^2")
+PHI = MeanConstraint(lambda a, b: a * b, lambda a, b: b, lambda a, b: a, "x1*x2")
+
+
+def constraint_sets() -> dict:
+    sets = {}
+    for m, m1, m2 in itertools.product((False, True), repeat=3):
+        cs = ConstraintSet(martingale=m, marginal1=m1, marginal2=m2)
+        sets[cs.label()] = cs
+    for cs in (ConstraintSet(cond_psi=martingale_psi()), ConstraintSet(cond_psi=PSI_SQ),
+               ConstraintSet(mean_phi=(PHI,)),
+               ConstraintSet(mean_phi=(PHI,), cond_psi=martingale_psi()),
+               ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ)):
+        sets[cs.label()] = cs
+    return sets
+
+
+def measures():
+    yield "canned", canonical_test_measure()
+    for family, n, sigma in itertools.product(("black_scholes", "bachelier"), (16, 64),
+                                              (0.1, 0.5, 1.0)):
+        yield f"{family}-{n}-{sigma}", build_model(ModelSpec(family, sigma, n, n))
+
+
+def sweep() -> dict:
+    """{"reports": {key: fields or error}, "masses": {measure name: atom masses}}."""
+    out, masses = {}, {}
+    sets = constraint_sets()
+    payoffs = {name: preset(name) for name in ("american_put", "linear:x2^2")}
+    for (mname, mu), (pname, crit) in itertools.product(measures(), payoffs.items()):
+        G = gradient_field(crit, mu)
+        masses[mname] = mu.atom_masses()
+        for ball, p in itertools.product(("wp", "wp_adapted"), (1.5, 2.0, 3.0)):
+            state = PointState(mu, G, Metric(ball, p))
+            for label, cs in sets.items():
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        rep = solve_foc(state, cs)
+                    entry = {f: getattr(rep, f) for f in FIELDS}
+                except Exception as exc:    # recorded, so that changed errors show
+                    entry = {"error": f"{type(exc).__name__}: {exc}"}
+                out[mname, pname, ball, p, label] = entry
+    return {"reports": out, "masses": masses}
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _diff(a, b, relative: bool) -> float:
+    if a is None or b is None:
+        return 0.0 if a is b else float("inf")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return float("inf")
+    gap = float(np.max(np.abs(a - b), initial=0.0))
+    if gap == 0.0 or not relative:
+        return gap
+    return gap / max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+
+
+def compare(old: dict, new: dict) -> None:
+    masses, old, new = old["masses"], old["reports"], new["reports"]
+    groups = {}
+    changed_errors = []
+    for key in sorted(set(old) | set(new), key=str):
+        a, b = old.get(key), new.get(key)
+        group = groups.setdefault((key[4], key[3]), {"n": 0, "identical": 0, "errors": 0,
+                                                     "diff": {"T": 0.0}})
+        group["n"] += 1
+        if a is None or b is None or "error" in a or "error" in b:
+            ea, eb = (None if e is None else e.get("error") for e in (a, b))
+            if ea != eb or a is None or b is None:
+                changed_errors.append((key, ea, eb))
+            else:
+                group["errors"] += 1
+                group["identical"] += 1
+            continue
+        group["identical"] += all(_same(a[f], b[f]) for f in FIELDS)
+        p, diff = key[3], group["diff"]
+        gap = masses[key[0]] * (np.abs(a["T1"] - b["T1"]) ** p + np.abs(a["T2"] - b["T2"]) ** p)
+        diff["T"] = max(diff["T"], float(np.sum(gap)) ** (1.0 / p))
+        for f in FIELDS:
+            if f not in ("T1", "T2"):
+                diff[f] = max(diff.get(f, 0.0), _diff(a[f], b[f], f not in ABSOLUTE))
+    for (label, p), g in sorted(groups.items(), key=str):
+        worst = " ".join(f"{f}={v:.1e}" for f, v in g["diff"].items() if v)
+        print(f"{label:28s} p={p:<4} {g['identical']:4d}/{g['n']:<4d} byte-identical "
+              f"({g['errors']} same error)  {worst or 'no difference'}")
+    print(f"{len(changed_errors)} combinations changed the error they raise")
+    for key, ea, eb in changed_errors:
+        print(f"  {key}: {ea!r} -> {eb!r}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--write", metavar="PATH")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = ap.parse_args()
+    if args.write:
+        with open(args.write, "wb") as fh:
+            pickle.dump(sweep(), fh)
+    if args.compare:
+        loaded = []
+        for path in args.compare:
+            with open(path, "rb") as fh:
+                loaded.append(pickle.load(fh))
+        compare(*loaded)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lattice import pinned
 from wadro.criterion import american_put, gradient_field, preset, value
 from wadro.measure import (GridMeasure, ModelSpec, build_model,
                            canonical_test_measure, quantile_bins)
@@ -62,7 +63,7 @@ def test_dro_lp_monotone_in_radius_shared_support():
                      x1[:, None] + off[None, :],
                      np.tile([0.25, 0.5, 0.25], (3, 1)), is_martingale=True)
     radii = [0.02, 0.05, 0.1]
-    tgt = default_target_support(mu, radii, martingale=True)
+    tgt = default_target_support(mu, radii)
     vals = []
     for r in radii:
         v, _ = dro_lp(DiscreteBallProblem(mu, tgt, r, 2.0, martingale=True,
@@ -83,7 +84,7 @@ def test_dro_lp_martingale_slope_matches_closed_form():
     radii = [0.05, 0.1, 0.2]
     vals = []
     for r in radii:
-        tgt = default_target_support(mu, [r], martingale=True)
+        tgt = default_target_support(mu, [r])
         v, _ = dro_lp(DiscreteBallProblem(mu, tgt, r, 2.0, martingale=True,
                                           objective=_obj_y2))
         vals.append(v)
@@ -105,8 +106,8 @@ def test_dro_lp_rejects_measure_off_its_constraint():
     # must keep the constraint the LP keeps
     mu = canonical_test_measure()
     off = GridMeasure(mu.x1, mu.w1, mu.x2 + 1e-6, mu.q)
-    tgt = default_target_support(off, [0.1], martingale=True)
-    dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [0.1], martingale=True), 0.1,
+    tgt = default_target_support(off, [0.1])
+    dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [0.1]), 0.1,
                                2.0, martingale=True, objective=_obj_y2))
     with pytest.raises(OracleError, match="not a martingale"):
         dro_lp(DiscreteBallProblem(off, tgt, 0.1, 2.0, martingale=True, objective=_obj_y2))
@@ -194,12 +195,12 @@ def test_target_support_snaps_rounding_misses_onto_atoms():
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
     for flags in ({}, {"martingale": True}, {"marginal1": True}, {"marginal2": True}):
         for r in (0.1, 0.2):
-            tgt = default_target_support(mu, [r], **flags)
+            tgt = default_target_support(mu, [r], **pinned(flags))
             gap = np.max(np.abs(tgt[:, None, :] - atoms[None, :, :]), axis=2).min(axis=1)
             assert np.all((gap == 0.0) | (gap > 1e-9)), (flags, r)
             apart = np.max(np.abs(tgt[:, None, :] - tgt[None, :, :]), axis=2)
             assert np.all(apart[np.triu_indices(len(tgt), 1)] > 1e-9), (flags, r)
-            assert tgt.shape == default_target_support(exact, [1.25 * r], **flags).shape
+            assert tgt.shape == default_target_support(exact, [1.25 * r], **pinned(flags)).shape
     assert [len(default_target_support(mu, [r])) for r in (0.1, 0.2)] == [145, 165]
 
 

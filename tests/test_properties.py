@@ -1,16 +1,18 @@
 """Property tests on small random martingale grids (profile in conftest.py)."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lattice import CONSTRAINT_FLAGS, lattice_measure
+from lattice import CONSTRAINT_FLAGS, lattice_measure, pinned
 from wadro.criterion import GradientField
 from wadro.measure import BinPartition, GridMeasure, quantile_bins
 from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
-from wadro.sensitivity import CONSTRAINT_SETS, W2AD, PointState, solve_foc
+from wadro.sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, Metric, PointState,
+                               martingale_psi, solve_foc)
 from wadro.simplex import solve_lp
 
 
@@ -62,6 +64,44 @@ def test_shared_point_state_matches_standalone_solves(grid):
     assert max(mart, marg) <= unc + slack
 
 
+@given(binned_grids(), st.sampled_from([1.5, 2.0, 3.0]))
+def test_martingale_flag_is_the_conditional_constraint_x2_minus_x1(grid, p):
+    # the flag hedges with the exact weights (-1, 1), the conditional
+    # constraint with (E1[-1], 1) read off the grid: the same infimum
+    mu, _, rng = grid
+    G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
+    state = PointState(mu, G, Metric("wp_adapted", p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        flag = solve_foc(state, ConstraintSet(martingale=True))
+        psi = solve_foc(state, ConstraintSet(cond_psi=martingale_psi()))
+    assert abs(psi.value - flag.value) <= 1e-12 * flag.value
+
+
+FLAG_SETS = [ConstraintSet(martingale=m, marginal1=m1, marginal2=m2)
+             for m, m1, m2 in itertools.product((False, True), repeat=3)]
+
+
+@given(binned_grids(), st.sampled_from(["wp", "wp_adapted"]), st.sampled_from([1.5, 2.0, 3.0]),
+       st.floats(1e-3, 1e3))
+def test_positive_homogeneity(grid, ball, p, c):
+    # value(cG) = c value(G) for c > 0 on every flag set, measured against the
+    # unconstrained value, which bounds every constrained one
+    mu, bins, rng = grid
+    G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
+    metric = Metric(ball, p)
+    cG = GradientField(c * G.g1, c * G.g2)
+    one, scaled = PointState(mu, G, metric, bins), PointState(mu, cG, metric, bins)
+    tol = 1e-12 if p == 2.0 else 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        scale = solve_foc(one, ConstraintSet()).value
+        for cs in FLAG_SETS:
+            a, b = solve_foc(one, cs), solve_foc(scaled, cs)
+            if p == 2.0 or (a.converged and b.converged):
+                assert abs(b.value - c * a.value) <= tol * c * scale, cs.label()
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 5), st.floats(0.1, 0.15),
        st.sampled_from(sorted(CONSTRAINT_FLAGS)), st.sampled_from([0.1, 0.2]))
 def test_ball_lp_matches_highs(seed, n, spacing, constraints, r):
@@ -70,8 +110,9 @@ def test_ball_lp_matches_highs(seed, n, spacing, constraints, r):
     linprog = pytest.importorskip("scipy.optimize").linprog
     mu = lattice_measure(seed, n, spacing, 1.0, 0.02)
     flags = CONSTRAINT_FLAGS[constraints]
-    lp, v0 = transport_lp(DiscreteBallProblem(mu, default_target_support(mu, [r], **flags), r,
-                                              2.0, objective=lambda y1, y2: y2 + 0.5 * y1 * y2,
+    tgt = default_target_support(mu, [r], **pinned(flags))
+    lp, v0 = transport_lp(DiscreteBallProblem(mu, tgt, r, 2.0,
+                                              objective=lambda y1, y2: y2 + 0.5 * y1 * y2,
                                               **flags))
     res = solve_lp(**lp, maximize=True)
     ref = linprog(-lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"], b_eq=lp["b_eq"],

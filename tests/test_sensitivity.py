@@ -180,8 +180,11 @@ def test_constraint_set_validation():
                       cond_psi=CondConstraint(lambda a, b: b - 2 * a,
                                               lambda a, b: -2 * np.ones_like(a),
                                               lambda a, b: np.ones_like(b), "bad"))
-    cs = ConstraintSet(martingale=True, cond_psi=martingale_psi())
-    assert "psi" in cs.label()
+    # the martingale flag is the conditional constraint x2 - x1, so naming it
+    # twice is refused too
+    with pytest.raises(SensitivityError):
+        ConstraintSet(martingale=True, cond_psi=martingale_psi())
+    assert ConstraintSet(cond_psi=martingale_psi()).label() == "psi:x2-x1"
 
 
 def test_solve_foc_p15_against_golden_section():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure
+from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure, pinned
 from wadro.measure import canonical_test_measure, marginal_2
 from wadro.oracle import (BUDGET_ROW, DiscreteBallProblem, default_target_support, dro_lp,
                           transport_lp)
@@ -56,7 +56,7 @@ def _dense_lp(seed):
 
 
 def _ball_lp(mu, flags, r):
-    tgt = default_target_support(mu, [r], **FLAGS[flags])
+    tgt = default_target_support(mu, [r], **pinned(FLAGS[flags]))
     lp, _ = transport_lp(DiscreteBallProblem(mu, tgt, r, 2.0, objective=lambda y1, y2: y2,
                                              **FLAGS[flags]))
     return lp
@@ -194,7 +194,7 @@ def test_dro_lp_equals_full_coupling_lp(name, flags):
     mu = _MEASURES[name.split("-")[0]]()
     # off the canned measure's 0.1 grid, so that shifted atoms are no atoms
     for r in ((0.0, 0.02, 0.1, 0.2) if name in _MEASURES else (0.05, 0.15)):
-        tgt = default_target_support(mu, [r], **FLAGS[flags])
+        tgt = default_target_support(mu, [r], **pinned(FLAGS[flags]))
         if name not in _MEASURES:
             tgt = _without_atoms(mu, tgt)
         prob = DiscreteBallProblem(mu, tgt, r, 2.0, objective=_payoff, **FLAGS[flags])
@@ -271,7 +271,7 @@ def test_transport_lp_equals_all_pairs_assembly(name, flags):
     mu = _MEASURES[name]()
     for r, p in ((0.02, 2.0), (0.1, 2.0), (0.1, 1.5), (0.2, 2.0)):
         for radii, step in (([r], 1), ([r, 2 * r], 1), ([r], -1)):
-            tgt = default_target_support(mu, radii, **FLAGS[flags])[::step]
+            tgt = default_target_support(mu, radii, **pinned(FLAGS[flags]))[::step]
             prob = DiscreteBallProblem(mu, tgt, r, p, objective=_payoff, **FLAGS[flags])
             lp, _ = transport_lp(prob)
             ref = _all_pairs_lp(prob)
@@ -298,7 +298,7 @@ def test_reproducer_lps(case):
     # bounded LP unbounded
     mu = case.measure()
     flags = FLAGS[case.constraints]
-    prob = DiscreteBallProblem(mu, default_target_support(mu, [case.radius], **flags),
+    prob = DiscreteBallProblem(mu, default_target_support(mu, [case.radius], **pinned(flags)),
                                case.radius, 2.0, objective=lambda y1, y2: y2, **flags)
     lp, v0 = transport_lp(prob)
     res = solve_lp(**lp, maximize=True)
