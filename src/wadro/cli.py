@@ -8,8 +8,9 @@ oracle     LP ball suprema vs closed forms on a small canned measure (JSON)
 selfcheck  run the full invariant suite; nonzero exit on any failure
 
 Configuration uses flat ``key = value`` files with sections [model],
-[criterion], [metric], [constraints], [output]; command-line flags override
-file values.  Exit codes: 0 success, 1 check failure, 2 bad configuration.
+[criterion], [metric], [constraints], [output], [oracle]; command-line flags
+override file values, and an unknown key is a bad configuration.  Exit codes:
+0 success, 1 check failure, 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -18,25 +19,23 @@ import argparse
 import configparser
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fredholm, oracle
-from .criterion import Criterion, CriterionError, exercise_mass, gradient_field, preset, stopping_rule, value, vega
+from .criterion import Criterion, CriterionError, gradient_field, preset, stopping_rule, value, vega
 from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
                       canonical_test_measure, cond_exp_1, from_csv,
                       info_discrepancy_check, quantile_bins, sign_copy_measure)
 from .sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, SensitivityError,
-                          marginal_value_closed_form, report_tables,
-                          sens_marginal, sens_mart_marginal,
-                          sens_martingale, sens_unconstrained, solve_foc)
+                          marginal_value_closed_form, report_tables, solve_foc)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -67,8 +66,6 @@ configuration keys (section.key, with defaults):
   output.bins         upper bound on the E2 bin count  [n2]
                       (quantile cuts between the same two atoms merge:
                       64 on 64x64 gives 44, 128 on 128x128 gives 84)
-  output.workers      sweep worker threads             [1]
-  output.seed         seed for randomized check fixtures [0]
   oracle.radii        comma list of LP radii           [0.02,0.05,0.1,0.2]
 """
 
@@ -91,8 +88,6 @@ class RunConfig:
     sets: tuple = CONSTRAINT_CHOICES
     out_dir: str = "."
     bins: int | None = None
-    workers: int = 1
-    seed: int = 0
     oracle_radii: tuple = (0.02, 0.05, 0.1, 0.2)
 
     def metric(self, which: str = "") -> Metric:
@@ -129,7 +124,6 @@ _CONFIG_FIELDS = {
     "model.measure_csv": ("measure_csv", str.strip), "criterion.name": ("criterion", str.strip),
     "constraints.sets": ("sets", lambda t: tuple(s.strip() for s in t.split(",") if s.strip())),
     "output.dir": ("out_dir", str.strip), "output.bins": ("bins", int),
-    "output.workers": ("workers", int), "output.seed": ("seed", int),
     "oracle.radii": ("oracle_radii", _parse_floats)}
 
 
@@ -138,16 +132,22 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     raw = {}
     if path:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(str(exc)) from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():
             for key, val in parser.items(section):
                 raw[f"{section}.{key}"] = val
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    for key, (field, parse) in _CONFIG_FIELDS.items():
-        if key in raw:
-            setattr(cfg, field, parse(str(raw[key])))
+    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
+    for key, val in raw.items():
+        field, parse = _CONFIG_FIELDS[key]
+        setattr(cfg, field, parse(str(val)))
     cfg.validate()
     return cfg
 
@@ -165,19 +165,9 @@ def _write_chart(path: str, series, title, xlabel, ylabel, logx=False) -> None:
     """Write the SVG plus a sidecar CSV holding exactly the plotted series."""
     with open(path, "w") as f:
         f.write(line_chart(series, title, xlabel, ylabel, logx=logx))
-    header = []
-    cols = []
-    for name, xs, ys in series:
-        header += [f"{name}_x", f"{name}_y"]
-        cols += [list(xs), list(ys)]
-    depth = max(len(c) for c in cols) if cols else 0
-    rows = []
-    for i in range(depth):
-        rows.append([repr(float(c[i])) if i < len(c) else "" for c in cols])
-    with open(path + ".csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+    header = [f"{name}_{axis}" for name, _, _ in series for axis in "xy"]
+    _write_csv(path + ".csv", header,
+               itertools.zip_longest(*(col for _, xs, ys in series for col in (xs, ys))))
 
 
 def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
@@ -190,7 +180,7 @@ def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
     state = PointState(mu, G, cfg.metric(), bins)
     adapted = state if state.metric.adapted else PointState(
         mu, G, cfg.metric("mart_marginal"), bins)
-    out = {"sigma": sigma, "price": value(c, mu)}
+    out = {"price": value(c, mu)}
     for name in cfg.sets:
         rep = solve_foc(adapted if name == "mart_marginal" else state, CONSTRAINT_SETS[name])
         # an unconverged value is written as NaN, like a failed sigma point
@@ -201,57 +191,29 @@ def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
 
 def cmd_curve(cfg: RunConfig) -> int:
     c = cfg.load_criterion()
-    results = [None] * len(cfg.sigmas)
-
-    def run(idx_sigma):
-        idx, sigma = idx_sigma
-        try:
-            return idx, _curve_point(cfg, c, sigma)
-        except (MeasureError, CriterionError, SensitivityError, fredholm.FredholmError) as exc:
-            warnings.warn(f"sigma={sigma:g} failed: {exc}", RuntimeWarning, stacklevel=2)
-            return idx, {"sigma": sigma}
-
-    tasks = list(enumerate(cfg.sigmas))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for idx, res in pool.map(run, tasks):
-                results[idx] = res
-    else:
-        for t in tasks:
-            idx, res = run(t)
-            results[idx] = res
-
     sens_cols = [col for name, col in CURVE_COLUMNS.items() if name in cfg.sets]
     header = ["sigma", "price"] + sens_cols + ["vega"] + [f"relative_{cn}" for cn in sens_cols]
-    rows = []
-    for res in results:
-        row = [res.get("sigma")]
+    rows, failed = [], 0
+    for sigma in cfg.sigmas:
+        try:
+            res = _curve_point(cfg, c, sigma)
+        except (MeasureError, CriterionError, SensitivityError, fredholm.FredholmError) as exc:
+            warnings.warn(f"sigma={sigma:g} failed: {exc}", RuntimeWarning)
+            res, failed = {}, failed + 1
         price = res.get("price", float("nan"))
-        row.append(price if price is not None else float("nan"))
-        for cn in sens_cols:
-            row.append(res.get(cn, float("nan")))
-        row.append(res.get("vega", float("nan")))
-        for cn in sens_cols:
-            s = res.get(cn, float("nan"))
-            if price is not None and np.isfinite(price) and price > 1e-12 \
-                    and np.isfinite(s):
-                row.append(s / price)
-            else:
-                row.append(None)
-        rows.append(row)
+        sens = [res.get(cn, float("nan")) for cn in sens_cols]
+        rows.append([sigma, price] + sens + [res.get("vega", float("nan"))]
+                    + [s / price if np.isfinite(price) and price > 1e-12 and np.isfinite(s)
+                       else None for s in sens])
     path = os.path.join(cfg.out_dir, "curve.csv")
     _write_csv(path, header, rows)
-
-    series = []
     xs = [r[0] for r in rows]
-    for k, cn in enumerate(sens_cols + ["vega"]):
-        col = 2 + k if cn != "vega" else 2 + len(sens_cols)
-        series.append((cn, xs, [r[col] if r[col] is not None else float("nan") for r in rows]))
+    series = [(cn, xs, [r[2 + k] for r in rows]) for k, cn in enumerate(sens_cols + ["vega"])]
     _write_chart(os.path.join(cfg.out_dir, "curve.svg"), series,
                  f"{cfg.criterion} sensitivities ({cfg.family})", "sigma", "sensitivity",
                  logx=True)
     print(f"wrote {path} and curve.svg ({len(rows)} sigma points)")
-    if all("price" not in res for res in results):
+    if failed == len(cfg.sigmas):
         print("every sigma point failed", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -318,6 +280,15 @@ def hedge_jump_stats(mu: GridMeasure, h: np.ndarray, c: Criterion) -> dict:
     return out
 
 
+def _sandwich(mu: GridMeasure, c: Criterion, radii, bins=None) -> dict:
+    """The LP sandwich: the classical p = 2 closed forms of every set in
+    ``oracle.FLAG_TABLE`` against the slopes of the LP suprema at ``radii``."""
+    state = PointState(mu, gradient_field(c, mu), Metric("wp", 2.0), bins)
+    reports = {label: solve_foc(state, ConstraintSet(**flags))
+               for label, flags in oracle.FLAG_TABLE.items()}
+    return oracle.oracle_report(mu, c.f, list(radii), reports)
+
+
 def cmd_oracle(cfg: RunConfig) -> int:
     radii = cfg.oracle_radii
     if len(radii) < 3:
@@ -335,12 +306,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if c.kind != "linear":
         print("the LP oracle needs a linear criterion (e.g. linear:x2)", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    G = gradient_field(c, mu)
-    state = PointState(mu, G, Metric("wp", 2.0), quantile_bins(mu, min(cfg.bins or mu.n2, mu.n2)))
-    reports = {label: solve_foc(state, ConstraintSet(**flags))
-               for label, flags in oracle.FLAG_TABLE.items()}
     try:
-        rep = oracle.oracle_report(mu, lambda y1, y2: c.f(y1, y2), list(radii), reports)
+        rep = _sandwich(mu, c, radii, quantile_bins(mu, min(cfg.bins or mu.n2, mu.n2)))
     except (oracle.OracleError, oracle.LPError) as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -354,9 +321,14 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK if rep["pass"] else EXIT_CHECK_FAILED
 
 
-def _selfcheck_items(cfg: RunConfig):
+def _selfcheck_items():
     """(name, callable) pairs; each returns True on pass."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
+
+    def four_sets(mu, criterion):
+        """The values of the four constraint sets on the adapted p = 2 ball."""
+        state = PointState(mu, gradient_field(preset(criterion), mu), Metric("wp_adapted", 2.0))
+        return [solve_foc(state, cs).value for cs in CONSTRAINT_SETS.values()]
 
     def measure_invariants():
         mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
@@ -374,20 +346,15 @@ def _selfcheck_items(cfg: RunConfig):
         return buyer <= seller + 1e-12
 
     def closed_forms():
-        mu = canonical_test_measure()
-        G = gradient_field(preset("linear:x2"), mu)
-        m = Metric("wp_adapted", 2.0)
-        vals = (sens_unconstrained(mu, G, m).value, sens_martingale(mu, G, m).value,
-                sens_marginal(mu, G, m).value, sens_mart_marginal(mu, G).value)
-        targets = (1.0, 2 ** -0.5, 0.0, 0.0)
-        return all(abs(v - t) <= 1e-10 for v, t in zip(vals, targets))
+        vals = four_sets(canonical_test_measure(), "linear:x2")
+        return all(abs(v - t) <= 1e-10 for v, t in zip(vals, (1.0, 2 ** -0.5, 0.0, 0.0)))
 
     def marginal_two_paths():
         mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
         G = gradient_field(preset("american_put:side=buyer"), mu)
         m = Metric("wp_adapted", 2.0)
         bins = quantile_bins(mu, 16)
-        a = sens_marginal(mu, G, m, bins).value
+        a = solve_foc(PointState(mu, G, m, bins), CONSTRAINT_SETS["marginal"]).value
         b = marginal_value_closed_form(mu, G, m, bins)
         return abs(a - b) <= 1e-10
 
@@ -397,30 +364,18 @@ def _selfcheck_items(cfg: RunConfig):
         if not fredholm.contraction_norm(op, "l2") < 1:
             return False
         rhs = rng.standard_normal(16)
-        rhs -= float(mu.w1 @ rhs) / 1.0
-        rhs = rhs - float(mu.w1 @ rhs)
+        rhs -= float(mu.w1 @ rhs)
         h = fredholm.solve(op, rhs)
         K0 = op.zero_mean_matrix()
         return float(np.max(np.abs((np.eye(16) - K0) @ h - rhs))) <= 1e-8
 
     def monotonicity():
-        mu = build_model(ModelSpec("black_scholes", 1.0, 16, 16))
-        G = gradient_field(preset("american_put:side=buyer"), mu)
-        m = Metric("wp_adapted", 2.0)
-        bins = quantile_bins(mu, 16)
-        unc = sens_unconstrained(mu, G, m).value
-        mart = sens_martingale(mu, G, m).value
-        marg = sens_marginal(mu, G, m, bins).value
-        both = sens_mart_marginal(mu, G, bins).value
+        unc, mart, marg, both = four_sets(build_model(ModelSpec("black_scholes", 1.0, 16, 16)),
+                                          "american_put:side=buyer")
         return both <= min(mart, marg) + 1e-10 and max(mart, marg) <= unc + 1e-10
 
     def oracle_sandwich():
-        mu = canonical_test_measure()
-        G = gradient_field(preset("linear:x2"), mu)
-        state = PointState(mu, G, Metric("wp", 2.0))
-        reports = {label: solve_foc(state, ConstraintSet(**flags))
-                   for label, flags in oracle.FLAG_TABLE.items()}
-        rep = oracle.oracle_report(mu, lambda y1, y2: y2, [0.02, 0.05, 0.1, 0.2], reports)
+        rep = _sandwich(canonical_test_measure(), preset("linear:x2"), (0.02, 0.05, 0.1, 0.2))
         return rep["pass"]
 
     def contraction_counterexample():
@@ -441,7 +396,7 @@ def _took(start: float) -> str:
     return f"{time.perf_counter() - start:7.3f} s"
 
 
-def cmd_selfcheck(cfg: RunConfig, measure_path: str | None = None) -> int:
+def cmd_selfcheck(measure_path: str | None = None) -> int:
     failures = 0
     if measure_path is not None:
         start = time.perf_counter()
@@ -453,7 +408,7 @@ def cmd_selfcheck(cfg: RunConfig, measure_path: str | None = None) -> int:
             failures += 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name, fn in _selfcheck_items(cfg):
+        for name, fn in _selfcheck_items():
             start = time.perf_counter()
             try:
                 ok = fn()
@@ -516,7 +471,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg)
         if args.command == "selfcheck":
-            return cmd_selfcheck(cfg, args.measure)
+            return cmd_selfcheck(args.measure)
     except (MeasureError, CriterionError, SensitivityError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

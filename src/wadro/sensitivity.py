@@ -149,9 +149,6 @@ class SensitivityReport:
     bins: Binning | None = None
     warnings: tuple = ()
 
-    def direction(self) -> GradientField:
-        return GradientField(self.T1, self.T2)
-
 
 def n_map(v, p: float):
     """Duality map sgn(v) |v|^{p'-1}, applied componentwise; N(0) = 0."""
@@ -199,9 +196,9 @@ class PointState:
         return fredholm.build_operator(self.bins)
 
 
-def _norm(mw: np.ndarray, X1: np.ndarray, X2: np.ndarray, metric: Metric, q: float) -> float:
-    """The ball's L^q norm of a per-atom pair: q = p' is the dual norm of S,
-    q = p the primal norm of T."""
+def _norm(mw: np.ndarray, X1: np.ndarray, X2: np.ndarray, metric: Metric) -> float:
+    """The ball's primal L^p norm of a per-atom pair."""
+    q = metric.p
     if metric.adapted:
         val = np.sum(mw * (np.abs(X1) ** q + np.abs(X2) ** q))
     else:
@@ -210,7 +207,7 @@ def _norm(mw: np.ndarray, X1: np.ndarray, X2: np.ndarray, metric: Metric, q: flo
 
 
 def _direction(mw, S1, S2, metric: Metric):
-    """Normalized optimal direction T = N_d(S)/c with unit primal norm."""
+    """Normalized optimal direction T = N_d(S)/c with unit primal norm, and c."""
     if metric.p == 2.0:         # N_d is the identity
         T1, T2 = S1, S2
     elif metric.adapted:
@@ -219,7 +216,7 @@ def _direction(mw, S1, S2, metric: Metric):
         mag = np.hypot(S1, S2)
         fac = np.power(mag, metric.p_conj - 2.0, where=mag > 0, out=np.zeros_like(mag))
         T1, T2 = fac * S1, fac * S2
-    c = _norm(mw, T1, T2, metric, metric.p)
+    c = _norm(mw, T1, T2, metric)
     if c == 0.0:
         return np.zeros_like(S1), np.zeros_like(S2), 0.0
     return T1 / c, T2 / c, c
@@ -494,7 +491,7 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
     for it in range(FOC_MAX_ITER + 1):
         F1, F2 = problem.field(problem.u)
         S1, S2 = problem.S1_0 + F1, problem.S2_0 + F2
-        T1, T2, _ = _direction(mw, S1, S2, metric)
+        T1, T2, c = _direction(mw, S1, S2, metric)
         res = _residual_norm(problem, problem.residual(T1, T2))
         if res <= FOC_TOL:
             converged = True
@@ -525,8 +522,9 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
         msg = f"FOC iteration did not converge: residual {res:.3e} after {it} steps"
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
         problem.warnings.append(msg)
+    # the dual norm of S from the last direction: |N_d(S)|_p = |S|_p'^(p' - 1)
     return SensitivityReport(
-        value=_norm(mw, S1, S2, metric, pc), metric=metric, constraints=problem.cs.label(),
+        value=c ** (metric.p - 1.0), metric=metric, constraints=problem.cs.label(),
         T1=T1, T2=T2, foc_residual=res, iterations=it, converged=converged,
         bins=problem.bins, warnings=tuple(problem.warnings), **problem.multipliers())
 

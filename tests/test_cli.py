@@ -32,6 +32,39 @@ def test_bad_config_exit_code(tmp_path):
     assert rc == cli.EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("key", ["model.sigmaa", "output.workers", "output.seed"])
+def test_unknown_config_key_exits_bad_config(tmp_path, capsys, key):
+    # a typo, or a key this version does not have, stops the run by name
+    rc = run_cli(["selfcheck", "--set", f"{key}=5", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert key in capsys.readouterr().err
+    section, name = key.split(".")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\n{name} = 5\n")
+    rc = run_cli(["curve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_load_config_names_every_unknown_key():
+    with pytest.raises(cli.ConfigError, match="model.sigmaa, output.wrokers$"):
+        cli.load_config(None, {"output.wrokers": "3", "model.sigmaa": "5", "model.n1": "8"})
+
+
+def test_malformed_config_file_exits_bad_config(tmp_path, capsys):
+    (tmp_path / "twice.cfg").write_text("[model]\nn1 = 8\n[model]\nn2 = 8\n")
+    rc = run_cli(["curve", "--config", str(tmp_path / "twice.cfg"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "section 'model' already exists" in capsys.readouterr().err
+
+
+def test_help_lists_exactly_the_parsed_keys():
+    # every section.key the help text names is parsed, and every parsed key is named
+    named = set(re.findall(r"\b[a-z]+\.[a-z_0-9]+\b", cli.CONFIG_KEYS.split("\n", 1)[1]))
+    assert named == set(cli._CONFIG_FIELDS)
+
+
 def test_successive_mains_share_no_parser_state(monkeypatch):
     # the parser is built once per process; each call's --set list is its own
     seen = []
@@ -78,7 +111,7 @@ dir = %s
 def test_curve_outputs_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["curve", "--set", "model.sigma=0.2,0.6", "--set", "model.n1=16",
-            "--set", "model.n2=16", "--set", "output.workers=2"]
+            "--set", "model.n2=16"]
     assert run_cli(args + ["--out", str(a)]) == cli.EXIT_OK
     assert run_cli(args + ["--out", str(b)]) == cli.EXIT_OK
     for name in ("curve.csv", "curve.svg", "curve.svg.csv"):

@@ -102,6 +102,30 @@ def test_positive_homogeneity(grid, ball, p, c):
                 assert abs(b.value - c * a.value) <= tol * c * scale, cs.label()
 
 
+@given(binned_grids(), st.sampled_from(["wp", "wp_adapted"]))
+def test_value_is_continuous_in_p_at_2(grid, ball):
+    # the one-sided differences v(2 + d) - v(2) and v(2) - v(2 - d) are
+    # d v'(2) up to d^2 v''(2) / 2: small, and once divided by d equal up to
+    # the curvature term d v''(2), allowed as d v(2)
+    mu, bins, rng = grid
+    G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
+    d = 1e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reps = [[solve_foc(PointState(mu, G, Metric(ball, p), bins), cs)
+                 for cs in CONSTRAINT_SETS.values()] for p in (2.0 - d, 2.0, 2.0 + d)]
+    zero = 1e-12 * reps[1][0].value       # the unconstrained value bounds every set's
+    for lo, mid, hi in zip(*reps):
+        v = mid.value
+        if v <= zero:       # every direction pinned (n2 = 2, fine bins): 0 at every p
+            assert max(lo.value, hi.value) <= zero, mid.constraints
+            continue
+        assert lo.converged and mid.converged and hi.converged, mid.constraints
+        up, down = (hi.value - v) / d, (v - lo.value) / d
+        assert max(abs(up), abs(down)) <= 10.0 * v, mid.constraints
+        assert abs(up - down) <= 0.01 * max(abs(up), abs(down)) + d * v, mid.constraints
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 5), st.floats(0.1, 0.15),
        st.sampled_from(sorted(CONSTRAINT_FLAGS)), st.sampled_from([0.1, 0.2]))
 def test_ball_lp_matches_highs(seed, n, spacing, constraints, r):
