@@ -1,9 +1,8 @@
 """Model-risk sensitivities under (adapted) Wasserstein ambiguity balls."""
 
-from .measure import (BinPartition, Binning, GridMeasure, MeasureError, ModelSpec,
-                      build_model, canonical_test_measure, cond_exp_1, from_csv,
-                      info_discrepancy_check, marginal_2, quantile_bins,
-                      sign_copy_measure, to_csv)
+from .measure import (Binning, GridMeasure, MeasureError, ModelSpec, build_model,
+                      canonical_test_measure, cond_exp_1, from_csv, marginal_2,
+                      quantile_bins, sign_copy_measure, to_csv)
 from .criterion import (Criterion, CriterionError, GradientField, StoppingRule,
                         american_put, exercise_mass, gradient_field,
                         linear_criterion, preset, stopping_rule, value, vega)
@@ -11,8 +10,7 @@ from .sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet, MeanCo
                           Metric, PointState, SensitivityError, SensitivityReport, W2, W2AD,
                           adapted_gradient, marginal_value_closed_form,
                           martingale_psi, n_map, report_tables, report_to_json,
-                          sens_general, sens_marginal, sens_mart_marginal,
-                          sens_martingale, sens_unconstrained, solve_foc)
+                          solve_foc)
 from .fredholm import (FredholmError, FredholmOperator, build_operator,
                        contraction_norm, solve)
 from .oracle import (DiscreteBallProblem, FeasibleFamily, OracleError,

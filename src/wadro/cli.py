@@ -9,8 +9,9 @@ selfcheck  run the full invariant suite; nonzero exit on any failure
 
 Configuration uses flat ``key = value`` files with sections [model],
 [criterion], [metric], [constraints], [output], [oracle]; command-line flags
-override file values, and an unknown key is a bad configuration.  Exit codes:
-0 success, 1 check failure, 2 bad configuration.
+override file values.  An unknown key or a bad value is a bad configuration,
+refused before any work.  Exit codes: 0 success, 1 check failure, 2 bad
+configuration.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from . import fredholm, oracle
 from .criterion import Criterion, CriterionError, gradient_field, preset, stopping_rule, value, vega
 from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
-                      canonical_test_measure, cond_exp_1, from_csv,
-                      info_discrepancy_check, quantile_bins, sign_copy_measure)
+                      canonical_test_measure, cond_exp_1, from_csv, quantile_bins,
+                      sign_copy_measure)
 from .sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, SensitivityError,
                           marginal_value_closed_form, report_tables, solve_foc)
 from .svgplot import line_chart
@@ -101,6 +102,8 @@ class RunConfig:
         return preset(self.criterion)
 
     def validate(self):
+        """Refuse a bad value before any work: the ball, every sigma point's
+        model, the bin count and the output directory are checked here."""
         if not self.sigmas:
             raise ConfigError("sigma grid must be nonempty")
         if any(b <= a for a, b in zip(self.sigmas, self.sigmas[1:])):
@@ -108,8 +111,15 @@ class RunConfig:
         for s in self.sets:
             if s not in CONSTRAINT_CHOICES:
                 raise ConfigError(f"unknown constraint set {s!r}")
-        if not os.path.isdir(self.out_dir):
+        self.metric()
+        for sigma in self.sigmas:
+            self.model_spec(sigma)
+        if self.bins is not None and self.bins < 1:
+            raise ConfigError("output.bins must be at least 1")
+        try:
             os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory: {exc}") from exc
 
 
 def _parse_floats(text: str) -> tuple:
@@ -361,7 +371,7 @@ def _selfcheck_items():
     def fredholm_certificate():
         mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
         op = fredholm.build_operator(quantile_bins(mu, 16))
-        if not fredholm.contraction_norm(op, "l2") < 1:
+        if not fredholm.contraction_norm(op) < 1:
             return False
         rhs = rng.standard_normal(16)
         rhs -= float(mu.w1 @ rhs)
@@ -380,7 +390,7 @@ def _selfcheck_items():
 
     def contraction_counterexample():
         mu = sign_copy_measure(32)
-        return info_discrepancy_check(quantile_bins(mu, 32)) > 0.99
+        return fredholm.contraction_norm(fredholm.build_operator(quantile_bins(mu, 32))) > 0.99
 
     return [("measure invariants", measure_invariants),
             ("criterion consistency", criterion_consistency),

@@ -84,17 +84,9 @@ def build_operator(bins: Binning, weights: np.ndarray | None = None) -> Fredholm
     return FredholmOperator(K, w1, bins.m)
 
 
-def contraction_norm(op: FredholmOperator, alpha: str = "l2") -> float:
-    """Operator norm of K on mu1-weighted zero-mean functions.
-
-    ``l2`` returns the exact norm :attr:`FredholmOperator.norm`; ``linf``
-    returns the row-sum bound of the projected matrix, which is an upper
-    bound for the norm on the zero-mean subspace.
-    """
-    if alpha == "linf":
-        return float(np.max(np.abs(op.zero_mean_matrix()).sum(axis=1)))
-    if alpha != "l2":
-        raise FredholmError(f"unsupported norm {alpha!r}")
+def contraction_norm(op: FredholmOperator) -> float:
+    """Operator norm of K on mu1-weighted zero-mean functions:
+    :attr:`FredholmOperator.norm`."""
     return op.norm
 
 
@@ -150,9 +142,3 @@ def solve_regularized(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
     K0 = op.zero_mean_matrix()
     h, *_ = np.linalg.lstsq(np.eye(op.n1) - K0, rhs, rcond=1e-10)
     return h - float(op.w1 @ h)
-
-
-def to_csv(op: FredholmOperator, path: str) -> None:
-    """Export the kernel matrix for inspection."""
-    header = ",".join(f"k{i}" for i in range(op.n1))
-    np.savetxt(path, op.K, delimiter=",", header=header, comments="")

@@ -200,16 +200,23 @@ def cond_exp_1(mu: GridMeasure, field: np.ndarray) -> np.ndarray:
     return np.sum(mu.q * field, axis=1)
 
 
-@dataclass(frozen=True)
-class BinPartition:
-    """Partition of the pooled second-stage support into mass bins.
+@dataclass(frozen=True, eq=False)
+class Binning:
+    """Partition of the pooled second-stage support into mass bins, with the
+    atoms of ``mu`` sorted into its bins once.
 
     ``edges`` has length m+1 and brackets the pooled support; atom (i, j)
-    belongs to bin b iff edges[b] <= x2[i,j] < edges[b+1].
+    belongs to bin b iff edges[b] <= x2[i,j] < edges[b+1].  ``index`` is the
+    read-only atom -> bin map, shape (n1, n2), and ``mass`` the read-only
+    mu-mass of each bin, every one positive.  Per-bin sums and the binned
+    surrogate E2 of E[. | X2] read them; nothing searches the edges again.
     """
 
     edges: np.ndarray
     m: int
+    mu: GridMeasure
+    index: np.ndarray = field(init=False)
+    mass: np.ndarray = field(init=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -218,6 +225,13 @@ class BinPartition:
         if np.any(np.diff(edges) <= 0):
             raise MeasureError("edges must be strictly increasing")
         object.__setattr__(self, "edges", edges)
+        index = self.assign(self.mu.x2.ravel()).reshape(self.mu.x2.shape)
+        mass = np.bincount(index.ravel(), self.mu.atom_masses().ravel(), self.m)
+        if np.any(mass <= 0):
+            raise MeasureError("empty bin (zero mass)")
+        index.flags.writeable = mass.flags.writeable = False
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "mass", mass)
 
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Bin index for each value; raises if a value falls outside the edges."""
@@ -226,31 +240,6 @@ class BinPartition:
         if np.any(x < self.edges[0]) or np.any(x >= self.edges[-1]):
             raise MeasureError("value outside the bin partition")
         return idx
-
-
-@dataclass(frozen=True, eq=False)
-class Binning(BinPartition):
-    """A bin partition with the atoms of ``mu`` sorted into its bins once.
-
-    ``index`` is the read-only atom -> bin map, shape (n1, n2), and ``mass``
-    the read-only mu-mass of each bin, every one positive.  Per-bin sums and
-    the binned surrogate E2 of E[. | X2] read them; nothing searches the
-    edges again.
-    """
-
-    mu: GridMeasure
-    index: np.ndarray = field(init=False)
-    mass: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        index = self.assign(self.mu.x2.ravel()).reshape(self.mu.x2.shape)
-        mass = np.bincount(index.ravel(), self.mu.atom_masses().ravel(), self.m)
-        if np.any(mass <= 0):
-            raise MeasureError("empty bin (zero mass)")
-        index.flags.writeable = mass.flags.writeable = False
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "mass", mass)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Per-bin sums of per-atom values, shape (m,)."""
@@ -300,13 +289,6 @@ def marginal_2(mu: GridMeasure) -> tuple[np.ndarray, np.ndarray]:
     keep[1:] = np.diff(z) > MERGE_TOL
     groups = np.cumsum(keep) - 1
     return z[keep], np.bincount(groups, mass)
-
-
-def info_discrepancy_check(bins: Binning) -> float:
-    """Contraction norm of E1 o E2 on zero-mean functions of X1 (in [0, 1])."""
-    from . import fredholm
-
-    return fredholm.contraction_norm(fredholm.build_operator(bins), "l2")
 
 
 def sign_copy_measure(n2: int) -> GridMeasure:

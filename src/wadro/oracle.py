@@ -26,7 +26,6 @@ from .simplex import InaccurateError, InfeasibleError, LPError, solve_lp
 LP_VARIABLE_CAP = 5_000
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-11
-CONTRACTION_FLAG = fredholm.NEUMANN_GATE
 
 
 class OracleError(ValueError):
@@ -417,7 +416,7 @@ def _newton(residual_fn, v0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_eps=1e
 
 
 def feasible_family_general(mu: GridMeasure, theta, phi=(), psi=None,
-                            u_fields=None, r_list=(1e-2, 1e-3)) -> FeasibleFamily:
+                            r_list=(1e-2, 1e-3)) -> FeasibleFamily:
     """Solve for multipliers making mu displaced along theta satisfy the constraints.
 
     The displacement map is x -> x + r theta + sum_k lambda_k u_k with an
@@ -438,16 +437,13 @@ def feasible_family_general(mu: GridMeasure, theta, phi=(), psi=None,
     if k == 0 and psi is None:
         raise OracleError("no constraints to solve for")
     a_grid = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
-    if u_fields is None:
-        u_fields = []
-        for c in phi:
-            d1 = np.asarray(c.d1(a_grid, mu.x2), dtype=float) + np.zeros_like(mu.x2)
-            u1 = taper_endpoints(np.sum(mu.q * d1, axis=1))
-            u2 = taper_boundary(np.asarray(c.d2(a_grid, mu.x2), dtype=float)
-                                + np.zeros_like(mu.x2))
-            u_fields.append((u1, u2))
-    if len(u_fields) != k:
-        raise OracleError("need one u field per mean constraint")
+    u_dirs = []
+    for c in phi:
+        d1 = np.asarray(c.d1(a_grid, mu.x2), dtype=float) + np.zeros_like(mu.x2)
+        u1 = taper_endpoints(np.sum(mu.q * d1, axis=1))
+        u2 = taper_boundary(np.asarray(c.d2(a_grid, mu.x2), dtype=float)
+                            + np.zeros_like(mu.x2))
+        u_dirs.append((u1, u2))
     psi_d2 = None
     if psi is not None:
         psi_d2 = taper_boundary(np.asarray(psi.d2(a_grid, mu.x2), dtype=float)
@@ -460,7 +456,7 @@ def feasible_family_general(mu: GridMeasure, theta, phi=(), psi=None,
     def gamma(r, lam, h):
         x1n = mu.x1 + r * t1
         x2n = mu.x2 + r * t2
-        for lk, (u1, u2) in zip(lam, u_fields):
+        for lk, (u1, u2) in zip(lam, u_dirs):
             x1n = x1n + lk * u1
             x2n = x2n + lk * u2
         if psi is not None:
@@ -533,12 +529,12 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
     op = None
     try:
         op = fredholm.build_operator(bins)
-        contraction = fredholm.contraction_norm(op, "l2")
+        contraction = fredholm.contraction_norm(op)
     except (fredholm.FredholmError, MeasureError) as exc:
         warns.append(f"contraction check failed: {exc}")
-    if contraction is not None and contraction >= CONTRACTION_FLAG:
+    if contraction is not None and contraction >= fredholm.NEUMANN_GATE:
         warns.append(f"informational-discrepancy contraction {contraction:.6f} >= "
-                     f"{CONTRACTION_FLAG}; construction may be ill-posed")
+                     f"{fredholm.NEUMANN_GATE}; construction may be ill-posed")
         warnings.warn(warns[-1], RuntimeWarning, stacklevel=2)
 
     mw = mu.atom_masses()
@@ -579,7 +575,7 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
         for its in range(1, NEWTON_MAX_ITER + 1):
             if res <= 1e-12 or op is None:
                 break
-            if contraction is not None and contraction >= CONTRACTION_FLAG:
+            if contraction is not None and contraction >= fredholm.NEUMANN_GATE:
                 step = fredholm.solve_regularized(op, -g)
             else:
                 step = fredholm.solve(op, -g)
@@ -642,33 +638,18 @@ def _bin_couple(order, cloud_cum, bnd):
     """Fragments of the sorted cloud against consecutive bin-mass intervals.
 
     Returns (atom index, bin, mass) triples; atoms whose mass interval sits
-    inside one bin stay whole, straddlers split at the bin boundaries.
+    inside one bin stay whole, straddlers split at the bin boundaries.  The
+    cuts are the cloud's cumulative masses and the bin boundaries below its
+    total; mass beyond the last boundary stays in the last bin.
     """
-    frag_atom, frag_bin, frag_mass = [], [], []
-    b = 0
-    lo = 0.0
-    for k in range(order.size):
-        hi = cloud_cum[k]
-        pos = lo
-        while True:
-            top = bnd[b] if b < bnd.size else np.inf
-            if hi <= top or b >= bnd.size - 1:
-                if hi > pos:
-                    frag_atom.append(order[k])
-                    frag_bin.append(b)
-                    frag_mass.append(hi - pos)
-                break
-            if top > pos:
-                frag_atom.append(order[k])
-                frag_bin.append(b)
-                frag_mass.append(top - pos)
-                pos = top
-            b += 1
-        lo = hi
-    return (np.asarray(frag_atom), np.asarray(frag_bin), np.asarray(frag_mass))
+    inner = bnd[:-1]
+    cuts = np.union1d(cloud_cum, inner[inner < cloud_cum[-1]])
+    cuts = cuts[cuts > 0.0]             # atoms of zero mass leave no fragment
+    b = np.minimum(np.searchsorted(bnd, cuts), bnd.size - 1)
+    return order[np.searchsorted(cloud_cum, cuts)], b, np.diff(cuts, prepend=0.0)
 
 
-def family_slope(c: Criterion, mu, family: FeasibleFamily, richardson: bool = True) -> float:
+def family_slope(c: Criterion, mu, family: FeasibleFamily) -> float:
     """Difference quotient of the criterion along the family.
 
     With two radii r and r/2 in the list, Richardson extrapolation removes
@@ -679,7 +660,7 @@ def family_slope(c: Criterion, mu, family: FeasibleFamily, richardson: bool = Tr
               for r, nu in zip(family.r_list, family.measures)]
     if not slopes:
         raise OracleError("empty feasible family")
-    if richardson and len(slopes) >= 2 and abs(family.r_list[1] * 2 - family.r_list[0]) < 1e-15:
+    if len(slopes) >= 2 and abs(family.r_list[1] * 2 - family.r_list[0]) < 1e-15:
         return 2.0 * slopes[1] - slopes[0]
     return slopes[-1]
 

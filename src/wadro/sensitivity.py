@@ -37,7 +37,6 @@ SOLVED = 1e-6
 EPS_SHRINK = 0.1
 EPS_FLOOR = 1e-30
 WEIGHT_FLOOR = 1e-12
-CONTRACTION_FLAG = fredholm.NEUMANN_GATE
 
 
 class SensitivityError(ValueError):
@@ -252,10 +251,10 @@ class _HedgeMap:
             if cs.martingale:
                 self.op = state.op
             if cs.martingale and cs.marginal1:
-                contraction = fredholm.contraction_norm(self.op, "l2")
-                if contraction >= CONTRACTION_FLAG:
+                contraction = fredholm.contraction_norm(self.op)
+                if contraction >= fredholm.NEUMANN_GATE:
                     msg = (f"informational-discrepancy contraction {contraction:.6f} >= "
-                           f"{CONTRACTION_FLAG}; using regularized hedge solve")
+                           f"{fredholm.NEUMANN_GATE}; using regularized hedge solve")
                     warnings.warn(msg, RuntimeWarning, stacklevel=4)
                     self.warnings.append(msg)
         a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
@@ -365,7 +364,7 @@ class _HedgeMap:
                 if cs.marginal1:
                     rhs = rhs / d
                     rhs = rhs - float(op.w1 @ rhs)
-                    if op.norm >= CONTRACTION_FLAG:
+                    if op.norm >= fredholm.NEUMANN_GATE:
                         dh = fredholm.solve_regularized(op, rhs)
                     else:
                         dh = fredholm.solve(op, rhs)
@@ -553,33 +552,6 @@ CONSTRAINT_SETS = {
     "marginal": ConstraintSet(marginal1=True, marginal2=True),
     "mart_marginal": ConstraintSet(martingale=True, marginal1=True, marginal2=True),
 }
-
-
-def sens_unconstrained(mu: GridMeasure, G: GradientField, metric: Metric) -> SensitivityReport:
-    return solve_foc(PointState(mu, G, metric), CONSTRAINT_SETS["unconstrained"])
-
-
-def sens_martingale(mu: GridMeasure, G: GradientField, metric: Metric) -> SensitivityReport:
-    return solve_foc(PointState(mu, G, metric), CONSTRAINT_SETS["martingale"])
-
-
-def sens_marginal(mu: GridMeasure, G: GradientField, metric: Metric,
-                  bins: Binning | None = None) -> SensitivityReport:
-    return solve_foc(PointState(mu, G, metric, bins), CONSTRAINT_SETS["marginal"])
-
-
-def sens_mart_marginal(mu: GridMeasure, G: GradientField,
-                       bins: Binning | None = None, p: float = 2.0) -> SensitivityReport:
-    """Martingale plus both marginals under the adapted ball (hedge via Fredholm)."""
-    return solve_foc(PointState(mu, G, Metric("wp_adapted", p), bins),
-                     CONSTRAINT_SETS["mart_marginal"])
-
-
-def sens_general(mu: GridMeasure, G: GradientField, metric: Metric,
-                 phi=(), psi: CondConstraint | None = None) -> SensitivityReport:
-    """Sensitivity under mean constraints phi and conditional constraint psi."""
-    cs = ConstraintSet(mean_phi=tuple(phi), cond_psi=psi)
-    return solve_foc(PointState(mu, G, metric), cs)
 
 
 def marginal_value_closed_form(mu: GridMeasure, G: GradientField, metric: Metric,

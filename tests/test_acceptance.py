@@ -16,11 +16,10 @@ from wadro.cli import hedge_jump_stats
 from wadro.criterion import american_put, exercise_mass, gradient_field, preset
 from wadro.measure import (ModelSpec, build_model, canonical_test_measure,
                            cond_exp_1, quantile_bins, sign_copy_measure)
-from wadro.oracle import (family_slope, feasible_family_mart_marginal,
+from wadro.oracle import (FLAG_TABLE, family_slope, feasible_family_mart_marginal,
                           oracle_report)
-from wadro.sensitivity import (ConstraintSet, Metric, PointState, W2, W2AD,
-                               sens_marginal, sens_mart_marginal,
-                               sens_martingale, sens_unconstrained, solve_foc)
+from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, W2, W2AD,
+                               solve_foc)
 from wadro.criterion import GradientField, value
 
 SIGMA_GRID = np.exp(np.linspace(np.log(0.05), np.log(1.5), 20))
@@ -40,14 +39,15 @@ def test_criterion_1_analytic_closed_forms():
                 build_model(ModelSpec("bachelier", 1.0, 16, 16)),
                 build_model(ModelSpec("black_scholes", 0.5, 16, 16))]
     for mu in measures:
-        g_x2 = _const_field(mu, 0.0, 1.0)
-        assert abs(sens_unconstrained(mu, g_x2, W2AD).value - 1.0) <= 1e-10
-        assert abs(sens_martingale(mu, g_x2, W2AD).value - 2.0 ** -0.5) <= 1e-10
-        assert abs(sens_marginal(mu, g_x2, W2AD).value) <= 1e-10
-        assert abs(sens_mart_marginal(mu, g_x2).value) <= 1e-10
-        g_sum = _const_field(mu, 1.0, 1.0)
-        assert abs(sens_unconstrained(mu, g_sum, W2AD).value - 2.0 ** 0.5) <= 1e-10
-        assert abs(sens_martingale(mu, g_sum, W2AD).value - 2.0 ** 0.5) <= 1e-10
+        state = PointState(mu, _const_field(mu, 0.0, 1.0), W2AD)
+        unc, mart, marg, both = (solve_foc(state, cs).value for cs in CONSTRAINT_SETS.values())
+        assert abs(unc - 1.0) <= 1e-10
+        assert abs(mart - 2.0 ** -0.5) <= 1e-10
+        assert abs(marg) <= 1e-10
+        assert abs(both) <= 1e-10
+        state = PointState(mu, _const_field(mu, 1.0, 1.0), W2AD)
+        assert abs(solve_foc(state, CONSTRAINT_SETS["unconstrained"]).value - 2.0 ** 0.5) <= 1e-10
+        assert abs(solve_foc(state, CONSTRAINT_SETS["martingale"]).value - 2.0 ** 0.5) <= 1e-10
     elapsed = time.time() - t0
     assert elapsed < 1.0
     _report("criterion 1 (analytic closed-form suite)", elapsed)
@@ -86,7 +86,7 @@ def test_criterion_3_fredholm_certificate():
         mu = build_model(ModelSpec(family, 1.0, 32, 32))
         bins = quantile_bins(mu, 32)
         op = fredholm.build_operator(bins)
-        norm = fredholm.contraction_norm(op, "l2")
+        norm = fredholm.contraction_norm(op)
         assert norm < 1.0
         G = gradient_field(put, mu)
         rhs = cond_exp_1(mu, bins.e2(G.g2)[bins.index]) - cond_exp_1(mu, G.g2)
@@ -111,12 +111,9 @@ def test_criterion_4_oracle_sandwich_classical():
     t0 = time.time()
     mu = canonical_test_measure()
     G = gradient_field(preset("linear:x2"), mu)
-    reports = {
-        "none": sens_unconstrained(mu, G, W2),
-        "martingale": sens_martingale(mu, G, W2),
-        "marginal2": solve_foc(PointState(mu, G, W2), ConstraintSet(marginal2=True)),
-        "both": solve_foc(PointState(mu, G, W2), ConstraintSet(martingale=True, marginal2=True)),
-    }
+    state = PointState(mu, G, W2)
+    reports = {label: solve_foc(state, ConstraintSet(**flags))
+               for label, flags in FLAG_TABLE.items()}
     rep = oracle_report(mu, lambda y1, y2: y2, [0.02, 0.05, 0.1, 0.2],
                         reports, tolerance=0.05)
     assert rep["pass"], rep
@@ -132,13 +129,13 @@ def test_criterion_5_feasible_family_lower_bound():
     put = american_put(side="buyer")
     G = gradient_field(put, mu)
     bins = quantile_bins(mu, 32)
-    rep = sens_mart_marginal(mu, G, bins)
+    rep = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["mart_marginal"])
     fam = feasible_family_mart_marginal(mu, rep.T2, r_list=(1e-3, 5e-4), bins=bins)
     assert len(fam.measures) == 2
     for res in fam.residuals:
         assert res["martingale"] <= 1e-8
         assert res["marginal2"] <= 1e-8
-    slope = family_slope(put, mu, fam, richardson=True)
+    slope = family_slope(put, mu, fam)
     rel = abs(slope - rep.value) / rep.value
     assert rel <= 0.02
     elapsed = time.time() - t0
@@ -157,10 +154,9 @@ def test_criterion_6_monotonicity_sweep():
                 mu = build_model(ModelSpec(family, float(sigma), 64, 64))
                 G = gradient_field(put, mu)
                 bins = quantile_bins(mu, 64)
-                unc = sens_unconstrained(mu, G, W2AD).value
-                mart = sens_martingale(mu, G, W2AD).value
-                marg = sens_marginal(mu, G, W2AD, bins).value
-                both = sens_mart_marginal(mu, G, bins).value
+                state = PointState(mu, G, W2AD, bins)
+                unc, mart, marg, both = (solve_foc(state, cs).value
+                                         for cs in CONSTRAINT_SETS.values())
                 assert both <= min(mart, marg) + 1e-10
                 assert min(mart, marg) <= unc + 1e-10
                 assert both < mart          # strict gap, every sigma
@@ -176,7 +172,7 @@ def test_criterion_7_hedging_jump_and_exercise_mass():
     put = american_put(side="buyer")
     mu = build_model(ModelSpec("black_scholes", 1.0, 64, 64))
     G = gradient_field(put, mu)
-    rep = sens_martingale(mu, G, W2AD)
+    rep = solve_foc(PointState(mu, G, W2AD), CONSTRAINT_SETS["martingale"])
     stats = hedge_jump_stats(mu, rep.h_hat, put)
     assert stats["jump_ratio"] > 10.0
     assert stats["cells_from_boundary"] is not None
@@ -200,12 +196,12 @@ def test_criterion_8_contraction_counterexample():
     mu = sign_copy_measure(64)
     bins = quantile_bins(mu, 64)
     op = fredholm.build_operator(bins)
-    norm = fredholm.contraction_norm(op, "l2")
+    norm = fredholm.contraction_norm(op)
     assert norm > 0.99
     G = _const_field(mu, 0.0, 1.0)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        rep = sens_mart_marginal(mu, G, bins)
+        rep = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["mart_marginal"])
     assert any("contraction" in str(w.message) for w in rec)
     assert any("contraction" in w for w in rep.warnings)
     elapsed = time.time() - t0

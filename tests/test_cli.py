@@ -32,6 +32,24 @@ def test_bad_config_exit_code(tmp_path):
     assert rc == cli.EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("args", [
+    ["curve", "--set", "model.sigma=-1,0.5"], ["curve", "--set", "model.n1=1"],
+    ["curve", "--set", "metric.ball=foo"], ["curve", "--set", "metric.p=0.5"],
+    ["curve", "--set", "model.family=heston"], ["curve", "--set", "model.quadrature=x"],
+    ["curve", "--set", "output.bins=-3"], ["curve", "--set", "output.bins=0"],
+    ["hedge", "--sigma", "0.5", "--set", "metric.ball=foo"],
+    ["curve", "--out", "{file}"]], ids=" ".join)
+def test_bad_value_exits_bad_config_before_any_work(tmp_path, capsys, args):
+    # refused up front: no sigma point runs and nothing is written
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [args[0], "--set", "model.n1=8", "--set", "model.n2=8", "--out", str(tmp_path)]
+    rc = run_cli(argv + [str(taken) if a == "{file}" else a for a in args[1:]])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "bad configuration" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["taken"] and taken.read_text() == ""
+
+
 @pytest.mark.parametrize("key", ["model.sigmaa", "output.workers", "output.seed"])
 def test_unknown_config_key_exits_bad_config(tmp_path, capsys, key):
     # a typo, or a key this version does not have, stops the run by name

@@ -9,7 +9,7 @@ from wadro.criterion import (Criterion, CriterionError, american_put,
                              preset, stopping_rule, value, vega)
 from wadro.measure import GridMeasure, ModelSpec, build_model, cond_exp_1, quantile_bins
 from wadro.oracle import feasible_family_mart_marginal
-from wadro.sensitivity import sens_mart_marginal
+from wadro.sensitivity import CONSTRAINT_SETS, W2AD, PointState, solve_foc
 
 
 def test_linear_value_is_mean_for_martingales():
@@ -124,7 +124,8 @@ def test_ragged_value_matches_row_loop():
     mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
     put = american_put(side="buyer")
     bins = quantile_bins(mu, 8)
-    direction = sens_mart_marginal(mu, gradient_field(put, mu), bins).T2
+    state = PointState(mu, gradient_field(put, mu), W2AD, bins)
+    direction = solve_foc(state, CONSTRAINT_SETS["mart_marginal"]).T2
     nu = feasible_family_mart_marginal(mu, direction, r_list=(1e-2,), bins=bins).measures[0]
     rows = [(a, w, z, q) for a, w, (z, q) in zip(nu.x1, nu.w1, nu.rows)]
     assert any(z.size != mu.n2 for _, _, z, _ in rows)

@@ -6,7 +6,6 @@ from wadro.fredholm import (FredholmError, FredholmOperator, build_operator,
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            quantile_bins, sign_copy_measure)
 from wadro.criterion import american_put, gradient_field
-from wadro import fredholm
 
 
 def _product_measure(n1=5, n2=7):
@@ -22,8 +21,7 @@ def test_product_measure_kernel_is_rank_one():
     mu = _product_measure()
     op = build_operator(quantile_bins(mu, 4))
     assert np.max(np.abs(op.K - mu.w1[None, :])) <= 1e-12
-    assert contraction_norm(op, "l2") <= 1e-10
-    assert contraction_norm(op, "linf") <= 1e-10
+    assert contraction_norm(op) <= 1e-10
     rhs = np.array([0.3, -0.1, 0.2, -0.4, 0.0])
     rhs -= float(mu.w1 @ rhs)
     assert np.allclose(solve(op, rhs), rhs, atol=1e-12)
@@ -56,7 +54,7 @@ def test_reweighted_operator_tolerates_zero_atoms():
     r = weights.sum(axis=1)
     assert np.allclose(op.w1, r / r.sum(), rtol=1e-14)
     assert np.max(np.abs(op.K.sum(axis=1) - 1.0)) <= 1e-12
-    assert 0.0 < contraction_norm(op, "l2") < 1.0
+    assert 0.0 < contraction_norm(op) < 1.0
     weights[3, :] = 0.0
     with pytest.raises(FredholmError):
         build_operator(bins, weights)
@@ -65,7 +63,7 @@ def test_reweighted_operator_tolerates_zero_atoms():
 def test_contraction_power_iteration_matches_svd():
     mu = build_model(ModelSpec("bachelier", 1.0, 24, 24))
     op = build_operator(quantile_bins(mu, 24))
-    norm = contraction_norm(op, "l2")
+    norm = contraction_norm(op)
     d = np.sqrt(mu.w1)
     M = (op.zero_mean_matrix() * (1.0 / d)[None, :]) * d[:, None]
     assert abs(norm - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-8
@@ -78,20 +76,20 @@ def test_contraction_permutation_invariant():
     perm = rng.permutation(16)
     P = np.eye(16)[perm]
     op2 = FredholmOperator(P @ op.K @ P.T, op.w1[perm], op.m)
-    assert abs(contraction_norm(op, "l2") - contraction_norm(op2, "l2")) <= 1e-10
+    assert abs(contraction_norm(op) - contraction_norm(op2)) <= 1e-10
 
 
 def test_sign_copy_counterexample():
     mu = sign_copy_measure(64)
     op = build_operator(quantile_bins(mu, 64))
-    assert contraction_norm(op, "l2") >= 0.99
+    assert contraction_norm(op) >= 0.99
 
 
 def test_bachelier_norm_decreases_to_single_bin():
     mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
-    fine = contraction_norm(build_operator(quantile_bins(mu, 32)), "l2")
-    coarse = contraction_norm(build_operator(quantile_bins(mu, 4)), "l2")
-    single = contraction_norm(build_operator(quantile_bins(mu, 1)), "l2")
+    fine = contraction_norm(build_operator(quantile_bins(mu, 32)))
+    coarse = contraction_norm(build_operator(quantile_bins(mu, 4)))
+    single = contraction_norm(build_operator(quantile_bins(mu, 1)))
     assert 0.0 < fine < 1.0
     assert coarse <= fine + 1e-12
     assert single <= 1e-12
@@ -127,7 +125,7 @@ def test_neumann_increments_decay_geometrically():
     mu = build_model(ModelSpec("black_scholes", 1.0, 24, 24))
     bins = quantile_bins(mu, 24)
     op = build_operator(bins)
-    norm = contraction_norm(op, "l2")
+    norm = contraction_norm(op)
     K0 = op.zero_mean_matrix()
     term = _put_rhs(mu, bins)
     prev = float(np.sqrt(np.sum(mu.w1 * term ** 2)))
@@ -174,11 +172,3 @@ def test_solve_refuses_an_operator_of_norm_one():
         solve(op, np.array([1.0, -1.0]))
     assert np.all(np.isfinite(solve_regularized(op, np.array([1.0, -1.0]))))
 
-
-def test_operator_csv_export(tmp_path):
-    mu = build_model(ModelSpec("bachelier", 1.0, 6, 6))
-    op = build_operator(quantile_bins(mu, 6))
-    path = tmp_path / "kernel.csv"
-    fredholm.to_csv(op, str(path))
-    loaded = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(loaded, op.K, atol=1e-12)

@@ -5,11 +5,10 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from wadro.measure import (BinPartition, Binning, GridMeasure, MeasureError, ModelSpec,
-                           build_model, canonical_test_measure,
-                           cond_exp_1, from_csv, info_discrepancy_check,
-                           marginal_2, quantile_bins, sign_copy_measure, std_normal_nodes,
-                           to_csv)
+from wadro.fredholm import build_operator, contraction_norm
+from wadro.measure import (Binning, GridMeasure, MeasureError, ModelSpec, build_model,
+                           canonical_test_measure, cond_exp_1, from_csv, marginal_2,
+                           quantile_bins, sign_copy_measure, std_normal_nodes, to_csv)
 
 
 def test_bachelier_three_point_nodes():
@@ -196,8 +195,8 @@ def test_std_normal_nodes_rejects_unknown_quadrature():
 
 
 def test_bin_partition_rejects_bad_edges():
-    with pytest.raises(MeasureError):
-        BinPartition(np.array([0.0, 0.0, 1.0]), 2)
+    with pytest.raises(MeasureError, match="strictly increasing"):
+        Binning(np.array([-3.0, -3.0, 3.0]), 2, _product_measure(2, 4))
 
 
 def test_binning_rejects_empty_bins_and_atoms_outside():
@@ -233,21 +232,21 @@ def test_marginal_2_mass_and_moments():
 def test_info_discrepancy_product_is_zero():
     prod = _product_measure()
     bins = quantile_bins(prod, 4)
-    assert info_discrepancy_check(bins) <= 1e-12
+    assert contraction_norm(build_operator(bins)) <= 1e-12
 
 
 def test_info_discrepancy_sign_copy_hits_one():
     for n2 in (16, 32, 64):
         mu = sign_copy_measure(n2)
         bins = quantile_bins(mu, n2)
-        val = info_discrepancy_check(bins)
+        val = contraction_norm(build_operator(bins))
         assert val > 0.99
 
 
 def test_info_discrepancy_bachelier_strictly_inside():
     mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
     bins = quantile_bins(mu, 32)
-    val = info_discrepancy_check(bins)
+    val = contraction_norm(build_operator(bins))
     assert 0.0 < val < 1.0
 
 

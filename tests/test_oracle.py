@@ -10,9 +10,8 @@ from wadro.oracle import (DiscreteBallProblem, OracleError, bicausal_distance,
                           family_slope, feasible_family_general,
                           feasible_family_mart_marginal, oracle_report,
                           slope_estimate, taper_boundary)
-from wadro.sensitivity import (ConstraintSet, MeanConstraint, PointState, W2, W2AD,
-                               sens_mart_marginal, sens_martingale,
-                               sens_unconstrained, solve_foc)
+from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, MeanConstraint, PointState,
+                               W2, W2AD, solve_foc)
 from wadro import oracle
 from wadro.simplex import InaccurateError, InfeasibleError, LPResult, solve_lp
 
@@ -73,14 +72,14 @@ def test_dro_lp_monotone_in_radius_shared_support():
 
 
 def test_dro_lp_martingale_slope_matches_closed_form():
-    # spec example: 3x3 measure, objective y2, slope vs sens_martingale
+    # spec example: 3x3 measure, objective y2, slope vs the martingale closed form
     x1 = np.array([0.9, 1.0, 1.1])
     off = np.array([-0.1, 0.0, 0.1])
     mu = GridMeasure(x1, np.array([0.25, 0.5, 0.25]),
                      x1[:, None] + off[None, :],
                      np.tile([0.25, 0.5, 0.25], (3, 1)), is_martingale=True)
     G = gradient_field(preset("linear:x2"), mu)
-    closed = sens_martingale(mu, G, W2).value
+    closed = solve_foc(PointState(mu, G, W2), CONSTRAINT_SETS["martingale"]).value
     radii = [0.05, 0.1, 0.2]
     vals = []
     for r in radii:
@@ -207,12 +206,9 @@ def test_target_support_snaps_rounding_misses_onto_atoms():
 def test_oracle_report_sandwich():
     mu = canonical_test_measure()
     G = gradient_field(preset("linear:x2"), mu)
-    reports = {
-        "none": sens_unconstrained(mu, G, W2),
-        "martingale": sens_martingale(mu, G, W2),
-        "marginal2": solve_foc(PointState(mu, G, W2), ConstraintSet(marginal2=True)),
-        "both": solve_foc(PointState(mu, G, W2), ConstraintSet(martingale=True, marginal2=True)),
-    }
+    state = PointState(mu, G, W2)
+    reports = {label: solve_foc(state, ConstraintSet(**flags))
+               for label, flags in oracle.FLAG_TABLE.items()}
     rep = oracle_report(mu, _obj_y2, [0.02, 0.05, 0.1, 0.2], reports)
     assert rep["pass"]
     for res in rep["constraint_sets"].values():
@@ -293,7 +289,7 @@ def test_mart_marginal_family_optimal_direction():
     put = american_put(side="buyer")
     G = gradient_field(put, mu)
     bins = quantile_bins(mu, 32)
-    rep = sens_mart_marginal(mu, G, bins)
+    rep = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["mart_marginal"])
     fam = feasible_family_mart_marginal(mu, rep.T2, r_list=(1e-3, 5e-4), bins=bins)
     assert len(fam.measures) == 2
     for res, mult, r in zip(fam.residuals, fam.multipliers, fam.r_list):

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from lattice import CONSTRAINT_FLAGS, lattice_measure, pinned
 from wadro.criterion import GradientField
-from wadro.measure import BinPartition, GridMeasure, quantile_bins
-from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
+from wadro.measure import GridMeasure, quantile_bins
+from wadro.oracle import DiscreteBallProblem, _bin_couple, default_target_support, transport_lp
 from wadro.sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, Metric, PointState,
                                martingale_psi, solve_foc)
 from wadro.simplex import solve_lp
@@ -34,13 +34,28 @@ def binned_grids(draw):
 @given(binned_grids(), st.floats(-10.0, 10.0))
 def test_binning_matches_its_partition(grid, c):
     mu, bins, _ = grid
-    plain = BinPartition(bins.edges, bins.m)
-    assert np.array_equal(bins.index.ravel(), plain.assign(mu.x2.ravel()))
+    assert np.array_equal(bins.index.ravel(), bins.assign(mu.x2.ravel()))
     assert not bins.index.flags.writeable and not bins.mass.flags.writeable
     assert np.array_equal(bins.mass, np.bincount(bins.index.ravel(),
                                                  mu.atom_masses().ravel(), bins.m))
     assert np.all(bins.mass > 0.0)
     assert np.allclose(bins.e2(np.full(mu.x2.shape, c)), c, rtol=1e-12, atol=1e-15)
+
+
+@given(binned_grids(), st.floats(0.0, 0.5))
+def test_bin_couple_splits_the_sorted_cloud_over_the_bins(grid, shake):
+    # the feasible family's rearrangement: a displaced cloud, sorted, cut into
+    # pieces that fill the bins in order and use up every atom's mass
+    mu, bins, rng = grid
+    cloud = (mu.x2 + shake * rng.normal(size=mu.x2.shape)).ravel()
+    mw = mu.atom_masses().ravel()
+    order = np.argsort(cloud, kind="stable")
+    atom, b, mass = _bin_couple(order, np.cumsum(mw[order]), np.cumsum(bins.mass))
+    assert np.all(mass > 0.0)
+    assert np.max(np.abs(np.bincount(b, mass, bins.m) - bins.mass)) <= 1e-15
+    assert np.max(np.abs(np.bincount(atom, mass, mw.size) - mw)) <= 1e-15
+    assert np.all(np.diff(b) >= 0)
+    assert np.all(np.diff(np.argsort(order)[atom]) >= 0)     # along the sorted cloud
 
 
 @given(binned_grids())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,13 @@ from wadro import fredholm
 from wadro.criterion import GradientField, american_put, gradient_field, preset
 from wadro.measure import (GridMeasure, ModelSpec, build_model,
                            canonical_test_measure, quantile_bins)
-from wadro.sensitivity import (CondConstraint, ConstraintSet, MeanConstraint,
-                               Metric, PointState, SensitivityError, W2, W2AD,
-                               adapted_gradient, marginal_value_closed_form,
-                               martingale_psi, n_map, report_tables,
-                               report_to_json, sens_general, sens_marginal,
-                               sens_mart_marginal, sens_martingale,
-                               sens_unconstrained, solve_foc)
+from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
+                               MeanConstraint, Metric, PointState, SensitivityError,
+                               W2, W2AD, adapted_gradient, marginal_value_closed_form,
+                               martingale_psi, n_map, report_tables, report_to_json,
+                               solve_foc)
+
+UNC, MART, MARG, BOTH = CONSTRAINT_SETS.values()
 
 
 def _const_field(mu, a, b):
@@ -57,19 +58,19 @@ def test_adapted_gradient():
 @pytest.mark.parametrize("metric", [W2, W2AD])
 def test_unconstrained_constant_field(metric):
     mu = canonical_test_measure()
-    rep = sens_unconstrained(mu, _const_field(mu, 1.0, 1.0), metric)
+    rep = solve_foc(PointState(mu, _const_field(mu, 1.0, 1.0), metric), UNC)
     assert abs(rep.value - math.sqrt(2.0)) <= 1e-12
-    rep0 = sens_unconstrained(mu, _const_field(mu, 0.0, 0.0), metric)
+    rep0 = solve_foc(PointState(mu, _const_field(mu, 0.0, 0.0), metric), UNC)
     assert rep0.value == 0.0
     assert np.all(rep0.T1 == 0.0) and np.all(rep0.T2 == 0.0)
 
 
 def test_martingale_closed_forms():
     mu = canonical_test_measure()
-    rep = sens_martingale(mu, _const_field(mu, 0.0, 1.0), W2AD)
+    rep = solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD), MART)
     assert abs(rep.value - 2 ** -0.5) <= 1e-12
     assert np.allclose(rep.h_hat, -0.5, atol=1e-12)
-    rep2 = sens_martingale(mu, _const_field(mu, 3.0, 3.0), W2AD)
+    rep2 = solve_foc(PointState(mu, _const_field(mu, 3.0, 3.0), W2AD), MART)
     assert abs(rep2.value - 3.0 * math.sqrt(2.0)) <= 1e-12
     assert np.allclose(rep2.h_hat, 0.0, atol=1e-12)
 
@@ -78,25 +79,26 @@ def test_martingale_rejects_nonmartingale():
     mu = GridMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]),
                      np.array([[1.0, 2.0], [3.0, 4.0]]), np.full((2, 2), 0.5))
     with pytest.raises(SensitivityError):
-        sens_martingale(mu, _const_field(mu, 0.0, 1.0), W2AD)
+        solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD), MART)
 
 
 def test_martingale_below_unconstrained_for_put():
     mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
     G = gradient_field(american_put(side="buyer"), mu)
-    assert sens_martingale(mu, G, W2AD).value <= sens_unconstrained(mu, G, W2AD).value + 1e-12
+    state = PointState(mu, G, W2AD)
+    assert solve_foc(state, MART).value <= solve_foc(state, UNC).value + 1e-12
 
 
 def test_marginal_closed_forms():
     mu = canonical_test_measure()
-    rep = sens_marginal(mu, _const_field(mu, 0.0, 1.0), W2AD)
+    rep = solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD), MARG)
     assert abs(rep.value) <= 1e-12
     assert np.allclose(rep.f2, -1.0, atol=1e-12)
     # product measure with the x2 - x1 gradient: constants absorb everything
     x1 = np.linspace(-1.0, 1.0, 4)
     row = np.linspace(-2.0, 2.0, 5)
     prod = GridMeasure(x1, np.full(4, 0.25), np.tile(row, (4, 1)), np.full((4, 5), 0.2))
-    rep2 = sens_marginal(prod, _const_field(prod, -1.0, 1.0), W2)
+    rep2 = solve_foc(PointState(prod, _const_field(prod, -1.0, 1.0), W2), MARG)
     assert abs(rep2.value) <= 1e-12
 
 
@@ -105,14 +107,14 @@ def test_marginal_dual_path_equivalence():
         mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
         G = gradient_field(american_put(side="buyer"), mu)
         bins = quantile_bins(mu, 32)
-        a = sens_marginal(mu, G, metric, bins).value
+        a = solve_foc(PointState(mu, G, metric, bins), MARG).value
         b = marginal_value_closed_form(mu, G, metric, bins)
         assert abs(a - b) <= 1e-10
 
 
 def test_mart_marginal_trivial_and_ordering():
     mu = canonical_test_measure()
-    rep = sens_mart_marginal(mu, _const_field(mu, 0.0, 1.0))
+    rep = solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD), BOTH)
     assert abs(rep.value) <= 1e-12
     assert np.allclose(rep.h_hat, 0.0, atol=1e-12)
     assert np.allclose(rep.f2, -1.0, atol=1e-12)
@@ -120,16 +122,15 @@ def test_mart_marginal_trivial_and_ordering():
     bs = build_model(ModelSpec("black_scholes", 0.5, 64, 64))
     G = gradient_field(american_put(side="buyer"), bs)
     bins = quantile_bins(bs, 64)
-    both = sens_mart_marginal(bs, G, bins).value
-    mart = sens_martingale(bs, G, W2AD).value
-    marg = sens_marginal(bs, G, W2AD, bins).value
+    state = PointState(bs, G, W2AD, bins)
+    both, mart, marg = (solve_foc(state, cs).value for cs in (BOTH, MART, MARG))
     assert both <= min(mart, marg) + 1e-8
 
 
 def test_mart_marginal_zero_mean_representative():
     mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
     G = gradient_field(american_put(side="buyer"), mu)
-    rep = sens_mart_marginal(mu, G)
+    rep = solve_foc(PointState(mu, G, W2AD), BOTH)
     assert abs(float(mu.w1 @ rep.h_hat)) <= 1e-10
 
 
@@ -137,7 +138,8 @@ def test_general_mean_constraint_absorbs():
     mu = canonical_test_measure()
     phi = MeanConstraint(lambda a, b: a, lambda a, b: np.ones_like(a),
                          lambda a, b: np.zeros_like(b), "mean_x1")
-    rep = sens_general(mu, _const_field(mu, 1.0, 0.0), W2, phi=[phi])
+    rep = solve_foc(PointState(mu, _const_field(mu, 1.0, 0.0), W2),
+                    ConstraintSet(mean_phi=(phi,)))
     assert abs(rep.lambda_hat[0] + 1.0) <= 1e-12
     assert abs(rep.value) <= 1e-12
 
@@ -147,16 +149,18 @@ def test_general_orthogonal_constraint_is_inert():
     phi = MeanConstraint(lambda a, b: a, lambda a, b: np.ones_like(a),
                          lambda a, b: np.zeros_like(b), "mean_x1")
     G = _const_field(mu, 0.0, 1.0)      # (0,1) orthogonal to (1,0)
-    rep = sens_general(mu, G, W2, phi=[phi])
+    state = PointState(mu, G, W2)
+    rep = solve_foc(state, ConstraintSet(mean_phi=(phi,)))
     assert abs(rep.lambda_hat[0]) <= 1e-12
-    assert abs(rep.value - sens_unconstrained(mu, G, W2).value) <= 1e-12
+    assert abs(rep.value - solve_foc(state, UNC).value) <= 1e-12
 
 
 def test_general_psi_reproduces_martingale():
     mu = build_model(ModelSpec("black_scholes", 0.5, 24, 24))
     G = gradient_field(american_put(side="buyer"), mu)
-    via_psi = sens_general(mu, G, W2AD, psi=martingale_psi())
-    direct = sens_martingale(mu, G, W2AD)
+    state = PointState(mu, G, W2AD)
+    via_psi = solve_foc(state, ConstraintSet(cond_psi=martingale_psi()))
+    direct = solve_foc(state, MART)
     assert abs(via_psi.value - direct.value) <= 1e-10
     assert np.max(np.abs(via_psi.h_hat - direct.h_hat)) <= 1e-9
 
@@ -166,12 +170,13 @@ def test_general_redundancy_and_singularity_rejected():
     jphi = MeanConstraint(lambda a, b: b - a, lambda a, b: -np.ones_like(a),
                           lambda a, b: np.ones_like(b), "mean_x2_minus_x1")
     with pytest.raises(SensitivityError):
-        sens_general(mu, _const_field(mu, 0.0, 1.0), W2AD,
-                     phi=[jphi], psi=martingale_psi())
+        solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD),
+                  ConstraintSet(mean_phi=(jphi,), cond_psi=martingale_psi()))
     phi = MeanConstraint(lambda a, b: a, lambda a, b: np.ones_like(a),
                          lambda a, b: np.zeros_like(b), "mean_x1")
     with pytest.raises(SensitivityError):
-        sens_general(mu, _const_field(mu, 1.0, 0.0), W2, phi=[phi, phi])
+        solve_foc(PointState(mu, _const_field(mu, 1.0, 0.0), W2),
+                  ConstraintSet(mean_phi=(phi, phi)))
 
 
 def test_constraint_set_validation():
@@ -232,12 +237,9 @@ def test_report_certificates_and_normalization(family, sigma):
     mu = build_model(ModelSpec(family, sigma, 32, 32))
     G = gradient_field(american_put(side="buyer"), mu)
     bins = quantile_bins(mu, 32)
-    reports = [sens_unconstrained(mu, G, W2AD),
-               sens_martingale(mu, G, W2AD),
-               sens_marginal(mu, G, W2AD, bins),
-               sens_mart_marginal(mu, G, bins),
-               solve_foc(PointState(mu, G, Metric("wp_adapted", 1.5)),
-                         ConstraintSet(martingale=True))]
+    state = PointState(mu, G, W2AD, bins)
+    reports = [solve_foc(state, cs) for cs in CONSTRAINT_SETS.values()]
+    reports.append(solve_foc(PointState(mu, G, Metric("wp_adapted", 1.5)), MART))
     for rep in reports:
         assert rep.value >= 0.0
         assert rep.foc_residual <= 1e-8
@@ -265,12 +267,9 @@ def test_positive_homogeneity():
     G = gradient_field(american_put(side="buyer"), mu)
     s = 3.5
     Gs = GradientField(s * G.g1, s * G.g2)
-    for make in (lambda m, g: sens_martingale(m, g, W2AD),
-                 lambda m, g: sens_mart_marginal(m, g),
-                 lambda m, g: sens_martingale(m, g, Metric("wp_adapted", 1.5)),
-                 lambda m, g: sens_mart_marginal(m, g, p=1.5)):
-        rep1 = make(mu, G)
-        rep2 = make(mu, Gs)
+    for metric, cs in itertools.product((W2AD, Metric("wp_adapted", 1.5)), (MART, BOTH)):
+        rep1 = solve_foc(PointState(mu, G, metric), cs)
+        rep2 = solve_foc(PointState(mu, Gs, metric), cs)
         assert abs(rep2.value - s * rep1.value) <= 1e-10 * max(1.0, s)
         assert np.max(np.abs(rep2.h_hat - s * rep1.h_hat)) <= 1e-9
 
@@ -285,7 +284,7 @@ def test_mart_marginal_with_underflowing_atom_masses():
     assert np.any(mu.atom_masses() == 0.0)
     G = gradient_field(american_put(side="buyer"), mu)
     for p in (2.0, 1.5, 1.1, 3.0):
-        rep = sens_mart_marginal(mu, G, quantile_bins(mu, 16), p)
+        rep = solve_foc(PointState(mu, G, Metric("wp_adapted", p), quantile_bins(mu, 16)), BOTH)
         assert rep.converged and np.isfinite(rep.value), p
 
 
@@ -304,8 +303,8 @@ def test_p2_mart_marginal_builds_one_operator(monkeypatch):
                         counted("operator", fredholm.FredholmOperator))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
-    rep = sens_mart_marginal(mu, gradient_field(american_put(side="buyer"), mu),
-                             quantile_bins(mu, 32))
+    rep = solve_foc(PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD,
+                               quantile_bins(mu, 32)), BOTH)
     assert rep.converged and rep.iterations == 0
     assert calls == {"operator": 1, "eigvalsh": 1}
 
@@ -319,13 +318,14 @@ def test_point_state_refuses_another_measures_binning():
 def test_adapted_below_classical_at_p2():
     mu = build_model(ModelSpec("black_scholes", 1.0, 32, 32))
     G = gradient_field(american_put(side="buyer"), mu)
-    assert sens_unconstrained(mu, G, W2AD).value <= sens_unconstrained(mu, G, W2).value + 1e-10
+    adapted, classical = (solve_foc(PointState(mu, G, m), UNC).value for m in (W2AD, W2))
+    assert adapted <= classical + 1e-10
 
 
 def test_report_serialization():
     mu = build_model(ModelSpec("bachelier", 1.0, 8, 8))
     G = gradient_field(american_put(side="buyer"), mu)
-    rep = sens_mart_marginal(mu, G)
+    rep = solve_foc(PointState(mu, G, W2AD), BOTH)
     blob = report_to_json(rep)
     assert blob["value"] == rep.value
     assert blob["converged"] is True
@@ -350,7 +350,7 @@ def test_unconstrained_adapted_vs_pushforward_slope():
     # valid lower-bound family: its difference quotient approaches the value
     mu = build_model(ModelSpec("black_scholes", 0.1, 64, 64))
     G = gradient_field(american_put(side="buyer"), mu)
-    rep = sens_unconstrained(mu, G, W2AD)
+    rep = solve_foc(PointState(mu, G, W2AD), UNC)
     c = american_put(side="buyer")
     from wadro.criterion import value as crit_value
 
@@ -370,10 +370,8 @@ def test_monotone_chain_general_p():
     for ball in ("wp_adapted", "wp"):
         for p in (1.5, 3.0):
             m = Metric(ball, p)
-            reps = [solve_foc(PointState(mu, G, m, bins), cs) for cs in (
-                ConstraintSet(), ConstraintSet(martingale=True),
-                ConstraintSet(marginal1=True, marginal2=True),
-                ConstraintSet(martingale=True, marginal1=True, marginal2=True))]
+            state = PointState(mu, G, m, bins)
+            reps = [solve_foc(state, cs) for cs in CONSTRAINT_SETS.values()]
             assert all(r.converged and r.foc_residual <= 1e-8 for r in reps), (ball, p)
             unc, mart, marg, both = (r.value for r in reps)
             assert both <= min(mart, marg) + 1e-8
@@ -429,7 +427,7 @@ def test_fredholm_value_against_direct_minimization():
     mu = build_model(ModelSpec("black_scholes", 0.7, 10, 10))
     G = gradient_field(american_put(side="buyer"), mu)
     bins = quantile_bins(mu, 10)
-    rep = sens_mart_marginal(mu, G, bins)
+    rep = solve_foc(PointState(mu, G, W2AD, bins), BOTH)
     mw = mu.atom_masses()
     bidx = bins.assign(mu.x2.ravel()).reshape(mu.x2.shape)
     g1d = cond_exp_1(mu, G.g1)[:, None]
@@ -460,7 +458,8 @@ def test_bordered_system_against_direct_minimization():
     g1d = cond_exp_1(mu, G.g1)[:, None]
     p2 = 2 * mu.x2
     for metric in (W2AD, Metric("wp_adapted", 1.5)):
-        rep = sens_general(mu, G, metric, phi=[phi], psi=martingale_psi())
+        rep = solve_foc(PointState(mu, G, metric),
+                        ConstraintSet(mean_phi=(phi,), cond_psi=martingale_psi()))
         assert rep.converged
         pc = metric.p_conj
 
