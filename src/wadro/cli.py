@@ -62,7 +62,8 @@ configuration keys (section.key, with defaults):
   metric.ball         wp | wp_adapted                  [wp_adapted]
   metric.p            exponent > 1                     [2]
   constraints.sets    comma list of unconstrained, martingale, marginal,
-                      mart_marginal                    [all four]
+                      mart_marginal; hedge takes one   [curve: all four,
+                                                        hedge: mart_marginal]
   output.dir          output directory                 [.]
   output.bins         upper bound on the E2 bin count  [n2]
                       (quantile cuts between the same two atoms merge:
@@ -86,7 +87,7 @@ class RunConfig:
     criterion: str = "american_put"
     ball: str = "wp_adapted"
     p: float = 2.0
-    sets: tuple = CONSTRAINT_CHOICES
+    sets: tuple | None = None       # curve: all four; hedge: mart_marginal
     out_dir: str = "."
     bins: int | None = None
     oracle_radii: tuple = (0.02, 0.05, 0.1, 0.2)
@@ -94,6 +95,9 @@ class RunConfig:
     def metric(self, which: str = "") -> Metric:
         """The configured ball; the set ``mart_marginal`` always takes the adapted one."""
         return Metric("wp_adapted" if which == "mart_marginal" else self.ball, self.p)
+
+    def curve_sets(self) -> tuple:
+        return CONSTRAINT_CHOICES if self.sets is None else self.sets
 
     def model_spec(self, sigma: float) -> ModelSpec:
         return ModelSpec(self.family, sigma, self.n1, self.n2, self.quadrature)
@@ -108,7 +112,7 @@ class RunConfig:
             raise ConfigError("sigma grid must be nonempty")
         if any(b <= a for a, b in zip(self.sigmas, self.sigmas[1:])):
             raise ConfigError("sigma grid must be strictly increasing")
-        for s in self.sets:
+        for s in self.sets or ():
             if s not in CONSTRAINT_CHOICES:
                 raise ConfigError(f"unknown constraint set {s!r}")
         self.metric()
@@ -191,7 +195,7 @@ def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
     adapted = state if state.metric.adapted else PointState(
         mu, G, cfg.metric("mart_marginal"), bins)
     out = {"price": value(c, mu)}
-    for name in cfg.sets:
+    for name in cfg.curve_sets():
         rep = solve_foc(adapted if name == "mart_marginal" else state, CONSTRAINT_SETS[name])
         # an unconverged value is written as NaN, like a failed sigma point
         out[CURVE_COLUMNS[name]] = rep.value if rep.converged else float("nan")
@@ -201,7 +205,7 @@ def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
 
 def cmd_curve(cfg: RunConfig) -> int:
     c = cfg.load_criterion()
-    sens_cols = [col for name, col in CURVE_COLUMNS.items() if name in cfg.sets]
+    sens_cols = [col for name, col in CURVE_COLUMNS.items() if name in cfg.curve_sets()]
     header = ["sigma", "price"] + sens_cols + ["vega"] + [f"relative_{cn}" for cn in sens_cols]
     rows, failed = [], 0
     for sigma in cfg.sigmas:
@@ -234,7 +238,7 @@ def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
     spec = cfg.model_spec(sigma)
     mu = build_model(spec)
     G = gradient_field(c, mu)
-    which = cfg.sets[0] if len(cfg.sets) == 1 else "mart_marginal"
+    which = cfg.sets[0] if cfg.sets else "mart_marginal"
     state = PointState(mu, G, cfg.metric(which), quantile_bins(mu, cfg.bins or cfg.n2))
     rep = solve_foc(state, CONSTRAINT_SETS[which])
     rows1, rows2 = report_tables(rep, mu)
@@ -377,7 +381,15 @@ def _selfcheck_items():
         rhs -= float(mu.w1 @ rhs)
         h = fredholm.solve(op, rhs)
         K0 = op.zero_mean_matrix()
-        return float(np.max(np.abs((np.eye(16) - K0) @ h - rhs))) <= 1e-8
+        # the direct solve against the Neumann series, summed to rounding level
+        term, neumann = rhs.copy(), rhs.copy()
+        for _ in range(10_000):
+            term = K0 @ term
+            neumann += term
+            if float(np.max(np.abs(term))) < 1e-13:
+                break
+        return (float(np.max(np.abs((np.eye(16) - K0) @ h - rhs))) <= 1e-8
+                and float(np.max(np.abs(neumann - h))) <= 1e-8)
 
     def monotonicity():
         unc, mart, marg, both = four_sets(build_model(ModelSpec("black_scholes", 1.0, 16, 16)),
@@ -470,6 +482,8 @@ def main(argv=None) -> int:
         overrides["output.dir"] = args.out
     try:
         cfg = load_config(args.config, overrides)
+        if args.command == "hedge" and len(cfg.sets or ()) > 1:
+            raise ConfigError(f"hedge solves one constraint set, not {len(cfg.sets)}")
     except (ConfigError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -5,7 +5,9 @@ with the inner conditioning realized on a bin partition of the second
 marginal.  On zero-mean functions it is a strict contraction whenever the
 two stages share no common nontrivial information at grid scale; the hedge
 component of the martingale-plus-marginal sensitivity solves
-(I - K) h = rhs on that subspace.
+(I - K) h = rhs on that subspace, by one direct solve of the projected
+system.  At a norm of ``REGULARIZE_GATE`` or more the hedge layer uses the
+minimum-norm ``solve_regularized`` instead.
 """
 
 from __future__ import annotations
@@ -17,11 +19,8 @@ import numpy as np
 
 from .measure import Binning
 
-NEUMANN_GATE = 0.999
+REGULARIZE_GATE = 0.999
 SINGULAR_GATE = 1.0 - 1e-12
-NEUMANN_TOL = 1e-12
-NEUMANN_MAX_TERMS = 10_000
-DUAL_PATH_TOL = 1e-8
 
 
 class FredholmError(ValueError):
@@ -39,7 +38,6 @@ class FredholmOperator:
 
     K: np.ndarray
     w1: np.ndarray
-    m: int
 
     @property
     def n1(self) -> int:
@@ -81,7 +79,7 @@ def build_operator(bins: Binning, weights: np.ndarray | None = None) -> Fredholm
         raise FredholmError("operator rows do not sum to one")
     if np.max(np.abs(w1 @ K - w1)) > 1e-12:
         raise FredholmError("operator does not preserve the mu1-mean")
-    return FredholmOperator(K, w1, bins.m)
+    return FredholmOperator(K, w1)
 
 
 def contraction_norm(op: FredholmOperator) -> float:
@@ -90,48 +88,24 @@ def contraction_norm(op: FredholmOperator) -> float:
     return op.norm
 
 
-def _check_zero_mean(op: FredholmOperator, rhs: np.ndarray) -> None:
-    if abs(float(op.w1 @ rhs)) > 1e-10:
-        raise FredholmError("right-hand side must have zero mu1-mean")
-
-
 def solve(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - K) h = rhs on the zero-mean subspace.
+    """Solve (I - K) h = rhs on the zero-mean subspace by one direct solve
+    of the projected system.
 
-    Runs the Neumann series (when the contraction norm allows) and a direct
-    solve of the projected system; the two must agree within 1e-8.  Raises
-    when the norm is 1 to rounding (at least ``SINGULAR_GATE``): I - K0 is
-    then singular on the zero-mean subspace, and a direct solve can return
+    Raises when the norm is 1 to rounding (at least ``SINGULAR_GATE``): I - K0
+    is then singular on the zero-mean subspace, and a direct solve can return
     a huge h at a small residual.  ``solve_regularized`` answers there.
     """
     rhs = np.asarray(rhs, dtype=float)
-    _check_zero_mean(op, rhs)
+    if abs(float(op.w1 @ rhs)) > 1e-10:
+        raise FredholmError("right-hand side must have zero mu1-mean")
     if op.norm >= SINGULAR_GATE:
         raise FredholmError(f"contraction norm {op.norm!r} is 1 to rounding: "
                             "I - K is singular on zero-mean functions")
-    K0 = op.zero_mean_matrix()
-    n = op.n1
     try:
-        h_direct = np.linalg.solve(np.eye(n) - K0, rhs)
-    except np.linalg.LinAlgError:
-        h_direct = None
-    h_neumann = None
-    if op.norm < NEUMANN_GATE:
-        term = rhs.copy()
-        acc = rhs.copy()
-        for _ in range(NEUMANN_MAX_TERMS):
-            term = K0 @ term
-            acc += term
-            if float(np.max(np.abs(term))) < NEUMANN_TOL:
-                break
-        h_neumann = acc
-    if h_direct is None and h_neumann is None:
-        raise FredholmError("Neumann series diverges and direct solve is singular")
-    if h_direct is not None and h_neumann is not None:
-        gap = float(np.max(np.abs(h_direct - h_neumann)))
-        if gap > DUAL_PATH_TOL:
-            raise FredholmError(f"Neumann and direct solves disagree by {gap:.3e}")
-    h = h_direct if h_direct is not None else h_neumann
+        h = np.linalg.solve(np.eye(op.n1) - op.zero_mean_matrix(), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise FredholmError(f"direct solve failed: {exc}") from exc
     return h - float(op.w1 @ h)
 
 

@@ -21,7 +21,7 @@ WEIGHT_TOL = 1e-12
 MERGE_TOL = 1e-12
 MARTINGALE_RTOL = 1e-9
 
-_FAMILIES = ("bachelier", "black_scholes", "custom")
+_FAMILIES = ("bachelier", "black_scholes")
 _QUADRATURES = ("gauss_hermite", "equally_weighted")
 
 
@@ -132,7 +132,8 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise MeasureError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
+            raise MeasureError(f"unknown family {self.family!r}, expected one of {_FAMILIES}; "
+                               "other measures are loaded with from_csv")
         if self.quadrature not in _QUADRATURES:
             raise MeasureError(f"unknown quadrature {self.quadrature!r}")
         if not (self.sigma > 0):
@@ -174,8 +175,6 @@ def build_model(spec: ModelSpec) -> GridMeasure:
     grid: the Bachelier innovation grid is recentered, the Black-Scholes
     exponential is divided by its quadrature mean.
     """
-    if spec.family == "custom":
-        raise MeasureError("custom measures are loaded via from_csv, not build_model")
     z1, w1 = std_normal_nodes(spec.n1, spec.quadrature)
     z2, w2 = std_normal_nodes(spec.n2, spec.quadrature)
     s = spec.sigma

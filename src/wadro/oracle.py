@@ -532,9 +532,9 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
         contraction = fredholm.contraction_norm(op)
     except (fredholm.FredholmError, MeasureError) as exc:
         warns.append(f"contraction check failed: {exc}")
-    if contraction is not None and contraction >= fredholm.NEUMANN_GATE:
+    if contraction is not None and contraction >= fredholm.REGULARIZE_GATE:
         warns.append(f"informational-discrepancy contraction {contraction:.6f} >= "
-                     f"{fredholm.NEUMANN_GATE}; construction may be ill-posed")
+                     f"{fredholm.REGULARIZE_GATE}; construction may be ill-posed")
         warnings.warn(warns[-1], RuntimeWarning, stacklevel=2)
 
     mw = mu.atom_masses()
@@ -575,7 +575,7 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
         for its in range(1, NEWTON_MAX_ITER + 1):
             if res <= 1e-12 or op is None:
                 break
-            if contraction is not None and contraction >= fredholm.NEUMANN_GATE:
+            if contraction is not None and contraction >= fredholm.REGULARIZE_GATE:
                 step = fredholm.solve_regularized(op, -g)
             else:
                 step = fredholm.solve(op, -g)

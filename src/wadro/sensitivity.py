@@ -105,8 +105,10 @@ class ConstraintSet:
     ``martingale`` is the conditional constraint ``martingale_psi()``,
     E[X2 - X1 | X1] = 0, whose hedge weights (-1, 1) are exact on either
     ball; ``cond_psi`` is any other conditional constraint (adapted ball
-    only).  A set holds at most one conditional constraint, and mean or
-    conditional constraints do not mix with the marginal flags.
+    only).  A set holds at most one conditional constraint.  Mean constraints
+    (a vanilla call is one) mix with every flag; ``cond_psi`` mixes with
+    ``marginal1`` but not with ``marginal2``, whose hedge it would meet
+    through a c2-weighted operator.
     """
 
     martingale: bool = False
@@ -235,10 +237,9 @@ class _HedgeMap:
 
     def __init__(self, state: PointState, cs: ConstraintSet):
         mu = self.mu = state.mu
-        if cs.mean_phi or cs.cond_psi is not None:
-            if cs.martingale or cs.marginal1 or cs.marginal2:
-                raise SensitivityError(
-                    "mean/conditional constraints cannot be mixed with marginal flags")
+        if cs.cond_psi is not None and cs.marginal2:
+            raise SensitivityError("a conditional constraint other than the martingale "
+                                   "cannot be combined with marginal2")
         if cs.martingale:
             _require_martingale(mu)
         self.cs = cs
@@ -252,9 +253,9 @@ class _HedgeMap:
                 self.op = state.op
             if cs.martingale and cs.marginal1:
                 contraction = fredholm.contraction_norm(self.op)
-                if contraction >= fredholm.NEUMANN_GATE:
+                if contraction >= fredholm.REGULARIZE_GATE:
                     msg = (f"informational-discrepancy contraction {contraction:.6f} >= "
-                           f"{fredholm.NEUMANN_GATE}; using regularized hedge solve")
+                           f"{fredholm.REGULARIZE_GATE}; using regularized hedge solve")
                     warnings.warn(msg, RuntimeWarning, stacklevel=4)
                     self.warnings.append(msg)
         a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
@@ -280,23 +281,22 @@ class _HedgeMap:
             if np.min(cond_exp_1(mu, self.c2 ** 2)) <= 1e-14:
                 raise SensitivityError(
                     "E1[(d2 psi)^2] is degenerate on some atom (assumption A (iii) surrogate)")
-            for p1, p2 in self.phi:
-                if (np.max(np.abs(p1 + p2)) < 1e-12
-                        and np.max(np.abs(p1 - p1[0, 0])) < 1e-12
-                        and np.max(np.abs(self.c1[:, None] + self.c2)) < 1e-12):
-                    raise SensitivityError(
-                        "mean constraint spans the conditional-constraint direction "
-                        "(non-redundancy assumption A (iv) violated)")
         # None, not an empty array, when inactive: every Newton step carries u
         self.u = (np.zeros(mu.n1) if cs.marginal1 else None,
                   np.zeros(self.bins.m) if cs.marginal2 else None,
                   None if self.c1 is None else np.zeros(mu.n1),
                   np.zeros(len(self.phi)) if self.phi else None)
         if self.phi:
-            cond = np.linalg.cond(self._complement(self.mw, self.mw)[0])
-            if not np.isfinite(cond) or cond > 1e12:
+            # the Schur complement in the mean constraints' own scale: a least
+            # eigenvalue near zero puts a combination of them in the span of
+            # the other hedges (for one constraint it is a squared sine)
+            g = np.sqrt([np.sum(self.mw * (p1 * p1 + p2 * p2)) for p1, p2 in self.phi])
+            S = self._complement(self.mw, self.mw, self.op)[0]
+            if not (np.all(g > 0) and np.linalg.eigvalsh((S + S.T) / (2 * np.outer(g, g)))[0]
+                    > 1e-12):
                 raise SensitivityError(
-                    "normal matrix is singular (positive-definiteness assumption violated)")
+                    "normal matrix is singular: a mean constraint is spanned by the other "
+                    "hedges (non-redundancy assumption A (iv) violated)")
 
     def field(self, u):
         f1, f2, h, lam = u
@@ -364,7 +364,7 @@ class _HedgeMap:
                 if cs.marginal1:
                     rhs = rhs / d
                     rhs = rhs - float(op.w1 @ rhs)
-                    if op.norm >= fredholm.NEUMANN_GATE:
+                    if op.norm >= fredholm.REGULARIZE_GATE:
                         dh = fredholm.solve_regularized(op, rhs)
                     else:
                         dh = fredholm.solve(op, rhs)
@@ -392,6 +392,8 @@ class _HedgeMap:
         the (f1, f2, h) block: one block solve per mean constraint, then the
         k x k Schur complement.
         """
+        if op is None and self.op is not None and self.phi:
+            op = fredholm.build_operator(self.bins, D2)     # shared by the k + 1 block solves
         du = self._solve_u(G1, G2, D1, D2, op)
         if not self.phi:
             return du

@@ -91,7 +91,7 @@ def test_criterion_3_fredholm_certificate():
         G = gradient_field(put, mu)
         rhs = cond_exp_1(mu, bins.e2(G.g2)[bins.index]) - cond_exp_1(mu, G.g2)
         rhs -= float(mu.w1 @ rhs)
-        h = fredholm.solve(op, rhs)          # internally: Neumann vs direct <= 1e-8
+        h = fredholm.solve(op, rhs)          # one direct solve; Neumann sum below
         K0 = op.zero_mean_matrix()
         assert np.max(np.abs((np.eye(mu.n1) - K0) @ h - rhs)) <= 1e-8
         acc = rhs.copy()

@@ -38,6 +38,9 @@ def test_bad_config_exit_code(tmp_path):
     ["curve", "--set", "model.family=heston"], ["curve", "--set", "model.quadrature=x"],
     ["curve", "--set", "output.bins=-3"], ["curve", "--set", "output.bins=0"],
     ["hedge", "--sigma", "0.5", "--set", "metric.ball=foo"],
+    ["hedge", "--sigma", "0.5", "--set", "constraints.sets=martingale,marginal"],
+    ["curve", "--set", "model.family=custom"],
+    ["hedge", "--sigma", "0.5", "--set", "model.family=custom"],
     ["curve", "--out", "{file}"]], ids=" ".join)
 def test_bad_value_exits_bad_config_before_any_work(tmp_path, capsys, args):
     # refused up front: no sigma point runs and nothing is written

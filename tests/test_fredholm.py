@@ -5,7 +5,8 @@ from wadro.fredholm import (FredholmError, FredholmOperator, build_operator,
                             contraction_norm, solve, solve_regularized)
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            quantile_bins, sign_copy_measure)
-from wadro.criterion import american_put, gradient_field
+from wadro.criterion import GradientField, american_put, gradient_field
+from wadro.sensitivity import CONSTRAINT_SETS, W2AD, PointState, solve_foc
 
 
 def _product_measure(n1=5, n2=7):
@@ -75,7 +76,7 @@ def test_contraction_permutation_invariant():
     rng = np.random.default_rng(3)
     perm = rng.permutation(16)
     P = np.eye(16)[perm]
-    op2 = FredholmOperator(P @ op.K @ P.T, op.w1[perm], op.m)
+    op2 = FredholmOperator(P @ op.K @ P.T, op.w1[perm])
     assert abs(contraction_norm(op) - contraction_norm(op2)) <= 1e-10
 
 
@@ -161,9 +162,9 @@ def test_regularized_solve_on_critical_operator():
 
 
 def test_solve_refuses_an_operator_of_norm_one():
-    # 398 bins on 200 sign-copy rows: the norm is 1 + 7e-16, so the Neumann
-    # path is skipped, and a direct solve answered |h| ~ 1.5e15 at a
-    # residual of 6.7e-16, which no residual check would catch
+    # 398 bins on 200 sign-copy rows: the norm is 1 + 7e-16, and a direct
+    # solve answered |h| ~ 1.5e15 at a residual of 6.7e-16, which no
+    # residual check would catch
     mu = sign_copy_measure(200)
     bins = quantile_bins(mu, 400)
     op = build_operator(bins)
@@ -172,3 +173,29 @@ def test_solve_refuses_an_operator_of_norm_one():
         solve(op, np.array([1.0, -1.0]))
     assert np.all(np.isfinite(solve_regularized(op, np.array([1.0, -1.0]))))
 
+
+
+def _near_gate_measure():
+    # two rows that each leak 0.03 % of their mass across the bin edge at 0:
+    # a well-posed operator of norm 0.9988, just under REGULARIZE_GATE
+    x2 = np.array([[-2.0, -1.0, 0.5], [-0.5, 1.0, 2.0]])
+    q = np.array([[0.49985, 0.49985, 0.0003], [0.0003, 0.49985, 0.49985]])
+    return GridMeasure(np.sum(q * x2, axis=1), np.array([0.5, 0.5]), x2, q,
+                       is_martingale=True)
+
+
+def test_solve_near_the_gate():
+    # a Neumann sum capped at 10,000 terms is 2.5e-3 short here; the direct
+    # solve is right
+    mu = _near_gate_measure()
+    bins = quantile_bins(mu, 2)
+    op = build_operator(bins)
+    assert bins.m == 2 and 0.998 < op.norm < 0.999
+    rhs = np.array([0.5, -0.5])
+    h = solve(op, rhs)
+    res = (np.eye(2) - op.zero_mean_matrix()) @ h - rhs
+    assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
+    assert np.allclose(h, np.array([0.5, -0.5]) / (1.0 - op.norm), rtol=1e-10)
+    G = GradientField(np.zeros_like(mu.x2), mu.x2.copy())
+    rep = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["mart_marginal"])
+    assert rep.converged and np.all(np.isfinite(rep.h_hat))

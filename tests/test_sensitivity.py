@@ -6,7 +6,7 @@ import pytest
 
 from wadro import fredholm
 from wadro.criterion import GradientField, american_put, gradient_field, preset
-from wadro.measure import (GridMeasure, ModelSpec, build_model,
+from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins)
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
@@ -475,3 +475,116 @@ def test_bordered_system_against_direct_minimization():
         assert rep.value <= direct + 1e-12
         assert abs(direct - rep.value) <= 1e-6
         assert abs(res.x[0] - rep.lambda_hat[0]) <= 1e-4
+
+
+def _call(K):
+    """The vanilla call (x2 - K)^+ as a mean constraint."""
+    return MeanConstraint(lambda a, b: np.maximum(b - K, 0.0), lambda a, b: np.zeros_like(a),
+                          lambda a, b: (b > K).astype(float), f"call:{K:.4g}")
+
+
+PSI_SQ = CondConstraint(lambda a, b: b ** 2 - a ** 2, lambda a, b: -2.0 * a,
+                        lambda a, b: 2.0 * b, "x2^2-x1^2")
+
+
+def _strikes(mu, bins):
+    """Three strikes halfway between pooled atoms, and one that splits a bin
+    and one that falls between bins, both near the middle of the sorted atoms."""
+    z = np.unique(mu.x2)
+    mids = 0.5 * (z[1:] + z[:-1])
+    inner = [0.5 * (z[k] + z[k + 1]) for k in range(z.size - 1)
+             if bins.assign(z[k]) == bins.assign(z[k + 1])]
+    return ([float(mids[int(f * mids.size)]) for f in (0.3, 0.5, 0.7)],
+            float(inner[len(inner) // 2]), float(bins.edges[bins.m // 2]))
+
+
+def _least_squares(mu, state, cs, bins):
+    """Explicit p = 2 oracle: a weighted least-squares solve on the assembled
+    hedge columns (per-atom pairs on F1, F2).  Returns the optimal S + F and
+    S, both scaled by the square roots w of the atom masses, and w; the value
+    is the norm of the first."""
+    rows = np.eye(mu.n1)[:, :, None] * np.ones(mu.n2)
+    zero = np.zeros_like(mu.x2)
+    cols = []
+    if cs.marginal1:
+        cols += [(r, zero) for r in rows]
+    if cs.marginal2:
+        cols += [(zero, (bins.index == b).astype(float)) for b in range(bins.m)]
+    if cs.martingale:
+        cols += [(-r, r) for r in rows]
+    if cs.cond_psi is not None:
+        a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
+        c1 = cond_exp_1(mu, cs.cond_psi.d1(a, mu.x2))
+        cols += [(c1[i] * r, cs.cond_psi.d2(a, mu.x2) * r) for i, r in enumerate(rows)]
+    for c in cs.mean_phi:
+        p1 = c.d1(np.broadcast_to(mu.x1[:, None], mu.x2.shape), mu.x2) + zero
+        if state.metric.adapted:
+            p1 = cond_exp_1(mu, p1)[:, None] + zero
+        cols.append((p1, c.d2(mu.x1[:, None], mu.x2) + zero))
+    w = np.sqrt(mu.atom_masses()).ravel()
+    A = np.array([np.concatenate([w * c1.ravel(), w * c2.ravel()]) for c1, c2 in cols]).T
+    s = np.concatenate([w * state.S1.ravel(), w * state.S2.ravel()])
+    return s + A @ np.linalg.lstsq(A, -s, rcond=None)[0], s, w
+
+
+@pytest.mark.parametrize("family,sigma", [("black_scholes", 0.5), ("bachelier", 0.3)])
+@pytest.mark.parametrize("metric", [W2, W2AD], ids=["wp", "wp_adapted"])
+def test_mean_constraints_mix_with_flags_at_p2(family, sigma, metric):
+    # calls next to the martingale and marginal flags, and psi next to m1,
+    # against least squares on the explicitly assembled hedge columns
+    mu = build_model(ModelSpec(family, sigma, 16, 16))
+    bins = quantile_bins(mu, 16)
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu), metric, bins)
+    calls, split, _ = _strikes(mu, bins)
+    sets = [ConstraintSet(martingale=True, mean_phi=tuple(map(_call, calls[:k])))
+            for k in (1, 2, 3)]
+    sets += [ConstraintSet(marginal1=True, marginal2=True, mean_phi=(_call(split),)),
+             ConstraintSet(martingale=True, marginal1=True, marginal2=True,
+                           mean_phi=(_call(split),))]
+    if metric.adapted:
+        sets += [ConstraintSet(marginal1=True, cond_psi=PSI_SQ),
+                 ConstraintSet(marginal1=True, cond_psi=PSI_SQ, mean_phi=(_call(calls[1]),))]
+    for cs in sets:
+        rep = solve_foc(state, cs)
+        r, s, w = _least_squares(mu, state, cs, bins)
+        value = np.linalg.norm(r)
+        assert rep.converged, cs.label()
+        assert abs(rep.value - value) <= 1e-12 * value, cs.label()
+        ours = rep.value * np.concatenate([w * rep.T1.ravel(), w * rep.T2.ravel()])
+        # S + F is of the gradient's size, and so is its rounding
+        assert np.linalg.norm(ours - r) <= 1e-12 * np.linalg.norm(s), cs.label()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("metric", ["wp", "wp_adapted"])
+def test_value_does_not_increase_as_strikes_are_added(p, metric):
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    bins = quantile_bins(mu, 16)
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu), Metric(metric, p),
+                       bins)
+    calls, split, _ = _strikes(mu, bins)
+    strikes = [calls[1], calls[0], split, calls[2]]
+    values = []
+    for k in range(len(strikes) + 1):
+        rep = solve_foc(state, ConstraintSet(martingale=True,
+                                             mean_phi=tuple(map(_call, strikes[:k]))))
+        assert rep.converged
+        values.append(rep.value)
+    assert all(b <= a + 1e-9 * a for a, b in zip(values, values[1:])), values
+    assert values[-1] < values[0]
+
+
+def test_redundant_mean_constraints_name_assumption_a_iv():
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    bins = quantile_bins(mu, 16)
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD, bins)
+    _, _, between = _strikes(mu, bins)
+    mean_x1 = MeanConstraint(lambda a, b: a, lambda a, b: np.ones_like(a),
+                             lambda a, b: np.zeros_like(b), "x1")
+    # phi = x1 is spanned by f1, a call struck between bins by f2
+    for phi in (mean_x1, _call(between)):
+        with pytest.raises(SensitivityError, match=r"A \(iv\)"):
+            solve_foc(state, ConstraintSet(martingale=True, marginal1=True, marginal2=True,
+                                           mean_phi=(phi,)))
+    with pytest.raises(SensitivityError, match="marginal2"):
+        solve_foc(state, ConstraintSet(marginal2=True, cond_psi=PSI_SQ))
