@@ -35,8 +35,9 @@ from .criterion import Criterion, CriterionError, gradient_field, preset, stoppi
 from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
                       canonical_test_measure, cond_exp_1, from_csv, quantile_bins,
                       sign_copy_measure)
-from .sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, SensitivityError,
-                          marginal_value_closed_form, report_tables, solve_foc)
+from .sensitivity import (CONSTRAINT_SETS, W2AD, Metric, PointState, SensitivityError,
+                          chain_violation, closed_form_error, marginal_value_closed_form,
+                          report_tables, solve_foc)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -68,7 +69,7 @@ configuration keys (section.key, with defaults):
   output.bins         upper bound on the E2 bin count  [n2]
                       (quantile cuts between the same two atoms merge:
                       64 on 64x64 gives 44, 128 on 128x128 gives 84)
-  oracle.radii        comma list of LP radii           [0.02,0.05,0.1,0.2]
+  oracle.radii        3+ distinct LP radii > 0         [0.02,0.05,0.1,0.2]
 """
 
 
@@ -102,12 +103,9 @@ class RunConfig:
     def model_spec(self, sigma: float) -> ModelSpec:
         return ModelSpec(self.family, sigma, self.n1, self.n2, self.quadrature)
 
-    def load_criterion(self) -> Criterion:
-        return preset(self.criterion)
-
     def validate(self):
-        """Refuse a bad value before any work: the ball, every sigma point's
-        model, the bin count and the output directory are checked here."""
+        """Refuse a bad value before any work: the ball, criterion, each sigma
+        point's model, bin count, oracle radii and output directory."""
         if not self.sigmas:
             raise ConfigError("sigma grid must be nonempty")
         if any(b <= a for a, b in zip(self.sigmas, self.sigmas[1:])):
@@ -116,10 +114,17 @@ class RunConfig:
             if s not in CONSTRAINT_CHOICES:
                 raise ConfigError(f"unknown constraint set {s!r}")
         self.metric()
+        try:
+            preset(self.criterion)
+        except ValueError as exc:
+            raise ConfigError(f"criterion.name {self.criterion!r}: {exc}") from exc
         for sigma in self.sigmas:
             self.model_spec(sigma)
         if self.bins is not None and self.bins < 1:
             raise ConfigError("output.bins must be at least 1")
+        radii = np.asarray(self.oracle_radii, dtype=float)
+        if np.unique(radii).size < 3 or not np.all(np.isfinite(radii) & (radii > 0)):
+            raise ConfigError("oracle.radii needs at least 3 radii, distinct, finite and positive")
         try:
             os.makedirs(self.out_dir, exist_ok=True)
         except OSError as exc:
@@ -204,7 +209,7 @@ def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
 
 
 def cmd_curve(cfg: RunConfig) -> int:
-    c = cfg.load_criterion()
+    c = preset(cfg.criterion)
     sens_cols = [col for name, col in CURVE_COLUMNS.items() if name in cfg.curve_sets()]
     header = ["sigma", "price"] + sens_cols + ["vega"] + [f"relative_{cn}" for cn in sens_cols]
     rows, failed = [], 0
@@ -234,7 +239,7 @@ def cmd_curve(cfg: RunConfig) -> int:
 
 
 def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
-    c = cfg.load_criterion()
+    c = preset(cfg.criterion)
     spec = cfg.model_spec(sigma)
     mu = build_model(spec)
     G = gradient_field(c, mu)
@@ -294,21 +299,7 @@ def hedge_jump_stats(mu: GridMeasure, h: np.ndarray, c: Criterion) -> dict:
     return out
 
 
-def _sandwich(mu: GridMeasure, c: Criterion, radii, bins=None) -> dict:
-    """The LP sandwich: the classical p = 2 closed forms of every set in
-    ``oracle.FLAG_TABLE`` against the slopes of the LP suprema at ``radii``."""
-    state = PointState(mu, gradient_field(c, mu), Metric("wp", 2.0), bins)
-    reports = {label: solve_foc(state, ConstraintSet(**flags))
-               for label, flags in oracle.FLAG_TABLE.items()}
-    return oracle.oracle_report(mu, c.f, list(radii), reports)
-
-
 def cmd_oracle(cfg: RunConfig) -> int:
-    radii = cfg.oracle_radii
-    if len(radii) < 3:
-        print("oracle slope estimation needs at least 3 radii (got "
-              f"{len(radii)}); set oracle.radii", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     if cfg.measure_csv:
         mu = from_csv(cfg.measure_csv, is_martingale=True)
     else:
@@ -316,12 +307,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if mu.n1 * mu.n2 > 100:
         print("oracle instances are capped at 100 atoms", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    c = cfg.load_criterion()
+    c = preset(cfg.criterion)
     if c.kind != "linear":
         print("the LP oracle needs a linear criterion (e.g. linear:x2)", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
-        rep = _sandwich(mu, c, radii, quantile_bins(mu, min(cfg.bins or mu.n2, mu.n2)))
+        rep = oracle.oracle_report(mu, c, cfg.oracle_radii,
+                                   quantile_bins(mu, min(cfg.bins or mu.n2, mu.n2)))
     except (oracle.OracleError, oracle.LPError) as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -336,13 +328,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 
 def _selfcheck_items():
-    """(name, callable) pairs; each returns True on pass."""
+    """(name, callable) pairs; each returns True on pass.  Where the tests
+    share a check function, the item calls it on fixed inputs."""
     rng = np.random.default_rng(0)
-
-    def four_sets(mu, criterion):
-        """The values of the four constraint sets on the adapted p = 2 ball."""
-        state = PointState(mu, gradient_field(preset(criterion), mu), Metric("wp_adapted", 2.0))
-        return [solve_foc(state, cs).value for cs in CONSTRAINT_SETS.values()]
 
     def measure_invariants():
         mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
@@ -354,64 +342,45 @@ def _selfcheck_items():
 
     def criterion_consistency():
         mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
-        c = preset("american_put:side=buyer")
-        buyer = value(c, mu)
+        buyer = value(preset("american_put:side=buyer"), mu)
         seller = value(preset("american_put:side=seller"), mu)
         return buyer <= seller + 1e-12
-
-    def closed_forms():
-        vals = four_sets(canonical_test_measure(), "linear:x2")
-        return all(abs(v - t) <= 1e-10 for v, t in zip(vals, (1.0, 2 ** -0.5, 0.0, 0.0)))
 
     def marginal_two_paths():
         mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
         G = gradient_field(preset("american_put:side=buyer"), mu)
-        m = Metric("wp_adapted", 2.0)
         bins = quantile_bins(mu, 16)
-        a = solve_foc(PointState(mu, G, m, bins), CONSTRAINT_SETS["marginal"]).value
-        b = marginal_value_closed_form(mu, G, m, bins)
+        a = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["marginal"]).value
+        b = marginal_value_closed_form(mu, G, W2AD, bins)
         return abs(a - b) <= 1e-10
 
     def fredholm_certificate():
         mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
         op = fredholm.build_operator(quantile_bins(mu, 16))
-        if not fredholm.contraction_norm(op) < 1:
-            return False
         rhs = rng.standard_normal(16)
         rhs -= float(mu.w1 @ rhs)
-        h = fredholm.solve(op, rhs)
-        K0 = op.zero_mean_matrix()
-        # the direct solve against the Neumann series, summed to rounding level
-        term, neumann = rhs.copy(), rhs.copy()
-        for _ in range(10_000):
-            term = K0 @ term
-            neumann += term
-            if float(np.max(np.abs(term))) < 1e-13:
-                break
-        return (float(np.max(np.abs((np.eye(16) - K0) @ h - rhs))) <= 1e-8
-                and float(np.max(np.abs(neumann - h))) <= 1e-8)
+        residual, gap = fredholm.certificate(op, rhs)     # solve refuses a norm of 1
+        return residual <= 1e-8 and gap <= 1e-8
 
     def monotonicity():
-        unc, mart, marg, both = four_sets(build_model(ModelSpec("black_scholes", 1.0, 16, 16)),
-                                          "american_put:side=buyer")
-        return both <= min(mart, marg) + 1e-10 and max(mart, marg) <= unc + 1e-10
-
-    def oracle_sandwich():
-        rep = _sandwich(canonical_test_measure(), preset("linear:x2"), (0.02, 0.05, 0.1, 0.2))
-        return rep["pass"]
-
-    def contraction_counterexample():
-        mu = sign_copy_measure(32)
-        return fredholm.contraction_norm(fredholm.build_operator(quantile_bins(mu, 32))) > 0.99
+        mu = build_model(ModelSpec("black_scholes", 1.0, 16, 16))
+        state = PointState(mu, gradient_field(preset("american_put:side=buyer"), mu), W2AD)
+        values = [solve_foc(state, cs).value for cs in CONSTRAINT_SETS.values()]
+        return chain_violation(values) <= 1e-10
 
     return [("measure invariants", measure_invariants),
             ("criterion consistency", criterion_consistency),
-            ("analytic closed forms", closed_forms),
+            ("analytic closed forms",
+             lambda: closed_form_error(canonical_test_measure()) <= 1e-10),
             ("marginal dual path", marginal_two_paths),
             ("fredholm certificate", fredholm_certificate),
             ("constraint monotonicity", monotonicity),
-            ("oracle sandwich", oracle_sandwich),
-            ("contraction counterexample", contraction_counterexample)]
+            ("oracle sandwich",
+             lambda: oracle.oracle_report(canonical_test_measure(), preset("linear:x2"),
+                                          (0.02, 0.05, 0.1, 0.2))["pass"]),
+            ("contraction counterexample",
+             lambda: fredholm.contraction_norm(fredholm.build_operator(
+                 quantile_bins(sign_copy_measure(32), 32))) > 0.99)]
 
 
 def _took(start: float) -> str:
@@ -420,17 +389,13 @@ def _took(start: float) -> str:
 
 def cmd_selfcheck(measure_path: str | None = None) -> int:
     failures = 0
-    if measure_path is not None:
-        start = time.perf_counter()
-        try:
-            from_csv(measure_path)
-            print(f"{'measure file invariants':32s} PASS  {_took(start)}")
-        except (MeasureError, ValueError, OSError) as exc:
-            print(f"{'measure file invariants':32s} FAIL  {_took(start)}  ({exc})")
-            failures += 1
+    items = _selfcheck_items()
+    if measure_path is not None:    # from_csv raises on a broken invariant
+        items.insert(0, ("measure file invariants",
+                         lambda: isinstance(from_csv(measure_path), GridMeasure)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name, fn in _selfcheck_items():
+        for name, fn in items:
             start = time.perf_counter()
             try:
                 ok = fn()

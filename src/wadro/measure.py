@@ -75,12 +75,9 @@ class GridMeasure:
         masses = w1[:, None] * q
         masses.flags.writeable = False
         object.__setattr__(self, "_masses", masses)
-        if self.is_martingale:
-            tol = MARTINGALE_RTOL * max(1.0, float(np.max(np.abs(x1))))
-            if self.martingale_residual() > tol:
-                raise MeasureError(
-                    f"martingale flag set but residual {self.martingale_residual():.3e} exceeds {tol:.3e}"
-                )
+        if self.is_martingale and self.martingale_residual() > self.martingale_tol:
+            raise MeasureError(f"martingale flag set but residual {self.martingale_residual():.3e}"
+                               f" exceeds {self.martingale_tol:.3e}")
 
     @property
     def n1(self) -> int:
@@ -97,6 +94,11 @@ class GridMeasure:
     def martingale_residual(self) -> float:
         """max_i |sum_j q[i,j] x2[i,j] - x1[i]|."""
         return float(np.max(np.abs(np.sum(self.q * self.x2, axis=1) - self.x1)))
+
+    @property
+    def martingale_tol(self) -> float:
+        """Largest martingale residual of a martingale: MARTINGALE_RTOL of max(1, max|x1|)."""
+        return MARTINGALE_RTOL * max(1.0, float(np.max(np.abs(self.x1))))
 
     def displaced(self, theta1: np.ndarray | float, theta2: np.ndarray | float,
                   r: float) -> "GridMeasure":

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fredholm
-from .criterion import Criterion, value as criterion_value
-from .measure import (MARTINGALE_RTOL, MERGE_TOL, Binning, GridMeasure, MeasureError,
+from .criterion import Criterion, gradient_field, value as criterion_value
+from .measure import (MERGE_TOL, Binning, GridMeasure, MeasureError,
                       marginal_2, quantile_bins)
+from .sensitivity import W2, ConstraintSet, PointState, solve_foc
 from .simplex import InaccurateError, InfeasibleError, LPError, solve_lp
 
 LP_VARIABLE_CAP = 5_000
@@ -166,14 +167,12 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
     budget's p-th root, so each atom tests the targets in that window only.
 
     Raises OracleError when mu misses a constraint it is asked to keep (a
-    martingale residual above MARTINGALE_RTOL).
+    martingale residual above ``mu.martingale_tol``).
     """
     mu = prob.mu
-    if prob.martingale:
-        tol = MARTINGALE_RTOL * max(1.0, float(np.max(np.abs(mu.x1))))
-        if mu.martingale_residual() > tol:
-            raise OracleError(f"mu is not a martingale: residual {mu.martingale_residual():.3e} "
-                              f"exceeds {tol:.3e}")
+    if prob.martingale and mu.martingale_residual() > mu.martingale_tol:
+        raise OracleError(f"mu is not a martingale: residual {mu.martingale_residual():.3e} "
+                          f"exceeds {mu.martingale_tol:.3e}")
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
     masses = mu.atom_masses().ravel()
     tgt = prob.target_support
@@ -669,42 +668,40 @@ def family_slope(c: Criterion, mu, family: FeasibleFamily) -> float:
 FLAG_TABLE = {"none": {}, "martingale": {"martingale": True},
               "marginal2": {"marginal2": True},
               "both": {"martingale": True, "marginal2": True}}
+SLOPE_RTOL = 0.05
 
 
-def oracle_report(mu: GridMeasure, objective, r_list, reports: dict,
-                  tolerance: float = 0.05) -> dict:
-    """Run the LP sandwich against closed-form reports; JSON-ready output.
-
-    ``reports`` maps a constraint label from {"none", "martingale",
-    "marginal2", "both"} to the SensitivityReport whose value the fitted
-    slope must match within ``tolerance`` (relative, with a 1e-6 floor).
-    """
+def oracle_report(mu: GridMeasure, c: Criterion, r_list, bins: Binning | None = None) -> dict:
+    """The LP sandwich for the linear criterion ``c``, JSON-ready: per set of
+    ``FLAG_TABLE``, the slope of the LP suprema at radii 0 and ``r_list`` must
+    match the classical p = 2 closed form, binned by ``bins`` (default: n2
+    quantile bins), within ``SLOPE_RTOL`` (relative, with a 1e-6 floor)."""
     r_arr = [float(r) for r in r_list]
     if len(r_arr) < 3:
         raise OracleError("slope estimation needs at least 3 radii")
+    state = PointState(mu, gradient_field(c, mu), W2, bins)
     out = {"radii": r_arr, "constraint_sets": {}}
     # per-radius candidate supports keep the LPs small: the shifted copies at
     # scale r are exactly what the ball at radius r can use.  They depend on
     # the marginal2 flag and r only, so the sets share them
     supports = {(pinned, r): default_target_support(mu, [r], marginal2=pinned)
                 for pinned in (False, True) for r in [0.0] + r_arr}
-    for label, ref in reports.items():
-        flags = FLAG_TABLE[label]
+    for label, flags in FLAG_TABLE.items():
+        closed = solve_foc(state, ConstraintSet(**flags)).value
         pinned = flags.get("marginal2", False)
         vals, pivots, nvars, used = [], [], [], []
-        v0, _ = dro_lp(DiscreteBallProblem(mu, supports[pinned, 0.0], 0.0, ref.metric.p,
-                                           objective=objective, **flags))
+        v0, _ = dro_lp(DiscreteBallProblem(mu, supports[pinned, 0.0], 0.0, W2.p,
+                                           objective=c.f, **flags))
         for r in r_arr:
-            v, info = dro_lp(DiscreteBallProblem(mu, supports[pinned, r], r, ref.metric.p,
-                                                 objective=objective, **flags))
+            v, info = dro_lp(DiscreteBallProblem(mu, supports[pinned, r], r, W2.p,
+                                                 objective=c.f, **flags))
             vals.append(v)
             pivots.append(info["pivots"])
             nvars.append(info["variables"])
             used.append(info["cost_used"] / info["budget"] if info["budget"] else None)
         slope, fit_res = slope_estimate([0.0] + r_arr, [v0] + vals)
-        closed = ref.value
         scale = max(abs(closed), 1e-6)
-        ok = abs(slope - closed) <= tolerance * scale
+        ok = abs(slope - closed) <= SLOPE_RTOL * scale
         out["constraint_sets"][label] = {
             "lp_values": vals, "value_at_zero": v0,
             "lp_pivots": pivots, "lp_variables": nvars, "budget_used": used,

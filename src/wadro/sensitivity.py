@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fredholm
 from .criterion import GradientField
-from .measure import Binning, GridMeasure, MARTINGALE_RTOL, cond_exp_1, quantile_bins
+from .measure import Binning, GridMeasure, cond_exp_1, quantile_bins
 
 FOC_TOL = 1e-8
 FOC_MAX_ITER = 200
@@ -531,8 +531,7 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
 
 
 def _require_martingale(mu: GridMeasure) -> None:
-    tol = MARTINGALE_RTOL * max(1.0, float(np.max(np.abs(mu.x1))))
-    if not mu.is_martingale and mu.martingale_residual() > tol:
+    if not mu.is_martingale and mu.martingale_residual() > mu.martingale_tol:
         raise SensitivityError("martingale constraint needs a martingale measure")
 
 
@@ -554,6 +553,27 @@ CONSTRAINT_SETS = {
     "marginal": ConstraintSet(marginal1=True, marginal2=True),
     "mart_marginal": ConstraintSet(martingale=True, marginal1=True, marginal2=True),
 }
+
+
+def chain_violation(values) -> float:
+    """How far the values of ``CONSTRAINT_SETS``, in its order, break the
+    chain Mm <= min(M, m) <= max(M, m) <= unconstrained; 0 on a valid chain."""
+    unc, mart, marg, both = values
+    return max(0.0, both - min(mart, marg), max(mart, marg) - unc)
+
+
+def closed_form_error(mu: GridMeasure) -> float:
+    """Largest error of the analytic suite on the adapted p = 2 ball: the field
+    (0, 1) has the values (1, 2^-1/2, 0, 0) over ``CONSTRAINT_SETS``, and (1, 1)
+    the value sqrt(2) on its first two sets, unconstrained and martingale."""
+    errors = []
+    for (a, b), expected in (((0.0, 1.0), (1.0, 2 ** -0.5, 0.0, 0.0)),
+                             ((1.0, 1.0), (2 ** 0.5, 2 ** 0.5))):
+        G = GradientField(np.full_like(mu.x2, a), np.full_like(mu.x2, b))
+        state = PointState(mu, G, W2AD)
+        errors += [solve_foc(state, cs).value - t
+                   for cs, t in zip(CONSTRAINT_SETS.values(), expected)]
+    return max(abs(e) for e in errors)
 
 
 def marginal_value_closed_form(mu: GridMeasure, G: GradientField, metric: Metric,

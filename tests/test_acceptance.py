@@ -16,10 +16,9 @@ from wadro.cli import hedge_jump_stats
 from wadro.criterion import american_put, exercise_mass, gradient_field, preset
 from wadro.measure import (ModelSpec, build_model, canonical_test_measure,
                            cond_exp_1, quantile_bins, sign_copy_measure)
-from wadro.oracle import (FLAG_TABLE, family_slope, feasible_family_mart_marginal,
-                          oracle_report)
-from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, W2, W2AD,
-                               solve_foc)
+from wadro.oracle import family_slope, feasible_family_mart_marginal, oracle_report
+from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, W2AD,
+                               chain_violation, closed_form_error, solve_foc)
 from wadro.criterion import GradientField, value
 
 SIGMA_GRID = np.exp(np.linspace(np.log(0.05), np.log(1.5), 20))
@@ -39,15 +38,7 @@ def test_criterion_1_analytic_closed_forms():
                 build_model(ModelSpec("bachelier", 1.0, 16, 16)),
                 build_model(ModelSpec("black_scholes", 0.5, 16, 16))]
     for mu in measures:
-        state = PointState(mu, _const_field(mu, 0.0, 1.0), W2AD)
-        unc, mart, marg, both = (solve_foc(state, cs).value for cs in CONSTRAINT_SETS.values())
-        assert abs(unc - 1.0) <= 1e-10
-        assert abs(mart - 2.0 ** -0.5) <= 1e-10
-        assert abs(marg) <= 1e-10
-        assert abs(both) <= 1e-10
-        state = PointState(mu, _const_field(mu, 1.0, 1.0), W2AD)
-        assert abs(solve_foc(state, CONSTRAINT_SETS["unconstrained"]).value - 2.0 ** 0.5) <= 1e-10
-        assert abs(solve_foc(state, CONSTRAINT_SETS["martingale"]).value - 2.0 ** 0.5) <= 1e-10
+        assert closed_form_error(mu) <= 1e-10
     elapsed = time.time() - t0
     assert elapsed < 1.0
     _report("criterion 1 (analytic closed-form suite)", elapsed)
@@ -91,17 +82,8 @@ def test_criterion_3_fredholm_certificate():
         G = gradient_field(put, mu)
         rhs = cond_exp_1(mu, bins.e2(G.g2)[bins.index]) - cond_exp_1(mu, G.g2)
         rhs -= float(mu.w1 @ rhs)
-        h = fredholm.solve(op, rhs)          # one direct solve; Neumann sum below
-        K0 = op.zero_mean_matrix()
-        assert np.max(np.abs((np.eye(mu.n1) - K0) @ h - rhs)) <= 1e-8
-        acc = rhs.copy()
-        term = rhs.copy()
-        for _ in range(10000):
-            term = K0 @ term
-            acc += term
-            if np.max(np.abs(term)) < 1e-13:
-                break
-        assert np.max(np.abs(acc - h)) <= 1e-8
+        residual, gap = fredholm.certificate(op, rhs)
+        assert residual <= 1e-8 and gap <= 1e-8
     elapsed = time.time() - t0
     assert elapsed < 5.0
     _report("criterion 3 (Fredholm certificate)", elapsed, f"last norm {norm:.3f}")
@@ -109,13 +91,7 @@ def test_criterion_3_fredholm_certificate():
 
 def test_criterion_4_oracle_sandwich_classical():
     t0 = time.time()
-    mu = canonical_test_measure()
-    G = gradient_field(preset("linear:x2"), mu)
-    state = PointState(mu, G, W2)
-    reports = {label: solve_foc(state, ConstraintSet(**flags))
-               for label, flags in FLAG_TABLE.items()}
-    rep = oracle_report(mu, lambda y1, y2: y2, [0.02, 0.05, 0.1, 0.2],
-                        reports, tolerance=0.05)
+    rep = oracle_report(canonical_test_measure(), preset("linear:x2"), [0.02, 0.05, 0.1, 0.2])
     assert rep["pass"], rep
     elapsed = time.time() - t0
     assert elapsed < 60.0
@@ -155,10 +131,9 @@ def test_criterion_6_monotonicity_sweep():
                 G = gradient_field(put, mu)
                 bins = quantile_bins(mu, 64)
                 state = PointState(mu, G, W2AD, bins)
-                unc, mart, marg, both = (solve_foc(state, cs).value
-                                         for cs in CONSTRAINT_SETS.values())
-                assert both <= min(mart, marg) + 1e-10
-                assert min(mart, marg) <= unc + 1e-10
+                unc, mart, marg, both = values = [solve_foc(state, cs).value
+                                                  for cs in CONSTRAINT_SETS.values()]
+                assert chain_violation(values) <= 1e-10
                 assert both < mart          # strict gap, every sigma
                 strict_gaps.append(mart - both)
     elapsed = time.time() - t0

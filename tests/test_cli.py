@@ -41,6 +41,11 @@ def test_bad_config_exit_code(tmp_path):
     ["hedge", "--sigma", "0.5", "--set", "constraints.sets=martingale,marginal"],
     ["curve", "--set", "model.family=custom"],
     ["hedge", "--sigma", "0.5", "--set", "model.family=custom"],
+    ["curve", "--set", "criterion.name=american_put:K=abc"],
+    ["curve", "--set", "criterion.name=foo"],
+    ["oracle", "--set", "oracle.radii=-0.1,0.1,0.2"],
+    ["oracle", "--set", "oracle.radii=0.1,0.1,0.1"],
+    ["curve", "--set", "oracle.radii=0.02,0.05,nan"],
     ["curve", "--out", "{file}"]], ids=" ".join)
 def test_bad_value_exits_bad_config_before_any_work(tmp_path, capsys, args):
     # refused up front: no sigma point runs and nothing is written
@@ -351,7 +356,7 @@ def test_curve_point_bins_the_atoms_once(tmp_path, monkeypatch):
         return searchsorted(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counted)
-    row = cli._curve_point(cfg, cfg.load_criterion(), 0.5)
+    row = cli._curve_point(cfg, preset(cfg.criterion), 0.5)
     assert all(np.isfinite(row[col]) for col in cli.CURVE_COLUMNS.values())
     assert sizes.count(32 * 32) == 1
 

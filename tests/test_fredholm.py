@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wadro.fredholm import (FredholmError, FredholmOperator, build_operator,
+from wadro.fredholm import (FredholmError, FredholmOperator, build_operator, certificate,
                             contraction_norm, solve, solve_regularized)
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            quantile_bins, sign_copy_measure)
@@ -107,19 +107,9 @@ def test_solve_dual_path_on_put_rhs():
     bins = quantile_bins(mu, 32)
     op = build_operator(bins)
     rhs = _put_rhs(mu, bins)
-    h = solve(op, rhs)
-    K0 = op.zero_mean_matrix()
-    assert np.max(np.abs((np.eye(32) - K0) @ h - rhs)) <= 1e-8
-    assert abs(float(mu.w1 @ h)) <= 1e-10
-    # independent Neumann summation
-    acc = rhs.copy()
-    term = rhs.copy()
-    for _ in range(10000):
-        term = K0 @ term
-        acc += term
-        if np.max(np.abs(term)) < 1e-13:
-            break
-    assert np.max(np.abs(acc - h)) <= 1e-8
+    assert abs(float(mu.w1 @ solve(op, rhs))) <= 1e-10
+    residual, gap = certificate(op, rhs)      # the direct solve against the Neumann sum
+    assert residual <= 1e-8 and gap <= 1e-8
 
 
 def test_neumann_increments_decay_geometrically():
@@ -186,16 +176,15 @@ def _near_gate_measure():
 
 def test_solve_near_the_gate():
     # a Neumann sum capped at 10,000 terms is 2.5e-3 short here; the direct
-    # solve is right
+    # solve is right, which is why the series certifies and does not solve
     mu = _near_gate_measure()
     bins = quantile_bins(mu, 2)
     op = build_operator(bins)
     assert bins.m == 2 and 0.998 < op.norm < 0.999
     rhs = np.array([0.5, -0.5])
-    h = solve(op, rhs)
-    res = (np.eye(2) - op.zero_mean_matrix()) @ h - rhs
-    assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
-    assert np.allclose(h, np.array([0.5, -0.5]) / (1.0 - op.norm), rtol=1e-10)
+    residual, gap = certificate(op, rhs)
+    assert residual <= 1e-10 * np.max(np.abs(rhs)) and gap > 1e-3
+    assert np.allclose(solve(op, rhs), rhs / (1.0 - op.norm), rtol=1e-10)
     G = GradientField(np.zeros_like(mu.x2), mu.x2.copy())
     rep = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["mart_marginal"])
     assert rep.converged and np.all(np.isfinite(rep.h_hat))

@@ -10,8 +10,8 @@ from wadro.oracle import (DiscreteBallProblem, OracleError, bicausal_distance,
                           family_slope, feasible_family_general,
                           feasible_family_mart_marginal, oracle_report,
                           slope_estimate, taper_boundary)
-from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, MeanConstraint, PointState,
-                               W2, W2AD, solve_foc)
+from wadro.sensitivity import (CONSTRAINT_SETS, MeanConstraint, PointState, W2, W2AD,
+                               solve_foc)
 from wadro import oracle
 from wadro.simplex import InaccurateError, InfeasibleError, LPResult, solve_lp
 
@@ -205,16 +205,12 @@ def test_target_support_snaps_rounding_misses_onto_atoms():
 
 def test_oracle_report_sandwich():
     mu = canonical_test_measure()
-    G = gradient_field(preset("linear:x2"), mu)
-    state = PointState(mu, G, W2)
-    reports = {label: solve_foc(state, ConstraintSet(**flags))
-               for label, flags in oracle.FLAG_TABLE.items()}
-    rep = oracle_report(mu, _obj_y2, [0.02, 0.05, 0.1, 0.2], reports)
+    rep = oracle_report(mu, preset("linear:x2"), [0.02, 0.05, 0.1, 0.2])
     assert rep["pass"]
     for res in rep["constraint_sets"].values():
         assert res["monotone"]
     with pytest.raises(OracleError):
-        oracle_report(mu, _obj_y2, [0.0], reports)
+        oracle_report(mu, preset("linear:x2"), [0.0])
 
 
 def _mean_x2_constraint():

@@ -12,7 +12,7 @@ from wadro.criterion import GradientField
 from wadro.measure import GridMeasure, quantile_bins
 from wadro.oracle import DiscreteBallProblem, _bin_couple, default_target_support, transport_lp
 from wadro.sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, Metric, PointState,
-                               martingale_psi, solve_foc)
+                               chain_violation, martingale_psi, solve_foc)
 from wadro.simplex import solve_lp
 
 
@@ -72,11 +72,8 @@ def test_shared_point_state_matches_standalone_solves(grid):
             alone = solve_foc(PointState(mu, G, W2AD, bins), cs)
             assert abs(rep.value - alone.value) <= 1e-12
             vals[name] = rep.value
-    unc, mart, marg, both = (vals[k] for k in CONSTRAINT_SETS)
-    slack = 1e-10 * max(1.0, unc)
     # more constraints can only lower the infimum
-    assert both <= min(mart, marg) + slack
-    assert max(mart, marg) <= unc + slack
+    assert chain_violation(vals.values()) <= 1e-10 * max(1.0, vals["unconstrained"])
 
 
 @given(binned_grids(), st.sampled_from([1.5, 2.0, 3.0]))

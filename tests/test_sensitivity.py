@@ -10,9 +10,9 @@ from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins)
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
-                               W2, W2AD, adapted_gradient, marginal_value_closed_form,
-                               martingale_psi, n_map, report_tables, report_to_json,
-                               solve_foc)
+                               W2, W2AD, adapted_gradient, chain_violation,
+                               marginal_value_closed_form, martingale_psi, n_map,
+                               report_tables, report_to_json, solve_foc)
 
 UNC, MART, MARG, BOTH = CONSTRAINT_SETS.values()
 
@@ -363,6 +363,13 @@ def test_unconstrained_adapted_vs_pushforward_slope():
     assert abs(slope - rep.value) <= 0.05 * rep.value
 
 
+def test_chain_violation_is_the_excess_on_each_link():
+    # values in the order of CONSTRAINT_SETS: unconstrained, M, m, Mm
+    assert chain_violation([1.0, 0.75, 0.5, 0.25]) == 0.0
+    assert chain_violation([1.0, 0.75, 0.5, 0.625]) == 0.125    # Mm above min(M, m)
+    assert chain_violation([1.0, 1.25, 0.5, 0.25]) == 0.25      # max(M, m) above unconstrained
+
+
 def test_monotone_chain_general_p():
     mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
     G = gradient_field(american_put(side="buyer"), mu)
@@ -373,9 +380,7 @@ def test_monotone_chain_general_p():
             state = PointState(mu, G, m, bins)
             reps = [solve_foc(state, cs) for cs in CONSTRAINT_SETS.values()]
             assert all(r.converged and r.foc_residual <= 1e-8 for r in reps), (ball, p)
-            unc, mart, marg, both = (r.value for r in reps)
-            assert both <= min(mart, marg) + 1e-8
-            assert min(mart, marg) <= unc + 1e-8
+            assert chain_violation([r.value for r in reps]) <= 1e-8, (ball, p)
 
 
 def _random_martingale(rng, n):
