@@ -387,24 +387,24 @@ def _took(start: float) -> str:
     return f"{time.perf_counter() - start:7.3f} s"
 
 
+def _run_check(name: str, fn) -> int:
+    """Print one PASS/FAIL line for ``fn()``; 1 if it failed, else 0."""
+    start = time.perf_counter()
+    try:
+        ok = fn()
+    except Exception as exc:   # a crashed check is a failed check
+        print(f"{name:32s} FAIL  {_took(start)}  ({type(exc).__name__}: {exc})")
+        return 1
+    print(f"{name:32s} {'PASS' if ok else 'FAIL'}  {_took(start)}")
+    return 0 if ok else 1
+
+
 def cmd_selfcheck(measure_path: str | None = None) -> int:
-    failures = 0
-    items = _selfcheck_items()
-    if measure_path is not None:    # from_csv raises on a broken invariant
-        items.insert(0, ("measure file invariants",
-                         lambda: isinstance(from_csv(measure_path), GridMeasure)))
+    failures = 0 if measure_path is None else _run_check(    # shows from_csv's warnings
+        "measure file invariants", lambda: from_csv(measure_path) is not None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name, fn in items:
-            start = time.perf_counter()
-            try:
-                ok = fn()
-            except Exception as exc:   # a crashed check is a failed check
-                print(f"{name:32s} FAIL  {_took(start)}  ({type(exc).__name__}: {exc})")
-                failures += 1
-                continue
-            print(f"{name:32s} {'PASS' if ok else 'FAIL'}  {_took(start)}")
-            failures += 0 if ok else 1
+        failures += sum(_run_check(name, fn) for name, fn in _selfcheck_items())
     print(f"{'-' * 40}\n{failures} failure(s)")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 

@@ -556,10 +556,10 @@ CONSTRAINT_SETS = {
 
 
 def chain_violation(values) -> float:
-    """How far the values of ``CONSTRAINT_SETS``, in its order, break the
-    chain Mm <= min(M, m) <= max(M, m) <= unconstrained; 0 on a valid chain."""
+    """How far the values of ``CONSTRAINT_SETS``, in its order, break the chain
+    Mm <= min(M, m) <= max(M, m) <= unconstrained: 0 if valid, NaN on a NaN."""
     unc, mart, marg, both = values
-    return max(0.0, both - min(mart, marg), max(mart, marg) - unc)
+    return float(np.max([0.0, both - np.min([mart, marg]), np.max([mart, marg]) - unc]))
 
 
 def closed_form_error(mu: GridMeasure) -> float:
@@ -573,7 +573,7 @@ def closed_form_error(mu: GridMeasure) -> float:
         state = PointState(mu, G, W2AD)
         errors += [solve_foc(state, cs).value - t
                    for cs, t in zip(CONSTRAINT_SETS.values(), expected)]
-    return max(abs(e) for e in errors)
+    return float(np.max(np.abs(errors)))    # NaN if any value is NaN
 
 
 def marginal_value_closed_form(mu: GridMeasure, G: GradientField, metric: Metric,

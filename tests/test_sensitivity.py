@@ -368,6 +368,10 @@ def test_chain_violation_is_the_excess_on_each_link():
     assert chain_violation([1.0, 0.75, 0.5, 0.25]) == 0.0
     assert chain_violation([1.0, 0.75, 0.5, 0.625]) == 0.125    # Mm above min(M, m)
     assert chain_violation([1.0, 1.25, 0.5, 0.25]) == 0.25      # max(M, m) above unconstrained
+    for i in range(4):      # a NaN anywhere fails every bound
+        values = [1.0, 0.75, 0.5, 0.25]
+        values[i] = float("nan")
+        assert np.isnan(chain_violation(values)), i
 
 
 def test_monotone_chain_general_p():
