@@ -3,7 +3,7 @@
 Three independent routes confirm the closed-form sensitivities:
 
 * linear-programming suprema over classical Wasserstein balls at finite
-  radii (finite candidate support, internal dense simplex),
+  radii (finite candidate support, column-list LP, internal simplex),
 * an exact nested (bicausal) transport distance for small discrete laws,
 * constraint-preserving feasible families built by Newton iteration, whose
   difference quotients lower-bound the sensitivity along the optimal
@@ -141,15 +141,13 @@ def default_target_support(mu: GridMeasure, radii, marginal1=False,
     return pts[np.r_[True, np.any(np.diff(pts, axis=0) != 0.0, axis=1)]]
 
 
-BUDGET_ROW = 0                          # position of the transport budget in A_ub
-
-
 def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
     """The ball supremum as an LP in displacement form about mu.
 
     Returns ``(lp, v0)``: ``lp`` holds the keyword arguments of ``solve_lp``
-    for  maximize c.x  subject to  A_eq x = b_eq, A_ub x <= b_ub, x >= 0,
-    and the supremum is v0 plus the LP optimum.
+    for  maximize c.x  subject to  A x = b on rows [0, n_eq),  A x <= b on
+    the others,  x >= 0,  A as one entry (rows[k], cols[k], vals[k]) per
+    nonzero.  The supremum is v0 plus the LP optimum.
 
     A coupling sends mass from the atoms of mu to candidate targets.  An
     atom's stay pair (the target at its own coordinates, cost 0) is no
@@ -160,7 +158,7 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
     constraint unchanged, so its right-hand side is exactly 0 once every atom
     has a stay pair.  An atom without one keeps the equality row
     sum_t x[a,t] = m_a, and its own share of each constraint goes to the
-    right-hand side.  Row ``BUDGET_ROW`` of A_ub is the transport budget.
+    right-hand side.  Row n_eq, the first <= row, is the transport budget.
     Pairs with transport cost above the budget are pruned (they cannot carry
     enough mass to matter on the candidate support).  They are found by
     reach: a pair within the budget moves the first coordinate at most the
@@ -207,25 +205,33 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
     cols = np.arange(nv)
     leaves = stays[src]                 # moves that take mass off a stay pair
 
+    def atom_rows(sel):
+        """One mass row per atom in sel, in which each of its moves weighs 1."""
+        on = sel[src]
+        return (np.cumsum(sel) - 1)[src[on]], cols[on], np.ones(on.sum()), masses[sel]
+
     def family(row_t, val_t, row_a, val_a, nrows):
         """Constraint rows in which target t weighs val_t[t] in row row_t[t]
         and atom a weighs val_a[a] in row row_a[a] (-1: in none).  A move
         weighs its target's weight less its atom's when it leaves a stay
-        pair; an atom without one owes its weight times its mass."""
+        pair (one entry val_t - val_a when both share a row); an atom
+        without one owes its weight times its mass.  Rows with no nonzero
+        entry and rhs 0 are dropped."""
         val_t = np.broadcast_to(val_t, row_t.shape)
         val_a = np.broadcast_to(val_a, row_a.shape)
-        B = np.zeros((nrows, nv))
-        B[row_t[tcol], cols] = val_t[tcol]
-        B[row_a[src[leaves]], cols[leaves]] -= val_a[src[leaves]]
+        r_t, r_a, v_a = row_t[tcol], row_a[src], val_a[src]
+        shared = leaves & (r_a == r_t)
+        apart = leaves & ~shared        # the atom's entry takes a row of its own
+        r = np.concatenate([r_t, r_a[apart]])
+        j = np.concatenate([cols, cols[apart]])
+        v = np.concatenate([np.where(shared, val_t[tcol] - v_a, val_t[tcol]), -v_a[apart]])
         owes = ~stays & (row_a >= 0)
         rhs = np.bincount(row_a[owes], weights=(val_a * masses)[owes], minlength=nrows)
-        used = np.any(B != 0.0, axis=1) | (rhs != 0.0)
-        return B[used], rhs[used]
+        nz = v != 0.0
+        used = (np.bincount(r[nz], minlength=nrows) > 0) | (rhs != 0.0)
+        return (np.cumsum(used) - 1)[r[nz]], j[nz], v[nz], rhs[used]
 
-    mass = np.zeros((atoms.shape[0], nv))
-    mass[src, cols] = 1.0
-    capped = stays & moving             # stay atoms with a move: mass row <= m_a
-    eq = [(mass[~stays], masses[~stays])]
+    eq = [atom_rows(~stays)]
     if prob.martingale:
         # one conditional-mean row per first coordinate of the targets
         g1, row_t = np.unique(tgt[:, 0], return_inverse=True)
@@ -245,11 +251,14 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
         if np.unique(snap).size < mu.x1.size:
             raise InfeasibleError("candidate support misses part of supp(mu1)")
         eq.append(family(snap, 1.0, np.repeat(np.arange(mu.n1), mu.n2), 1.0, mu.n1))
-
-    lp = {"c": fvals[tcol] - f_stay[src],
-          "A_eq": np.vstack([B for B, _ in eq]), "b_eq": np.concatenate([b for _, b in eq]),
-          "A_ub": np.vstack([cost, mass[capped]]),
-          "b_ub": np.concatenate([[budget], masses[capped]])}
+    # <= rows: the budget (row n_eq), then the mass rows of stay atoms that move
+    blocks = [*eq, (np.zeros(nv, dtype=np.intp), cols, cost, np.array([budget])),
+              atom_rows(stays & moving)]
+    rows, cols, vals, b = map(np.concatenate, zip(*blocks))
+    start = np.cumsum([0] + [blk[3].size for blk in blocks])
+    rows += np.repeat(start[:-1], [blk[0].size for blk in blocks])
+    lp = {"c": fvals[tcol] - f_stay[src], "rows": rows, "cols": cols, "vals": vals, "b": b,
+          "n_eq": int(start[len(eq)])}
     return lp, float(masses @ f_stay)
 
 
@@ -275,9 +284,10 @@ def dro_lp(prob: DiscreteBallProblem):
     if lp["c"].size:
         res = solve_lp(**lp, maximize=True)
         x, gain, pivots = res.x, res.fun, res.pivots
+    on = lp["rows"] == lp["n_eq"]       # the budget row's entries
     info = {"variables": lp["c"].size, "pivots": pivots,
-            "cost_used": float(lp["A_ub"][BUDGET_ROW] @ x),
-            "budget": float(lp["b_ub"][BUDGET_ROW])}
+            "cost_used": float(lp["vals"][on] @ x[lp["cols"][on]]),
+            "budget": float(lp["b"][lp["n_eq"]])}
     if not info["cost_used"] <= _budget_cap(info["budget"]):
         raise InaccurateError(f"returned point breaks the transport budget: cost "
                               f"{info['cost_used']:.6e} against {info['budget']:.6e}")
@@ -319,8 +329,9 @@ def _wp_1d_pow(x, wx, y, wy, p):
 def _optimal_transport_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """min sum C * pi over couplings pi (row-major variables) of masses a and b."""
     n, m = C.shape
-    A_eq = np.vstack([np.repeat(np.eye(n), m, axis=1), np.tile(np.eye(m), n)])
-    return solve_lp(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b])).fun
+    var = np.arange(n * m)
+    return solve_lp(C.ravel(), np.concatenate([var // m, n + var % m]), np.tile(var, 2),
+                    np.ones(2 * n * m), np.concatenate([a, b]), n + m).fun
 
 
 def bicausal_distance(mu, nu, p: float = 2.0) -> float:

@@ -2,11 +2,13 @@
 
 Deterministic and dependency-free; sized for the desk-scale linear programs
 the oracle module produces (a few thousand variables).  Problems are stated
-as  max/min c.x  subject to  A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
+as  max/min c.x  subject to  A x = b on rows [0, n_eq),  A x <= b on the
+others,  x >= 0,  with A as one (row, column, value) entry per nonzero.
 
 Rows are equilibrated (each divided by the largest of its entries and its
-rhs) and sign-normalized.  The slack of every <= row with a nonnegative rhs
-starts basic; only the other rows get artificial variables, and phase one
+rhs) and sign-normalized as their entries are written into the zeroed
+tableau, the one dense array.  The slack of every <= row with a nonnegative
+rhs starts basic; only the other rows get artificial variables, and phase one
 runs only while their sum is positive, so an LP whose origin is feasible
 (as the oracle's displacement form is) starts in phase two.  Artificials
 left basic at level zero stay there, with no drive-out pass or row drop: a
@@ -149,71 +151,71 @@ def _bland_loop(T: np.ndarray, basis: np.ndarray, ncols: int, start_pivots: int,
     return pivots
 
 
-def _constraint_rows(A, b, n: int, name: str):
-    """(A, b) as float arrays of shapes (k, n) and (k,); k = 0 when absent."""
-    if A is None or not len(A):
-        return np.zeros((0, n)), np.zeros(0)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if A.shape != (b.size, n):
-        raise LPError(f"{name} shape mismatch")
-    return A, b
+def _certify(x, rows, cols, vals, b, n_eq, scale) -> None:
+    """Raise InaccurateError unless x >= 0, the first n_eq rows hold with
+    equality and the others with <=.
 
-
-def _certify(x, A_eq, b_eq, A_ub, b_ub, scale) -> None:
-    """Raise InaccurateError unless x >= 0, A_eq x = b_eq and A_ub x <= b_ub.
-
-    Row residuals are taken in the units the tableau works in, i.e. divided
-    by the equilibration scale of each row; a negative entry of x is measured
-    against max(1, max|x|), so an optimum at x = 0 with rounding-level entries
-    passes.  FEAS_TOL bounds both.  A row's scale is the largest of its
-    entries and its rhs, so a transport budget is checked relative to the
-    budget.
+    Row values are np.bincount sums over the entries, and their residuals are
+    taken in the units the tableau works in, i.e. divided by the
+    equilibration scale of each row; a negative entry of x is measured
+    against max(1, max|x|), so an optimum at x = 0 with rounding-level
+    entries passes.  FEAS_TOL bounds both.  A row's scale is the largest of
+    its entries and its rhs, so a transport budget is checked relative to
+    the budget.
     """
     if np.min(x, initial=0.0) < -FEAS_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0))):
         raise InaccurateError(f"returned point has a negative entry {np.min(x):.3e}")
-    n_eq = b_eq.size
-    for kind, rel in (("equality", np.abs(A_eq @ x - b_eq) / scale[:n_eq]),
-                      ("inequality", (A_ub @ x - b_ub) / scale[n_eq:])):
-        if rel.size and np.max(rel) > FEAS_TOL:
-            raise InaccurateError(f"returned point breaks {kind} row {int(np.argmax(rel))} "
-                                  f"by {np.max(rel):.3e} of its scale")
+    rel = (np.bincount(rows, weights=vals * x[cols], minlength=b.size) - b) / scale
+    for kind, part in (("equality", np.abs(rel[:n_eq])), ("inequality", rel[n_eq:])):
+        if part.size and np.max(part) > FEAS_TOL:
+            raise InaccurateError(f"returned point breaks {kind} row {int(np.argmax(part))} "
+                                  f"by {np.max(part):.3e} of its scale")
 
 
-def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
-             maximize: bool = False) -> LPResult:
+def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False) -> LPResult:
     """Solve the LP; returns primal solution and optimal value.
 
-    Raises InfeasibleError / UnboundedError; rhs rows are sign-normalized and
-    equilibrated before phase one.  The returned point is certified feasible
-    for the caller's own rows (see _certify) or InaccurateError is raised.
+    A holds vals[k] at (rows[k], cols[k]), one entry per nonzero; its rows
+    [0, n_eq) are equalities and the others <= rows, with right-hand sides b.
+    Raises LPError before any work when the lists are malformed, and
+    InfeasibleError / UnboundedError.  The returned point is certified
+    feasible for the caller's own rows (see _certify) or InaccurateError is
+    raised.
     """
-    c = np.asarray(c, dtype=float)
-    n = c.size
+    c, b, vals = (np.asarray(a, dtype=float) for a in (c, b, vals))
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    n, m = c.size, b.size
     if n > MAX_VARIABLES:
         raise LPError(f"{n} variables exceed the {MAX_VARIABLES} cap")
-    A_eq, b_eq = _constraint_rows(A_eq, b_eq, n, "A_eq")
-    A_ub, b_ub = _constraint_rows(A_ub, b_ub, n, "A_ub")
-    n_eq, n_ub = b_eq.size, b_ub.size
-    m = n_eq + n_ub
     if not m:
         raise LPError("no constraints")
+    if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
+        raise LPError("rows, cols and vals differ in length")
+    if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= m or cols.max() >= n):
+        raise LPError("an entry lies outside the rows or the columns")
+    if np.any(np.diff(np.sort(rows * n + cols)) == 0):
+        raise LPError("a (row, column) pair repeats")
+    if not 0 <= n_eq <= m:
+        raise LPError(f"{n_eq} equality rows out of {m}")
+    if not all(np.all(np.isfinite(a)) for a in (c, b, vals)):
+        raise LPError("a cost, value or rhs is not finite")
+    n_ub = m - n_eq
     ntot = n + n_ub
+    # row equilibration by the largest of a row's entries and its rhs, then
+    # sign-normalize the rhs; the slacks are added in row units
+    scale = np.abs(b)
+    np.maximum.at(scale, rows, np.abs(vals))
+    scale[scale == 0.0] = 1.0
+    rhs = b / scale
+    neg = rhs < 0
     # tableau: rows, then the objective; columns: variables, slacks, then the
     # rhs.  The artificial columns are never read (entering candidates are
     # [:ntot]), so the tableau omits them and a basis entry >= ntot marks an
     # artificial variable.
     T = np.zeros((m + 1, ntot + 1))
-    T[:n_eq, :n] = A_eq
-    T[n_eq:m, :n] = A_ub
-    T[:m, -1] = np.concatenate([b_eq, b_ub])
-    # row equilibration, then sign-normalize the rhs; the slacks are added
-    # in row units
-    scale = np.max(np.abs(T[:m]), axis=1)
-    scale[scale == 0.0] = 1.0
-    T[:m] /= scale[:, None]
-    neg = T[:m, -1] < 0
-    T[np.flatnonzero(neg)] *= -1.0
+    entries = vals / scale[rows]
+    T[rows, cols] = np.where(neg[rows], -entries, entries)
+    T[:m, -1] = np.where(neg, -rhs, rhs)
     T[np.arange(n_eq, m), np.arange(n, ntot)] = np.where(neg[n_eq:], -1.0, 1.0)
     # the slack of a <= row with nonnegative rhs starts basic; every other
     # row gets an artificial variable
@@ -244,5 +246,5 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
     # on degenerate rows: a Harris step can leave them on either side of 0
     x[np.abs(x) <= np.finfo(float).eps * np.max(np.abs(x), initial=0.0)] = 0.0
     fun = float(obj @ x)
-    _certify(x[:n], A_eq, b_eq, A_ub, b_ub, scale)
+    _certify(x[:n], rows, cols, vals, b, n_eq, scale)
     return LPResult(x=x[:n], fun=-fun if maximize else fun, pivots=pivots)

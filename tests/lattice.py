@@ -64,6 +64,16 @@ def pinned(flags: dict) -> dict:
     return {k: v for k, v in flags.items() if k != "martingale"}
 
 
+def linprog_rows(lp: dict) -> dict:
+    """The constraint keywords of scipy's ``linprog`` for a ``solve_lp``
+    column-list LP, as sparse matrices built from its entries."""
+    from scipy.sparse import csr_array
+
+    A = csr_array((lp["vals"], (lp["rows"], lp["cols"])), shape=(len(lp["b"]), len(lp["c"])))
+    k = lp["n_eq"]
+    return {"A_eq": A[:k], "b_eq": lp["b"][:k], "A_ub": A[k:], "b_ub": lp["b"][k:]}
+
+
 # LPs on which the dense simplex with the textbook ratio test raised: the 16
 # of a 1,200-LP sweep (7x7 lattices around 1 with jitter 0.02, seeds 0-149,
 # 0.1 and 0.15 apart, martingale and both sets, r in {0.1, 0.2}), 15 with

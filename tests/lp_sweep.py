@@ -7,7 +7,8 @@ jitter 0.02, seeds 0-149), the ``martingale`` and ``both`` sets at radii 0.1
 and 0.2, objective y2; 1,200 LPs, whose nearby atoms couple.  It prints one
 JSON line: ``lps``, ``failed`` (solve_lp raised), ``max_rel_err`` (of the
 ball value against HiGHS on the same LP), ``pivots`` (summed) and
-``solve_s`` (time in solve_lp).  Not collected by pytest; the LPs on which
+``solve_s`` (time in solve_lp); HiGHS reads sparse matrices built from
+the LP's column lists.  Not collected by pytest; the LPs on which
 earlier solvers failed are ``lattice.REPRODUCERS``, which the tests solve.
 """
 
@@ -16,7 +17,7 @@ import time
 
 from scipy.optimize import linprog
 
-from lattice import CONSTRAINT_FLAGS, Reproducer, pinned
+from lattice import CONSTRAINT_FLAGS, Reproducer, linprog_rows, pinned
 from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
 from wadro.simplex import LPError, solve_lp
 
@@ -39,8 +40,7 @@ def case_lp(case):
 
 
 def highs_value(lp) -> float:
-    ref = linprog(-lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-                  b_eq=lp["b_eq"], bounds=(0, None), method="highs")
+    ref = linprog(-lp["c"], **linprog_rows(lp), bounds=(0, None), method="highs")
     if ref.status != 0:
         raise RuntimeError(f"HiGHS status {ref.status}: {ref.message}")
     return -ref.fun

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lattice import CONSTRAINT_FLAGS, lattice_measure, pinned
+from lattice import CONSTRAINT_FLAGS, lattice_measure, linprog_rows, pinned
 from wadro.criterion import GradientField
 from wadro.measure import GridMeasure, quantile_bins
 from wadro.oracle import DiscreteBallProblem, _bin_couple, default_target_support, transport_lp
@@ -151,7 +151,6 @@ def test_ball_lp_matches_highs(seed, n, spacing, constraints, r):
                                               objective=lambda y1, y2: y2 + 0.5 * y1 * y2,
                                               **flags))
     res = solve_lp(**lp, maximize=True)
-    ref = linprog(-lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"], b_eq=lp["b_eq"],
-                  bounds=(0, None), method="highs")
+    ref = linprog(-lp["c"], **linprog_rows(lp), bounds=(0, None), method="highs")
     assert ref.status == 0
     assert abs(res.fun + ref.fun) <= 1e-9 * abs(v0 - ref.fun)

@@ -1,19 +1,33 @@
 import numpy as np
 import pytest
 
-from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure, pinned
+from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure, linprog_rows, pinned
 from wadro.measure import canonical_test_measure, marginal_2
-from wadro.oracle import (BUDGET_ROW, DiscreteBallProblem, default_target_support, dro_lp,
-                          transport_lp)
+from wadro.oracle import DiscreteBallProblem, default_target_support, dro_lp, transport_lp
 from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
                            _certify, solve_lp)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
 
+def _lists(A_eq=None, b_eq=(), A_ub=None, b_ub=()):
+    """solve_lp's column lists of a dense LP: one entry per np.nonzero entry."""
+    A = np.vstack([np.reshape(np.asarray(M, dtype=float), (len(rhs), -1))
+                   for M, rhs in ((A_eq, b_eq), (A_ub, b_ub)) if len(rhs)])
+    rows, cols = np.nonzero(A)
+    return {"rows": rows, "cols": cols, "vals": A[rows, cols],
+            "b": np.concatenate([b_eq, b_ub]).astype(float), "n_eq": len(b_eq)}
+
+
+def _dense(lp):
+    """The LP's rows as one dense matrix (entries of a repeated pair add up)."""
+    A = np.zeros((len(lp["b"]), len(lp["c"])))
+    np.add.at(A, (lp["rows"], lp["cols"]), lp["vals"])
+    return A
+
+
 def test_simple_box():
-    res = solve_lp(np.array([1.0, 1.0]),
-                   A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]),
+    res = solve_lp(np.array([1.0, 1.0]), **_lists(A_ub=[[1.0, 1.0]], b_ub=[1.0]),
                    maximize=True)
     assert abs(res.fun - 1.0) <= 1e-12
     assert abs(res.x.sum() - 1.0) <= 1e-12
@@ -24,22 +38,45 @@ def test_equality_transport():
     c = np.array([0.0, 1.0, 1.0, 0.0])
     A = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float)
     b = np.array([0.5, 0.5, 0.5, 0.5])
-    res = solve_lp(c, A_eq=A, b_eq=b, maximize=False)
+    res = solve_lp(c, **_lists(A_eq=A, b_eq=b), maximize=False)
     assert abs(res.fun) <= 1e-12
 
 
 def test_infeasible_and_unbounded():
     with pytest.raises(InfeasibleError):
-        solve_lp(np.array([1.0]), A_eq=np.array([[1.0]]), b_eq=np.array([1.0]),
-                 A_ub=np.array([[1.0]]), b_ub=np.array([0.2]))
+        solve_lp(np.array([1.0]), **_lists(A_eq=[[1.0]], b_eq=[1.0], A_ub=[[1.0]], b_ub=[0.2]))
     with pytest.raises(UnboundedError):
-        solve_lp(np.array([1.0, -1.0]),
-                 A_ub=np.array([[0.0, 1.0]]), b_ub=np.array([1.0]), maximize=True)
+        solve_lp(np.array([1.0, -1.0]), **_lists(A_ub=[[0.0, 1.0]], b_ub=[1.0]), maximize=True)
 
 
 def test_variable_cap():
-    with pytest.raises(LPError):
-        solve_lp(np.zeros(5001), A_eq=np.zeros((1, 5001)), b_eq=np.zeros(1))
+    with pytest.raises(LPError, match="5001 variables exceed the 5000 cap"):
+        solve_lp(np.zeros(5001), **_lists(A_eq=np.zeros((1, 5001)), b_eq=np.zeros(1)))
+
+
+_SMALL = {"c": [1.0, 2.0], "rows": [0, 0, 1], "cols": [0, 1, 0], "vals": [1.0, 1.0, 1.0],
+          "b": [1.0, 0.5], "n_eq": 1}
+_MALFORMED = {
+    "lengths": ({"vals": [1.0, 1.0]}, "differ in length"),
+    "negative-row": ({"rows": [0, -1, 1]}, "outside the rows or the columns"),
+    "row-past-b": ({"rows": [0, 0, 2]}, "outside the rows or the columns"),
+    "column-past-c": ({"cols": [0, 2, 0]}, "outside the rows or the columns"),
+    "repeated-pair": ({"rows": [0, 0, 0], "cols": [0, 1, 0]}, "pair repeats"),
+    "negative-n_eq": ({"n_eq": -1}, "equality rows"),
+    "n_eq-past-b": ({"n_eq": 3}, "equality rows"),
+    "nan-cost": ({"c": [np.nan, 2.0]}, "not finite"),
+    "inf-value": ({"vals": [1.0, np.inf, 1.0]}, "not finite"),
+    "nan-rhs": ({"b": [1.0, np.nan]}, "not finite"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_lists_raise_lp_error(case):
+    # each would otherwise wrap, overwrite or propagate in the tableau
+    assert solve_lp(**_SMALL).fun == pytest.approx(1.5)
+    change, message = _MALFORMED[case]
+    with pytest.raises(LPError, match=message):
+        solve_lp(**{**_SMALL, **change})
 
 
 def _dense_lp(seed):
@@ -55,6 +92,14 @@ def _dense_lp(seed):
     return {"c": c, "A_eq": A_eq, "b_eq": b_eq, "A_ub": A_ub, "b_ub": b_ub}
 
 
+def _dense_case(seed, redundant=False):
+    dense = _dense_lp(seed)
+    if redundant:                              # a duplicated row keeps its artificial
+        dense["A_eq"] = np.vstack([dense["A_eq"], dense["A_eq"][:1]])
+        dense["b_eq"] = np.append(dense["b_eq"], dense["b_eq"][0])
+    return {"c": dense.pop("c"), **_lists(**dense)}
+
+
 def _ball_lp(mu, flags, r):
     tgt = default_target_support(mu, [r], **pinned(FLAGS[flags]))
     lp, _ = transport_lp(DiscreteBallProblem(mu, tgt, r, 2.0, objective=lambda y1, y2: y2,
@@ -65,12 +110,9 @@ def _ball_lp(mu, flags, r):
 def _lp_case(case):
     """(LP keyword arguments, maximize) for a test_against_scipy_linprog case."""
     if isinstance(case, int):                  # 14-variable dense LP
-        return _dense_lp(case), False
-    if case == "redundant-row":                # a duplicated row keeps its artificial
-        lp = _dense_lp(0)
-        lp["A_eq"] = np.vstack([lp["A_eq"], lp["A_eq"][:1]])
-        lp["b_eq"] = np.append(lp["b_eq"], lp["b_eq"][0])
-        return lp, False
+        return _dense_case(case), False
+    if case == "redundant-row":
+        return _dense_case(0, redundant=True), False
     # sparse transport LPs of the oracle: the pivot columns are mostly zero
     name, flags = case.split("-")
     mu = (canonical_test_measure() if name == "canonical"
@@ -80,14 +122,16 @@ def _lp_case(case):
 
 def _assert_feasible(x, lp, tol):
     assert np.all(x >= -tol)
-    assert np.max(np.abs(lp["A_eq"] @ x - lp["b_eq"]), initial=0.0) <= tol
-    assert np.max(lp["A_ub"] @ x - lp["b_ub"], initial=-np.inf) <= tol
+    k = lp["n_eq"]
+    Ax = _dense(lp) @ x
+    assert np.max(np.abs(Ax[:k] - lp["b"][:k]), initial=0.0) <= tol
+    assert np.max(Ax[k:] - lp["b"][k:], initial=-np.inf) <= tol
 
 
 def _highs(lp, maximize):
     sign = -1.0 if maximize else 1.0
-    ref = scipy_opt.linprog(sign * lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], A_eq=lp["A_eq"],
-                            b_eq=lp["b_eq"], bounds=(0, None), method="highs")
+    ref = scipy_opt.linprog(sign * lp["c"], **linprog_rows(lp), bounds=(0, None),
+                            method="highs")
     return ref.status, sign * ref.fun if ref.status == 0 else None
 
 
@@ -108,8 +152,8 @@ def test_against_scipy_linprog(case):
 
 
 def test_certificate_checks_each_constraint_kind():
-    rows = (np.array([[1.0, 1.0]]), np.array([1.0]), np.array([[1.0, 0.0]]), np.array([0.5]),
-            np.array([1.0, 1.0]))
+    lp = _lists(A_eq=[[1.0, 1.0]], b_eq=[1.0], A_ub=[[1.0, 0.0]], b_ub=[0.5])
+    rows = (*(lp[k] for k in ("rows", "cols", "vals", "b", "n_eq")), np.array([1.0, 1.0]))
     _certify(np.array([0.5, 0.5]), *rows)
     _certify(np.array([0.5, 0.5 + 1e-12]), *rows)
     for x in ([0.5, 0.5 + 1e-6],             # equality
@@ -127,13 +171,14 @@ def test_certificate_rejects_inaccurate_pivots():
     # solves it.
     mu = lattice_measure(76, 7, 0.15, 1.0, 0.02)
     lp = _ball_lp(mu, "martingale", 0.2)
-    assert lp["c"].size == 2020 and lp["A_eq"].shape[0] == 35 and lp["A_ub"].shape[0] == 50
+    assert lp["c"].size == 2020 and lp["n_eq"] == 35 and lp["b"].size - lp["n_eq"] == 50
     status, ref = _highs(lp, True)
     assert status == 0
     res = solve_lp(**lp, maximize=True)
     assert abs(res.fun - ref) <= 1e-9 * max(1.0, abs(ref))
     _assert_feasible(res.x, lp, 1e-9)
-    assert lp["A_ub"][BUDGET_ROW] @ res.x <= lp["b_ub"][BUDGET_ROW] * (1.0 + 1e-9)
+    budget = lp["n_eq"]                        # the first <= row
+    assert _dense(lp)[budget] @ res.x <= lp["b"][budget] * (1.0 + 1e-9)
 
 
 def _payoff(y1, y2):
@@ -206,7 +251,7 @@ def test_dro_lp_equals_full_coupling_lp(name, flags):
             # every atom keeps its stay pair: the constraint rows are
             # homogeneous by construction, not up to mu's rounding
             lp, v0 = transport_lp(prob)
-            assert not np.any(lp["b_eq"])
+            assert not np.any(lp["b"][:lp["n_eq"]])
             assert v0 == pytest.approx(np.sum(mu.atom_masses() * _payoff(mu.x1[:, None], mu.x2)),
                                        rel=1e-15)
 
@@ -262,21 +307,34 @@ def _all_pairs_lp(prob):
             "b_ub": np.concatenate([[budget], masses[capped]])}
 
 
-@pytest.mark.parametrize("name", _MEASURES)
+_COUPLED = {f"coupled7-{seed}": lambda seed=seed: lattice_measure(seed, 7, 0.1, 1.0, 0.02)
+            for seed in (22, 53)}
+
+
+@pytest.mark.parametrize("name", [*_MEASURES, *_COUPLED])
 @pytest.mark.parametrize("flags", FLAGS)
 def test_transport_lp_equals_all_pairs_assembly(name, flags):
     # pairs found by reach are the pairs within budget, in the same order;
     # the support of twice the radius adds targets out of reach, and the
-    # reversed support is not sorted by first coordinate
-    mu = _MEASURES[name]()
-    for r, p in ((0.02, 2.0), (0.1, 2.0), (0.1, 1.5), (0.2, 2.0)):
+    # reversed support is not sorted by first coordinate.  The column lists
+    # hold one nonzero entry per (row, column) pair.
+    mu = {**_MEASURES, **_COUPLED}[name]()
+    cases = ((0.2, 2.0),) if name in _COUPLED else ((0.02, 2.0), (0.1, 2.0), (0.1, 1.5),
+                                                    (0.2, 2.0))
+    for r, p in cases:
         for radii, step in (([r], 1), ([r, 2 * r], 1), ([r], -1)):
             tgt = default_target_support(mu, radii, **pinned(FLAGS[flags]))[::step]
             prob = DiscreteBallProblem(mu, tgt, r, p, objective=_payoff, **FLAGS[flags])
             lp, _ = transport_lp(prob)
+            assert np.all(lp["vals"] != 0.0)
+            pairs = lp["rows"] * lp["c"].size + lp["cols"]
+            assert np.unique(pairs).size == pairs.size
+            A, k = _dense(lp), lp["n_eq"]
+            got = {"c": lp["c"], "A_eq": A[:k], "b_eq": lp["b"][:k], "A_ub": A[k:],
+                   "b_ub": lp["b"][k:]}
             ref = _all_pairs_lp(prob)
             for key in ref:
-                assert np.array_equal(lp[key], ref[key]), (r, p, radii, step, key)
+                assert np.array_equal(got[key], ref[key]), (r, p, radii, step, key)
 
 
 def test_zero_level_artificials_cost_no_pivots():
@@ -288,7 +346,7 @@ def test_zero_level_artificials_cost_no_pivots():
         prob = DiscreteBallProblem(mu, default_target_support(mu, [r], marginal2=True), r, 2.0,
                                    objective=lambda y1, y2: y2, **FLAGS["both"])
         lp, _ = transport_lp(prob)
-        assert lp["A_eq"].shape[0] == 27
+        assert lp["n_eq"] == 27
         assert dro_lp(prob)[1]["pivots"] == 0
 
 
@@ -315,8 +373,8 @@ def test_against_scipy_unbounded_guard():
     b_eq = A_eq @ x0
     ref = scipy_opt.linprog(-c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if ref.status == 0:
-        res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, maximize=True)
+        res = solve_lp(c, **_lists(A_eq=A_eq, b_eq=b_eq), maximize=True)
         assert abs(res.fun + ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
     else:
         with pytest.raises(UnboundedError):
-            solve_lp(c, A_eq=A_eq, b_eq=b_eq, maximize=True)
+            solve_lp(c, **_lists(A_eq=A_eq, b_eq=b_eq), maximize=True)
