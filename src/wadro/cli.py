@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,7 @@ configuration keys (section.key, with defaults):
   model.sigma         comma list or single value       [20 log-spaced in 0.05..1.5]
   model.n1, model.n2  grid sizes                       [64, 64]
   model.quadrature    gauss_hermite | equally_weighted [gauss_hermite]
-  model.measure_csv   load a custom measure instead of a family
+  model.measure_csv   oracle only: load a custom measure instead of the canned one
   criterion.name      linear:<payoff> | american_put:K=..,rho=..,side=..
                                                        [american_put]
   metric.ball         wp | wp_adapted                  [wp_adapted]
@@ -199,11 +198,12 @@ def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
     state = PointState(mu, G, cfg.metric(), bins)
     adapted = state if state.metric.adapted else PointState(
         mu, G, cfg.metric("mart_marginal"), bins)
-    out = {"price": value(c, mu)}
+    out = {"price": value(c, mu), "notes": list(G.warnings)}
     for name in cfg.curve_sets():
         rep = solve_foc(adapted if name == "mart_marginal" else state, CONSTRAINT_SETS[name])
         # an unconverged value is written as NaN, like a failed sigma point
         out[CURVE_COLUMNS[name]] = rep.value if rep.converged else float("nan")
+        out["notes"] += [f"{CURVE_COLUMNS[name]}: {msg}" for msg in rep.warnings]
     out["vega"] = vega(spec, c)
     return out
 
@@ -217,8 +217,10 @@ def cmd_curve(cfg: RunConfig) -> int:
         try:
             res = _curve_point(cfg, c, sigma)
         except (MeasureError, CriterionError, SensitivityError, fredholm.FredholmError) as exc:
-            warnings.warn(f"sigma={sigma:g} failed: {exc}", RuntimeWarning)
+            print(f"sigma={sigma:g} failed: {exc}", file=sys.stderr)
             res, failed = {}, failed + 1
+        for note in res.get("notes", ()):
+            print(f"sigma={sigma:g}: {note}", file=sys.stderr)
         price = res.get("price", float("nan"))
         sens = [res.get(cn, float("nan")) for cn in sens_cols]
         rows.append([sigma, price] + sens + [res.get("vega", float("nan"))]
@@ -260,6 +262,8 @@ def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
                  f"hedging profiles at sigma={sigma:g} ({which})", "state", "multiplier")
     status = "" if rep.converged else f"  not converged (FOC residual {rep.foc_residual:.3e})"
     print(f"value G'(0) = {rep.value!r}  [{rep.constraints}]{status}")
+    for note in G.warnings + rep.warnings:
+        print(note, file=sys.stderr)
     if rep.h_hat is not None:
         stats = hedge_jump_stats(mu, rep.h_hat, c)
         if stats["jump_ratio"] is None:
@@ -301,7 +305,10 @@ def hedge_jump_stats(mu: GridMeasure, h: np.ndarray, c: Criterion) -> dict:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     if cfg.measure_csv:
-        mu = from_csv(cfg.measure_csv, is_martingale=True)
+        try:
+            mu = from_csv(cfg.measure_csv, is_martingale=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot read model.measure_csv: {exc}") from exc
     else:
         mu = canonical_test_measure()
     if mu.n1 * mu.n2 > 100:
@@ -400,11 +407,9 @@ def _run_check(name: str, fn) -> int:
 
 
 def cmd_selfcheck(measure_path: str | None = None) -> int:
-    failures = 0 if measure_path is None else _run_check(    # shows from_csv's warnings
+    failures = 0 if measure_path is None else _run_check(
         "measure file invariants", lambda: from_csv(measure_path) is not None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        failures += sum(_run_check(name, fn) for name, fn in _selfcheck_items())
+    failures += sum(_run_check(name, fn) for name, fn in _selfcheck_items())
     print(f"{'-' * 40}\n{failures} failure(s)")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
@@ -449,6 +454,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         if args.command == "hedge" and len(cfg.sets or ()) > 1:
             raise ConfigError(f"hedge solves one constraint set, not {len(cfg.sets)}")
+        if args.command in ("curve", "hedge") and cfg.measure_csv:
+            raise ConfigError(f"model.measure_csv is read by oracle only, not {args.command}")
     except (ConfigError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

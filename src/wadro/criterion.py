@@ -10,7 +10,6 @@ subgradient rule.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,10 +39,12 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class GradientField:
-    """Gradient of the first variation on atoms, components (n1, n2)."""
+    """Gradient of the first variation on atoms, components (n1, n2), and its
+    diagnostics (stopping ties of mass above TIE_MASS_WARN)."""
 
     g1: np.ndarray
     g2: np.ndarray
+    warnings: tuple = ()
 
     def __post_init__(self):
         g1 = np.asarray(self.g1, dtype=float)
@@ -212,12 +213,7 @@ def stopping_rule(c: Criterion, mu: GridMeasure) -> StoppingRule:
         stop = (ell1 < cont) & ~tie
     else:
         stop = (ell1 > cont) & ~tie
-    tie_mass = float(np.sum(mu.w1[tie]))
-    if tie_mass > TIE_MASS_WARN:
-        warnings.warn(
-            f"stopping ties carry mass {tie_mass:.3e}; sensitivity may be ill-posed",
-            RuntimeWarning, stacklevel=2)
-    return StoppingRule(stop, np.nonzero(tie)[0], tie_mass)
+    return StoppingRule(stop, np.nonzero(tie)[0], float(np.sum(mu.w1[tie])))
 
 
 def gradient_field(c: Criterion, mu: GridMeasure) -> GradientField:
@@ -235,7 +231,8 @@ def gradient_field(c: Criterion, mu: GridMeasure) -> GradientField:
     stop = rule.stop_at_1[:, None]
     g1 = np.where(stop, c.dl1(mu.x1)[:, None], 0.0) + np.zeros_like(mu.x2)
     g2 = np.where(stop, 0.0, c.dl2(mu.x2))
-    return GradientField(g1, g2)
+    msg = f"stopping ties carry mass {rule.tie_mass:.3e}; sensitivity may be ill-posed"
+    return GradientField(g1, g2, (msg,) if rule.tie_mass > TIE_MASS_WARN else ())
 
 
 def exercise_mass(c: Criterion, mu: GridMeasure) -> float:

@@ -350,10 +350,12 @@ def from_csv(path_or_buf, is_martingale: bool = False) -> GridMeasure:
         for rec in reader:
             if not rec:
                 continue
-            i, j = int(rec[0]), int(rec[1])
-            x1[i] = float(rec[2])
-            w1[i] = float(rec[3])
-            rows.setdefault(i, {})[j] = (float(rec[4]), float(rec[5]))
+            try:
+                i, j, a, w, z, m = int(rec[0]), int(rec[1]), *map(float, rec[2:6])
+            except (ValueError, IndexError) as exc:
+                raise MeasureError(f"line {reader.line_num}: {exc}") from exc
+            x1[i], w1[i] = a, w
+            rows.setdefault(i, {})[j] = (z, m)
         if not rows:
             raise MeasureError("no atom rows in file")
         n1 = max(rows) + 1

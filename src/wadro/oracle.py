@@ -12,7 +12,6 @@ Three independent routes confirm the closed-form sensitivities:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,8 @@ from .criterion import Criterion, gradient_field, value as criterion_value
 from .measure import (MERGE_TOL, Binning, GridMeasure, MeasureError,
                       marginal_2, quantile_bins)
 from .sensitivity import W2, ConstraintSet, PointState, solve_foc
-from .simplex import InaccurateError, InfeasibleError, LPError, solve_lp
+from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, LPError, solve_lp
 
-LP_VARIABLE_CAP = 5_000
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-11
 
@@ -200,8 +198,8 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
     if np.any(~(stays | moving)):
         raise InfeasibleError("some atom cannot reach any candidate target within the budget")
     nv = src.size
-    if nv > LP_VARIABLE_CAP:
-        raise OracleError(f"{nv} coupling variables exceed the {LP_VARIABLE_CAP} cap")
+    if nv > MAX_VARIABLES:
+        raise OracleError(f"{nv} coupling variables exceed the {MAX_VARIABLES} cap")
     cols = np.arange(nv)
     leaves = stays[src]                 # moves that take mass off a stay pair
 
@@ -341,7 +339,7 @@ def bicausal_distance(mu, nu, p: float = 2.0) -> float:
     first-stage coupling is a small transportation LP.
     """
     n, m = mu.x1.size, nu.x1.size
-    if n * m > LP_VARIABLE_CAP:
+    if n * m > MAX_VARIABLES:
         raise OracleError("first-stage coupling too large for the exact solver")
     C = np.empty((n, m))
     targets = tuple(zip(nu.x1, nu.rows))
@@ -360,7 +358,7 @@ def classical_distance(mu, nu, p: float = 2.0) -> float:
 
     (ax, am), (bx, bm) = cloud(mu), cloud(nu)
     n, m = am.size, bm.size
-    if n * m > LP_VARIABLE_CAP:
+    if n * m > MAX_VARIABLES:
         raise OracleError("flattened coupling too large for the exact solver")
     diff = ax[:, None, :] - bx[None, :, :]
     C = (diff ** 2).sum(axis=2) ** (p / 2.0)
@@ -491,7 +489,6 @@ def feasible_family_general(mu: GridMeasure, theta, phi=(), psi=None,
         v, res, its, ok = _newton(residual(r), np.zeros(k + nh))
         if not ok:
             warns.append(f"Newton did not converge at r={r:g} (residual {res:.3e}); family truncated")
-            warnings.warn(warns[-1], RuntimeWarning, stacklevel=2)
             break
         lam, h = v[:k], v[k:]
         x1n, x2n = gamma(r, lam, h)
@@ -545,7 +542,6 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
     if contraction is not None and contraction >= fredholm.REGULARIZE_GATE:
         warns.append(f"informational-discrepancy contraction {contraction:.6f} >= "
                      f"{fredholm.REGULARIZE_GATE}; construction may be ill-posed")
-        warnings.warn(warns[-1], RuntimeWarning, stacklevel=2)
 
     mw = mu.atom_masses()
     mwf = mw.ravel()
@@ -611,7 +607,6 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
         fr, fb, fm, fp, a, res, its = solve_run(r)
         if res > 1e-3 * max(1.0, float(np.max(np.abs(mu.x1)))):
             warns.append(f"mean-gap solve left residual {res:.3e} at r={r:g}; family truncated")
-            warnings.warn(warns[-1], RuntimeWarning, stacklevel=2)
             break
         # exact martingale repair: per-row position shifts, clipped into bins;
         # iterate so fragments parked at bin edges hand the shift to the rest

@@ -18,7 +18,6 @@ and whether it met FOC_TOL.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -254,10 +253,9 @@ class _HedgeMap:
             if cs.martingale and cs.marginal1:
                 contraction = fredholm.contraction_norm(self.op)
                 if contraction >= fredholm.REGULARIZE_GATE:
-                    msg = (f"informational-discrepancy contraction {contraction:.6f} >= "
-                           f"{fredholm.REGULARIZE_GATE}; using regularized hedge solve")
-                    warnings.warn(msg, RuntimeWarning, stacklevel=4)
-                    self.warnings.append(msg)
+                    self.warnings.append(
+                        f"informational-discrepancy contraction {contraction:.6f} >= "
+                        f"{fredholm.REGULARIZE_GATE}; using regularized hedge solve")
         a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
 
         def partials(c):
@@ -520,9 +518,8 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
                 eps = max(EPS_SHRINK * eps, floor)
         problem.u = _axpy(problem.u, -t, du)
     if not converged:
-        msg = f"FOC iteration did not converge: residual {res:.3e} after {it} steps"
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        problem.warnings.append(msg)
+        problem.warnings.append(
+            f"FOC iteration did not converge: residual {res:.3e} after {it} steps")
     # the dual norm of S from the last direction: |N_d(S)|_p = |S|_p'^(p' - 1)
     return SensitivityReport(
         value=c ** (metric.p - 1.0), metric=metric, constraints=problem.cs.label(),

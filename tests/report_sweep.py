@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import pickle
-import warnings
 
 import numpy as np
 
@@ -80,9 +79,7 @@ def sweep() -> dict:
             state = PointState(mu, G, Metric(ball, p))
             for label, cs in sets.items():
                 try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        rep = solve_foc(state, cs)
+                    rep = solve_foc(state, cs)
                     entry = {f: getattr(rep, f) for f in FIELDS}
                 except Exception as exc:    # recorded, so that changed errors show
                     entry = {"error": f"{type(exc).__name__}: {exc}"}

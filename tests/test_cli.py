@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -46,6 +47,8 @@ def test_bad_config_exit_code(tmp_path):
     ["oracle", "--set", "oracle.radii=-0.1,0.1,0.2"],
     ["oracle", "--set", "oracle.radii=0.1,0.1,0.1"],
     ["curve", "--set", "oracle.radii=0.02,0.05,nan"],
+    ["curve", "--set", "model.measure_csv=missing.csv"],     # oracle reads it, curve would not
+    ["hedge", "--sigma", "0.5", "--set", "model.measure_csv=missing.csv"],
     ["curve", "--out", "{file}"]], ids=" ".join)
 def test_bad_value_exits_bad_config_before_any_work(tmp_path, capsys, args):
     # refused up front: no sigma point runs and nothing is written
@@ -177,11 +180,11 @@ def test_line_chart_without_finite_points():
 
 
 def test_curve_with_every_sigma_failed_exits_check_failed(tmp_path, capsys):
-    with pytest.warns(RuntimeWarning, match="sigma=80 failed"):
-        rc = run_cli(["curve", "--set", "model.sigma=80.0", "--set", "model.n1=8",
-                      "--set", "model.n2=8", "--out", str(tmp_path)])
+    rc = run_cli(["curve", "--set", "model.sigma=80.0", "--set", "model.n1=8",
+                  "--set", "model.n2=8", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CHECK_FAILED
-    assert "every sigma point failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sigma=80 failed" in err and "every sigma point failed" in err
     assert (tmp_path / "curve.svg").exists()
     row = next(csv.DictReader(open(tmp_path / "curve.csv")))
     assert row["price"] == "nan"
@@ -203,13 +206,15 @@ def test_hedge_constant_strategy(tmp_path, capsys):
 
 
 def test_hedge_marks_unconverged_solve(tmp_path, capsys):
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        rc = run_cli(["hedge", "--sigma", "0.1", "--set", "metric.p=6",
-                      "--set", "model.n1=16", "--set", "model.n2=16",
-                      "--set", "constraints.sets=mart_marginal", "--out", str(tmp_path)])
+    rc = run_cli(["hedge", "--sigma", "0.1", "--set", "metric.p=6",
+                  "--set", "model.n1=16", "--set", "model.n2=16",
+                  "--set", "constraints.sets=mart_marginal", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CHECK_FAILED
-    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("value G'(0)"))
+    captured = capsys.readouterr()
+    line = next(ln for ln in captured.out.splitlines() if ln.startswith("value G'(0)"))
     assert "not converged (FOC residual" in line
+    assert re.fullmatch(r"FOC iteration did not converge: residual \S+ after \d+ steps\n",
+                        captured.err)
 
 
 def test_hedge_put_jump_near_boundary(tmp_path, capsys):
@@ -248,6 +253,20 @@ def test_oracle_requires_three_radii(tmp_path, capsys):
                   "--set", "criterion.name=linear:x2", "--out", str(tmp_path)])
     assert rc == cli.EXIT_BAD_CONFIG
     assert "3 radii" in capsys.readouterr().err
+
+
+def test_oracle_refuses_unreadable_or_malformed_measure(tmp_path, capsys):
+    # both refused before any work with exit 2, not a traceback
+    argv = ["oracle", "--set", "criterion.name=linear:x2", "--out", str(tmp_path)]
+    rc = run_cli(argv + ["--set", f"model.measure_csv={tmp_path / 'missing.csv'}"])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "cannot read model.measure_csv" in capsys.readouterr().err
+    path = tmp_path / "bad.csv"
+    path.write_text("i,j,x1,w1,x2,q\n0,0,1.0,1.0,1.0,1.0\n0,1,1.0,1.0,abc,0.0\n")
+    rc = run_cli(argv + ["--set", f"model.measure_csv={path}"])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "line 3: could not convert string to float: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.json").exists()
 
 
 def test_oracle_report_written(tmp_path):
@@ -294,30 +313,33 @@ def test_oracle_reports_no_overspent_coupling(tmp_path):
         assert all(u is None or u <= 1.0 + 1e-9 for u in res["budget_used"])
 
 
-def test_curve_partial_failure_writes_nan_markers(tmp_path):
-    with pytest.warns(RuntimeWarning):
-        rc = run_cli(["curve", "--set", "model.sigma=0.5,80.0",
-                      "--set", "model.n1=8", "--set", "model.n2=8",
-                      "--out", str(tmp_path)])
+def test_curve_partial_failure_writes_nan_markers(tmp_path, capsys):
+    rc = run_cli(["curve", "--set", "model.sigma=0.5,80.0",
+                  "--set", "model.n1=8", "--set", "model.n2=8",
+                  "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK
+    assert capsys.readouterr().err.startswith("sigma=80 failed: ")
     rows = list(csv.DictReader(open(tmp_path / "curve.csv")))
     assert len(rows) == 2
     assert rows[0]["price"] not in ("", "nan")
     assert rows[1]["price"] == "nan"
 
 
-def test_curve_writes_nan_for_unconverged_values(tmp_path, monkeypatch):
+def test_curve_writes_nan_for_unconverged_values(tmp_path, monkeypatch, capsys):
     # one step is the p = 2 warm start, which cannot certify a p = 1.5 value
     monkeypatch.setattr(sensitivity, "FOC_MAX_ITER", 1)
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        rc = run_cli(["curve", "--set", "metric.p=1.5", "--set", "model.sigma=0.5",
-                      "--set", "model.n1=8", "--set", "model.n2=8", "--out", str(tmp_path)])
+    rc = run_cli(["curve", "--set", "metric.p=1.5", "--set", "model.sigma=0.5",
+                  "--set", "model.n1=8", "--set", "model.n2=8", "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK
     row = next(csv.DictReader(open(tmp_path / "curve.csv")))
     assert float(row["G_ad"]) > 0                # no multipliers: nothing to iterate
-    for col in ("G_ad_M", "G_ad_m", "G_ad_Mm"):
+    # one stderr line per unconverged value, naming its sigma and column
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for col, line in zip(("G_ad_M", "G_ad_m", "G_ad_Mm"), err):
         assert row[col] == "nan"
         assert row[f"relative_{col}"] == ""
+        assert line.startswith(f"sigma=0.5: {col}: FOC iteration did not converge: residual ")
 
 
 def test_curve_p3_certified_and_fast(tmp_path):
@@ -378,6 +400,20 @@ def test_import_loads_no_scipy():
                           "import sys, wadro; print('scipy' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_library_does_not_import_warnings():
+    # diagnostics travel on the returned objects, and the CLI prints them
+    src = os.path.dirname(wadro.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    assert all(a.name != "warnings" for a in node.names), name
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.module != "warnings", name
 
 
 def test_default_sigma_grid_csv_floats(tmp_path):

@@ -4,7 +4,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from wadro.criterion import (Criterion, CriterionError, american_put,
+from wadro.criterion import (TIE_MASS_WARN, Criterion, CriterionError, american_put,
                              exercise_mass, gradient_field, linear_criterion,
                              preset, stopping_rule, value, vega)
 from wadro.measure import GridMeasure, ModelSpec, build_model, cond_exp_1, quantile_bins
@@ -155,10 +155,11 @@ def test_ties_resolved_to_continue_with_warning():
                   dl1=lambda x: np.zeros_like(np.asarray(x, float)),
                   l2=lambda x: np.full_like(np.asarray(x, float), 2.0),
                   dl2=lambda x: np.zeros_like(np.asarray(x, float)))
-    with pytest.warns(RuntimeWarning):
-        rule = stopping_rule(c, mu)
+    rule = stopping_rule(c, mu)
     assert not rule.stop_at_1.any()
     assert rule.tie_at.size == mu.n1
+    assert rule.tie_mass > TIE_MASS_WARN
+    assert any("stopping ties carry mass" in w for w in gradient_field(c, mu).warnings)
 
 
 def test_gradient_field_linear_sum():

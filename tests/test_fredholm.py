@@ -102,16 +102,6 @@ def _put_rhs(mu, bins):
     return rhs - float(mu.w1 @ rhs)
 
 
-def test_solve_dual_path_on_put_rhs():
-    mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
-    bins = quantile_bins(mu, 32)
-    op = build_operator(bins)
-    rhs = _put_rhs(mu, bins)
-    assert abs(float(mu.w1 @ solve(op, rhs))) <= 1e-10
-    residual, gap = certificate(op, rhs)      # the direct solve against the Neumann sum
-    assert residual <= 1e-8 and gap <= 1e-8
-
-
 def test_neumann_increments_decay_geometrically():
     mu = build_model(ModelSpec("black_scholes", 1.0, 24, 24))
     bins = quantile_bins(mu, 24)

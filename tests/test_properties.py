@@ -1,7 +1,6 @@
 """Property tests on small random martingale grids (profile in conftest.py)."""
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -63,15 +62,12 @@ def test_shared_point_state_matches_standalone_solves(grid):
     mu, bins, rng = grid
     G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
     shared = PointState(mu, G, W2AD, bins)
-    with warnings.catch_warnings():
-        # binnings as fine as the atoms give the sign-copy contraction of 1
-        warnings.simplefilter("ignore", RuntimeWarning)
-        vals = {}
-        for name, cs in CONSTRAINT_SETS.items():
-            rep = solve_foc(shared, cs)
-            alone = solve_foc(PointState(mu, G, W2AD, bins), cs)
-            assert abs(rep.value - alone.value) <= 1e-12
-            vals[name] = rep.value
+    vals = {}
+    for name, cs in CONSTRAINT_SETS.items():
+        rep = solve_foc(shared, cs)
+        alone = solve_foc(PointState(mu, G, W2AD, bins), cs)
+        assert abs(rep.value - alone.value) <= 1e-12
+        vals[name] = rep.value
     # more constraints can only lower the infimum
     assert chain_violation(vals.values()) <= 1e-10 * max(1.0, vals["unconstrained"])
 
@@ -83,10 +79,8 @@ def test_martingale_flag_is_the_conditional_constraint_x2_minus_x1(grid, p):
     mu, _, rng = grid
     G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
     state = PointState(mu, G, Metric("wp_adapted", p))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        flag = solve_foc(state, ConstraintSet(martingale=True))
-        psi = solve_foc(state, ConstraintSet(cond_psi=martingale_psi()))
+    flag = solve_foc(state, ConstraintSet(martingale=True))
+    psi = solve_foc(state, ConstraintSet(cond_psi=martingale_psi()))
     assert abs(psi.value - flag.value) <= 1e-12 * flag.value
 
 
@@ -105,13 +99,11 @@ def test_positive_homogeneity(grid, ball, p, c):
     cG = GradientField(c * G.g1, c * G.g2)
     one, scaled = PointState(mu, G, metric, bins), PointState(mu, cG, metric, bins)
     tol = 1e-12 if p == 2.0 else 1e-8
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        scale = solve_foc(one, ConstraintSet()).value
-        for cs in FLAG_SETS:
-            a, b = solve_foc(one, cs), solve_foc(scaled, cs)
-            if p == 2.0 or (a.converged and b.converged):
-                assert abs(b.value - c * a.value) <= tol * c * scale, cs.label()
+    scale = solve_foc(one, ConstraintSet()).value
+    for cs in FLAG_SETS:
+        a, b = solve_foc(one, cs), solve_foc(scaled, cs)
+        if p == 2.0 or (a.converged and b.converged):
+            assert abs(b.value - c * a.value) <= tol * c * scale, cs.label()
 
 
 @given(binned_grids(), st.sampled_from(["wp", "wp_adapted"]))
@@ -122,10 +114,8 @@ def test_value_is_continuous_in_p_at_2(grid, ball):
     mu, bins, rng = grid
     G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
     d = 1e-4
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        reps = [[solve_foc(PointState(mu, G, Metric(ball, p), bins), cs)
-                 for cs in CONSTRAINT_SETS.values()] for p in (2.0 - d, 2.0, 2.0 + d)]
+    reps = [[solve_foc(PointState(mu, G, Metric(ball, p), bins), cs)
+             for cs in CONSTRAINT_SETS.values()] for p in (2.0 - d, 2.0, 2.0 + d)]
     zero = 1e-12 * reps[1][0].value       # the unconstrained value bounds every set's
     for lo, mid, hi in zip(*reps):
         v = mid.value

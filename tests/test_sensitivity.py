@@ -1,13 +1,15 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from wadro import fredholm
-from wadro.criterion import GradientField, american_put, gradient_field, preset
+from wadro.criterion import Criterion, GradientField, american_put, gradient_field, preset
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
-                           canonical_test_measure, quantile_bins)
+                           canonical_test_measure, quantile_bins, sign_copy_measure)
+from wadro.oracle import feasible_family_mart_marginal, taper_boundary
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
                                W2, W2AD, adapted_gradient, chain_violation,
@@ -253,13 +255,34 @@ def test_solve_foc_never_silent_on_hard_exponents():
     mu = build_model(ModelSpec("bachelier", 1.0, 32, 32))
     G = gradient_field(american_put(side="buyer"), mu)
     with np.errstate(all="ignore"):
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            rep = solve_foc(PointState(mu, G, Metric("wp_adapted", 3.0)),
-                            ConstraintSet(martingale=True))
+        rep = solve_foc(PointState(mu, G, Metric("wp_adapted", 3.0)),
+                        ConstraintSet(martingale=True))
     assert rep.foc_residual <= 1e-8 or rep.warnings
     assert rep.foc_residual <= 1e-6
+
+
+def test_diagnostics_are_on_the_result_not_raised():
+    # every library diagnostic travels on the object it returns, nowhere else
+    flat = lambda x: np.full_like(np.asarray(x, float), 2.0)     # noqa: E731
+    tied = Criterion(kind="stop_buyer", name="tied", l1=flat, l2=flat,
+                     dl1=lambda x: np.zeros_like(np.asarray(x, float)),
+                     dl2=lambda x: np.zeros_like(np.asarray(x, float)))
+    mu = build_model(ModelSpec("black_scholes", 0.1, 16, 16))
+    sign = sign_copy_measure(32)
+    sign_bins = quantile_bins(sign, 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slow = solve_foc(PointState(mu, gradient_field(american_put(), mu),
+                                    Metric("wp_adapted", 6.0), quantile_bins(mu, 16)), BOTH)
+        copy = solve_foc(PointState(sign, _const_field(sign, 0.0, 1.0), W2AD, sign_bins), BOTH)
+        fam = feasible_family_mart_marginal(sign, taper_boundary(np.sin(sign.x2)),
+                                            r_list=(1e-3,), bins=sign_bins)
+        G = gradient_field(tied, build_model(ModelSpec("bachelier", 1.0, 6, 6)))
+    assert not slow.converged
+    assert any("FOC iteration did not converge" in w for w in slow.warnings)
+    assert any("contraction" in w for w in copy.warnings)
+    assert any("contraction" in w for w in fam.warnings)
+    assert any("stopping ties carry mass" in w for w in G.warnings)
 
 
 def test_positive_homogeneity():
