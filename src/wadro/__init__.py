@@ -15,8 +15,8 @@ from .fredholm import (FredholmError, FredholmOperator, build_operator,
                        contraction_norm, solve)
 from .oracle import (DiscreteBallProblem, FeasibleFamily, OracleError,
                      RaggedMeasure, bicausal_distance, classical_distance,
-                     default_target_support, dro_lp, family_slope,
-                     feasible_family_general, feasible_family_mart_marginal,
-                     oracle_report, slope_estimate, taper_boundary)
+                     default_target_support, dro_lp, family_check, family_slope,
+                     feasible_family, feasible_family_mart_marginal,
+                     oracle_report, slope_estimate)
 
 __version__ = "0.1.0"

@@ -34,9 +34,9 @@ from .criterion import Criterion, CriterionError, gradient_field, preset, stoppi
 from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
                       canonical_test_measure, cond_exp_1, from_csv, quantile_bins,
                       sign_copy_measure)
-from .sensitivity import (CONSTRAINT_SETS, W2AD, Metric, PointState, SensitivityError,
-                          chain_violation, closed_form_error, marginal_value_closed_form,
-                          report_tables, solve_foc)
+from .sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, MeanConstraint, Metric,
+                          PointState, SensitivityError, chain_violation, closed_form_error,
+                          marginal_value_closed_form, report_tables, solve_foc)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -375,6 +375,15 @@ def _selfcheck_items():
         values = [solve_foc(state, cs).value for cs in CONSTRAINT_SETS.values()]
         return chain_violation(values) <= 1e-10
 
+    def feasible_family():
+        mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+        c = preset("american_put:side=buyer")
+        state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", 1.5))
+        phi = MeanConstraint(lambda a, b: a * b, lambda a, b: b, lambda a, b: a, "x1*x2")
+        cs = ConstraintSet(martingale=True, mean_phi=(phi,))
+        return oracle.family_check(c, state, cs, solve_foc(state, cs))["error"] \
+            <= oracle.FAMILY_RTOL
+
     return [("measure invariants", measure_invariants),
             ("criterion consistency", criterion_consistency),
             ("analytic closed forms",
@@ -382,6 +391,7 @@ def _selfcheck_items():
             ("marginal dual path", marginal_two_paths),
             ("fredholm certificate", fredholm_certificate),
             ("constraint monotonicity", monotonicity),
+            ("feasible family", feasible_family),
             ("oracle sandwich",
              lambda: oracle.oracle_report(canonical_test_measure(), preset("linear:x2"),
                                           (0.02, 0.05, 0.1, 0.2))["pass"]),
@@ -456,6 +466,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"hedge solves one constraint set, not {len(cfg.sets)}")
         if args.command in ("curve", "hedge") and cfg.measure_csv:
             raise ConfigError(f"model.measure_csv is read by oracle only, not {args.command}")
+        if args.command == "selfcheck" and (args.config or overrides):
+            raise ConfigError("selfcheck checks fixed inputs and reads no configuration (--measure "
+                              f"is its one input), got {', '.join(sorted(overrides)) or args.config}")
     except (ConfigError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -102,10 +102,15 @@ class GridMeasure:
 
     def displaced(self, theta1: np.ndarray | float, theta2: np.ndarray | float,
                   r: float) -> "GridMeasure":
-        """Pushforward under x -> x + r * theta on atoms (masses unchanged)."""
+        """Pushforward under x -> x + r * theta on atoms (masses unchanged),
+        sorted again: rows travel with their x1 atom, weights with their x2 atom."""
         t1 = np.broadcast_to(np.asarray(theta1, dtype=float), self.x1.shape)
         t2 = np.broadcast_to(np.asarray(theta2, dtype=float), self.x2.shape)
-        return GridMeasure(self.x1 + r * t1, self.w1, self.x2 + r * t2, self.q)
+        x1, x2 = self.x1 + r * t1, self.x2 + r * t2
+        rows = np.argsort(x1, kind="stable")
+        cols = np.argsort(x2[rows], axis=1, kind="stable")
+        return GridMeasure(x1[rows], self.w1[rows], np.take_along_axis(x2[rows], cols, axis=1),
+                           np.take_along_axis(self.q[rows], cols, axis=1))
 
     def row_expectation(self, fn) -> np.ndarray:
         """v[i] = sum_j q[i,j] fn(x1[i], x2[i,j]), one value per first-stage atom.
@@ -354,6 +359,10 @@ def from_csv(path_or_buf, is_martingale: bool = False) -> GridMeasure:
                 i, j, a, w, z, m = int(rec[0]), int(rec[1]), *map(float, rec[2:6])
             except (ValueError, IndexError) as exc:
                 raise MeasureError(f"line {reader.line_num}: {exc}") from exc
+            if i < 0 or j < 0:
+                raise MeasureError(f"line {reader.line_num}: negative atom index ({i}, {j})")
+            if j in rows.get(i, ()):
+                raise MeasureError(f"line {reader.line_num}: atom ({i}, {j}) appears twice")
             x1[i], w1[i] = a, w
             rows.setdefault(i, {})[j] = (z, m)
         if not rows:

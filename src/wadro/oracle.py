@@ -5,9 +5,10 @@ Three independent routes confirm the closed-form sensitivities:
 * linear-programming suprema over classical Wasserstein balls at finite
   radii (finite candidate support, column-list LP, internal simplex),
 * an exact nested (bicausal) transport distance for small discrete laws,
-* constraint-preserving feasible families built by Newton iteration, whose
-  difference quotients lower-bound the sensitivity along the optimal
-  direction.
+* constraint-preserving feasible families, whose difference quotients
+  along the optimal direction realize the sensitivity: mu displaced and
+  corrected by the hedge map (``feasible_family``), or rearranged onto the
+  quantile bins for M+m1+m2 (``feasible_family_mart_marginal``).
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ from . import fredholm
 from .criterion import Criterion, gradient_field, value as criterion_value
 from .measure import (MERGE_TOL, Binning, GridMeasure, MeasureError,
                       marginal_2, quantile_bins)
-from .sensitivity import W2, ConstraintSet, PointState, solve_foc
+from .sensitivity import (W2, W2AD, ConstraintSet, PointState, _HedgeMap, _norm,
+                          martingale_psi, solve_foc)
 from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, LPError, solve_lp
 
 NEWTON_MAX_ITER = 50
-NEWTON_TOL = 1e-11
+NEWTON_RTOL = 1e-8
+FAMILY_RADII = (1e-5, 5e-6)
+FAMILY_RTOL = 1e-7
 
 
 class OracleError(ValueError):
@@ -374,134 +378,77 @@ class FeasibleFamily:
 
     r_list: tuple
     measures: tuple
-    multipliers: tuple       # dict per radius (lambda, h or a)
+    multipliers: tuple       # dict per radius (u and its correction's norm, or a)
     residuals: tuple         # dict per radius
     warnings: tuple = ()
 
 
-def taper_boundary(field2: np.ndarray) -> np.ndarray:
-    """Zero the outermost atom layer (compact support inside the grid)."""
-    out = np.array(field2, dtype=float)
-    out[0, :] = 0.0
-    out[-1, :] = 0.0
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return out
+def feasible_family(state: PointState, cs: ConstraintSet, theta,
+                    r_list=FAMILY_RADII) -> FeasibleFamily:
+    """Measures mu displaced by r theta + F(u_r) that keep every constraint of
+    ``cs`` (adapted ball, no marginal2) at mu's value: a mean at its mean, a
+    conditional one at mu's row values, the first marginal by x1 itself.
 
-
-def taper_endpoints(field1: np.ndarray) -> np.ndarray:
-    out = np.array(field1, dtype=float)
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
-
-
-def _newton(residual_fn, v0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, fd_eps=1e-7):
-    """Damped Newton with forward-difference Jacobian and lstsq steps."""
-    v = np.array(v0, dtype=float)
-    r = residual_fn(v)
-    for it in range(max_iter):
-        nr = float(np.max(np.abs(r))) if r.size else 0.0
-        if nr <= tol:
-            return v, nr, it, True
-        J = np.empty((r.size, v.size))
-        for j in range(v.size):
-            vp = v.copy()
-            vp[j] += fd_eps
-            J[:, j] = (residual_fn(vp) - r) / fd_eps
-        step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        scale = 1.0
-        for _ in range(6):
-            cand = v - scale * step
-            rc = residual_fn(cand)
-            if float(np.max(np.abs(rc))) < nr or scale < 1e-3:
-                v, r = cand, rc
-                break
-            scale *= 0.5
-        else:
-            break
-    return v, float(np.max(np.abs(r))), max_iter, float(np.max(np.abs(r))) <= tol
-
-
-def feasible_family_general(mu: GridMeasure, theta, phi=(), psi=None,
-                            r_list=(1e-2, 1e-3)) -> FeasibleFamily:
-    """Solve for multipliers making mu displaced along theta satisfy the constraints.
-
-    The displacement map is x -> x + r theta + sum_k lambda_k u_k with an
-    extra second-coordinate correction d2psi * h(x1) when a conditional
-    constraint is present; (lambda, h) solves the constraint equations by
-    Newton iteration.
+    F is the sensitivity solve's hedge map, whose directions are the
+    constraints' own derivatives.  Newton solves for u_r with the derivative
+    at zero, the hedge map's residual of its own field, built once.  theta1
+    must be a function of x1, as the adapted ball's directions are.
     """
+    mu = state.mu
+    if not state.metric.adapted or cs.marginal2:
+        raise OracleError("the displacement family needs the adapted ball and no marginal2")
+    hedges = _HedgeMap(state, cs)
     t1 = np.asarray(theta[0], dtype=float)
-    t2 = np.asarray(theta[1], dtype=float)
-    if t1.ndim == 2:
-        t1 = t1[:, 0]
-    if abs(t1[0]) > 0 or abs(t1[-1]) > 0 or np.max(np.abs(t2[0, :])) > 0 \
-            or np.max(np.abs(t2[-1, :])) > 0 or np.max(np.abs(t2[:, 0])) > 0 \
-            or np.max(np.abs(t2[:, -1])) > 0:
-        raise OracleError("theta must vanish on the outermost atom layer")
-    phi = tuple(phi)
-    k = len(phi)
-    if k == 0 and psi is None:
-        raise OracleError("no constraints to solve for")
-    a_grid = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
-    u_dirs = []
-    for c in phi:
-        d1 = np.asarray(c.d1(a_grid, mu.x2), dtype=float) + np.zeros_like(mu.x2)
-        u1 = taper_endpoints(np.sum(mu.q * d1, axis=1))
-        u2 = taper_boundary(np.asarray(c.d2(a_grid, mu.x2), dtype=float)
-                            + np.zeros_like(mu.x2))
-        u_dirs.append((u1, u2))
-    psi_d2 = None
-    if psi is not None:
-        psi_d2 = taper_boundary(np.asarray(psi.d2(a_grid, mu.x2), dtype=float)
-                                + np.zeros_like(mu.x2))
-    nh = mu.n1 if psi is not None else 0
+    t1 = np.broadcast_to(t1[:, None] if t1.ndim == 1 else t1, mu.x2.shape)
+    if np.any(t1 != t1[:, :1]):
+        raise OracleError("theta1 must be a function of x1 alone")
+    t1, t2 = t1[:, 0], np.broadcast_to(np.asarray(theta[1], dtype=float), mu.x2.shape)
+    psi = martingale_psi() if cs.martingale else cs.cond_psi
+    mw = mu.atom_masses()
 
-    base_phi = np.array([float(np.sum(mu.atom_masses() * c.fn(a_grid, mu.x2)))
-                         for c in phi])
-
-    def gamma(r, lam, h):
-        x1n = mu.x1 + r * t1
-        x2n = mu.x2 + r * t2
-        for lk, (u1, u2) in zip(lam, u_dirs):
-            x1n = x1n + lk * u1
-            x2n = x2n + lk * u2
+    def constraints(x1, x2, f=np.asarray):     # f=np.abs: the magnitudes rounding scales with
+        a = np.broadcast_to(x1[:, None], x2.shape)
+        out = [f(x1)] if cs.marginal1 else []
         if psi is not None:
-            x2n = x2n + psi_d2 * h[:, None]
-        return x1n, x2n
+            out.append(np.sum(mu.q * f(psi.fn(a, x2)), axis=1))
+        return np.concatenate(out + [[np.sum(mw * f(c.fn(a, x2))) for c in cs.mean_phi]])
 
-    def residual(r):
-        def inner(v):
-            lam, h = v[:k], v[k:]
-            x1n, x2n = gamma(r, lam, h)
-            out = []
-            a_n = np.broadcast_to(x1n[:, None], x2n.shape)
-            for idx, c in enumerate(phi):
-                out.append(float(np.sum(mu.atom_masses() * c.fn(a_n, x2n))) - base_phi[idx])
-            if psi is not None:
-                out.extend(np.sum(mu.q * psi.fn(a_n, x2n), axis=1))
-            return np.asarray(out)
-        return inner
+    sizes = [0 if v is None else v.size for v in hedges.u]
 
+    def field(v):
+        parts = np.split(v, np.cumsum(sizes)[:-1])
+        return hedges.field(tuple(None if z is None else p for z, p in zip(hedges.u, parts)))
+
+    def derivative(v):
+        return np.concatenate(list(hedges.residual(*field(v)).values()))
+
+    J = np.array([derivative(e) for e in np.eye(sum(sizes))]).T
+    target, scale = constraints(mu.x1, mu.x2), 1.0 + constraints(mu.x1, mu.x2, np.abs)
     measures, mults, resids, warns = [], [], [], []
     for r in r_list:
-        v, res, its, ok = _newton(residual(r), np.zeros(k + nh))
-        if not ok:
-            warns.append(f"Newton did not converge at r={r:g} (residual {res:.3e}); family truncated")
+        v, res = np.zeros(sum(sizes)), np.inf
+        for its in range(NEWTON_MAX_ITER + 1):
+            F = field(v)
+            step = (r * t1 + F[0][:, 0], r * t2 + F[1])
+            g = constraints(mu.x1 + step[0], mu.x2 + step[1]) - target
+            new = float(np.max(np.abs(g) / scale, initial=0.0))
+            if not new < res:   # run down to rounding (or NaN): keep the last iterate
+                break
+            res, u, (F1, F2), (d1, d2) = new, v, F, step
+            if res == 0.0:
+                break
+            v = v - np.linalg.solve(J, g)
+        # a residual res moves a difference quotient at r by about res / r
+        if res > NEWTON_RTOL * r:
+            warns.append(f"Newton stopped at r={r:g} with residual {res:.3e}; family truncated")
             break
-        lam, h = v[:k], v[k:]
-        x1n, x2n = gamma(r, lam, h)
         try:
-            nu = GridMeasure(x1n, mu.w1, x2n, mu.q)
+            nu = mu.displaced(d1, d2, 1.0)
         except MeasureError as exc:
             warns.append(f"displaced grid invalid at r={r:g}: {exc}")
             break
         measures.append(nu)
-        norm = float(np.abs(lam).sum())
-        if nh:
-            norm += float(np.sqrt(np.sum(mu.w1 * h ** 2)))
-        mults.append({"lambda": lam.copy(), "h": h.copy(), "norm": norm})
+        mults.append({"u": u, "correction": _norm(mw, F1, F2, W2AD)})
         resids.append({"constraint": res, "newton_iterations": its})
     return FeasibleFamily(tuple(r_list[:len(measures)]), tuple(measures),
                           tuple(mults), tuple(resids), tuple(warns))
@@ -557,8 +504,7 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
     def fragments(x2p):
         flat = x2p.ravel()
         order = np.argsort(flat, kind="stable")
-        cum = np.cumsum(mwf[order])
-        fa, fb, fm = _bin_couple(order, cum, bnd)
+        fa, fb, fm = _bin_couple(order, mwf[order], bnd)
         pos = np.clip(flat[fa], lo_edge[fb] + inset[fb], hi_edge[fb] - inset[fb])
         return row_of[fa], fb, fm, pos
 
@@ -576,7 +522,7 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
         fr, fb, fm, fp = fragments(base)
         g = row_means(fr, fm, fp) - mu.x1
         g -= float(mu.w1 @ g)
-        res = float(np.max(np.abs(g)))
+        res = float(np.sqrt(mu.w1 @ g ** 2))     # rows of negligible mass weigh nothing
         its = 0
         for its in range(1, NEWTON_MAX_ITER + 1):
             if res <= 1e-12 or op is None:
@@ -592,7 +538,7 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
                 cand = fragments(base + a2[:, None] - bins.e2(a2[:, None])[bins.index])
                 g2 = row_means(cand[0], cand[2], cand[3]) - mu.x1
                 g2 -= float(mu.w1 @ g2)
-                res2 = float(np.max(np.abs(g2)))
+                res2 = float(np.sqrt(mu.w1 @ g2 ** 2))
                 if res2 < res:
                     a, (fr, fb, fm, fp), g, res = a2, cand, g2, res2
                     improved = True
@@ -639,19 +585,28 @@ def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
                           tuple(mults), tuple(resids), tuple(warns))
 
 
-def _bin_couple(order, cloud_cum, bnd):
+def _bin_couple(order, mass, bnd):
     """Fragments of the sorted cloud against consecutive bin-mass intervals.
 
-    Returns (atom index, bin, mass) triples; atoms whose mass interval sits
-    inside one bin stay whole, straddlers split at the bin boundaries.  The
-    cuts are the cloud's cumulative masses and the bin boundaries below its
-    total; mass beyond the last boundary stays in the last bin.
+    ``mass`` holds the atoms' masses in the cloud's sorted ``order``.
+    Returns (atom index, bin, mass) triples along the sorted cloud; atoms
+    whose mass interval sits inside one bin stay whole, straddlers split at
+    the bin boundaries.  The cuts are the cloud's cumulative masses and the
+    bin boundaries below its total; mass beyond the last boundary stays in
+    the last bin.  An atom lighter than the rounding of the running total
+    adds no cut, so it keeps its own mass in the bin where the total stands.
     """
+    cum = np.cumsum(mass)
     inner = bnd[:-1]
-    cuts = np.union1d(cloud_cum, inner[inner < cloud_cum[-1]])
-    cuts = cuts[cuts > 0.0]             # atoms of zero mass leave no fragment
-    b = np.minimum(np.searchsorted(bnd, cuts), bnd.size - 1)
-    return order[np.searchsorted(cloud_cum, cuts)], b, np.diff(cuts, prepend=0.0)
+    cuts = np.union1d(cum, inner[inner < cum[-1]])
+    cuts = cuts[cuts > 0.0]
+    at = np.searchsorted(cum, cuts)
+    lost = np.nonzero((np.diff(cum, prepend=0.0) == 0.0) & (mass > 0.0))[0]
+    at, ends = np.concatenate([at, lost]), np.concatenate([cuts, cum[lost]])
+    pieces = np.concatenate([np.diff(cuts, prepend=0.0), mass[lost]])
+    seq = np.argsort(at, kind="stable")
+    b = np.minimum(np.searchsorted(bnd, ends[seq]), bnd.size - 1)
+    return order[at[seq]], b, pieces[seq]
 
 
 def family_slope(c: Criterion, mu, family: FeasibleFamily) -> float:
@@ -668,6 +623,23 @@ def family_slope(c: Criterion, mu, family: FeasibleFamily) -> float:
     if len(slopes) >= 2 and abs(family.r_list[1] * 2 - family.r_list[0]) < 1e-15:
         return 2.0 * slopes[1] - slopes[0]
     return slopes[-1]
+
+
+def family_check(c: Criterion, state: PointState, cs: ConstraintSet, report) -> dict:
+    """The displacement family along the report's direction T, JSON-ready.
+
+    ``state`` holds the gradient of ``c`` and ``report`` is its solve for
+    ``cs``.  Returns the Richardson slope at ``FAMILY_RADII`` (NaN when the
+    family is truncated), the largest constraint residual, the family's
+    messages, and the slope's error against the report's value relative to
+    max(value, |S|_L2(mu)), which ``FAMILY_RTOL`` bounds.
+    """
+    fam = feasible_family(state, cs, (report.T1, report.T2), FAMILY_RADII)
+    slope = family_slope(c, state.mu, fam) if fam.r_list == FAMILY_RADII else float("nan")
+    scale = max(report.value, _norm(state.mu.atom_masses(), state.S1, state.S2, W2AD))
+    return {"slope": slope, "error": abs(slope - report.value) / scale,
+            "residual": max((res["constraint"] for res in fam.residuals), default=float("nan")),
+            "warnings": list(fam.warnings)}
 
 
 # the constraint flags of each set the LP sandwich checks, by report label

@@ -49,6 +49,7 @@ def test_bad_config_exit_code(tmp_path):
     ["curve", "--set", "oracle.radii=0.02,0.05,nan"],
     ["curve", "--set", "model.measure_csv=missing.csv"],     # oracle reads it, curve would not
     ["hedge", "--sigma", "0.5", "--set", "model.measure_csv=missing.csv"],
+    ["selfcheck", "--set", "model.measure_csv=missing.csv"],     # selfcheck reads no key
     ["curve", "--out", "{file}"]], ids=" ".join)
 def test_bad_value_exits_bad_config_before_any_work(tmp_path, capsys, args):
     # refused up front: no sigma point runs and nothing is written
@@ -228,13 +229,13 @@ def test_hedge_put_jump_near_boundary(tmp_path, capsys):
 
 
 def test_selfcheck_passes(tmp_path, capsys):
-    rc = run_cli(["selfcheck", "--set", "model.n1=8", "--set", "model.n2=8"])
+    rc = run_cli(["selfcheck"])
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
     # every check reports its wall time next to its verdict
     checks = out.split("-" * 40)[0].splitlines()
-    assert len(checks) == 8 and all(re.search(r" PASS +\d+\.\d{3} s$", ln) for ln in checks)
+    assert len(checks) == 9 and all(re.search(r" PASS +\d+\.\d{3} s$", ln) for ln in checks)
 
 
 def test_selfcheck_rejects_corrupted_measure(tmp_path, capsys):
@@ -266,6 +267,12 @@ def test_oracle_refuses_unreadable_or_malformed_measure(tmp_path, capsys):
     rc = run_cli(argv + ["--set", f"model.measure_csv={path}"])
     assert rc == cli.EXIT_BAD_CONFIG
     assert "line 3: could not convert string to float: 'abc'" in capsys.readouterr().err
+    for line, message in (("-1,0,1.0,1.0,1.0,1.0", "line 3: negative atom index (-1, 0)"),
+                          ("0,0,1.0,1.0,1.0,1.0", "line 3: atom (0, 0) appears twice")):
+        path.write_text(f"i,j,x1,w1,x2,q\n0,0,1.0,1.0,1.0,1.0\n{line}\n")
+        rc = run_cli(argv + ["--set", f"model.measure_csv={path}"])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "oracle.json").exists()
 
 

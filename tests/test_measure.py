@@ -272,6 +272,23 @@ def test_csv_rejects_corruption():
         from_csv(io.StringIO("a,b\n1,2\n"))
 
 
+def test_csv_refuses_negative_index():
+    # a negative row or column index named a row the table cannot hold; it
+    # was dropped without a message
+    text = "i,j,x1,w1,x2,q\n0,0,1.0,1.0,1.0,1.0\n-1,0,2.0,1.0,2.0,1.0\n"
+    with pytest.raises(MeasureError, match="line 3: negative atom index"):
+        from_csv(io.StringIO(text))
+    with pytest.raises(MeasureError, match="line 2: negative atom index"):
+        from_csv(io.StringIO("i,j,x1,w1,x2,q\n0,-1,1.0,1.0,1.0,1.0\n"))
+
+
+def test_csv_refuses_repeated_index():
+    # a second line for an atom replaced the first one without a message
+    text = "i,j,x1,w1,x2,q\n0,0,1.0,1.0,1.0,1.0\n0,0,1.0,1.0,1.5,1.0\n"
+    with pytest.raises(MeasureError, match=r"line 3: atom \(0, 0\) appears twice"):
+        from_csv(io.StringIO(text))
+
+
 def test_displaced_keeps_masses():
     mu = build_model(ModelSpec("bachelier", 1.0, 6, 6))
     theta2 = np.exp(-mu.x2 ** 2)
@@ -279,6 +296,18 @@ def test_displaced_keeps_masses():
     assert np.array_equal(nu.w1, mu.w1)
     assert np.array_equal(nu.q, mu.q)
     assert np.array_equal(nu.x2, mu.x2 + 1e-3 * theta2)
+
+
+def test_displaced_sorts_its_atoms_again():
+    # x -> -x reverses every order; the pushforward is the same law with each
+    # row beside its first-stage atom and each weight beside its atom
+    x1 = np.array([0.0, 1.0, 3.0])
+    x2 = x1[:, None] + np.array([-1.0, 0.5, 2.0])
+    q = np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
+    mu = GridMeasure(x1, np.array([0.5, 0.3, 0.2]), x2, q)
+    nu = mu.displaced(-2.0 * x1, -2.0 * x2, 1.0)
+    assert np.array_equal(nu.x1, -x1[::-1]) and np.array_equal(nu.w1, mu.w1[::-1])
+    assert np.array_equal(nu.x2, -x2[::-1, ::-1]) and np.array_equal(nu.q, q[::-1, ::-1])
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0])

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from lattice import pinned
+from report_sweep import constraint_sets
 from wadro.criterion import american_put, gradient_field, preset, value
 from wadro.measure import (GridMeasure, ModelSpec, build_model,
                            canonical_test_measure, quantile_bins)
 from wadro.oracle import (DiscreteBallProblem, OracleError, bicausal_distance,
                           classical_distance, default_target_support, dro_lp,
-                          family_slope, feasible_family_general,
+                          family_check, family_slope, feasible_family,
                           feasible_family_mart_marginal, oracle_report,
-                          slope_estimate, taper_boundary)
-from wadro.sensitivity import (CONSTRAINT_SETS, MeanConstraint, PointState, W2, W2AD,
-                               solve_foc)
+                          slope_estimate)
+from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, MeanConstraint, Metric, PointState,
+                               W2, W2AD, martingale_psi, solve_foc)
 from wadro import oracle
 from wadro.simplex import InaccurateError, InfeasibleError, LPResult, solve_lp
 
@@ -213,71 +214,102 @@ def test_oracle_report_sandwich():
         oracle_report(mu, preset("linear:x2"), [0.0])
 
 
-def _mean_x2_constraint():
-    return MeanConstraint(lambda a, b: b, lambda a, b: np.zeros_like(a),
-                          lambda a, b: np.ones_like(b), "mean_x2")
+def _mean_x2_sq_constraint():
+    return MeanConstraint(lambda a, b: b * b, lambda a, b: np.zeros_like(a),
+                          lambda a, b: 2.0 * b, "mean_x2^2")
 
 
-def test_feasible_family_general_zero_direction():
+def _family_state(mu):
+    return PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD)
+
+
+def test_feasible_family_zero_direction():
     mu = build_model(ModelSpec("bachelier", 1.0, 12, 12))
-    fam = feasible_family_general(mu, (np.zeros(12), np.zeros_like(mu.x2)),
-                                  phi=[_mean_x2_constraint()], r_list=(1e-2,))
-    assert len(fam.measures) == 1
-    assert abs(fam.multipliers[0]["lambda"][0]) <= 1e-12
+    cs = ConstraintSet(martingale=True, marginal1=True, mean_phi=(_mean_x2_sq_constraint(),))
+    fam = feasible_family(_family_state(mu), cs, (0.0, 0.0), r_list=(1e-2,))
+    assert len(fam.measures) == 1 and not fam.warnings
+    assert np.max(np.abs(fam.multipliers[0]["u"])) <= 1e-12
+    assert fam.multipliers[0]["correction"] <= 1e-12
     assert np.max(np.abs(fam.measures[0].x2 - mu.x2)) <= 1e-12
+    # a grid row moves as one: theta1 may not vary along it, and the
+    # classical ball's directions do
+    with pytest.raises(OracleError, match="function of x1"):
+        feasible_family(_family_state(mu), cs, (mu.x2, 0.0))
+    with pytest.raises(OracleError, match="adapted ball"):
+        feasible_family(PointState(mu, gradient_field(american_put(), mu), W2), cs, (0.0, 0.0))
+    with pytest.raises(OracleError, match="marginal2"):
+        feasible_family(_family_state(mu), CONSTRAINT_SETS["mart_marginal"], (0.0, 0.0))
 
 
-def test_feasible_family_general_constraint_residuals():
+def test_feasible_family_constraint_residuals():
+    # a direction reaching the outermost atoms, which the hedge map's
+    # corrections carry as well as the inner ones
     mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
-    theta2 = taper_boundary(np.exp(-0.5 * mu.x2 ** 2))     # e2-bump
-    fam = feasible_family_general(mu, (np.zeros(16), theta2),
-                                  phi=[_mean_x2_constraint()],
-                                  r_list=(1e-2, 1e-3))
-    assert len(fam.measures) == 2
+    theta = (np.sin(mu.x1), np.exp(-0.5 * mu.x2 ** 2))
+    cs = ConstraintSet(martingale=True, mean_phi=(_mean_x2_sq_constraint(),))
+    fam = feasible_family(_family_state(mu), cs, theta, r_list=(1e-2, 1e-3))
+    assert len(fam.measures) == 2 and not fam.warnings
     for res, nu in zip(fam.residuals, fam.measures):
-        assert res["constraint"] <= 1e-10
-        gap = abs(float(np.sum(nu.atom_masses() * nu.x2))
-                  - float(np.sum(mu.atom_masses() * mu.x2)))
-        assert gap <= 1e-10
+        assert res["constraint"] <= 1e-14
+        assert nu.martingale_residual() <= 1e-14
+        gap = float(np.sum(nu.atom_masses() * nu.x2 ** 2) - np.sum(mu.atom_masses() * mu.x2 ** 2))
+        assert abs(gap) <= 1e-13
+    # the first marginal is held by x1 itself
+    cs = ConstraintSet(marginal1=True, cond_psi=martingale_psi())
+    nu = feasible_family(_family_state(mu), cs, theta, r_list=(1e-2,)).measures[0]
+    assert np.max(np.abs(nu.x1 - mu.x1)) <= 1e-15 and nu.martingale_residual() <= 1e-14
 
 
-def test_feasible_family_general_neutral_direction_is_second_order():
+def test_feasible_family_neutral_direction_is_second_order():
+    # a direction orthogonal to the constraint's gradient 2 x2 keeps it to
+    # first order: the correction is O(r^2), against O(r) for a generic one
     mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
-    bump = taper_boundary(np.exp(-0.5 * mu.x2 ** 2))
-    bump -= float(np.sum(mu.atom_masses() * bump)) * np.ones_like(bump) \
-        * (bump > -np.inf)                                  # recenter crudely
-    bump = taper_boundary(bump)
-    # orthogonalize against the constraint gradient exactly
-    g = np.ones_like(mu.x2)
-    inner = float(np.sum(mu.atom_masses() * bump * g))
-    sq = float(np.sum(mu.atom_masses() * taper_boundary(g) ** 2))
-    theta2 = taper_boundary(bump - inner / sq * taper_boundary(g))
-    check = float(np.sum(mu.atom_masses() * theta2))
-    assert abs(check) <= 1e-12
-    fam = feasible_family_general(mu, (np.zeros(16), theta2),
-                                  phi=[_mean_x2_constraint()],
-                                  r_list=(1e-2, 1e-3))
-    lam_big = abs(fam.multipliers[0]["lambda"][0])
-    lam_small = abs(fam.multipliers[1]["lambda"][0])
-    assert lam_big <= 5.0 * 1e-2 ** 2 + 1e-12               # O(r^2)
-    assert lam_small <= 5.0 * 1e-3 ** 2 + 1e-12
+    mw = mu.atom_masses()
+    bump = np.exp(-0.5 * (mu.x2 - 0.5) ** 2)
+    neutral = bump - float(np.sum(mw * bump * mu.x2) / np.sum(mw * mu.x2 ** 2)) * mu.x2
+    assert abs(float(np.sum(mw * neutral * mu.x2))) <= 1e-15
+    cs = ConstraintSet(mean_phi=(_mean_x2_sq_constraint(),))
+    state, r_list = _family_state(mu), (1e-2, 1e-3)
+    for theta2, order in ((neutral, 2), (bump, 1)):
+        fam = feasible_family(state, cs, (0.0, theta2), r_list)
+        # correction / r^order is the same at both radii, 1e-2 and 1e-3
+        big, small = (m["correction"] / r ** order for m, r in zip(fam.multipliers, r_list))
+        assert abs(small / big - 1.0) <= 0.05 and big > 0.0, order
 
 
-def test_feasible_family_general_requires_interior_support():
-    mu = build_model(ModelSpec("bachelier", 1.0, 8, 8))
-    with pytest.raises(OracleError):
-        feasible_family_general(mu, (np.zeros(8), np.ones_like(mu.x2)),
-                                phi=[_mean_x2_constraint()])
+@pytest.mark.parametrize("quadrature", ["gauss_hermite", "equally_weighted"])
+def test_family_check_realizes_every_adapted_value(quadrature):
+    # the family along the report's own direction T has the report's value as
+    # its slope, on every adapted set the sweep computes without marginal2
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16, quadrature))
+    c = american_put(side="buyer")
+    sets = [cs for cs in constraint_sets().values() if not cs.marginal2]
+    assert len(sets) == 11
+    for p in (1.5, 2.0, 3.0):
+        state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
+        for cs in sets:
+            rep = solve_foc(state, cs)
+            assert rep.converged, (p, cs.label())
+            out = family_check(c, state, cs, rep)
+            assert out["error"] <= oracle.FAMILY_RTOL and not out["warnings"], (p, cs.label())
+            assert out["residual"] <= 1e-12
 
 
 def test_mart_marginal_family_zero_direction():
-    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16, "equally_weighted"))
-    fam = feasible_family_mart_marginal(mu, np.zeros_like(mu.x2), r_list=(1e-3,))
-    nu = fam.measures[0]
-    assert np.max(np.abs(fam.multipliers[0]["a"])) <= 1e-12
+    # the identity family, also on Gauss-Hermite grids, whose tail atoms
+    # weigh less than the rounding of the rearrangement's running total and
+    # whose tail rows (w1 down to 1e-23 at 64) weigh nothing in the mean gap
     put = american_put(side="buyer")
-    assert abs(value(put, nu) - value(put, mu)) <= 1e-12
-    assert fam.residuals[0]["martingale"] <= 1e-12
+    for family, n, quadrature in (("black_scholes", 32, "equally_weighted"),
+                                  ("black_scholes", 32, "gauss_hermite"),
+                                  ("bachelier", 64, "gauss_hermite")):
+        mu = build_model(ModelSpec(family, 0.5, n, n, quadrature))
+        fam = feasible_family_mart_marginal(mu, np.zeros_like(mu.x2), r_list=(1e-3,))
+        assert len(fam.measures) == 1 and not fam.warnings, (family, quadrature)
+        assert abs(value(put, fam.measures[0]) - value(put, mu)) <= 1e-12
+        assert fam.residuals[0]["martingale"] <= 1e-12
+        if quadrature == "equally_weighted":
+            assert np.max(np.abs(fam.multipliers[0]["a"])) <= 1e-12
 
 
 def test_mart_marginal_family_optimal_direction():
@@ -313,8 +345,7 @@ def test_mart_marginal_family_generic_direction_linear_shift():
 def test_mart_marginal_family_flags_sign_copy():
     from wadro.measure import sign_copy_measure
     mu = sign_copy_measure(32)
-    theta2 = taper_boundary(np.sin(mu.x2))
-    fam = feasible_family_mart_marginal(mu, theta2, r_list=(1e-3,))
+    fam = feasible_family_mart_marginal(mu, np.sin(mu.x2), r_list=(1e-3,))
     assert any("contraction" in w for w in fam.warnings)
 
 

@@ -9,7 +9,7 @@ from wadro import fredholm
 from wadro.criterion import Criterion, GradientField, american_put, gradient_field, preset
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins, sign_copy_measure)
-from wadro.oracle import feasible_family_mart_marginal, taper_boundary
+from wadro.oracle import feasible_family_mart_marginal
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
                                W2, W2AD, adapted_gradient, chain_violation,
@@ -275,7 +275,7 @@ def test_diagnostics_are_on_the_result_not_raised():
         slow = solve_foc(PointState(mu, gradient_field(american_put(), mu),
                                     Metric("wp_adapted", 6.0), quantile_bins(mu, 16)), BOTH)
         copy = solve_foc(PointState(sign, _const_field(sign, 0.0, 1.0), W2AD, sign_bins), BOTH)
-        fam = feasible_family_mart_marginal(sign, taper_boundary(np.sin(sign.x2)),
+        fam = feasible_family_mart_marginal(sign, np.sin(sign.x2),
                                             r_list=(1e-3,), bins=sign_bins)
         G = gradient_field(tied, build_model(ModelSpec("bachelier", 1.0, 6, 6)))
     assert not slow.converged
