@@ -14,9 +14,8 @@ from .sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet, MeanCo
 from .fredholm import (FredholmError, FredholmOperator, build_operator,
                        contraction_norm, solve)
 from .oracle import (DiscreteBallProblem, FeasibleFamily, OracleError,
-                     RaggedMeasure, bicausal_distance, classical_distance,
+                     bicausal_distance, classical_distance,
                      default_target_support, dro_lp, family_check, family_slope,
-                     feasible_family, feasible_family_mart_marginal,
-                     oracle_report, slope_estimate)
+                     feasible_family, oracle_report, slope_estimate)
 
 __version__ = "0.1.0"

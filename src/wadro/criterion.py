@@ -189,13 +189,13 @@ def preset(name: str) -> Criterion:
     raise CriterionError(f"unknown criterion preset {name!r}")
 
 
-def _stage_values(c: Criterion, mu) -> tuple[np.ndarray, np.ndarray]:
+def _stage_values(c: Criterion, mu: GridMeasure) -> tuple[np.ndarray, np.ndarray]:
     """(l1 on x1 atoms, E1[l2] per row) for stopping criteria."""
     return c.l1(mu.x1), mu.row_expectation(lambda a, z: c.l2(z))
 
 
-def value(c: Criterion, mu) -> float:
-    """Criterion value on any measure with ``x1``, ``w1`` and ``row_expectation``."""
+def value(c: Criterion, mu: GridMeasure) -> float:
+    """Criterion value on a grid measure."""
     if c.kind == "linear":
         return float(mu.w1 @ mu.row_expectation(c.f))
     ell1, cont = _stage_values(c, mu)

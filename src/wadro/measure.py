@@ -121,11 +121,6 @@ class GridMeasure:
         a = np.broadcast_to(self.x1[:, None], self.x2.shape)
         return np.sum(self.q * fn(a, self.x2), axis=1)
 
-    @property
-    def rows(self) -> tuple:
-        """(x2 row, q row) per first-stage atom, as ``RaggedMeasure`` stores them."""
-        return tuple(zip(self.x2, self.q))
-
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -7,8 +7,8 @@ Three independent routes confirm the closed-form sensitivities:
 * an exact nested (bicausal) transport distance for small discrete laws,
 * constraint-preserving feasible families, whose difference quotients
   along the optimal direction realize the sensitivity: mu displaced and
-  corrected by the hedge map (``feasible_family``), or rearranged onto the
-  quantile bins for M+m1+m2 (``feasible_family_mart_marginal``).
+  corrected by the hedge map (``feasible_family``), for every set of the
+  adapted ball.
 """
 
 from __future__ import annotations
@@ -17,42 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fredholm
 from .criterion import Criterion, gradient_field, value as criterion_value
-from .measure import (MERGE_TOL, Binning, GridMeasure, MeasureError,
-                      marginal_2, quantile_bins)
+from .measure import MERGE_TOL, WEIGHT_TOL, Binning, GridMeasure, MeasureError, marginal_2
 from .sensitivity import (W2, W2AD, ConstraintSet, PointState, _HedgeMap, _norm,
                           martingale_psi, solve_foc)
 from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, LPError, solve_lp
 
 NEWTON_MAX_ITER = 50
 NEWTON_RTOL = 1e-8
-FAMILY_RADII = (1e-5, 5e-6)
+FAMILY_RADII = (2e-6, 1e-6)
 FAMILY_RTOL = 1e-7
 
 
 class OracleError(ValueError):
     """Oracle misuse: oversized instance, bad support, degenerate fit."""
-
-
-# ---------------------------------------------------------------------------
-# measures with ragged conditional rows (outputs of the feasible families)
-
-@dataclass(frozen=True)
-class RaggedMeasure:
-    """Two-period measure whose conditional rows have varying support sizes."""
-
-    x1: np.ndarray
-    w1: np.ndarray
-    rows: tuple                         # (x2 row, q row) per first-stage atom
-
-    def row_expectation(self, fn) -> np.ndarray:
-        """v[i] = sum_j q_i[j] fn(x1[i], z_i[j]); rows differ in length, so loop."""
-        return np.array([np.sum(q * fn(np.full_like(z, a), z))
-                         for a, (z, q) in zip(self.x1, self.rows)])
-
-    def martingale_residual(self) -> float:
-        return max(abs(float(q @ z) - a) for a, (z, q) in zip(self.x1, self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +314,7 @@ def _optimal_transport_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> floa
                     np.ones(2 * n * m), np.concatenate([a, b]), n + m).fun
 
 
-def bicausal_distance(mu, nu, p: float = 2.0) -> float:
+def bicausal_distance(mu: GridMeasure, nu: GridMeasure, p: float = 2.0) -> float:
     """Adapted (nested) Wasserstein distance between two discrete laws.
 
     Inner conditional costs are exact 1-D quantile couplings; the outer
@@ -346,19 +324,18 @@ def bicausal_distance(mu, nu, p: float = 2.0) -> float:
     if n * m > MAX_VARIABLES:
         raise OracleError("first-stage coupling too large for the exact solver")
     C = np.empty((n, m))
-    targets = tuple(zip(nu.x1, nu.rows))
-    for i, (a, (xz, xq)) in enumerate(zip(mu.x1, mu.rows)):
-        for k, (b, (yz, yq)) in enumerate(targets):
-            C[i, k] = abs(a - b) ** p + _wp_1d_pow(xz, xq, yz, yq, p)
+    for i in range(n):
+        for k in range(m):
+            C[i, k] = (abs(mu.x1[i] - nu.x1[k]) ** p
+                       + _wp_1d_pow(mu.x2[i], mu.q[i], nu.x2[k], nu.q[k], p))
     return float(max(_optimal_transport_cost(C, mu.w1, nu.w1), 0.0) ** (1.0 / p))
 
 
-def classical_distance(mu, nu, p: float = 2.0) -> float:
+def classical_distance(mu: GridMeasure, nu: GridMeasure, p: float = 2.0) -> float:
     """Classical W_p between the flattened atom clouds (exact small LP)."""
     def cloud(law):
-        return (np.concatenate([np.column_stack([np.full(z.size, a), z])
-                                for a, (z, _) in zip(law.x1, law.rows)]),
-                np.concatenate([w * q for w, (_, q) in zip(law.w1, law.rows)]))
+        return (np.column_stack([np.repeat(law.x1, law.n2), law.x2.ravel()]),
+                law.atom_masses().ravel())
 
     (ax, am), (bx, bm) = cloud(mu), cloud(nu)
     n, m = am.size, bm.size
@@ -378,7 +355,7 @@ class FeasibleFamily:
 
     r_list: tuple
     measures: tuple
-    multipliers: tuple       # dict per radius (u and its correction's norm, or a)
+    multipliers: tuple       # dict per radius: u and its correction's norm
     residuals: tuple         # dict per radius
     warnings: tuple = ()
 
@@ -386,18 +363,22 @@ class FeasibleFamily:
 def feasible_family(state: PointState, cs: ConstraintSet, theta,
                     r_list=FAMILY_RADII) -> FeasibleFamily:
     """Measures mu displaced by r theta + F(u_r) that keep every constraint of
-    ``cs`` (adapted ball, no marginal2) at mu's value: a mean at its mean, a
-    conditional one at mu's row values, the first marginal by x1 itself.
+    ``cs`` (adapted ball) at mu's value: a mean at its mean, a conditional one
+    at mu's row values, the first marginal by x1 itself, and the second at
+    the solve's bin resolution: each bin keeps its mass and its first moment.
 
     F is the sensitivity solve's hedge map, whose directions are the
     constraints' own derivatives.  Newton solves for u_r with the derivative
-    at zero, the hedge map's residual of its own field, built once.  theta1
-    must be a function of x1, as the adapted ball's directions are.
+    at zero, the hedge map's residual of its own field, built once and
+    pseudo-inverted: with M+m1+m2 it has one null direction (f1 + c, f2 - c,
+    h + c), which moves no atom.  theta1 must be a function of x1, as the
+    adapted ball's directions are.  The messages start with the hedge map's.
     """
     mu = state.mu
-    if not state.metric.adapted or cs.marginal2:
-        raise OracleError("the displacement family needs the adapted ball and no marginal2")
+    if not state.metric.adapted:
+        raise OracleError("the displacement family needs the adapted ball")
     hedges = _HedgeMap(state, cs)
+    bins = hedges.bins
     t1 = np.asarray(theta[0], dtype=float)
     t1 = np.broadcast_to(t1[:, None] if t1.ndim == 1 else t1, mu.x2.shape)
     if np.any(t1 != t1[:, :1]):
@@ -409,6 +390,8 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
     def constraints(x1, x2, f=np.asarray):     # f=np.abs: the magnitudes rounding scales with
         a = np.broadcast_to(x1[:, None], x2.shape)
         out = [f(x1)] if cs.marginal1 else []
+        if bins is not None:
+            out.append(bins.sums(mw * f(x2)) / bins.mass)
         if psi is not None:
             out.append(np.sum(mu.q * f(psi.fn(a, x2)), axis=1))
         return np.concatenate(out + [[np.sum(mw * f(c.fn(a, x2))) for c in cs.mean_phi]])
@@ -422,11 +405,12 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
     def derivative(v):
         return np.concatenate(list(hedges.residual(*field(v)).values()))
 
-    J = np.array([derivative(e) for e in np.eye(sum(sizes))]).T
+    n = sum(sizes)      # as many constraints as multipliers
+    J_inv = np.linalg.pinv(np.reshape([derivative(e) for e in np.eye(n)], (n, n)).T)
     target, scale = constraints(mu.x1, mu.x2), 1.0 + constraints(mu.x1, mu.x2, np.abs)
-    measures, mults, resids, warns = [], [], [], []
+    measures, mults, resids, warns = [], [], [], list(hedges.warnings)
     for r in r_list:
-        v, res = np.zeros(sum(sizes)), np.inf
+        v, res = np.zeros(n), np.inf
         for its in range(NEWTON_MAX_ITER + 1):
             F = field(v)
             step = (r * t1 + F[0][:, 0], r * t2 + F[1])
@@ -437,11 +421,20 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
             res, u, (F1, F2), (d1, d2) = new, v, F, step
             if res == 0.0:
                 break
-            v = v - np.linalg.solve(J, g)
+            v = v - J_inv @ g
         # a residual res moves a difference quotient at r by about res / r
         if res > NEWTON_RTOL * r:
             warns.append(f"Newton stopped at r={r:g} with residual {res:.3e}; family truncated")
             break
+        if bins is not None:
+            # the outer bins are unbounded: an atom past mu's extremes stays in them
+            moved = np.bincount(np.searchsorted(bins.edges[1:-1], (mu.x2 + d2).ravel(),
+                                                side="right"), mw.ravel(), bins.m)
+            shift = float(np.max(np.abs(moved - bins.mass) / bins.mass))
+            if shift > WEIGHT_TOL:
+                warns.append(f"atoms cross bin edges at r={r:g}: a bin's mass moves by "
+                             f"{shift:.3e} of itself; family truncated")
+                break
         try:
             nu = mu.displaced(d1, d2, 1.0)
         except MeasureError as exc:
@@ -452,161 +445,6 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
         resids.append({"constraint": res, "newton_iterations": its})
     return FeasibleFamily(tuple(r_list[:len(measures)]), tuple(measures),
                           tuple(mults), tuple(resids), tuple(warns))
-
-
-def feasible_family_mart_marginal(mu: GridMeasure, theta2: np.ndarray,
-                                  r_list=(1e-3, 5e-4),
-                                  bins: Binning | None = None) -> FeasibleFamily:
-    """Martingale couplings keeping both marginals of mu at quantile-grid
-    resolution, close to mu displaced by (0, r theta2).
-
-    The displaced second-stage cloud is rearranged onto the second marginal
-    by the monotone coupling at the bin partition's resolution (atoms keep
-    their displaced positions inside a bin; straddling mass splits at the
-    bin boundary), which is the same sigma(X2) surrogate the sensitivity
-    formulas use.  An additive shift a(X1) - E2[a(X1)] restores the
-    conditional-mean identity: its Gateaux derivative at zero is exactly
-    I - E1 o E2, so each Newton pass is one Fredholm solve, followed by an
-    exact per-row position shift that zeroes the remaining martingale gap
-    without touching bin masses.
-
-    theta2 need not vanish on the boundary layer: the coupling is clip-safe
-    up to the support edges, and zeroing the outermost layer would bias the
-    realized direction by the full boundary mass.
-    """
-    theta2 = np.asarray(theta2, dtype=float)
-    bins = bins if bins is not None else quantile_bins(mu, mu.n2)
-    if bins.mu is not mu:
-        raise OracleError("the binning was built for another measure")
-    warns = []
-    contraction = None
-    op = None
-    try:
-        op = fredholm.build_operator(bins)
-        contraction = fredholm.contraction_norm(op)
-    except (fredholm.FredholmError, MeasureError) as exc:
-        warns.append(f"contraction check failed: {exc}")
-    if contraction is not None and contraction >= fredholm.REGULARIZE_GATE:
-        warns.append(f"informational-discrepancy contraction {contraction:.6f} >= "
-                     f"{fredholm.REGULARIZE_GATE}; construction may be ill-posed")
-
-    mw = mu.atom_masses()
-    mwf = mw.ravel()
-    n1 = mu.n1
-    row_of = np.arange(mwf.size) // mu.n2
-    binmass = bins.mass
-    bnd = np.cumsum(binmass)
-    lo_edge = bins.edges[:-1]
-    hi_edge = bins.edges[1:]
-    width = hi_edge - lo_edge
-    inset = 1e-12 * np.maximum(width, 1.0)
-
-    def fragments(x2p):
-        flat = x2p.ravel()
-        order = np.argsort(flat, kind="stable")
-        fa, fb, fm = _bin_couple(order, mwf[order], bnd)
-        pos = np.clip(flat[fa], lo_edge[fb] + inset[fb], hi_edge[fb] - inset[fb])
-        return row_of[fa], fb, fm, pos
-
-    def row_means(fr, fm, fp):
-        return np.bincount(fr, fm * fp, n1) / mu.w1
-
-    def solve_run(r):
-        """Newton on a |-> conditional means of the rearranged cloud minus X1.
-
-        One Fredholm solve per pass (the derivative at zero is I - E1 o E2);
-        the response is continuous because within-bin positions move with a.
-        """
-        a = np.zeros(n1)
-        base = mu.x2 + r * theta2
-        fr, fb, fm, fp = fragments(base)
-        g = row_means(fr, fm, fp) - mu.x1
-        g -= float(mu.w1 @ g)
-        res = float(np.sqrt(mu.w1 @ g ** 2))     # rows of negligible mass weigh nothing
-        its = 0
-        for its in range(1, NEWTON_MAX_ITER + 1):
-            if res <= 1e-12 or op is None:
-                break
-            if contraction is not None and contraction >= fredholm.REGULARIZE_GATE:
-                step = fredholm.solve_regularized(op, -g)
-            else:
-                step = fredholm.solve(op, -g)
-            scale = 1.0
-            improved = False
-            for _ in range(8):
-                a2 = a + scale * step
-                cand = fragments(base + a2[:, None] - bins.e2(a2[:, None])[bins.index])
-                g2 = row_means(cand[0], cand[2], cand[3]) - mu.x1
-                g2 -= float(mu.w1 @ g2)
-                res2 = float(np.sqrt(mu.w1 @ g2 ** 2))
-                if res2 < res:
-                    a, (fr, fb, fm, fp), g, res = a2, cand, g2, res2
-                    improved = True
-                    break
-                scale *= 0.5
-            if not improved:
-                break
-        return fr, fb, fm, fp, a, res, its
-
-    measures, mults, resids = [], [], []
-    for r in r_list:
-        fr, fb, fm, fp, a, res, its = solve_run(r)
-        if res > 1e-3 * max(1.0, float(np.max(np.abs(mu.x1)))):
-            warns.append(f"mean-gap solve left residual {res:.3e} at r={r:g}; family truncated")
-            break
-        # exact martingale repair: per-row position shifts, clipped into bins;
-        # iterate so fragments parked at bin edges hand the shift to the rest
-        for _ in range(12):
-            shift = mu.x1 - row_means(fr, fm, fp)
-            if float(np.max(np.abs(shift))) <= 1e-14:
-                break
-            fp = np.clip(fp + shift[fr], lo_edge[fb] + inset[fb], hi_edge[fb] - inset[fb])
-        rows = []
-        for i in range(n1):
-            sel = np.nonzero(fr == i)[0]
-            order = np.argsort(fp[sel], kind="stable")
-            z = fp[sel][order]
-            q = fm[sel][order] / mu.w1[i]
-            keep = np.empty(z.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = np.diff(z) > 0.0
-            grpz = np.cumsum(keep) - 1
-            rows.append((z[keep], np.bincount(grpz, q)))
-        nu = RaggedMeasure(mu.x1.copy(), mu.w1.copy(), tuple(rows))
-        colmass = np.bincount(fb, fm, bins.m)
-        measures.append(nu)
-        mults.append({"a": a.copy(),
-                      "a_norm": float(np.sqrt(np.sum(mu.w1 * a ** 2)))})
-        resids.append({"martingale": nu.martingale_residual(),
-                       "marginal2": float(np.max(np.abs(colmass - binmass))),
-                       "newton_residual": res,
-                       "newton_iterations": its})
-    return FeasibleFamily(tuple(r_list[:len(measures)]), tuple(measures),
-                          tuple(mults), tuple(resids), tuple(warns))
-
-
-def _bin_couple(order, mass, bnd):
-    """Fragments of the sorted cloud against consecutive bin-mass intervals.
-
-    ``mass`` holds the atoms' masses in the cloud's sorted ``order``.
-    Returns (atom index, bin, mass) triples along the sorted cloud; atoms
-    whose mass interval sits inside one bin stay whole, straddlers split at
-    the bin boundaries.  The cuts are the cloud's cumulative masses and the
-    bin boundaries below its total; mass beyond the last boundary stays in
-    the last bin.  An atom lighter than the rounding of the running total
-    adds no cut, so it keeps its own mass in the bin where the total stands.
-    """
-    cum = np.cumsum(mass)
-    inner = bnd[:-1]
-    cuts = np.union1d(cum, inner[inner < cum[-1]])
-    cuts = cuts[cuts > 0.0]
-    at = np.searchsorted(cum, cuts)
-    lost = np.nonzero((np.diff(cum, prepend=0.0) == 0.0) & (mass > 0.0))[0]
-    at, ends = np.concatenate([at, lost]), np.concatenate([cuts, cum[lost]])
-    pieces = np.concatenate([np.diff(cuts, prepend=0.0), mass[lost]])
-    seq = np.argsort(at, kind="stable")
-    b = np.minimum(np.searchsorted(bnd, ends[seq]), bnd.size - 1)
-    return order[at[seq]], b, pieces[seq]
 
 
 def family_slope(c: Criterion, mu, family: FeasibleFamily) -> float:

@@ -15,7 +15,7 @@ from wadro.cli import hedge_jump_stats
 from wadro.criterion import american_put, exercise_mass, gradient_field, preset
 from wadro.measure import (ModelSpec, build_model, canonical_test_measure,
                            cond_exp_1, quantile_bins, sign_copy_measure)
-from wadro.oracle import family_slope, feasible_family_mart_marginal, oracle_report
+from wadro.oracle import FAMILY_RTOL, family_check, oracle_report
 from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, W2AD,
                                chain_violation, closed_form_error, solve_foc)
 from wadro.criterion import GradientField, value
@@ -100,24 +100,23 @@ def test_criterion_4_oracle_sandwich_classical():
 
 
 def test_criterion_5_feasible_family_lower_bound():
+    # M+m1+m2, the headline set, realized by a feasible family on both grids
     t0 = time.time()
-    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32, "equally_weighted"))
     put = american_put(side="buyer")
-    G = gradient_field(put, mu)
-    bins = quantile_bins(mu, 32)
-    rep = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["mart_marginal"])
-    fam = feasible_family_mart_marginal(mu, rep.T2, r_list=(1e-3, 5e-4), bins=bins)
-    assert len(fam.measures) == 2
-    for res in fam.residuals:
-        assert res["martingale"] <= 1e-8
-        assert res["marginal2"] <= 1e-8
-    slope = family_slope(put, mu, fam)
-    rel = abs(slope - rep.value) / rep.value
-    assert rel <= 0.02
+    errors = []
+    for n, quadrature in ((32, "equally_weighted"), (64, "gauss_hermite")):
+        mu = build_model(ModelSpec("black_scholes", 0.5, n, n, quadrature))
+        state = PointState(mu, gradient_field(put, mu), W2AD)
+        cs = CONSTRAINT_SETS["mart_marginal"]
+        out = family_check(put, state, cs, solve_foc(state, cs))
+        assert out["error"] <= FAMILY_RTOL and not out["warnings"], (quadrature, out)
+        assert out["residual"] <= 1e-12
+        errors.append(out["error"])
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _report("criterion 5 (feasible-family lower bound)", elapsed,
-            f"slope {slope:.6f} vs {rep.value:.6f} (rel {rel:.4f})")
+            f"slope errors {errors[0]:.2e} (32x32 equally weighted), "
+            f"{errors[1]:.2e} (64x64 Gauss-Hermite)")
 
 
 def test_criterion_6_monotonicity_sweep():

@@ -62,6 +62,14 @@ def test_bad_value_exits_bad_config_before_any_work(tmp_path, capsys, args):
     assert sorted(os.listdir(tmp_path)) == ["taken"] and taken.read_text() == ""
 
 
+@pytest.mark.parametrize("args", [["selfcheck"], ["curve", "--set", "model.measure_csv=a.csv"]],
+                         ids=" ".join)
+def test_refused_run_leaves_no_output_directory(tmp_path, args):
+    out = tmp_path / "new"
+    assert run_cli(args + ["--out", str(out)]) == cli.EXIT_BAD_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["model.sigmaa", "output.workers", "output.seed"])
 def test_unknown_config_key_exits_bad_config(tmp_path, capsys, key):
     # a typo, or a key this version does not have, stops the run by name

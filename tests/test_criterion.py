@@ -7,9 +7,7 @@ import pytest
 from wadro.criterion import (TIE_MASS_WARN, Criterion, CriterionError, american_put,
                              exercise_mass, gradient_field, linear_criterion,
                              preset, stopping_rule, value, vega)
-from wadro.measure import GridMeasure, ModelSpec, build_model, cond_exp_1, quantile_bins
-from wadro.oracle import feasible_family_mart_marginal
-from wadro.sensitivity import CONSTRAINT_SETS, W2AD, PointState, solve_foc
+from wadro.measure import GridMeasure, ModelSpec, build_model, cond_exp_1
 
 
 def test_linear_value_is_mean_for_martingales():
@@ -118,19 +116,6 @@ def test_linear_value_matches_row_loop(name):
     terms = mu.w1 * np.sum(mu.q * c.f(a, mu.x2), axis=1)
     tol = 2 * mu.n1 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
     assert abs(value(c, mu) - _loop_value(c, _rows(mu))) <= tol
-
-
-def test_ragged_value_matches_row_loop():
-    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
-    put = american_put(side="buyer")
-    bins = quantile_bins(mu, 8)
-    state = PointState(mu, gradient_field(put, mu), W2AD, bins)
-    direction = solve_foc(state, CONSTRAINT_SETS["mart_marginal"]).T2
-    nu = feasible_family_mart_marginal(mu, direction, r_list=(1e-2,), bins=bins).measures[0]
-    rows = [(a, w, z, q) for a, w, (z, q) in zip(nu.x1, nu.w1, nu.rows)]
-    assert any(z.size != mu.n2 for _, _, z, _ in rows)
-    for c in (put, american_put(side="seller"), preset("linear:x2"), preset("linear:x2^2")):
-        assert abs(value(c, nu) - _loop_value(c, rows)) <= 1e-15
 
 
 def test_stopping_rule_never_stops_for_huge_intrinsic():

@@ -4,15 +4,12 @@ import pytest
 from lattice import pinned
 from report_sweep import constraint_sets
 from wadro.criterion import american_put, gradient_field, preset, value
-from wadro.measure import (GridMeasure, ModelSpec, build_model,
-                           canonical_test_measure, quantile_bins)
+from wadro.measure import GridMeasure, ModelSpec, build_model, canonical_test_measure
 from wadro.oracle import (DiscreteBallProblem, OracleError, bicausal_distance,
                           classical_distance, default_target_support, dro_lp,
-                          family_check, family_slope, feasible_family,
-                          feasible_family_mart_marginal, oracle_report,
-                          slope_estimate)
+                          family_check, feasible_family, oracle_report, slope_estimate)
 from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, MeanConstraint, Metric, PointState,
-                               W2, W2AD, martingale_psi, solve_foc)
+                               SensitivityError, W2, W2AD, martingale_psi, solve_foc)
 from wadro import oracle
 from wadro.simplex import InaccurateError, InfeasibleError, LPResult, solve_lp
 
@@ -231,14 +228,18 @@ def test_feasible_family_zero_direction():
     assert np.max(np.abs(fam.multipliers[0]["u"])) <= 1e-12
     assert fam.multipliers[0]["correction"] <= 1e-12
     assert np.max(np.abs(fam.measures[0].x2 - mu.x2)) <= 1e-12
+    # M+m1+m2 on a grid whose atoms reach 3e12: the identity, bit for bit
+    mu = build_model(ModelSpec("black_scholes", 1.0, 64, 64))
+    fam = feasible_family(_family_state(mu), CONSTRAINT_SETS["mart_marginal"], (0.0, 0.0))
+    assert fam.r_list == oracle.FAMILY_RADII and not fam.warnings
+    for nu in fam.measures:
+        assert all(np.array_equal(getattr(nu, k), getattr(mu, k)) for k in ("x1", "w1", "x2", "q"))
     # a grid row moves as one: theta1 may not vary along it, and the
     # classical ball's directions do
     with pytest.raises(OracleError, match="function of x1"):
         feasible_family(_family_state(mu), cs, (mu.x2, 0.0))
     with pytest.raises(OracleError, match="adapted ball"):
         feasible_family(PointState(mu, gradient_field(american_put(), mu), W2), cs, (0.0, 0.0))
-    with pytest.raises(OracleError, match="marginal2"):
-        feasible_family(_family_state(mu), CONSTRAINT_SETS["mart_marginal"], (0.0, 0.0))
 
 
 def test_feasible_family_constraint_residuals():
@@ -258,6 +259,34 @@ def test_feasible_family_constraint_residuals():
     cs = ConstraintSet(marginal1=True, cond_psi=martingale_psi())
     nu = feasible_family(_family_state(mu), cs, theta, r_list=(1e-2,)).measures[0]
     assert np.max(np.abs(nu.x1 - mu.x1)) <= 1e-15 and nu.martingale_residual() <= 1e-14
+    # M+m1+m2 along a generic direction: each bin keeps its mass and first
+    # moment, and the family stays within O(r) of mu in the adapted distance
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16, "equally_weighted"))
+    state = _family_state(mu)
+    fam = feasible_family(state, CONSTRAINT_SETS["mart_marginal"], (0.0, np.sin(mu.x2)))
+    assert fam.r_list == oracle.FAMILY_RADII and not fam.warnings
+    moment = state.bins.sums(mu.atom_masses() * mu.x2)
+    for r, nu in zip(fam.r_list, fam.measures):
+        assert np.max(np.abs(nu.x1 - mu.x1)) <= 1e-15 and nu.martingale_residual() <= 1e-14
+        b = np.searchsorted(state.bins.edges[1:-1], nu.x2.ravel(), side="right")
+        nw = nu.atom_masses().ravel()
+        assert np.max(np.abs(np.bincount(b, nw, state.bins.m) - state.bins.mass)) <= 1e-15
+        assert np.max(np.abs(np.bincount(b, nw * nu.x2.ravel(), state.bins.m) - moment)) <= 1e-15
+        assert bicausal_distance(mu, nu, 2.0) <= 2.0 * r
+
+
+def test_feasible_family_truncates_where_atoms_cross_bin_edges():
+    # at r = 1e-5 an atom carrying 1.6 % of its bin's mass moves into the
+    # next bin, so the binned second marginal is lost; at FAMILY_RADII not
+    mu = build_model(ModelSpec("black_scholes", 0.5, 64, 64, "equally_weighted"))
+    state = _family_state(mu)
+    cs = ConstraintSet(martingale=True, marginal2=True)
+    rep = solve_foc(state, cs)
+    fam = feasible_family(state, cs, (rep.T1, rep.T2), (1e-5, 5e-6))
+    assert fam.r_list == () and len(fam.warnings) == 1
+    assert fam.warnings[0].startswith("atoms cross bin edges at r=1e-05")
+    fam = feasible_family(state, cs, (rep.T1, rep.T2))
+    assert fam.r_list == oracle.FAMILY_RADII and not fam.warnings
 
 
 def test_feasible_family_neutral_direction_is_second_order():
@@ -277,76 +306,32 @@ def test_feasible_family_neutral_direction_is_second_order():
         assert abs(small / big - 1.0) <= 0.05 and big > 0.0, order
 
 
-@pytest.mark.parametrize("quadrature", ["gauss_hermite", "equally_weighted"])
-def test_family_check_realizes_every_adapted_value(quadrature):
+@pytest.mark.parametrize("family, sigma, quadrature, converged", [
+    ("black_scholes", 0.5, "gauss_hermite", 48), ("black_scholes", 0.5, "equally_weighted", 48),
+    ("bachelier", 0.1, "gauss_hermite", 44)],    # values near 3e-6 against |S| near 1
+    ids=["gauss_hermite", "equally_weighted", "bachelier-0.1-gauss_hermite"])
+def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, converged):
     # the family along the report's own direction T has the report's value as
-    # its slope, on every adapted set the sweep computes without marginal2
-    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16, quadrature))
+    # its slope, on every adapted set the sweep computes
+    mu = build_model(ModelSpec(family, sigma, 16, 16, quadrature))
     c = american_put(side="buyer")
-    sets = [cs for cs in constraint_sets().values() if not cs.marginal2]
-    assert len(sets) == 11
+    sets = list(constraint_sets().values())
+    assert len(sets) == 17
+    checked = 0
     for p in (1.5, 2.0, 3.0):
         state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
         for cs in sets:
-            rep = solve_foc(state, cs)
-            assert rep.converged, (p, cs.label())
-            out = family_check(c, state, cs, rep)
-            assert out["error"] <= oracle.FAMILY_RTOL and not out["warnings"], (p, cs.label())
-            assert out["residual"] <= 1e-12
-
-
-def test_mart_marginal_family_zero_direction():
-    # the identity family, also on Gauss-Hermite grids, whose tail atoms
-    # weigh less than the rounding of the rearrangement's running total and
-    # whose tail rows (w1 down to 1e-23 at 64) weigh nothing in the mean gap
-    put = american_put(side="buyer")
-    for family, n, quadrature in (("black_scholes", 32, "equally_weighted"),
-                                  ("black_scholes", 32, "gauss_hermite"),
-                                  ("bachelier", 64, "gauss_hermite")):
-        mu = build_model(ModelSpec(family, 0.5, n, n, quadrature))
-        fam = feasible_family_mart_marginal(mu, np.zeros_like(mu.x2), r_list=(1e-3,))
-        assert len(fam.measures) == 1 and not fam.warnings, (family, quadrature)
-        assert abs(value(put, fam.measures[0]) - value(put, mu)) <= 1e-12
-        assert fam.residuals[0]["martingale"] <= 1e-12
-        if quadrature == "equally_weighted":
-            assert np.max(np.abs(fam.multipliers[0]["a"])) <= 1e-12
-
-
-def test_mart_marginal_family_optimal_direction():
-    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32, "equally_weighted"))
-    put = american_put(side="buyer")
-    G = gradient_field(put, mu)
-    bins = quantile_bins(mu, 32)
-    rep = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["mart_marginal"])
-    fam = feasible_family_mart_marginal(mu, rep.T2, r_list=(1e-3, 5e-4), bins=bins)
-    assert len(fam.measures) == 2
-    for res, mult, r in zip(fam.residuals, fam.multipliers, fam.r_list):
-        assert res["martingale"] <= 1e-8
-        assert res["marginal2"] <= 1e-8
-        # T2 satisfies the FOC, so the first-stage shift is o(r)
-        assert mult["a_norm"] <= 0.1 * r
-    slope = family_slope(put, mu, fam)
-    assert abs(slope - rep.value) <= 0.02 * rep.value
-    # adapted distance to the displaced measure stays O(r)
-    for r, nu in zip(fam.r_list, fam.measures):
-        d = bicausal_distance(mu.displaced(0.0, rep.T2, r), nu, 2.0)
-        assert d <= 5.0 * r
-
-
-def test_mart_marginal_family_generic_direction_linear_shift():
-    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16, "equally_weighted"))
-    theta2 = np.sin(mu.x2)
-    fam = feasible_family_mart_marginal(mu, theta2, r_list=(1e-2, 1e-3))
-    assert len(fam.measures) == 2
-    ratios = [m["a_norm"] / r for m, r in zip(fam.multipliers, fam.r_list)]
-    assert all(rt <= 2.0 for rt in ratios)                  # ||a_r|| <= C r
-
-
-def test_mart_marginal_family_flags_sign_copy():
-    from wadro.measure import sign_copy_measure
-    mu = sign_copy_measure(32)
-    fam = feasible_family_mart_marginal(mu, np.sin(mu.x2), r_list=(1e-3,))
-    assert any("contraction" in w for w in fam.warnings)
+            try:
+                rep = solve_foc(state, cs)
+            except SensitivityError:    # M+m1+m2 fixes E[x1 x2]: assumption A (iv)
+                assert cs.label() == "M+m1+m2+phi:x1*x2"
+                continue
+            if rep.converged:
+                out = family_check(c, state, cs, rep)
+                assert out["error"] <= oracle.FAMILY_RTOL and not out["warnings"], (p, cs.label())
+                assert out["residual"] <= 1e-12
+                checked += 1
+    assert checked == converged
 
 
 def test_dro_lp_concave_in_budget():

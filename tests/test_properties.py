@@ -10,7 +10,7 @@ from lattice import CONSTRAINT_FLAGS, lattice_measure, linprog_rows, pinned
 from report_sweep import constraint_sets
 from wadro.criterion import GradientField, gradient_field, linear_criterion
 from wadro.measure import GridMeasure, quantile_bins
-from wadro.oracle import (FAMILY_RTOL, DiscreteBallProblem, _bin_couple, default_target_support,
+from wadro.oracle import (FAMILY_RTOL, DiscreteBallProblem, default_target_support,
                           family_check, transport_lp)
 from wadro.sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, Metric, PointState,
                                SensitivityError, chain_violation, martingale_psi, solve_foc)
@@ -43,42 +43,20 @@ def test_binning_matches_its_partition(grid, c):
     assert np.allclose(bins.e2(np.full(mu.x2.shape, c)), c, rtol=1e-12, atol=1e-15)
 
 
-@given(binned_grids(), st.floats(0.0, 0.5), st.booleans())
-def test_bin_couple_splits_the_sorted_cloud_over_the_bins(grid, shake, light):
-    # the feasible family's rearrangement: a displaced cloud, sorted, cut into
-    # pieces that fill the bins in order and use up every atom's mass.  With
-    # ``light``, some atoms weigh less than the rounding of the running total
-    # (Gauss-Hermite tails carry 1e-23), and they too keep their mass
-    mu, bins, rng = grid
-    cloud = (mu.x2 + shake * rng.normal(size=mu.x2.shape)).ravel()
-    mw = mu.atom_masses().ravel()
-    if light:
-        mw = np.where(rng.random(mw.size) < 0.3, 1e-20 * mw, mw)
-    binmass = np.bincount(bins.index.ravel(), mw, bins.m)
-    order = np.argsort(cloud, kind="stable")
-    atom, b, mass = _bin_couple(order, mw[order], np.cumsum(binmass))
-    assert np.all(mass > 0.0)
-    assert np.array_equal(np.unique(atom), np.arange(mw.size))
-    assert np.max(np.abs(np.bincount(b, mass, bins.m) - binmass)) <= 1e-15
-    assert np.max(np.abs(np.bincount(atom, mass, mw.size) - mw)) <= 1e-15
-    assert np.all(np.diff(b) >= 0)
-    assert np.all(np.diff(np.argsort(order)[atom]) >= 0)     # along the sorted cloud
-
-
-ADAPTED_SETS = [cs for cs in constraint_sets().values() if not cs.marginal2]
+ADAPTED_SETS = list(constraint_sets().values())
 
 
 @given(binned_grids(), st.sampled_from(ADAPTED_SETS), st.sampled_from([1.5, 2.0, 3.0]))
 def test_family_check_realizes_the_value(grid, cs, p):
     # mu displaced along the report's direction and corrected by the hedge
     # map keeps the constraints, and its slope is the value, for a smooth
-    # payoff drawn with the grid
-    mu, _, rng = grid
+    # payoff drawn with the grid; the marginal2 sets use the drawn bins
+    mu, bins, rng = grid
     k1, k2 = rng.normal(size=2)
     c = linear_criterion(lambda a, b: np.sin(k1 * a + k2 * b),
                          lambda a, b: k1 * np.cos(k1 * a + k2 * b),
                          lambda a, b: k2 * np.cos(k1 * a + k2 * b))
-    state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
+    state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p), bins)
     try:
         rep = solve_foc(state, cs)
     except SensitivityError:        # the draw breaks an assumption of the set

@@ -9,7 +9,7 @@ from wadro import fredholm
 from wadro.criterion import Criterion, GradientField, american_put, gradient_field, preset
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins, sign_copy_measure)
-from wadro.oracle import feasible_family_mart_marginal
+from wadro.oracle import feasible_family
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
                                W2, W2AD, adapted_gradient, chain_violation,
@@ -274,14 +274,14 @@ def test_diagnostics_are_on_the_result_not_raised():
         warnings.simplefilter("error")
         slow = solve_foc(PointState(mu, gradient_field(american_put(), mu),
                                     Metric("wp_adapted", 6.0), quantile_bins(mu, 16)), BOTH)
-        copy = solve_foc(PointState(sign, _const_field(sign, 0.0, 1.0), W2AD, sign_bins), BOTH)
-        fam = feasible_family_mart_marginal(sign, np.sin(sign.x2),
-                                            r_list=(1e-3,), bins=sign_bins)
+        sign_state = PointState(sign, _const_field(sign, 0.0, 1.0), W2AD, sign_bins)
+        copy = solve_foc(sign_state, BOTH)
+        fam = feasible_family(sign_state, BOTH, (0.0, np.sin(sign.x2)), r_list=(1e-3,))
         G = gradient_field(tied, build_model(ModelSpec("bachelier", 1.0, 6, 6)))
     assert not slow.converged
     assert any("FOC iteration did not converge" in w for w in slow.warnings)
     assert any("contraction" in w for w in copy.warnings)
-    assert any("contraction" in w for w in fam.warnings)
+    assert any("contraction" in w for w in fam.warnings) and len(fam.measures) == 1
     assert any("stopping ties carry mass" in w for w in G.warnings)
 
 
