@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fredholm, oracle
-from .criterion import Criterion, CriterionError, gradient_field, preset, stopping_rule, value, vega
+from . import fredholm, oracle, simplex
+from .criterion import (Criterion, CriterionError, buyer_seller_violation, gradient_field, preset,
+                        stopping_rule, value, vega)
 from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
                       canonical_test_measure, cond_exp_1, from_csv, quantile_bins,
                       sign_copy_measure)
@@ -317,7 +318,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     try:
         rep = oracle.oracle_report(mu, c, cfg.oracle_radii,
                                    quantile_bins(mu, min(cfg.bins or mu.n2, mu.n2)))
-    except (oracle.OracleError, oracle.LPError) as exc:
+    except (oracle.OracleError, simplex.LPError) as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     path = os.path.join(cfg.out_dir, "oracle.json")
@@ -342,12 +343,6 @@ def _selfcheck_items():
         tower = abs(float(mu.w1 @ cond_exp_1(mu, field))
                     - float(np.sum(mu.atom_masses() * field)))
         return ok and tower < 1e-12
-
-    def criterion_consistency():
-        mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
-        buyer = value(preset("american_put:side=buyer"), mu)
-        seller = value(preset("american_put:side=seller"), mu)
-        return buyer <= seller + 1e-12
 
     def marginal_two_paths():
         mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
@@ -383,7 +378,7 @@ def _selfcheck_items():
         return np.max(errors) <= oracle.FAMILY_RTOL     # NaN, a truncated family, fails
 
     return [("measure invariants", measure_invariants),
-            ("criterion consistency", criterion_consistency),
+            ("criterion consistency", lambda: buyer_seller_violation() == 0.0),
             ("analytic closed forms",
              lambda: closed_form_error(canonical_test_measure()) <= 1e-10),
             ("marginal dual path", marginal_two_paths),

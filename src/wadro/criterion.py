@@ -9,7 +9,6 @@ subgradient rule.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -201,6 +200,16 @@ def value(c: Criterion, mu: GridMeasure) -> float:
     ell1, cont = _stage_values(c, mu)
     agg = np.minimum if c.kind == "stop_buyer" else np.maximum
     return float(mu.w1 @ agg(ell1, cont))
+
+
+def buyer_seller_violation() -> float:
+    """How far the buyer's value of the default American put exceeds the
+    seller's, beyond 1e-12 of rounding, on Black-Scholes sigma 0.1, 0.5 and 1
+    (24 x 24) and Bachelier sigma 1 (16 x 16): 0 if valid, NaN on a NaN."""
+    models = [ModelSpec("black_scholes", s, 24, 24) for s in (0.1, 0.5, 1.0)]
+    excess = [value(american_put(side="buyer"), mu) - value(american_put(side="seller"), mu)
+              for mu in map(build_model, models + [ModelSpec("bachelier", 1.0, 16, 16)])]
+    return float(np.max([0.0, *(e - 1e-12 for e in excess)]))
 
 
 def stopping_rule(c: Criterion, mu: GridMeasure) -> StoppingRule:

@@ -21,7 +21,7 @@ from .criterion import Criterion, gradient_field, value as criterion_value
 from .measure import MERGE_TOL, WEIGHT_TOL, Binning, GridMeasure, MeasureError, marginal_2
 from .sensitivity import (W2, W2AD, ConstraintSet, PointState, _HedgeMap, _norm,
                           martingale_psi, solve_foc)
-from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, LPError, solve_lp
+from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, solve_lp
 
 NEWTON_MAX_ITER = 50
 NEWTON_RTOL = 1e-8
@@ -249,23 +249,24 @@ def _budget_cap(budget):
     return budget * (1.0 + 1e-9) + 1e-15
 
 
-def dro_lp(prob: DiscreteBallProblem):
+def dro_lp(prob: DiscreteBallProblem, basis=None):
     """Solve the ball supremum LP; returns (optimal value, diagnostics).
 
     The value is mu's identity value v0 plus the optimal gain of the moves
     (see ``transport_lp``); an LP with no move left, as at radius 0, is
-    answered by v0 without a solve.  Raises InaccurateError when the
+    answered by v0 without a solve.  ``basis`` is solve_lp's starting basis;
+    the diagnostics carry its final one.  Raises InaccurateError when the
     returned coupling overspends the budget by more than ``_budget_cap``
     admits, which is 1e-9 of the budget where the solver's own certificate
     allows FEAS_TOL of the largest of the budget and its costs.
     """
     lp, v0 = transport_lp(prob)
-    x, gain, pivots = np.zeros(0), 0.0, 0
+    x, gain, pivots, final = np.zeros(0), 0.0, 0, None
     if lp["c"].size:
-        res = solve_lp(**lp, maximize=True)
-        x, gain, pivots = res.x, res.fun, res.pivots
+        res = solve_lp(**lp, maximize=True, basis=basis)
+        x, gain, pivots, final = res.x, res.fun, res.pivots, res.basis
     on = lp["rows"] == lp["n_eq"]       # the budget row's entries
-    info = {"variables": lp["c"].size, "pivots": pivots,
+    info = {"variables": lp["c"].size, "pivots": pivots, "basis": final,
             "cost_used": float(lp["vals"][on] @ x[lp["cols"][on]]),
             "budget": float(lp["b"][lp["n_eq"]])}
     if not info["cost_used"] <= _budget_cap(info["budget"]):
@@ -491,7 +492,8 @@ def oracle_report(mu: GridMeasure, c: Criterion, r_list, bins: Binning | None = 
     """The LP sandwich for the linear criterion ``c``, JSON-ready: per set of
     ``FLAG_TABLE``, the slope of the LP suprema at radii 0 and ``r_list`` must
     match the classical p = 2 closed form, binned by ``bins`` (default: n2
-    quantile bins), within ``SLOPE_RTOL`` (relative, with a 1e-6 floor)."""
+    quantile bins), within ``SLOPE_RTOL`` (relative, with a 1e-6 floor).
+    Each radius's LP starts from the basis the set's previous radius ended on."""
     r_arr = [float(r) for r in r_list]
     if len(r_arr) < 3:
         raise OracleError("slope estimation needs at least 3 radii")
@@ -505,12 +507,13 @@ def oracle_report(mu: GridMeasure, c: Criterion, r_list, bins: Binning | None = 
     for label, flags in FLAG_TABLE.items():
         closed = solve_foc(state, ConstraintSet(**flags)).value
         pinned = flags.get("marginal2", False)
-        vals, pivots, nvars, used = [], [], [], []
+        vals, pivots, nvars, used, basis = [], [], [], [], None
         v0, _ = dro_lp(DiscreteBallProblem(mu, supports[pinned, 0.0], 0.0, W2.p,
                                            objective=c.f, **flags))
         for r in r_arr:
             v, info = dro_lp(DiscreteBallProblem(mu, supports[pinned, r], r, W2.p,
-                                                 objective=c.f, **flags))
+                                                 objective=c.f, **flags), basis)
+            basis = info["basis"]
             vals.append(v)
             pivots.append(info["pivots"])
             nvars.append(info["variables"])

@@ -30,10 +30,18 @@ keeps artificial columns, since no step reads them.  Before returning, the
 solver checks its point against the caller's own rows (feasibility to
 FEAS_TOL of each row's scale) and raises InaccurateError when pivots on
 near-zero elements have lost it.
+
+A starting basis, such as an earlier LP's final one, costs two m x m solves,
+the levels B^-1 rhs and the row prices y = B^-T c_B.  If the levels are
+>= -HARRIS_TOL and every reduced cost c - y A is >= -PIVOT_TOL (the pivot
+loop's own stopping tests), its point is certified and returned after 0
+pivots.  Any other basis (a wrong length, a repeated or out-of-range index,
+an artificial, a singular B) is ignored.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +74,7 @@ class LPResult:
     x: np.ndarray
     fun: float
     pivots: int
+    basis: np.ndarray       # m columns: variables, then <= slacks; past those, artificials
 
 
 STALL_LIMIT = 12
@@ -172,11 +181,12 @@ def _certify(x, rows, cols, vals, b, n_eq, scale) -> None:
                                   f"by {np.max(part):.3e} of its scale")
 
 
-def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False) -> LPResult:
-    """Solve the LP; returns primal solution and optimal value.
+def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False, basis=None) -> LPResult:
+    """Solve the LP; returns primal solution, optimal value and final basis.
 
     A holds vals[k] at (rows[k], cols[k]), one entry per nonzero; its rows
     [0, n_eq) are equalities and the others <= rows, with right-hand sides b.
+    ``basis`` is an optional starting basis (see the module docstring).
     Raises LPError before any work when the lists are malformed, and
     InfeasibleError / UnboundedError.  The returned point is certified
     feasible for the caller's own rows (see _certify) or InaccurateError is
@@ -217,6 +227,29 @@ def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False) -> LPRes
     T[rows, cols] = np.where(neg[rows], -entries, entries)
     T[:m, -1] = np.where(neg, -rhs, rhs)
     T[np.arange(n_eq, m), np.arange(n, ntot)] = np.where(neg[n_eq:], -1.0, 1.0)
+    obj = np.zeros(ntot + m)
+    obj[:n] = -c if maximize else c
+
+    def answer(basis, levels, pivots):
+        x = np.zeros(ntot + m)
+        x[basis] = levels
+        # entries below one rounding unit of the largest are noise from pivots
+        # on degenerate rows: a Harris step can leave them on either side of 0
+        x[np.abs(x) <= np.finfo(float).eps * np.max(np.abs(x), initial=0.0)] = 0.0
+        fun = float(obj @ x)
+        _certify(x[:n], rows, cols, vals, b, n_eq, scale)
+        return LPResult(x=x[:n], fun=-fun if maximize else fun, pivots=pivots, basis=basis)
+
+    # a starting basis that passes the check of the module docstring is the answer
+    start = np.array(() if basis is None else basis)
+    if (start.shape == (m,) and start.dtype.kind in "iu" and np.unique(start).size == m
+            and start.min() >= 0 and start.max() < ntot):
+        with contextlib.suppress(np.linalg.LinAlgError):        # a singular B
+            levels = np.linalg.solve(T[:m, start], T[:m, -1])
+            y = np.linalg.solve(T[:m, start].T, obj[start])     # the row prices
+            red = obj[:ntot] - y @ T[:m, :ntot]
+            if np.all(levels >= -HARRIS_TOL) and np.all(red >= -PIVOT_TOL):
+                return answer(start, levels, 0)
     # the slack of a <= row with nonnegative rhs starts basic; every other
     # row gets an artificial variable
     slack_start = np.zeros(m, dtype=bool)
@@ -234,17 +267,8 @@ def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False) -> LPRes
     # an artificial's index is ntot + its row, its objective coefficient 0
     pinned = np.flatnonzero(basis >= ntot)
     T[pinned, -1] = 0.0
-    obj = np.zeros(ntot + m)
-    obj[:n] = -c if maximize else c
     T[-1, :ntot] = obj[:ntot]
     T[-1, -1] = 0.0
     T[-1] -= obj[basis] @ T[:-1]                      # reduce over the basis
     pivots = _bland_loop(T, basis, ntot, pivots, pinned=pinned)
-    x = np.zeros(ntot + m)
-    x[basis] = T[:-1, -1]
-    # entries below one rounding unit of the largest are noise from pivots
-    # on degenerate rows: a Harris step can leave them on either side of 0
-    x[np.abs(x) <= np.finfo(float).eps * np.max(np.abs(x), initial=0.0)] = 0.0
-    fun = float(obj @ x)
-    _certify(x[:n], rows, cols, vals, b, n_eq, scale)
-    return LPResult(x=x[:n], fun=-fun if maximize else fun, pivots=pivots)
+    return answer(basis, T[:-1, -1], pivots)

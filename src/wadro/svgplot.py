@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 44
 COLORS = ("#1f6fb4", "#d1491f", "#2d8a41", "#8146af", "#946141", "#d03a82")

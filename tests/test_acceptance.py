@@ -8,7 +8,6 @@ tolerances pinned below.
 import time
 
 import numpy as np
-import pytest
 
 from wadro import fredholm
 from wadro.cli import hedge_jump_stats
@@ -18,7 +17,7 @@ from wadro.measure import (ModelSpec, build_model, canonical_test_measure,
 from wadro.oracle import FAMILY_RTOL, family_check, oracle_report
 from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, W2AD,
                                chain_violation, closed_form_error, solve_foc)
-from wadro.criterion import GradientField, value
+from wadro.criterion import GradientField
 
 SIGMA_GRID = np.exp(np.linspace(np.log(0.05), np.log(1.5), 20))
 

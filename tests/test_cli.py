@@ -431,6 +431,23 @@ def test_library_does_not_import_warnings():
                     assert node.module != "warnings", name
 
 
+def test_library_reads_every_import():
+    # a top-level import that its module never reads is dead code;
+    # __init__.py imports to re-export
+    src = os.path.dirname(wadro.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read())
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                    and node.module != "__future__"):
+                    for a in node.names:
+                        bound = a.asname or a.name.split(".")[0]
+                        assert bound in read, f"{name} never reads {bound}"
+
+
 def test_default_sigma_grid_csv_floats(tmp_path):
     rc = run_cli(["curve", "--set", "model.n1=8", "--set", "model.n2=8",
                   "--set", "criterion.name=linear:x2", "--out", str(tmp_path)])

@@ -4,9 +4,10 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from wadro import criterion
 from wadro.criterion import (TIE_MASS_WARN, Criterion, CriterionError, american_put,
-                             exercise_mass, gradient_field, linear_criterion,
-                             preset, stopping_rule, value, vega)
+                             buyer_seller_violation, exercise_mass, gradient_field,
+                             linear_criterion, preset, stopping_rule, value, vega)
 from wadro.measure import GridMeasure, ModelSpec, build_model, cond_exp_1
 
 
@@ -212,10 +213,17 @@ def test_vega_put_positive_and_guard():
 
 
 def test_buyer_below_seller():
-    for sigma in (0.1, 0.5, 1.0):
-        mu = build_model(ModelSpec("black_scholes", sigma, 24, 24))
-        assert value(american_put(side="buyer"), mu) <= value(
-            american_put(side="seller"), mu) + 1e-12
+    assert buyer_seller_violation() == 0.0
+
+
+def test_buyer_seller_violation_is_the_excess(monkeypatch):
+    # the shared check reads a buyer value above the seller's, and a NaN
+    for buyer, excess in ((0.25, 0.0), (0.75, 0.25 - 1e-12)):
+        monkeypatch.setattr(criterion, "value",
+                            lambda c, mu: buyer if c.kind == "stop_buyer" else 0.5)
+        assert buyer_seller_violation() == pytest.approx(excess, rel=0.0, abs=1e-15)
+    monkeypatch.setattr(criterion, "value", lambda c, mu: np.nan)
+    assert np.isnan(buyer_seller_violation())
 
 
 def test_seller_value_monotone_in_payoff():

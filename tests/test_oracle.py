@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from wadro.oracle import (DiscreteBallProblem, OracleError, bicausal_distance,
 from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, MeanConstraint, Metric, PointState,
                                SensitivityError, W2, W2AD, martingale_psi, solve_foc)
 from wadro import oracle
-from wadro.simplex import InaccurateError, InfeasibleError, LPResult, solve_lp
+from wadro.simplex import InaccurateError, InfeasibleError, solve_lp
 
 
 def _obj_y2(y1, y2):
@@ -37,7 +39,7 @@ def test_dro_lp_rejects_budget_overspend(monkeypatch):
 
     def overspend(*args, **kwargs):
         res = solve_lp(*args, **kwargs)
-        return LPResult(x=res.x * (1.0 + 1e-7), fun=res.fun, pivots=res.pivots)
+        return dataclasses.replace(res, x=res.x * (1.0 + 1e-7))
 
     monkeypatch.setattr(oracle, "solve_lp", overspend)
     with pytest.raises(InaccurateError, match="transport budget"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wadro import fredholm
-from wadro.criterion import Criterion, GradientField, american_put, gradient_field, preset
+from wadro.criterion import Criterion, GradientField, american_put, gradient_field
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins, sign_copy_measure)
 from wadro.oracle import feasible_family

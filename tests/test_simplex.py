@@ -3,7 +3,9 @@ import pytest
 
 from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure, linprog_rows, pinned
 from wadro.measure import canonical_test_measure, marginal_2
-from wadro.oracle import DiscreteBallProblem, default_target_support, dro_lp, transport_lp
+from wadro.criterion import preset
+from wadro.oracle import (DiscreteBallProblem, default_target_support, dro_lp, oracle_report,
+                          transport_lp)
 from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
                            _certify, solve_lp)
 
@@ -363,6 +365,50 @@ def test_reproducer_lps(case):
     _assert_feasible(res.x, lp, 1e-9)
     ref = _full_coupling_value(prob)
     assert abs(v0 + res.fun - ref) <= 1e-9 * abs(ref)
+    # an optimal basis without artificials passes the check when handed back
+    if res.basis.max() < lp["c"].size + lp["b"].size - lp["n_eq"]:
+        again = solve_lp(**lp, maximize=True, basis=res.basis)
+        assert again.pivots == 0 and np.array_equal(again.basis, res.basis)
+        assert abs(again.fun - res.fun) <= 1e-12 * abs(v0 + res.fun)
+
+
+def test_oracle_report_starts_each_radius_from_the_last_basis():
+    # on the benchmark's kind of 9x9 lattice the LP at one radius has the
+    # shape of the one before, whose optimal basis is still optimal
+    mu = _MEASURES["lattice9"]()
+    radii = (0.02, 0.05, 0.1, 0.2)
+    sets = oracle_report(mu, preset("linear:x2"), radii)["constraint_sets"]
+    for label in ("none", "martingale"):
+        first, *rest = sets[label]["lp_pivots"]
+        assert first > 0 and rest == [0, 0, 0], label
+        for r, value in zip(radii, sets[label]["lp_values"]):
+            prob = DiscreteBallProblem(mu, default_target_support(mu, [r]), r, 2.0,
+                                       objective=lambda y1, y2: y2, **FLAGS[label])
+            cold, info = dro_lp(prob)
+            assert info["pivots"] > 0
+            assert abs(value - cold) <= 1e-12 * abs(cold), (label, r)
+
+
+def test_refused_basis_changes_no_result_bit():
+    # a basis that fails the check is ignored: the two-phase path runs as
+    # without one
+    lp = _ball_lp(_MEASURES["lattice9"](), "none", 0.05)
+    n, m = lp["c"].size, lp["b"].size
+    ntot = n + m - lp["n_eq"]
+    cold = solve_lp(**lp, maximize=True)
+    assert cold.pivots > 0 and cold.basis.max() < ntot
+    optimal = cold.basis
+    assert solve_lp(**lp, maximize=True, basis=optimal).pivots == 0
+    refused = {"wrong-length": optimal[:-1],
+               "out-of-range": np.r_[-1, optimal[1:]],
+               "repeated": np.r_[optimal[1], optimal[1:]],          # B singular
+               "artificial": np.r_[ntot, optimal[1:]],              # row 0's artificial
+               "slack": n - lp["n_eq"] + np.arange(m)}              # feasible, not optimal
+    for name, basis in refused.items():
+        res = solve_lp(**lp, maximize=True, basis=basis)
+        assert res.x.tobytes() == cold.x.tobytes(), name
+        assert (res.fun, res.pivots) == (cold.fun, cold.pivots), name
+        assert np.array_equal(res.basis, cold.basis), name
 
 
 def test_against_scipy_unbounded_guard():
