@@ -13,7 +13,7 @@ from .sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet, MeanCo
                           solve_foc)
 from .fredholm import (FredholmError, FredholmOperator, build_operator,
                        contraction_norm, solve)
-from .oracle import (DiscreteBallProblem, FeasibleFamily, OracleError,
+from .oracle import (Coupling, DiscreteBallProblem, FeasibleFamily, OracleError,
                      bicausal_distance, classical_distance,
                      default_target_support, dro_lp, family_check, family_slope,
                      feasible_family, oracle_report, slope_estimate)

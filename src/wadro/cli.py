@@ -33,11 +33,10 @@ from . import fredholm, oracle, simplex
 from .criterion import (Criterion, CriterionError, buyer_seller_violation, gradient_field, preset,
                         stopping_rule, value, vega)
 from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
-                      canonical_test_measure, cond_exp_1, from_csv, quantile_bins,
-                      sign_copy_measure)
+                      canonical_test_measure, from_csv, invariant_violation, quantile_bins)
 from .sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, MeanConstraint, Metric,
                           PointState, SensitivityError, chain_violation, closed_form_error,
-                          marginal_value_closed_form, report_tables, solve_foc)
+                          marginal_path_violation, report_tables, solve_foc)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -334,28 +333,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
 def _selfcheck_items():
     """(name, callable) pairs; each returns True on pass.  Where the tests
     share a check function, the item calls it on fixed inputs."""
-    rng = np.random.default_rng(0)
-
-    def measure_invariants():
-        mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
-        ok = abs(mu.w1.sum() - 1) < 1e-12 and mu.martingale_residual() < 1e-10
-        field = rng.standard_normal(mu.x2.shape)
-        tower = abs(float(mu.w1 @ cond_exp_1(mu, field))
-                    - float(np.sum(mu.atom_masses() * field)))
-        return ok and tower < 1e-12
-
-    def marginal_two_paths():
-        mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
-        G = gradient_field(preset("american_put:side=buyer"), mu)
-        bins = quantile_bins(mu, 16)
-        a = solve_foc(PointState(mu, G, W2AD, bins), CONSTRAINT_SETS["marginal"]).value
-        b = marginal_value_closed_form(mu, G, W2AD, bins)
-        return abs(a - b) <= 1e-10
-
     def fredholm_certificate():
         mu = build_model(ModelSpec("bachelier", 1.0, 16, 16))
         op = fredholm.build_operator(quantile_bins(mu, 16))
-        rhs = rng.standard_normal(16)
+        rhs = np.random.default_rng(0).standard_normal(16)
         rhs -= float(mu.w1 @ rhs)
         residual, gap = fredholm.certificate(op, rhs)     # solve refuses a norm of 1
         return residual <= 1e-8 and gap <= 1e-8
@@ -377,20 +358,18 @@ def _selfcheck_items():
             errors.append(oracle.family_check(c, state, cs, solve_foc(state, cs))["error"])
         return np.max(errors) <= oracle.FAMILY_RTOL     # NaN, a truncated family, fails
 
-    return [("measure invariants", measure_invariants),
+    return [("measure invariants", lambda: invariant_violation() == 0.0),
             ("criterion consistency", lambda: buyer_seller_violation() == 0.0),
             ("analytic closed forms",
              lambda: closed_form_error(canonical_test_measure()) <= 1e-10),
-            ("marginal dual path", marginal_two_paths),
+            ("marginal dual path", lambda: marginal_path_violation() == 0.0),
             ("fredholm certificate", fredholm_certificate),
             ("constraint monotonicity", monotonicity),
             ("feasible family", feasible_family),
             ("oracle sandwich",
              lambda: oracle.oracle_report(canonical_test_measure(), preset("linear:x2"),
                                           (0.02, 0.05, 0.1, 0.2))["pass"]),
-            ("contraction counterexample",
-             lambda: fredholm.contraction_norm(fredholm.build_operator(
-                 quantile_bins(sign_copy_measure(32), 32))) > 0.99)]
+            ("contraction counterexample", lambda: fredholm.counterexample_violation() == 0.0)]
 
 
 def _took(start: float) -> str:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measure import Binning
+from .measure import Binning, quantile_bins, sign_copy_measure
 
 REGULARIZE_GATE = 0.999
 SINGULAR_GATE = 1.0 - 1e-12
@@ -86,6 +86,14 @@ def contraction_norm(op: FredholmOperator) -> float:
     """Operator norm of K on mu1-weighted zero-mean functions:
     :attr:`FredholmOperator.norm`."""
     return op.norm
+
+
+def counterexample_violation() -> float:
+    """How far the contraction norm of ``sign_copy_measure(64)`` on 64
+    quantile bins falls below 0.99, where the counterexample puts it at 1:
+    0 if valid, NaN on a NaN."""
+    return float(np.max([0.0, 0.99 - contraction_norm(build_operator(
+        quantile_bins(sign_copy_measure(64), 64)))]))
 
 
 def solve(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:

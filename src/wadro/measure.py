@@ -201,6 +201,18 @@ def cond_exp_1(mu: GridMeasure, field: np.ndarray) -> np.ndarray:
     return np.sum(mu.q * field, axis=1)
 
 
+def invariant_violation() -> float:
+    """How far Black-Scholes sigma 0.5 (16 x 16) breaks, beyond rounding, unit
+    mass (1e-12), the martingale property (1e-10) and the tower property
+    E[cond_exp_1 f] = E f for a standard normal field f, seed 0 (1e-14):
+    0 if valid, NaN on a NaN."""
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    f = np.random.default_rng(0).standard_normal(mu.x2.shape)
+    tower = abs(float(mu.w1 @ cond_exp_1(mu, f)) - float(np.sum(mu.atom_masses() * f)))
+    return float(np.max([0.0, abs(mu.w1.sum() - 1.0) - 1e-12,
+                         mu.martingale_residual() - 1e-10, tower - 1e-14]))
+
+
 @dataclass(frozen=True, eq=False)
 class Binning:
     """Partition of the pooled second-stage support into mass bins, with the

@@ -13,7 +13,8 @@ Three independent routes confirm the closed-form sensitivities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -121,7 +122,70 @@ def default_target_support(mu: GridMeasure, radii, marginal1=False,
     return pts[np.r_[True, np.any(np.diff(pts, axis=0) != 0.0, axis=1)]]
 
 
-def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
+class Coupling:
+    """The part of a ball LP that does not depend on its constraint flags
+    (see ``transport_lp``): the moves (atom ``src``, target ``tcol``) within
+    the budget in np.nonzero order, their ``cost`` and ``gain`` f(t) - f(a),
+    the atoms with a stay pair (``stays``) or a move (``moving``), mu's
+    ``atoms`` and ``masses``, and its identity value ``v0``.  Pairs above the
+    budget cannot carry enough mass to matter on the candidate support and
+    are dropped before sorting.
+    """
+
+    def __init__(self, prob: DiscreteBallProblem):
+        mu, tgt = prob.mu, prob.target_support
+        atoms = self.atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
+        self.masses = mu.atom_masses().ravel()
+        fvals = prob.objective_values()
+        cap = _budget_cap(prob.radius ** prob.p)
+        na, nt = len(atoms), len(tgt)
+        # a pair within the budget moves the first coordinate at most the
+        # budget's p-th root, so each atom tests the targets in that window;
+        # the margin covers the rounding of the cost and of the window's ends
+        order = np.argsort(tgt[:, 0], kind="stable")
+        reach = (cap ** (1.0 / prob.p) * (1.0 + 1e-6)
+                 + 4.0 * np.spacing(np.max(np.abs(atoms)) + np.max(np.abs(tgt))))
+        lo, hi = np.searchsorted(tgt[order, 0], atoms[:, :1] + [-reach, reach]).T
+        src = np.repeat(np.arange(na), hi - lo)
+        tcol = order[np.arange(src.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+        d = atoms.take(src, axis=0) - tgt.take(tcol, axis=0)
+        cost = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) ** (prob.p / 2.0)
+        near = np.flatnonzero(cost <= cap)      # a stay pair costs 0
+        near = near[np.argsort(src[near] * nt + tcol[near])]    # the order np.nonzero gives
+        coincide = ~np.any(d.take(near, axis=0), axis=1)
+        src, tcol, cost = src[near], tcol[near], cost[near]
+        stay_atoms, first = np.unique(src[coincide], return_index=True)
+        self.stays = np.bincount(stay_atoms, minlength=na) > 0
+        f_stay = np.zeros(na)
+        f_stay[stay_atoms] = fvals[tcol[coincide][first]]
+        self.src, self.tcol, self.cost = src[~coincide], tcol[~coincide], cost[~coincide]
+        self.moving = np.bincount(self.src, minlength=na) > 0
+        if np.any(~(self.stays | self.moving)):
+            raise InfeasibleError("some atom cannot reach any candidate target within the budget")
+        if self.src.size > MAX_VARIABLES:
+            raise OracleError(f"{self.src.size} coupling variables exceed the {MAX_VARIABLES} cap")
+        self.gain = fvals[self.tcol] - f_stay[self.src]
+        self.v0 = float(self.masses @ f_stay)
+        self.prob = prob
+
+    @cached_property
+    def snap2(self):
+        """Each target's and each atom's index in supp(mu2), and its size."""
+        mu, tgt = self.prob.mu, self.prob.target_support
+        z, _ = marginal_2(mu)
+        snap = _snap_to(tgt[:, 1], z, "second coordinates outside supp(mu2)")
+        if np.unique(snap).size < z.size:
+            raise InfeasibleError("candidate support misses part of supp(mu2)")
+        return snap, _snap_to(mu.x2.ravel(), z, "atoms outside supp(mu2)"), z.size
+
+
+def _ball(prob: DiscreteBallProblem):
+    """What a coupling depends on: the problem less its constraint flags."""
+    return id(prob.mu), id(prob.target_support), id(prob.objective), prob.radius, prob.p
+
+
+def transport_lp(prob: DiscreteBallProblem,
+                 coupling: Coupling | None = None) -> tuple[dict, float]:
     """The ball supremum as an LP in displacement form about mu.
 
     Returns ``(lp, v0)``: ``lp`` holds the keyword arguments of ``solve_lp``
@@ -139,50 +203,22 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
     has a stay pair.  An atom without one keeps the equality row
     sum_t x[a,t] = m_a, and its own share of each constraint goes to the
     right-hand side.  Row n_eq, the first <= row, is the transport budget.
-    Pairs with transport cost above the budget are pruned (they cannot carry
-    enough mass to matter on the candidate support).  They are found by
-    reach: a pair within the budget moves the first coordinate at most the
-    budget's p-th root, so each atom tests the targets in that window only.
 
-    Raises OracleError when mu misses a constraint it is asked to keep (a
-    martingale residual above ``mu.martingale_tol``).
+    The pairs come from ``coupling`` (default: the problem's own), which
+    problems that differ in their flags only can share.  Raises OracleError
+    when mu misses a constraint it is asked to keep (a martingale residual
+    above ``mu.martingale_tol``) or the coupling is another ball's.
     """
     mu = prob.mu
     if prob.martingale and mu.martingale_residual() > mu.martingale_tol:
         raise OracleError(f"mu is not a martingale: residual {mu.martingale_residual():.3e} "
                           f"exceeds {mu.martingale_tol:.3e}")
-    atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
-    masses = mu.atom_masses().ravel()
-    tgt = prob.target_support
-    fvals = prob.objective_values()
-    budget = prob.radius ** prob.p
-    na, nt = len(atoms), len(tgt)
-    # each atom's window of first coordinates (see above); the margin covers
-    # the rounding of the cost and of the window's ends
-    order = np.argsort(tgt[:, 0], kind="stable")
-    reach = (_budget_cap(budget) ** (1.0 / prob.p) * (1.0 + 1e-6)
-             + 4.0 * np.spacing(np.max(np.abs(atoms)) + np.max(np.abs(tgt))))
-    lo, hi = np.searchsorted(tgt[order, 0], atoms[:, :1] + [-reach, reach]).T
-    src = np.repeat(np.arange(na), hi - lo)
-    tcol = order[np.arange(src.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
-    src, tcol = np.divmod(np.sort(src * nt + tcol), nt)     # the order np.nonzero gives
-    d1 = atoms[src, 0] - tgt[tcol, 0]
-    d2 = atoms[src, 1] - tgt[tcol, 1]
-    cost = (d1 * d1 + d2 * d2) ** (prob.p / 2.0)
-    coincide = (d1 == 0.0) & (d2 == 0.0)
-    stay_atoms, first = np.unique(src[coincide], return_index=True)
-    stays = np.bincount(stay_atoms, minlength=na) > 0
-    f_stay = np.zeros(na)
-    f_stay[stay_atoms] = fvals[tcol[coincide][first]]
-    keep = (cost <= _budget_cap(budget)) & ~coincide
-    src, tcol, cost = src[keep], tcol[keep], cost[keep]
-    moving = np.bincount(src, minlength=na) > 0
-    if np.any(~(stays | moving)):
-        raise InfeasibleError("some atom cannot reach any candidate target within the budget")
-    nv = src.size
-    if nv > MAX_VARIABLES:
-        raise OracleError(f"{nv} coupling variables exceed the {MAX_VARIABLES} cap")
-    cols = np.arange(nv)
+    coupling = Coupling(prob) if coupling is None else coupling
+    if _ball(coupling.prob) != _ball(prob):
+        raise OracleError("the coupling was built for another ball")
+    atoms, masses, tgt = coupling.atoms, coupling.masses, prob.target_support
+    src, tcol, stays = coupling.src, coupling.tcol, coupling.stays
+    cols = np.arange(src.size)
     leaves = stays[src]                 # moves that take mass off a stay pair
 
     def atom_rows(sel):
@@ -220,26 +256,22 @@ def transport_lp(prob: DiscreteBallProblem) -> tuple[dict, float]:
         eq.append(family(row_t, tgt[:, 1] - tgt[:, 0], row_a, atoms[:, 1] - atoms[:, 0],
                          g1.size))
     if prob.marginal2:
-        z, _ = marginal_2(mu)
-        snap = _snap_to(tgt[:, 1], z, "second coordinates outside supp(mu2)")
-        if np.unique(snap).size < z.size:
-            raise InfeasibleError("candidate support misses part of supp(mu2)")
-        eq.append(family(snap, 1.0, _snap_to(atoms[:, 1], z, "atoms outside supp(mu2)"),
-                         1.0, z.size))
+        snap_t, snap_a, nrows = coupling.snap2
+        eq.append(family(snap_t, 1.0, snap_a, 1.0, nrows))
     if prob.marginal1:
         snap = _snap_to(tgt[:, 0], mu.x1, "first coordinates outside supp(mu1)")
         if np.unique(snap).size < mu.x1.size:
             raise InfeasibleError("candidate support misses part of supp(mu1)")
         eq.append(family(snap, 1.0, np.repeat(np.arange(mu.n1), mu.n2), 1.0, mu.n1))
     # <= rows: the budget (row n_eq), then the mass rows of stay atoms that move
-    blocks = [*eq, (np.zeros(nv, dtype=np.intp), cols, cost, np.array([budget])),
-              atom_rows(stays & moving)]
+    blocks = [*eq, (np.zeros(cols.size, dtype=np.intp), cols, coupling.cost,
+                    np.array([prob.radius ** prob.p])), atom_rows(stays & coupling.moving)]
     rows, cols, vals, b = map(np.concatenate, zip(*blocks))
     start = np.cumsum([0] + [blk[3].size for blk in blocks])
     rows += np.repeat(start[:-1], [blk[0].size for blk in blocks])
-    lp = {"c": fvals[tcol] - f_stay[src], "rows": rows, "cols": cols, "vals": vals, "b": b,
+    lp = {"c": coupling.gain, "rows": rows, "cols": cols, "vals": vals, "b": b,
           "n_eq": int(start[len(eq)])}
-    return lp, float(masses @ f_stay)
+    return lp, coupling.v0
 
 
 def _budget_cap(budget):
@@ -249,18 +281,19 @@ def _budget_cap(budget):
     return budget * (1.0 + 1e-9) + 1e-15
 
 
-def dro_lp(prob: DiscreteBallProblem, basis=None):
+def dro_lp(prob: DiscreteBallProblem, basis=None, coupling: Coupling | None = None):
     """Solve the ball supremum LP; returns (optimal value, diagnostics).
 
     The value is mu's identity value v0 plus the optimal gain of the moves
-    (see ``transport_lp``); an LP with no move left, as at radius 0, is
-    answered by v0 without a solve.  ``basis`` is solve_lp's starting basis;
-    the diagnostics carry its final one.  Raises InaccurateError when the
-    returned coupling overspends the budget by more than ``_budget_cap``
-    admits, which is 1e-9 of the budget where the solver's own certificate
-    allows FEAS_TOL of the largest of the budget and its costs.
+    (see ``transport_lp``, which takes ``coupling``); an LP with no move left,
+    as at radius 0, is answered by v0 without a solve.  ``basis`` is solve_lp's
+    starting basis; the diagnostics carry its final one.  Raises
+    InaccurateError when the returned coupling overspends the budget by more
+    than ``_budget_cap`` admits, which is 1e-9 of the budget where the
+    solver's own certificate allows FEAS_TOL of the largest of the budget
+    and its costs.
     """
-    lp, v0 = transport_lp(prob)
+    lp, v0 = transport_lp(prob, coupling)
     x, gain, pivots, final = np.zeros(0), 0.0, 0, None
     if lp["c"].size:
         res = solve_lp(**lp, maximize=True, basis=basis)
@@ -493,6 +526,7 @@ def oracle_report(mu: GridMeasure, c: Criterion, r_list, bins: Binning | None = 
     ``FLAG_TABLE``, the slope of the LP suprema at radii 0 and ``r_list`` must
     match the classical p = 2 closed form, binned by ``bins`` (default: n2
     quantile bins), within ``SLOPE_RTOL`` (relative, with a 1e-6 floor).
+    Radius 0 takes no LP: its value is mu's own, the v0 of every coupling.
     Each radius's LP starts from the basis the set's previous radius ended on."""
     r_arr = [float(r) for r in r_list]
     if len(r_arr) < 3:
@@ -501,18 +535,18 @@ def oracle_report(mu: GridMeasure, c: Criterion, r_list, bins: Binning | None = 
     out = {"radii": r_arr, "constraint_sets": {}}
     # per-radius candidate supports keep the LPs small: the shifted copies at
     # scale r are exactly what the ball at radius r can use.  They depend on
-    # the marginal2 flag and r only, so the sets share them
-    supports = {(pinned, r): default_target_support(mu, [r], marginal2=pinned)
-                for pinned in (False, True) for r in [0.0] + r_arr}
+    # the marginal2 flag and r only, so the sets share them and their couplings
+    couplings = {(pinned, r): Coupling(DiscreteBallProblem(
+                     mu, default_target_support(mu, [r], marginal2=pinned), r, W2.p,
+                     objective=c.f)) for pinned in (False, True) for r in r_arr}
     for label, flags in FLAG_TABLE.items():
         closed = solve_foc(state, ConstraintSet(**flags)).value
         pinned = flags.get("marginal2", False)
         vals, pivots, nvars, used, basis = [], [], [], [], None
-        v0, _ = dro_lp(DiscreteBallProblem(mu, supports[pinned, 0.0], 0.0, W2.p,
-                                           objective=c.f, **flags))
+        v0 = couplings[pinned, r_arr[0]].v0
         for r in r_arr:
-            v, info = dro_lp(DiscreteBallProblem(mu, supports[pinned, r], r, W2.p,
-                                                 objective=c.f, **flags), basis)
+            cpl = couplings[pinned, r]
+            v, info = dro_lp(replace(cpl.prob, **flags), basis, cpl)
             basis = info["basis"]
             vals.append(v)
             pivots.append(info["pivots"])

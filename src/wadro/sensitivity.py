@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import fredholm
-from .criterion import GradientField
-from .measure import Binning, GridMeasure, cond_exp_1, quantile_bins
+from .criterion import GradientField, american_put, gradient_field
+from .measure import Binning, GridMeasure, ModelSpec, build_model, cond_exp_1, quantile_bins
 
 FOC_TOL = 1e-8
 FOC_MAX_ITER = 200
@@ -589,6 +589,17 @@ def marginal_value_closed_form(mu: GridMeasure, G: GradientField, metric: Metric
         return float(np.sqrt(np.sum(mw * c2 ** 2)))
     c1 = st.S1 - cond_exp_1(mu, st.S1)[:, None]
     return float(np.sqrt(np.sum(mw * (c1 ** 2 + c2 ** 2))))
+
+
+def marginal_path_violation(metric: Metric = W2AD) -> float:
+    """How far the marginal set's Newton value and ``marginal_value_closed_form``
+    differ beyond 1e-10 for the buyer's American put on Black-Scholes sigma
+    0.5, 32 x 32 with 32 quantile bins: 0 if valid, NaN on a NaN."""
+    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
+    G, bins = gradient_field(american_put(side="buyer"), mu), quantile_bins(mu, 32)
+    gap = (solve_foc(PointState(mu, G, metric, bins), CONSTRAINT_SETS["marginal"]).value
+           - marginal_value_closed_form(mu, G, metric, bins))
+    return float(np.max([0.0, abs(gap) - 1e-10]))
 
 
 def report_to_json(report: SensitivityReport) -> dict:

@@ -6,8 +6,8 @@ as  max/min c.x  subject to  A x = b on rows [0, n_eq),  A x <= b on the
 others,  x >= 0,  with A as one (row, column, value) entry per nonzero.
 
 Rows are equilibrated (each divided by the largest of its entries and its
-rhs) and sign-normalized as their entries are written into the zeroed
-tableau, the one dense array.  The slack of every <= row with a nonnegative
+rhs) and sign-normalized in the column lists, which the two-phase path
+writes into the zeroed tableau, the one dense array.  The slack of every <= row with a nonnegative
 rhs starts basic; only the other rows get artificial variables, and phase one
 runs only while their sum is positive, so an LP whose origin is feasible
 (as the oracle's displacement form is) starts in phase two.  Artificials
@@ -31,12 +31,14 @@ solver checks its point against the caller's own rows (feasibility to
 FEAS_TOL of each row's scale) and raises InaccurateError when pivots on
 near-zero elements have lost it.
 
-A starting basis, such as an earlier LP's final one, costs two m x m solves,
-the levels B^-1 rhs and the row prices y = B^-T c_B.  If the levels are
->= -HARRIS_TOL and every reduced cost c - y A is >= -PIVOT_TOL (the pivot
-loop's own stopping tests), its point is certified and returned after 0
-pivots.  Any other basis (a wrong length, a repeated or out-of-range index,
-an artificial, a singular B) is ignored.
+A starting basis, such as an earlier LP's final one, is checked on the
+lists, without the tableau: B from its columns' entries, two m x m solves
+for the levels B^-1 rhs and the row prices y = B^-T c_B, and one sum over
+the entries for the reduced costs c - y A.  If the levels are >= -HARRIS_TOL
+and every reduced cost is >= -PIVOT_TOL (the pivot loop's own stopping
+tests), its point is certified and returned after 0 pivots.  Any other
+basis (a wrong length, a repeated or out-of-range index, an artificial, a
+singular B) is ignored.
 """
 
 from __future__ import annotations
@@ -212,21 +214,17 @@ def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False, basis=No
     n_ub = m - n_eq
     ntot = n + n_ub
     # row equilibration by the largest of a row's entries and its rhs, then
-    # sign-normalize the rhs; the slacks are added in row units
+    # sign-normalization; the tableau's entries as lists: A's, then the slacks'
+    # (1 in row units)
     scale = np.abs(b)
     np.maximum.at(scale, rows, np.abs(vals))
     scale[scale == 0.0] = 1.0
     rhs = b / scale
     neg = rhs < 0
-    # tableau: rows, then the objective; columns: variables, slacks, then the
-    # rhs.  The artificial columns are never read (entering candidates are
-    # [:ntot]), so the tableau omits them and a basis entry >= ntot marks an
-    # artificial variable.
-    T = np.zeros((m + 1, ntot + 1))
-    entries = vals / scale[rows]
-    T[rows, cols] = np.where(neg[rows], -entries, entries)
-    T[:m, -1] = np.where(neg, -rhs, rhs)
-    T[np.arange(n_eq, m), np.arange(n, ntot)] = np.where(neg[n_eq:], -1.0, 1.0)
+    rhs = np.where(neg, -rhs, rhs)
+    t_rows = np.concatenate([rows, np.arange(n_eq, m)])
+    t_cols = np.concatenate([cols, np.arange(n, ntot)])
+    t_vals = np.concatenate([vals / scale[rows], np.ones(n_ub)]) * np.where(neg[t_rows], -1.0, 1.0)
     obj = np.zeros(ntot + m)
     obj[:n] = -c if maximize else c
 
@@ -244,12 +242,24 @@ def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False, basis=No
     start = np.array(() if basis is None else basis)
     if (start.shape == (m,) and start.dtype.kind in "iu" and np.unique(start).size == m
             and start.min() >= 0 and start.max() < ntot):
+        at = np.full(ntot, -1)
+        at[start] = np.arange(m)
+        on = at[t_cols] >= 0
+        B = np.zeros((m, m))
+        B[t_rows[on], at[t_cols[on]]] = t_vals[on]
         with contextlib.suppress(np.linalg.LinAlgError):        # a singular B
-            levels = np.linalg.solve(T[:m, start], T[:m, -1])
-            y = np.linalg.solve(T[:m, start].T, obj[start])     # the row prices
-            red = obj[:ntot] - y @ T[:m, :ntot]
+            levels = np.linalg.solve(B, rhs)
+            y = np.linalg.solve(B.T, obj[start])                # the row prices
+            red = obj[:ntot] - np.bincount(t_cols, y[t_rows] * t_vals, ntot)
             if np.all(levels >= -HARRIS_TOL) and np.all(red >= -PIVOT_TOL):
                 return answer(start, levels, 0)
+    # tableau: rows, then the objective; columns: variables, slacks, then the
+    # rhs.  The artificial columns are never read (entering candidates are
+    # [:ntot]), so the tableau omits them and a basis entry >= ntot marks an
+    # artificial variable.
+    T = np.zeros((m + 1, ntot + 1))
+    T[t_rows, t_cols] = t_vals
+    T[:m, -1] = rhs
     # the slack of a <= row with nonnegative rhs starts basic; every other
     # row gets an artificial variable
     slack_start = np.zeros(m, dtype=bool)

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure, linprog_rows, pinned
 from wadro.measure import canonical_test_measure, marginal_2
 from wadro.criterion import preset
-from wadro.oracle import (DiscreteBallProblem, default_target_support, dro_lp, oracle_report,
-                          transport_lp)
+from wadro import oracle
+from wadro.oracle import (FLAG_TABLE, Coupling, DiscreteBallProblem, OracleError,
+                          default_target_support, dro_lp, oracle_report, transport_lp)
 from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
                            _certify, solve_lp)
 
@@ -387,6 +390,126 @@ def test_oracle_report_starts_each_radius_from_the_last_basis():
             cold, info = dro_lp(prob)
             assert info["pivots"] > 0
             assert abs(value - cold) <= 1e-12 * abs(cold), (label, r)
+
+
+_SHARED = {**_MEASURES, "lattice9-11": lambda: lattice_measure(11, 9, 0.5, 3.0, 0.04)}
+
+
+@pytest.mark.parametrize("name", ["canonical", "lattice9", "lattice9-11"])
+def test_shared_coupling_gives_the_same_lp(name):
+    # the sets on one support share its coupling; each LP built from it is
+    # the one its problem builds alone, bit for bit, and radius 0, which the
+    # report answers with the couplings' v0, is the radius-0 LP's value
+    mu = _SHARED[name]()
+    radii = (0.02, 0.05, 0.1, 0.2)
+    for pinned_ in (False, True):
+        for r in radii:
+            ball = DiscreteBallProblem(mu, default_target_support(mu, [r], marginal2=pinned_),
+                                       r, 2.0, objective=_payoff)
+            shared = Coupling(ball)
+            for label, flags in FLAG_TABLE.items():
+                if flags.get("marginal2", False) != pinned_:
+                    continue
+                prob = dataclasses.replace(ball, **flags)
+                (lp, v0), (ref, ref_v0) = transport_lp(prob, shared), transport_lp(prob)
+                for key in ("c", "rows", "cols", "vals", "b"):
+                    assert lp[key].dtype == ref[key].dtype, (label, r, key)
+                    assert lp[key].tobytes() == ref[key].tobytes(), (label, r, key)
+                assert (lp["n_eq"], v0.hex()) == (ref["n_eq"], ref_v0.hex()), (label, r)
+            with pytest.raises(OracleError, match="another ball"):
+                transport_lp(dataclasses.replace(ball, radius=2 * r), shared)
+    c = preset("linear:x2")
+    sets = oracle_report(mu, c, radii)["constraint_sets"]
+    for label, flags in FLAG_TABLE.items():
+        support = default_target_support(mu, [0.0], marginal2=flags.get("marginal2", False))
+        zero, info = dro_lp(DiscreteBallProblem(mu, support, 0.0, 2.0, objective=c.f, **flags))
+        assert info["variables"] == 0
+        assert sets[label]["value_at_zero"].hex() == zero.hex(), label
+
+
+@pytest.mark.parametrize("radii", [(0.02, 0.1, 0.2), (0.02, 0.05, 0.1, 0.2),
+                                   (0.01, 0.02, 0.05, 0.1, 0.15, 0.2)])
+def test_oracle_report_assembles_each_support_once(monkeypatch, radii):
+    # per radius: one support and one coupling for each of the two supports
+    # (second coordinate free or pinned), and one LP per set; none at radius 0
+    calls = {"supports": [], "couplings": [], "lps": []}
+
+    def counted(name, fn, radius):
+        def wrapper(*args, **kwargs):
+            calls[name].append(radius(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "default_target_support",
+                        counted("supports", default_target_support, lambda mu, radii, **_: radii))
+    monkeypatch.setattr(oracle, "Coupling", counted("couplings", Coupling, lambda p: p.radius))
+    monkeypatch.setattr(oracle, "dro_lp", counted("lps", dro_lp, lambda p, *_: p.radius))
+    rep = oracle_report(_MEASURES["lattice9"](), preset("linear:x2"), radii)
+    k = len(radii)
+    assert sorted(map(tuple, calls["supports"])) == sorted([(r,) for r in radii] * 2)
+    assert sorted(calls["couplings"]) == sorted(radii * 2)
+    assert sorted(calls["lps"]) == sorted(radii * 4)
+    assert len(calls["lps"]) == 4 * k and 0.0 not in calls["lps"]
+    assert all(len(res["lp_values"]) == k for res in rep["constraint_sets"].values())
+
+
+def _tableau_accepts(lp, basis, maximize):
+    """The starting-basis check of the module docstring written on the dense
+    equilibrated, sign-normalized tableau."""
+    A, b, k = _dense(lp), lp["b"], lp["n_eq"]
+    m = b.size
+    scale = np.maximum(np.abs(b), np.abs(A).max(axis=1))
+    scale[scale == 0.0] = 1.0
+    T = np.hstack([A, np.eye(m)[:, k:]]) * (np.where(b < 0, -1.0, 1.0) / scale)[:, None]
+    obj = np.r_[-lp["c"] if maximize else lp["c"], np.zeros(m - k)]
+    try:
+        levels = np.linalg.solve(T[:, basis], np.abs(b) / scale)
+        red = obj - np.linalg.solve(T[:, basis].T, obj[basis]) @ T
+    except np.linalg.LinAlgError:
+        return False
+    return bool(levels.min() >= -1e-11 and red.min() >= -1e-10)
+
+
+def _covering_lp(seed):
+    """min c.x with c > 0 over rows A x >= d (<= rows with negative rhs),
+    x_1 + ... + x_n <= 10 and one equality: the optimum keeps the slacks of
+    the loose >= rows basic, each with entry -1 in the tableau."""
+    rng = np.random.default_rng(2000 + seed)
+    n, m_ge = 8, 5
+    A = rng.uniform(0.0, 1.0, (m_ge, n))
+    return {"c": rng.uniform(0.5, 2.0, n),
+            **_lists(A_eq=rng.uniform(0.0, 1.0, (1, n)), b_eq=[2.0],
+                     A_ub=np.vstack([-A, np.ones((1, n))]),
+                     b_ub=np.r_[-rng.uniform(0.2, 1.0, m_ge), 10.0])}
+
+
+@pytest.mark.parametrize("case", [*(f"dense-{s}" for s in (0, 1, 4)),
+                                  *(f"covering-{s}" for s in range(4)), "lattice9-none"])
+def test_basis_check_decides_as_the_tableau(case):
+    # the check on the column lists accepts exactly the bases the dense
+    # tableau's check accepts (the bounded dense LPs, covering LPs whose
+    # optimal basis holds slacks with entry -1, and an oracle LP)
+    kind, arg = case.split("-")
+    lp, maximize = ((_dense_case(int(arg)), False) if kind == "dense"
+                    else (_covering_lp(int(arg)), False) if kind == "covering"
+                    else (_ball_lp(_MEASURES["lattice9"](), arg, 0.05), True))
+    n, m = lp["c"].size, lp["b"].size
+    ntot = n + m - lp["n_eq"]
+    cold = solve_lp(**lp, maximize=maximize)
+    rng = np.random.default_rng(3)
+    bases = [b for b in [cold.basis] if b.max() < ntot]
+    bases += [rng.choice(ntot, m, replace=False) for _ in range(20)]
+    bases += [np.r_[rng.choice(np.setdiff1d(np.arange(ntot), b)), b[1:]] for b in bases[:1]]
+    if kind == "covering":
+        ge_slacks = n + np.flatnonzero(lp["b"][lp["n_eq"]:] < 0)
+        assert np.isin(ge_slacks, cold.basis).any(), "no slack of a >= row is basic"
+    accepted = 0
+    for basis in bases:
+        res = solve_lp(**lp, maximize=maximize, basis=basis)
+        took = res.pivots == 0 and np.array_equal(res.basis, basis)
+        assert took == _tableau_accepts(lp, basis, maximize)
+        accepted += took
+    assert accepted >= (cold.basis.max() < ntot)
 
 
 def test_refused_basis_changes_no_result_bit():
