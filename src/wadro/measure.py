@@ -142,6 +142,11 @@ class ModelSpec:
             raise MeasureError("sigma must be positive")
         if self.n1 < 2 or self.n2 < 2:
             raise MeasureError("grid sizes must be at least 2")
+        for n in (self.n1, self.n2):
+            w = _cached_nodes(n, self.quadrature)[1]
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise MeasureError(f"numpy's {self.quadrature} rule has weights that are not "
+                                   f"finite and positive at n = {n}; use fewer nodes")
 
 
 def std_normal_nodes(n: int, quadrature: str = "gauss_hermite") -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +162,10 @@ def std_normal_nodes(n: int, quadrature: str = "gauss_hermite") -> tuple[np.ndar
 @functools.lru_cache(maxsize=32)
 def _cached_nodes(n: int, quadrature: str) -> tuple[np.ndarray, np.ndarray]:
     if quadrature == "gauss_hermite":
-        z, w = np.polynomial.hermite_e.hermegauss(n)
-        w = w / w.sum()
+        # past n = 370 (numpy 2.4) the weights overflow; ModelSpec refuses those n
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, w = np.polynomial.hermite_e.hermegauss(n)
+            w = w / w.sum()
     elif quadrature == "equally_weighted":
         nd = NormalDist()
         z = np.array([nd.inv_cdf((k + 0.5) / n) for k in range(n)])

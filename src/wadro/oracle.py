@@ -14,14 +14,12 @@ Three independent routes confirm the closed-form sensitivities:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .criterion import Criterion, gradient_field, value as criterion_value
 from .measure import MERGE_TOL, WEIGHT_TOL, Binning, GridMeasure, MeasureError, marginal_2
-from .sensitivity import (W2, W2AD, ConstraintSet, PointState, _HedgeMap, _norm,
-                          martingale_psi, solve_foc)
+from .sensitivity import W2, W2AD, ConstraintSet, PointState, _HedgeMap, _norm, solve_foc
 from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, solve_lp
 
 NEWTON_MAX_ITER = 50
@@ -50,9 +48,7 @@ class DiscreteBallProblem:
     target_support: np.ndarray          # (N_t, 2)
     radius: float
     p: float = 2.0
-    martingale: bool = False
-    marginal1: bool = False
-    marginal2: bool = False
+    constraints: ConstraintSet = ConstraintSet()    # the perturbed law keeps them
     objective: object = None            # callable (y1, y2) -> value, or (N_t,) array
 
     def __post_init__(self):
@@ -89,8 +85,8 @@ _AXIS_DIRS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 _DIAG_DIRS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]) / np.sqrt(2.0)
 
 
-def default_target_support(mu: GridMeasure, radii, marginal1=False,
-                           marginal2=False) -> np.ndarray:
+def default_target_support(mu: GridMeasure, radii,
+                           constraints: ConstraintSet = ConstraintSet()) -> np.ndarray:
     """Atoms of mu plus unit-direction shifts at every requested radius.
 
     Shifts along both axes and the normalized diagonals.  Coordinates pinned
@@ -100,9 +96,9 @@ def default_target_support(mu: GridMeasure, radii, marginal1=False,
     first), whose atom coordinate, if any, stays exact.
     """
     dirs = np.vstack([_AXIS_DIRS, _DIAG_DIRS])
-    if marginal1:
+    if constraints.marginal1:
         dirs = dirs[dirs[:, 0] == 0.0]
-    if marginal2:
+    if constraints.marginal2:
         dirs = dirs[dirs[:, 1] == 0.0]
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
     pts = np.vstack([atoms] + [atoms + r * d for r in np.atleast_1d(radii) if r > 0 for d in dirs])
@@ -123,13 +119,13 @@ def default_target_support(mu: GridMeasure, radii, marginal1=False,
 
 
 class Coupling:
-    """The part of a ball LP that does not depend on its constraint flags
-    (see ``transport_lp``): the moves (atom ``src``, target ``tcol``) within
-    the budget in np.nonzero order, their ``cost`` and ``gain`` f(t) - f(a),
-    the atoms with a stay pair (``stays``) or a move (``moving``), mu's
-    ``atoms`` and ``masses``, and its identity value ``v0``.  Pairs above the
-    budget cannot carry enough mass to matter on the candidate support and
-    are dropped before sorting.
+    """The part of a ball LP that does not depend on its constraints (see
+    ``transport_lp``): the moves (atom ``src``, target ``tcol``) within the
+    budget in np.nonzero order, their ``cost`` and ``gain`` f(t) - f(a), the
+    atoms with a stay pair (``stays``) or a move (``moving``), mu's ``atoms``
+    and ``masses``, its identity value ``v0``, and the marginal rows' keys
+    (``snap``).  Pairs above the budget cannot carry enough mass to matter on
+    the candidate support and are dropped before sorting.
     """
 
     def __init__(self, prob: DiscreteBallProblem):
@@ -167,20 +163,23 @@ class Coupling:
         self.gain = fvals[self.tcol] - f_stay[self.src]
         self.v0 = float(self.masses @ f_stay)
         self.prob = prob
+        self._snaps = {}
 
-    @cached_property
-    def snap2(self):
-        """Each target's and each atom's index in supp(mu2), and its size."""
-        mu, tgt = self.prob.mu, self.prob.target_support
-        z, _ = marginal_2(mu)
-        snap = _snap_to(tgt[:, 1], z, "second coordinates outside supp(mu2)")
-        if np.unique(snap).size < z.size:
-            raise InfeasibleError("candidate support misses part of supp(mu2)")
-        return snap, _snap_to(mu.x2.ravel(), z, "atoms outside supp(mu2)"), z.size
+    def snap(self, k: int):
+        """Each target's and each atom's index in supp(mu_k), k = 1 or 2, and
+        its size; computed once per coordinate."""
+        if k not in self._snaps:
+            z = self.prob.mu.x1 if k == 1 else marginal_2(self.prob.mu)[0]
+            where = f"outside supp(mu{k})"
+            snap = _snap_to(self.prob.target_support[:, k - 1], z, f"coordinates {where}")
+            if np.unique(snap).size < z.size:
+                raise InfeasibleError(f"candidate support misses part of supp(mu{k})")
+            self._snaps[k] = snap, _snap_to(self.atoms[:, k - 1], z, f"atoms {where}"), z.size
+        return self._snaps[k]
 
 
 def _ball(prob: DiscreteBallProblem):
-    """What a coupling depends on: the problem less its constraint flags."""
+    """What a coupling depends on: the problem less its constraints."""
     return id(prob.mu), id(prob.target_support), id(prob.objective), prob.radius, prob.p
 
 
@@ -198,21 +197,25 @@ def transport_lp(prob: DiscreteBallProblem,
     variable: it carries what the atom's moves leave, so the atom's mass row
     reads  sum of its moves <= m_a,  and mu's identity coupling, of value
     v0 = sum_a m_a f(a), is the origin.  A move earns f(t) - f(a), and each
-    martingale or marginal row says that the moves leave mu's value of that
-    constraint unchanged, so its right-hand side is exactly 0 once every atom
-    has a stay pair.  An atom without one keeps the equality row
-    sum_t x[a,t] = m_a, and its own share of each constraint goes to the
-    right-hand side.  Row n_eq, the first <= row, is the transport budget.
+    constraint row says that the moves leave mu's value of that constraint
+    unchanged, so its right-hand side is exactly 0 once every atom has a stay
+    pair.  An atom without one keeps the equality row sum_t x[a,t] = m_a, and
+    its own share of each constraint goes to the right-hand side.  Row n_eq,
+    the first <= row, is the transport budget.
 
-    The pairs come from ``coupling`` (default: the problem's own), which
-    problems that differ in their flags only can share.  Raises OracleError
-    when mu misses a constraint it is asked to keep (a martingale residual
-    above ``mu.martingale_tol``) or the coupling is another ball's.
+    Each constraint of ``prob.constraints`` is one ``family``: psi (x2 - x1
+    for the martingale) weighs psi(t) in a row per first coordinate, a marginal
+    1 in a row per atom of mu's, a mean phi phi(t) in one row.  The pairs come
+    from ``coupling`` (default: the problem's own), which problems that differ
+    in their constraints only can share.  Raises OracleError when a row mean
+    sum_j q_ij psi(x1_i, x2_ij) of mu exceeds ``mu.martingale_tol``, as its
+    rows would then not hold E[psi | X1] = 0, or the coupling is another ball's.
     """
-    mu = prob.mu
-    if prob.martingale and mu.martingale_residual() > mu.martingale_tol:
-        raise OracleError(f"mu is not a martingale: residual {mu.martingale_residual():.3e} "
-                          f"exceeds {mu.martingale_tol:.3e}")
+    mu, cs, psi = prob.mu, prob.constraints, prob.constraints.psi
+    resid = 0.0 if psi is None else np.max(np.abs(np.sum(mu.q * psi.fn(mu.x1[:, None], mu.x2), 1)))
+    if not resid <= mu.martingale_tol:      # NaN too
+        what = "a martingale" if cs.martingale else f"on E[{psi.name} | X1] = 0"
+        raise OracleError(f"mu is not {what}: residual {resid:.3e} exceeds {mu.martingale_tol:.3e}")
     coupling = Coupling(prob) if coupling is None else coupling
     if _ball(coupling.prob) != _ball(prob):
         raise OracleError("the coupling was built for another ball")
@@ -226,7 +229,7 @@ def transport_lp(prob: DiscreteBallProblem,
         on = sel[src]
         return (np.cumsum(sel) - 1)[src[on]], cols[on], np.ones(on.sum()), masses[sel]
 
-    def family(row_t, val_t, row_a, val_a, nrows):
+    def family(row_t, row_a, nrows, val_t=1.0, val_a=1.0):
         """Constraint rows in which target t weighs val_t[t] in row row_t[t]
         and atom a weighs val_a[a] in row row_a[a] (-1: in none).  A move
         weighs its target's weight less its atom's when it leaves a stay
@@ -248,21 +251,15 @@ def transport_lp(prob: DiscreteBallProblem,
         return (np.cumsum(used) - 1)[r[nz]], j[nz], v[nz], rhs[used]
 
     eq = [atom_rows(~stays)]
-    if prob.martingale:
-        # one conditional-mean row per first coordinate of the targets
+    if psi is not None:
+        # one conditional row per first coordinate of the targets
         g1, row_t = np.unique(tgt[:, 0], return_inverse=True)
         at = np.minimum(np.searchsorted(g1, atoms[:, 0]), g1.size - 1)
         row_a = np.where(g1[at] == atoms[:, 0], at, -1)
-        eq.append(family(row_t, tgt[:, 1] - tgt[:, 0], row_a, atoms[:, 1] - atoms[:, 0],
-                         g1.size))
-    if prob.marginal2:
-        snap_t, snap_a, nrows = coupling.snap2
-        eq.append(family(snap_t, 1.0, snap_a, 1.0, nrows))
-    if prob.marginal1:
-        snap = _snap_to(tgt[:, 0], mu.x1, "first coordinates outside supp(mu1)")
-        if np.unique(snap).size < mu.x1.size:
-            raise InfeasibleError("candidate support misses part of supp(mu1)")
-        eq.append(family(snap, 1.0, np.repeat(np.arange(mu.n1), mu.n2), 1.0, mu.n1))
+        eq.append(family(row_t, row_a, g1.size, psi.fn(*tgt.T), psi.fn(*atoms.T)))
+    eq += [family(*coupling.snap(k)) for k, on in ((2, cs.marginal2), (1, cs.marginal1)) if on]
+    eq += [family(np.zeros(len(tgt), np.intp), np.zeros(len(atoms), np.intp), 1,
+                  phi.fn(*tgt.T), phi.fn(*atoms.T)) for phi in cs.mean_phi]
     # <= rows: the budget (row n_eq), then the mass rows of stay atoms that move
     blocks = [*eq, (np.zeros(cols.size, dtype=np.intp), cols, coupling.cost,
                     np.array([prob.radius ** prob.p])), atom_rows(stays & coupling.moving)]
@@ -418,7 +415,7 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
     if np.any(t1 != t1[:, :1]):
         raise OracleError("theta1 must be a function of x1 alone")
     t1, t2 = t1[:, 0], np.broadcast_to(np.asarray(theta[1], dtype=float), mu.x2.shape)
-    psi = martingale_psi() if cs.martingale else cs.cond_psi
+    psi = cs.psi
     mw = mu.atom_masses()
 
     def constraints(x1, x2, f=np.asarray):     # f=np.abs: the magnitudes rounding scales with
@@ -514,20 +511,21 @@ def family_check(c: Criterion, state: PointState, cs: ConstraintSet, report) -> 
             "warnings": list(fam.warnings)}
 
 
-# the constraint flags of each set the LP sandwich checks, by report label
-FLAG_TABLE = {"none": {}, "martingale": {"martingale": True},
-              "marginal2": {"marginal2": True},
-              "both": {"martingale": True, "marginal2": True}}
+# the constraint sets the LP sandwich checks, by report label
+ORACLE_SETS = {"none": ConstraintSet(), "martingale": ConstraintSet(martingale=True),
+               "marginal2": ConstraintSet(marginal2=True),
+               "both": ConstraintSet(martingale=True, marginal2=True)}
 SLOPE_RTOL = 0.05
 
 
 def oracle_report(mu: GridMeasure, c: Criterion, r_list, bins: Binning | None = None) -> dict:
     """The LP sandwich for the linear criterion ``c``, JSON-ready: per set of
-    ``FLAG_TABLE``, the slope of the LP suprema at radii 0 and ``r_list`` must
-    match the classical p = 2 closed form, binned by ``bins`` (default: n2
-    quantile bins), within ``SLOPE_RTOL`` (relative, with a 1e-6 floor).
-    Radius 0 takes no LP: its value is mu's own, the v0 of every coupling.
-    Each radius's LP starts from the basis the set's previous radius ended on."""
+    ``ORACLE_SETS``, the slope of the LP suprema at radii 0 and ``r_list``
+    must match the classical p = 2 closed form of the same ``ConstraintSet``,
+    binned by ``bins`` (default: n2 quantile bins), within ``SLOPE_RTOL``
+    (relative, with a 1e-6 floor).  Radius 0 takes no LP: its value is mu's
+    own, the v0 of every coupling.  Each radius's LP starts from the basis the
+    set's previous radius ended on."""
     r_arr = [float(r) for r in r_list]
     if len(r_arr) < 3:
         raise OracleError("slope estimation needs at least 3 radii")
@@ -535,23 +533,23 @@ def oracle_report(mu: GridMeasure, c: Criterion, r_list, bins: Binning | None = 
     out = {"radii": r_arr, "constraint_sets": {}}
     # per-radius candidate supports keep the LPs small: the shifted copies at
     # scale r are exactly what the ball at radius r can use.  They depend on
-    # the marginal2 flag and r only, so the sets share them and their couplings
-    couplings = {(pinned, r): Coupling(DiscreteBallProblem(
-                     mu, default_target_support(mu, [r], marginal2=pinned), r, W2.p,
-                     objective=c.f)) for pinned in (False, True) for r in r_arr}
-    for label, flags in FLAG_TABLE.items():
-        closed = solve_foc(state, ConstraintSet(**flags)).value
-        pinned = flags.get("marginal2", False)
+    # the marginals and r only, so the sets share them and their couplings
+    couplings = {}
+    for label, cs in ORACLE_SETS.items():
+        closed = solve_foc(state, cs).value
         vals, pivots, nvars, used, basis = [], [], [], [], None
-        v0 = couplings[pinned, r_arr[0]].v0
         for r in r_arr:
-            cpl = couplings[pinned, r]
-            v, info = dro_lp(replace(cpl.prob, **flags), basis, cpl)
+            key = cs.marginal1, cs.marginal2, r
+            if key not in couplings:
+                couplings[key] = Coupling(DiscreteBallProblem(
+                    mu, default_target_support(mu, [r], cs), r, W2.p, objective=c.f))
+            v, info = dro_lp(replace(couplings[key].prob, constraints=cs), basis, couplings[key])
             basis = info["basis"]
             vals.append(v)
             pivots.append(info["pivots"])
             nvars.append(info["variables"])
             used.append(info["cost_used"] / info["budget"] if info["budget"] else None)
+        v0 = couplings[cs.marginal1, cs.marginal2, r_arr[0]].v0
         slope, fit_res = slope_estimate([0.0] + r_arr, [v0] + vals)
         scale = max(abs(closed), 1e-6)
         ok = abs(slope - closed) <= SLOPE_RTOL * scale

@@ -121,6 +121,11 @@ class ConstraintSet:
             raise SensitivityError("the martingale flag is the conditional constraint x2 - x1; "
                                    "a set holds one conditional constraint")
 
+    @property
+    def psi(self) -> CondConstraint | None:
+        """The set's conditional constraint: the martingale's, else ``cond_psi``."""
+        return martingale_psi() if self.martingale else self.cond_psi
+
     def label(self) -> str:
         parts = [name for flag, name in ((self.martingale, "M"), (self.marginal1, "m1"),
                                          (self.marginal2, "m2")) if flag]

@@ -5,6 +5,8 @@ from typing import NamedTuple
 import numpy as np
 
 from wadro.measure import GridMeasure
+from wadro.oracle import ORACLE_SETS, DiscreteBallProblem, default_target_support
+from wadro.sensitivity import ConstraintSet
 
 
 def lattice_measure(seed, n, spacing, centre, jitter):
@@ -36,11 +38,12 @@ class Reproducer(NamedTuple):
     The measure is the ``draw``-th lattice_measure drawn from
     ``default_rng(seed)``; the candidate support is
     ``default_target_support`` at ``radius`` for ``constraints``.
+    ``problem()`` builds the LP's ``DiscreteBallProblem``.
     """
 
     spacing: float
     seed: int
-    constraints: str            # a key of CONSTRAINT_FLAGS
+    constraints: str            # a key of LP_SETS
     radius: float
     n: int = 7
     centre: float = 1.0
@@ -53,15 +56,20 @@ class Reproducer(NamedTuple):
             mu = lattice_measure(rng, self.n, self.spacing, self.centre, self.jitter)
         return mu
 
+    def problem(self) -> DiscreteBallProblem:
+        mu, cs = self.measure(), LP_SETS[self.constraints]
+        return DiscreteBallProblem(mu, default_target_support(mu, [self.radius], cs), self.radius,
+                                   2.0, cs, objective=lambda y1, y2: y2)
 
-CONSTRAINT_FLAGS = {"none": {}, "martingale": {"martingale": True},
-                    "marginal1": {"marginal1": True}, "marginal2": {"marginal2": True},
-                    "both": {"martingale": True, "marginal2": True}}
+
+# the oracle report's sets and the first marginal alone, by name
+LP_SETS = {**ORACLE_SETS, "marginal1": ConstraintSet(marginal1=True)}
 
 
-def pinned(flags: dict) -> dict:
-    """The marginal flags of a set: the ones ``default_target_support`` reads."""
-    return {k: v for k, v in flags.items() if k != "martingale"}
+def lp_bytes(lp: dict) -> tuple:
+    """A ``transport_lp`` LP as bytes: n_eq, and each array's dtype and data."""
+    return lp["n_eq"], *((lp[k].dtype.str, lp[k].tobytes())
+                         for k in ("c", "rows", "cols", "vals", "b"))
 
 
 def linprog_rows(lp: dict) -> dict:

@@ -26,8 +26,8 @@ import time
 
 from scipy.optimize import linprog
 
-from lattice import CONSTRAINT_FLAGS, Reproducer, linprog_rows, pinned
-from wadro.oracle import DiscreteBallProblem, default_target_support, transport_lp
+from lattice import Reproducer, linprog_rows
+from wadro.oracle import transport_lp
 from wadro.simplex import LPError, solve_lp
 
 
@@ -41,11 +41,7 @@ def sweep_cases():
 
 def case_lp(case):
     """(solve_lp keyword arguments, v0) of a Reproducer's ball LP."""
-    mu = case.measure()
-    flags = CONSTRAINT_FLAGS[case.constraints]
-    prob = DiscreteBallProblem(mu, default_target_support(mu, [case.radius], **pinned(flags)),
-                               case.radius, 2.0, objective=lambda y1, y2: y2, **flags)
-    return transport_lp(prob)
+    return transport_lp(case.problem())
 
 
 def highs_value(lp) -> float:

@@ -182,6 +182,19 @@ def test_svg_sidecar_matches_plot(tmp_path):
     assert np.allclose(ys, 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [371, 384])
+def test_gauss_hermite_grid_numpy_cannot_build_exits_bad_config(tmp_path, n):
+    # refused at validate, in a fresh process so that numpy's rule is computed
+    # there: no output and no numpy warning, only the message
+    out, src = tmp_path / "out", os.path.dirname(os.path.dirname(wadro.__file__))
+    proc = subprocess.run([sys.executable, "-m", "wadro.cli", "curve", "--set", f"model.n1={n}",
+                           "--set", f"model.n2={n}", "--set", "model.sigma=0.5", "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_BAD_CONFIG and proc.stdout == "" and not out.exists()
+    assert proc.stderr == (f"bad configuration: numpy's gauss_hermite rule has weights that are "
+                           f"not finite and positive at n = {n}; use fewer nodes\n")
+
+
 def test_line_chart_without_finite_points():
     for logx in (False, True):
         svg = line_chart([("G", [0.5, 80.0], [float("nan")] * 2)], logx=logx)

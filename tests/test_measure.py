@@ -38,10 +38,19 @@ def test_black_scholes_martingale_residual():
     dict(family="bachelier", sigma=1.0, n1=1, n2=4),
     dict(family="bachelier", sigma=1.0, n1=4, n2=1),
     dict(family="nope", sigma=1.0, n1=4, n2=4),
+    dict(family="black_scholes", sigma=0.5, n1=371, n2=4),
+    dict(family="black_scholes", sigma=0.5, n1=4, n2=384),
 ])
 def test_model_spec_rejects(spec):
     with pytest.raises(MeasureError):
         ModelSpec(**spec)
+
+
+def test_gauss_hermite_grid_at_numpy_limit_builds():
+    # numpy's hermegauss keeps finite, positive weights up to n = 370, the
+    # smallest near 1e-308; at 371 one is 0 and from 372 they are NaN
+    mu = build_model(ModelSpec("black_scholes", 0.5, 370, 370))
+    assert np.all(mu.w1 > 0) and np.all(mu.q > 0) and np.all(np.isfinite(mu.x2))
 
 
 def test_custom_family_points_to_csv_loader():

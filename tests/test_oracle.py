@@ -3,21 +3,40 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lattice import pinned
+from lattice import LP_SETS, lp_bytes
 from report_sweep import constraint_sets
 from wadro.criterion import american_put, gradient_field, preset, value
 from wadro.measure import GridMeasure, ModelSpec, build_model, canonical_test_measure
-from wadro.oracle import (DiscreteBallProblem, OracleError, bicausal_distance,
+from wadro.oracle import (Coupling, DiscreteBallProblem, OracleError, bicausal_distance,
                           classical_distance, default_target_support, dro_lp,
-                          family_check, feasible_family, oracle_report, slope_estimate)
-from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, MeanConstraint, Metric, PointState,
-                               SensitivityError, W2, W2AD, martingale_psi, solve_foc)
+                          family_check, feasible_family, oracle_report, slope_estimate,
+                          transport_lp)
+from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet, MeanConstraint,
+                               Metric, PointState, SensitivityError, W2, W2AD, martingale_psi,
+                               solve_foc)
 from wadro import oracle
 from wadro.simplex import InaccurateError, InfeasibleError, solve_lp
 
 
 def _obj_y2(y1, y2):
     return y2
+
+
+def _obj_spread(y1, y2):
+    return y2 + (y2 - y1) ** 2
+
+
+def _three_by_three():
+    x1, w = np.array([0.9, 1.0, 1.1]), np.array([0.25, 0.5, 0.25])
+    return GridMeasure(x1, w, x1[:, None] + [-0.1, 0.0, 0.1], np.tile(w, (3, 1)),
+                       is_martingale=True)
+
+
+def _scaled_martingale_psi():
+    """(x2 - x1)(1 + x1^2): the martingale's rows, each scaled by a positive factor."""
+    return CondConstraint(lambda a, b: (b - a) * (1.0 + a * a),
+                          lambda a, b: 2.0 * a * (b - a) - 1.0 - a * a,
+                          lambda a, b: 1.0 + a * a + 0.0 * b, "scaled")
 
 
 def test_dro_lp_zero_radius_recovers_value():
@@ -56,16 +75,12 @@ def test_dro_lp_kantorovich_bound_p1():
 
 
 def test_dro_lp_monotone_in_radius_shared_support():
-    x1 = np.array([0.9, 1.0, 1.1])
-    off = np.array([-0.1, 0.0, 0.1])
-    mu = GridMeasure(x1, np.array([0.25, 0.5, 0.25]),
-                     x1[:, None] + off[None, :],
-                     np.tile([0.25, 0.5, 0.25], (3, 1)), is_martingale=True)
+    mu = _three_by_three()
     radii = [0.02, 0.05, 0.1]
     tgt = default_target_support(mu, radii)
     vals = []
     for r in radii:
-        v, _ = dro_lp(DiscreteBallProblem(mu, tgt, r, 2.0, martingale=True,
+        v, _ = dro_lp(DiscreteBallProblem(mu, tgt, r, 2.0, CONSTRAINT_SETS["martingale"],
                                           objective=_obj_y2))
         vals.append(v)
     assert np.all(np.diff(vals) >= -1e-10)
@@ -73,18 +88,14 @@ def test_dro_lp_monotone_in_radius_shared_support():
 
 def test_dro_lp_martingale_slope_matches_closed_form():
     # spec example: 3x3 measure, objective y2, slope vs the martingale closed form
-    x1 = np.array([0.9, 1.0, 1.1])
-    off = np.array([-0.1, 0.0, 0.1])
-    mu = GridMeasure(x1, np.array([0.25, 0.5, 0.25]),
-                     x1[:, None] + off[None, :],
-                     np.tile([0.25, 0.5, 0.25], (3, 1)), is_martingale=True)
+    mu = _three_by_three()
     G = gradient_field(preset("linear:x2"), mu)
     closed = solve_foc(PointState(mu, G, W2), CONSTRAINT_SETS["martingale"]).value
     radii = [0.05, 0.1, 0.2]
     vals = []
     for r in radii:
         tgt = default_target_support(mu, [r])
-        v, _ = dro_lp(DiscreteBallProblem(mu, tgt, r, 2.0, martingale=True,
+        v, _ = dro_lp(DiscreteBallProblem(mu, tgt, r, 2.0, CONSTRAINT_SETS["martingale"],
                                           objective=_obj_y2))
         vals.append(v)
     base = value(preset("linear:x2"), mu)
@@ -96,8 +107,7 @@ def test_dro_lp_marginal_support_mismatch():
     mu = canonical_test_measure()
     bad = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel() + 0.003])
     with pytest.raises(OracleError):
-        dro_lp(DiscreteBallProblem(mu, bad, 0.1, 2.0, marginal2=True,
-                                   objective=_obj_y2))
+        dro_lp(DiscreteBallProblem(mu, bad, 0.1, 2.0, LP_SETS["marginal2"], objective=_obj_y2))
 
 
 def test_dro_lp_rejects_measure_off_its_constraint():
@@ -106,10 +116,66 @@ def test_dro_lp_rejects_measure_off_its_constraint():
     mu = canonical_test_measure()
     off = GridMeasure(mu.x1, mu.w1, mu.x2 + 1e-6, mu.q)
     tgt = default_target_support(off, [0.1])
-    dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [0.1]), 0.1,
-                               2.0, martingale=True, objective=_obj_y2))
+    mart = CONSTRAINT_SETS["martingale"]
+    dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [0.1]), 0.1, 2.0, mart,
+                               objective=_obj_y2))
     with pytest.raises(OracleError, match="not a martingale"):
-        dro_lp(DiscreteBallProblem(off, tgt, 0.1, 2.0, martingale=True, objective=_obj_y2))
+        dro_lp(DiscreteBallProblem(off, tgt, 0.1, 2.0, mart, objective=_obj_y2))
+    # another conditional constraint: mu off its rows is refused the same way
+    scaled = ConstraintSet(cond_psi=_scaled_martingale_psi())
+    dro_lp(DiscreteBallProblem(mu, default_target_support(mu, [0.1]), 0.1, 2.0, scaled,
+                               objective=_obj_y2))
+    with pytest.raises(OracleError, match="not on E\\[scaled"):
+        dro_lp(DiscreteBallProblem(off, tgt, 0.1, 2.0, scaled, objective=_obj_y2))
+    # a psi that is NaN on mu's atoms keeps nothing
+    nan = CondConstraint(lambda a, b: np.full_like(b, np.nan), None, None, "nan")
+    with pytest.raises(OracleError, match="residual nan"):
+        dro_lp(DiscreteBallProblem(mu, tgt, 0.1, 2.0, ConstraintSet(cond_psi=nan),
+                                   objective=_obj_y2))
+
+
+def _moved(prob, x, fn, per_y1):
+    """How much the LP point x moves the sum of fn over the law, per first
+    coordinate of the pairs (per_y1) or in all; every atom has a stay pair."""
+    cpl = Coupling(prob)
+    t, a = prob.target_support[cpl.tcol], cpl.atoms[cpl.src]
+    keys = np.r_[t[:, 0], a[:, 0]] if per_y1 else np.zeros(2 * x.size)
+    return np.bincount(np.unique(keys, return_inverse=True)[1], np.r_[x * fn(*t.T), -x * fn(*a.T)])
+
+
+def test_transport_lp_rows_come_with_the_set():
+    # the martingale is the conditional constraint x2 - x1: as cond_psi it is
+    # the same LP, and scaled by 1 + x1^2 > 0 the same value.  Each row of a
+    # set holds at the optimum, which is no better than without the rows:
+    # psi for every first coordinate (the canned rows' conditional variance
+    # is 0.012, which the payoff (y2 - y1)^2 would raise), a mean constraint
+    # phi in all
+    mu, phi = canonical_test_measure(), _mean_x2_sq_constraint()
+    variance = CondConstraint(lambda a, b: (b - a) ** 2 - 0.012, lambda a, b: 2.0 * (a - b),
+                              lambda a, b: 2.0 * (b - a), "variance")
+    for r in (0.05, 0.1, 0.2):
+        tgt = default_target_support(mu, [r])
+
+        def problem(cs, f=_obj_y2):
+            return DiscreteBallProblem(mu, tgt, r, 2.0, cs, objective=f)
+
+        mart = CONSTRAINT_SETS["martingale"]
+        (lp, v0), (same, _) = (transport_lp(problem(cs)) for cs in
+                               (mart, ConstraintSet(cond_psi=martingale_psi())))
+        assert lp_bytes(lp) == lp_bytes(same), r
+        value = v0 + solve_lp(**lp, maximize=True).fun
+        scaled = dro_lp(problem(ConstraintSet(cond_psi=_scaled_martingale_psi())))[0]
+        assert abs(scaled - value) <= 1e-12 * abs(value), r
+        for cs, fn, per_y1 in ((mart, mart.psi.fn, True),
+                               (ConstraintSet(cond_psi=variance), variance.fn, True),
+                               (ConstraintSet(mean_phi=(phi,)), phi.fn, False),
+                               (dataclasses.replace(mart, mean_phi=(phi,)), phi.fn, False)):
+            prob = problem(cs, _obj_spread)
+            lp, v0 = transport_lp(prob)
+            res = solve_lp(**lp, maximize=True)
+            assert np.max(np.abs(_moved(prob, res.x, fn, per_y1))) <= 1e-12, (cs, r)
+            without = dataclasses.replace(cs, cond_psi=None, mean_phi=())
+            assert v0 + res.fun <= dro_lp(problem(without, _obj_spread))[0] + 1e-12, (cs, r)
 
 
 def test_dro_lp_infeasible_when_budget_too_small():
@@ -192,14 +258,14 @@ def test_target_support_snaps_rounding_misses_onto_atoms():
     exact = GridMeasure(x1, mu.w1, x1[:, None] + 0.125 * steps[None, :], mu.q,
                         is_martingale=True)
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
-    for flags in ({}, {"martingale": True}, {"marginal1": True}, {"marginal2": True}):
+    for label, cs in LP_SETS.items():
         for r in (0.1, 0.2):
-            tgt = default_target_support(mu, [r], **pinned(flags))
+            tgt = default_target_support(mu, [r], cs)
             gap = np.max(np.abs(tgt[:, None, :] - atoms[None, :, :]), axis=2).min(axis=1)
-            assert np.all((gap == 0.0) | (gap > 1e-9)), (flags, r)
+            assert np.all((gap == 0.0) | (gap > 1e-9)), (label, r)
             apart = np.max(np.abs(tgt[:, None, :] - tgt[None, :, :]), axis=2)
-            assert np.all(apart[np.triu_indices(len(tgt), 1)] > 1e-9), (flags, r)
-            assert tgt.shape == default_target_support(exact, [1.25 * r], **pinned(flags)).shape
+            assert np.all(apart[np.triu_indices(len(tgt), 1)] > 1e-9), (label, r)
+            assert tgt.shape == default_target_support(exact, [1.25 * r], cs).shape
     assert [len(default_target_support(mu, [r])) for r in (0.1, 0.2)] == [145, 165]
 
 
@@ -338,11 +404,7 @@ def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, co
 
 def test_dro_lp_concave_in_budget():
     # LP optimum is concave in the right-hand side, hence in b = r^p
-    x1 = np.array([0.9, 1.0, 1.1])
-    off = np.array([-0.1, 0.0, 0.1])
-    mu = GridMeasure(x1, np.array([0.25, 0.5, 0.25]),
-                     x1[:, None] + off[None, :],
-                     np.tile([0.25, 0.5, 0.25], (3, 1)), is_martingale=True)
+    mu = _three_by_three()
     radii = [0.02, 0.05, 0.08, 0.11]
     tgt = default_target_support(mu, radii)
     vals = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lattice import CONSTRAINT_FLAGS, lattice_measure, linprog_rows, pinned
+from lattice import LP_SETS, lattice_measure, linprog_rows
 from report_sweep import constraint_sets
 from wadro.criterion import GradientField, gradient_field, linear_criterion
 from wadro.measure import GridMeasure, quantile_bins
@@ -138,17 +138,15 @@ def test_value_is_continuous_in_p_at_2(grid, ball):
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 5), st.floats(0.1, 0.15),
-       st.sampled_from(sorted(CONSTRAINT_FLAGS)), st.sampled_from([0.1, 0.2]))
+       st.sampled_from(sorted(LP_SETS)), st.sampled_from([0.1, 0.2]))
 def test_ball_lp_matches_highs(seed, n, spacing, constraints, r):
     # random lattices whose nearby atoms couple; solve_lp certifies its
     # point against the LP's rows (or raises) and must reach HiGHS's optimum
     linprog = pytest.importorskip("scipy.optimize").linprog
     mu = lattice_measure(seed, n, spacing, 1.0, 0.02)
-    flags = CONSTRAINT_FLAGS[constraints]
-    tgt = default_target_support(mu, [r], **pinned(flags))
-    lp, v0 = transport_lp(DiscreteBallProblem(mu, tgt, r, 2.0,
-                                              objective=lambda y1, y2: y2 + 0.5 * y1 * y2,
-                                              **flags))
+    cs = LP_SETS[constraints]
+    lp, v0 = transport_lp(DiscreteBallProblem(mu, default_target_support(mu, [r], cs), r, 2.0, cs,
+                                              objective=lambda y1, y2: y2 + 0.5 * y1 * y2))
     res = solve_lp(**lp, maximize=True)
     ref = linprog(-lp["c"], **linprog_rows(lp), bounds=(0, None), method="highs")
     assert ref.status == 0

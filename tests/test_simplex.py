@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lattice import CONSTRAINT_FLAGS as FLAGS, REPRODUCERS, lattice_measure, linprog_rows, pinned
+from lattice import LP_SETS, REPRODUCERS, lattice_measure, linprog_rows, lp_bytes
 from wadro.measure import canonical_test_measure, marginal_2
 from wadro.criterion import preset
 from wadro import oracle
-from wadro.oracle import (FLAG_TABLE, Coupling, DiscreteBallProblem, OracleError,
+from wadro.oracle import (ORACLE_SETS, Coupling, DiscreteBallProblem, OracleError,
                           default_target_support, dro_lp, oracle_report, transport_lp)
 from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
                            _certify, solve_lp)
@@ -105,10 +105,10 @@ def _dense_case(seed, redundant=False):
     return {"c": dense.pop("c"), **_lists(**dense)}
 
 
-def _ball_lp(mu, flags, r):
-    tgt = default_target_support(mu, [r], **pinned(FLAGS[flags]))
-    lp, _ = transport_lp(DiscreteBallProblem(mu, tgt, r, 2.0, objective=lambda y1, y2: y2,
-                                             **FLAGS[flags]))
+def _ball_lp(mu, label, r):
+    cs = LP_SETS[label]
+    lp, _ = transport_lp(DiscreteBallProblem(mu, default_target_support(mu, [r], cs), r, 2.0, cs,
+                                             objective=lambda y1, y2: y2))
     return lp
 
 
@@ -119,10 +119,10 @@ def _lp_case(case):
     if case == "redundant-row":
         return _dense_case(0, redundant=True), False
     # sparse transport LPs of the oracle: the pivot columns are mostly zero
-    name, flags = case.split("-")
+    name, label = case.split("-")
     mu = (canonical_test_measure() if name == "canonical"
           else lattice_measure(5, 9, 0.5, 3.0, 0.04))
-    return _ball_lp(mu, flags, 0.1), True
+    return _ball_lp(mu, label, 0.1), True
 
 
 def _assert_feasible(x, lp, tol):
@@ -142,7 +142,7 @@ def _highs(lp, maximize):
 
 @pytest.mark.parametrize("case", [*range(8), "redundant-row",
                                   *(f"{m}-{f}" for m in ("canonical", "lattice9")
-                                    for f in FLAGS)])
+                                    for f in LP_SETS)])
 def test_against_scipy_linprog(case):
     lp, maximize = _lp_case(case)
     status, ref = _highs(lp, maximize)
@@ -193,7 +193,7 @@ def _payoff(y1, y2):
 def _full_coupling_value(prob):
     """HiGHS's optimum of the ball LP over every (atom, target) pair within
     the budget, stay pairs included, written from the definition."""
-    mu = prob.mu
+    mu, cs = prob.mu, prob.constraints
     atoms = np.array([(a, z) for a, row in zip(mu.x1, mu.x2) for z in row])
     masses = mu.atom_masses().ravel()
     tgt = prob.target_support
@@ -206,17 +206,17 @@ def _full_coupling_value(prob):
     for i, m in enumerate(masses):                       # each atom ships its mass
         rows.append(src == i)
         rhs.append(m)
-    if prob.martingale:                                  # E[Y2 - Y1 | Y1] = 0
+    if cs.psi is not None:                               # E[psi(Y) | Y1] = 0
         for g in np.unique(t1):
-            rows.append(np.where(t1 == g, t2 - t1, 0.0))
+            rows.append(np.where(t1 == g, cs.psi.fn(t1, t2), 0.0))
             rhs.append(0.0)
-    if prob.marginal2:                                   # Y2 has mu's second marginal
+    if cs.marginal2:                                     # Y2 has mu's second marginal
         order = np.argsort(mu.x2.ravel(), kind="stable")
         z, zm = mu.x2.ravel()[order], masses[order]
         for group in np.split(np.arange(z.size), np.flatnonzero(np.diff(z) > 1e-9) + 1):
             rows.append((t2 >= z[group[0]] - 1e-9) & (t2 <= z[group[-1]] + 1e-9))
             rhs.append(np.sum(zm[group]))
-    if prob.marginal1:                                   # Y1 has mu's first marginal
+    if cs.marginal1:                                     # Y1 has mu's first marginal
         for a, w in zip(mu.x1, mu.w1):
             rows.append(np.abs(t1 - a) <= 1e-9)
             rhs.append(w)
@@ -238,16 +238,16 @@ _MEASURES = {"canonical": canonical_test_measure,
 
 
 @pytest.mark.parametrize("name", [*_MEASURES, "canonical-no-atoms"])
-@pytest.mark.parametrize("flags", FLAGS)
-def test_dro_lp_equals_full_coupling_lp(name, flags):
+@pytest.mark.parametrize("label", LP_SETS)
+def test_dro_lp_equals_full_coupling_lp(name, label):
     # the displacement form about mu against the LP over every pair
     mu = _MEASURES[name.split("-")[0]]()
     # off the canned measure's 0.1 grid, so that shifted atoms are no atoms
     for r in ((0.0, 0.02, 0.1, 0.2) if name in _MEASURES else (0.05, 0.15)):
-        tgt = default_target_support(mu, [r], **pinned(FLAGS[flags]))
+        tgt = default_target_support(mu, [r], LP_SETS[label])
         if name not in _MEASURES:
             tgt = _without_atoms(mu, tgt)
-        prob = DiscreteBallProblem(mu, tgt, r, 2.0, objective=_payoff, **FLAGS[flags])
+        prob = DiscreteBallProblem(mu, tgt, r, 2.0, LP_SETS[label], objective=_payoff)
         value, info = dro_lp(prob)
         ref = _full_coupling_value(prob)
         assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref)), (r, value, ref)
@@ -296,14 +296,14 @@ def _all_pairs_lp(prob):
     def pooled(values, support):
         return support[np.abs(values[:, None] - support[None, :]).argmin(axis=1)]
 
-    if prob.martingale:
+    if prob.constraints.martingale:
         family(np.unique(tgt[:, 0]), tgt[:, 0], tgt[:, 1] - tgt[:, 0],
                atoms[:, 0], atoms[:, 1] - atoms[:, 0])
-    if prob.marginal2:
+    if prob.constraints.marginal2:
         z = marginal_2(mu)[0]
         family(z, pooled(tgt[:, 1], z), np.ones(len(tgt)), pooled(atoms[:, 1], z),
                np.ones(len(atoms)))
-    if prob.marginal1:
+    if prob.constraints.marginal1:
         family(mu.x1, pooled(tgt[:, 0], mu.x1), np.ones(len(tgt)), atoms[:, 0],
                np.ones(len(atoms)))
     capped = stays & moves.any(axis=1)
@@ -317,8 +317,8 @@ _COUPLED = {f"coupled7-{seed}": lambda seed=seed: lattice_measure(seed, 7, 0.1, 
 
 
 @pytest.mark.parametrize("name", [*_MEASURES, *_COUPLED])
-@pytest.mark.parametrize("flags", FLAGS)
-def test_transport_lp_equals_all_pairs_assembly(name, flags):
+@pytest.mark.parametrize("label", LP_SETS)
+def test_transport_lp_equals_all_pairs_assembly(name, label):
     # pairs found by reach are the pairs within budget, in the same order;
     # the support of twice the radius adds targets out of reach, and the
     # reversed support is not sorted by first coordinate.  The column lists
@@ -328,8 +328,8 @@ def test_transport_lp_equals_all_pairs_assembly(name, flags):
                                                     (0.2, 2.0))
     for r, p in cases:
         for radii, step in (([r], 1), ([r, 2 * r], 1), ([r], -1)):
-            tgt = default_target_support(mu, radii, **pinned(FLAGS[flags]))[::step]
-            prob = DiscreteBallProblem(mu, tgt, r, p, objective=_payoff, **FLAGS[flags])
+            tgt = default_target_support(mu, radii, LP_SETS[label])[::step]
+            prob = DiscreteBallProblem(mu, tgt, r, p, LP_SETS[label], objective=_payoff)
             lp, _ = transport_lp(prob)
             assert np.all(lp["vals"] != 0.0)
             pairs = lp["rows"] * lp["c"].size + lp["cols"]
@@ -348,8 +348,8 @@ def test_zero_level_artificials_cost_no_pivots():
     # (pivoting the 27 artificials out took 27 per LP)
     mu = _MEASURES["lattice9"]()
     for r in (0.02, 0.05, 0.1, 0.2):
-        prob = DiscreteBallProblem(mu, default_target_support(mu, [r], marginal2=True), r, 2.0,
-                                   objective=lambda y1, y2: y2, **FLAGS["both"])
+        prob = DiscreteBallProblem(mu, default_target_support(mu, [r], LP_SETS["both"]), r, 2.0,
+                                   LP_SETS["both"], objective=lambda y1, y2: y2)
         lp, _ = transport_lp(prob)
         assert lp["n_eq"] == 27
         assert dro_lp(prob)[1]["pivots"] == 0
@@ -359,10 +359,7 @@ def test_zero_level_artificials_cost_no_pivots():
 def test_reproducer_lps(case):
     # LPs on which the textbook ratio test broke its rows or reported a
     # bounded LP unbounded
-    mu = case.measure()
-    flags = FLAGS[case.constraints]
-    prob = DiscreteBallProblem(mu, default_target_support(mu, [case.radius], **pinned(flags)),
-                               case.radius, 2.0, objective=lambda y1, y2: y2, **flags)
+    prob = case.problem()
     lp, v0 = transport_lp(prob)
     res = solve_lp(**lp, maximize=True)
     _assert_feasible(res.x, lp, 1e-9)
@@ -386,7 +383,7 @@ def test_oracle_report_starts_each_radius_from_the_last_basis():
         assert first > 0 and rest == [0, 0, 0], label
         for r, value in zip(radii, sets[label]["lp_values"]):
             prob = DiscreteBallProblem(mu, default_target_support(mu, [r]), r, 2.0,
-                                       objective=lambda y1, y2: y2, **FLAGS[label])
+                                       LP_SETS[label], objective=lambda y1, y2: y2)
             cold, info = dro_lp(prob)
             assert info["pivots"] > 0
             assert abs(value - cold) <= 1e-12 * abs(cold), (label, r)
@@ -402,27 +399,24 @@ def test_shared_coupling_gives_the_same_lp(name):
     # report answers with the couplings' v0, is the radius-0 LP's value
     mu = _SHARED[name]()
     radii = (0.02, 0.05, 0.1, 0.2)
-    for pinned_ in (False, True):
+    for marginals in (ORACLE_SETS["none"], ORACLE_SETS["marginal2"]):
         for r in radii:
-            ball = DiscreteBallProblem(mu, default_target_support(mu, [r], marginal2=pinned_),
-                                       r, 2.0, objective=_payoff)
+            ball = DiscreteBallProblem(mu, default_target_support(mu, [r], marginals), r, 2.0,
+                                       objective=_payoff)
             shared = Coupling(ball)
-            for label, flags in FLAG_TABLE.items():
-                if flags.get("marginal2", False) != pinned_:
+            for label, cs in ORACLE_SETS.items():
+                if cs.marginal2 != marginals.marginal2:
                     continue
-                prob = dataclasses.replace(ball, **flags)
+                prob = dataclasses.replace(ball, constraints=cs)
                 (lp, v0), (ref, ref_v0) = transport_lp(prob, shared), transport_lp(prob)
-                for key in ("c", "rows", "cols", "vals", "b"):
-                    assert lp[key].dtype == ref[key].dtype, (label, r, key)
-                    assert lp[key].tobytes() == ref[key].tobytes(), (label, r, key)
-                assert (lp["n_eq"], v0.hex()) == (ref["n_eq"], ref_v0.hex()), (label, r)
+                assert (lp_bytes(lp), v0.hex()) == (lp_bytes(ref), ref_v0.hex()), (label, r)
             with pytest.raises(OracleError, match="another ball"):
                 transport_lp(dataclasses.replace(ball, radius=2 * r), shared)
     c = preset("linear:x2")
     sets = oracle_report(mu, c, radii)["constraint_sets"]
-    for label, flags in FLAG_TABLE.items():
-        support = default_target_support(mu, [0.0], marginal2=flags.get("marginal2", False))
-        zero, info = dro_lp(DiscreteBallProblem(mu, support, 0.0, 2.0, objective=c.f, **flags))
+    for label, cs in ORACLE_SETS.items():
+        support = default_target_support(mu, [0.0], cs)
+        zero, info = dro_lp(DiscreteBallProblem(mu, support, 0.0, 2.0, cs, objective=c.f))
         assert info["variables"] == 0
         assert sets[label]["value_at_zero"].hex() == zero.hex(), label
 
@@ -441,7 +435,7 @@ def test_oracle_report_assembles_each_support_once(monkeypatch, radii):
         return wrapper
 
     monkeypatch.setattr(oracle, "default_target_support",
-                        counted("supports", default_target_support, lambda mu, radii, **_: radii))
+                        counted("supports", default_target_support, lambda mu, radii, *_: radii))
     monkeypatch.setattr(oracle, "Coupling", counted("couplings", Coupling, lambda p: p.radius))
     monkeypatch.setattr(oracle, "dro_lp", counted("lps", dro_lp, lambda p, *_: p.radius))
     rep = oracle_report(_MEASURES["lattice9"](), preset("linear:x2"), radii)
