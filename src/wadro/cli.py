@@ -103,8 +103,8 @@ class RunConfig:
         return ModelSpec(self.family, sigma, self.n1, self.n2, self.quadrature)
 
     def validate(self):
-        """Refuse a bad value before any work: the ball, criterion, each sigma
-        point's model, bin count and oracle radii."""
+        """Refuse a bad value before any work: the ball, criterion, sigma grid,
+        bin count and oracle radii (``main`` checks the models a command builds)."""
         if not self.sigmas:
             raise ConfigError("sigma grid must be nonempty")
         if any(b <= a for a, b in zip(self.sigmas, self.sigmas[1:])):
@@ -117,8 +117,6 @@ class RunConfig:
             preset(self.criterion)
         except ValueError as exc:
             raise ConfigError(f"criterion.name {self.criterion!r}: {exc}") from exc
-        for sigma in self.sigmas:
-            self.model_spec(sigma)
         if self.bins is not None and self.bins < 1:
             raise ConfigError("output.bins must be at least 1")
         radii = np.asarray(self.oracle_radii, dtype=float)
@@ -438,6 +436,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"hedge solves one constraint set, not {len(cfg.sets)}")
         if args.command in ("curve", "hedge") and cfg.measure_csv:
             raise ConfigError(f"model.measure_csv is read by oracle only, not {args.command}")
+        if args.command in ("curve", "hedge"):   # each model it builds; oracle builds none
+            for sigma in cfg.sigmas if args.command == "curve" else (args.sigma,):
+                cfg.model_spec(sigma)
         if args.command == "selfcheck" and (args.config or overrides):
             raise ConfigError("selfcheck checks fixed inputs and reads no configuration (--measure "
                               f"is its one input), got {', '.join(sorted(overrides)) or args.config}")

@@ -5,14 +5,14 @@ with the inner conditioning realized on a bin partition of the second
 marginal.  On zero-mean functions it is a strict contraction whenever the
 two stages share no common nontrivial information at grid scale; the hedge
 component of the martingale-plus-marginal sensitivity solves
-(I - K) h = rhs on that subspace, by one direct solve of the projected
-system.  At a norm of ``REGULARIZE_GATE`` or more the hedge layer uses the
-minimum-norm ``solve_regularized`` instead.
+(I - K) h = rhs on that subspace.  K has rank at most the bin count m, so
+the gates and solves work on m x m matrices.  At a norm of
+``REGULARIZE_GATE`` or more the hedge layer uses the minimum-norm
+``solve_regularized`` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,37 +27,62 @@ class FredholmError(ValueError):
     """Operator assembly or solve failed a structural check."""
 
 
-@dataclass(frozen=True)
 class FredholmOperator:
-    """Discrete kernel of E1 o E2 through bins.
+    """Discrete kernel of E1 o E2 through bins, from the n1 x m row-by-bin weights C.
 
-    ``K[i, i'] = sum_b P(bin b | X1 = x1[i]) P(X1 = x1[i'] | bin b)``.
-    Row sums equal one and ``w1`` is a left fixed vector, so K preserves
-    both constants and the mu1-mean.
+    ``K[i, i'] = sum_b P(bin b | X1 = x1[i]) P(X1 = x1[i'] | bin b)``, that is
+    ``D_r^-1 C D_b^-1 C^T`` for row sums r and bin sums b.  The runtime works
+    on the symmetric m x m ``B0 = Z^T Z - t t^T``, ``Z = D_r^-1/2 C D_b^-1/2``
+    and ``t = sqrt(b / sum b)``, whose nonzero eigenvalues are K's on
+    zero-mean functions; K is formed only on request.  K preserves constants
+    and the mu1-mean (``w1``): in bin space both read ``B t = t``.
     """
 
-    K: np.ndarray
-    w1: np.ndarray
+    def __init__(self, C: np.ndarray):
+        r, b = C.sum(axis=1), C.sum(axis=0)
+        if np.any(r <= 0) or np.any(b <= 0):
+            raise FredholmError("a row of atoms or a bin has zero weight")
+        self.C, self.r, self.b, self.w1 = C, r, b, r / r.sum()
+        self.Z = C / np.sqrt(r)[:, None] / np.sqrt(b)[None, :]
+        B, t = self.Z.T @ self.Z, np.sqrt(b / b.sum())
+        if not np.max(np.abs(B @ t - t)) <= 1e-12:
+            raise FredholmError("operator does not preserve constants and the mu1-mean")
+        self.B0 = B - np.outer(t, t)
+        self._passed = np.inf       # the lowest gate the norm is known to be below
 
-    @property
-    def n1(self) -> int:
-        return self.w1.size
+    @cached_property
+    def K(self) -> np.ndarray:
+        """The n1 x n1 kernel, for the checks and the regularized solve."""
+        return (self.C / self.r[:, None]) @ (self.C / self.b[None, :]).T
 
     def zero_mean_matrix(self) -> np.ndarray:
         """K restricted to zero-mean input: K - 1 w1^T."""
-        return self.K - np.outer(np.ones(self.n1), self.w1)
+        return self.K - np.outer(np.ones_like(self.w1), self.w1)
 
     @cached_property
     def norm(self) -> float:
-        """Operator norm of K on mu1-weighted zero-mean functions, computed once.
+        """Operator norm of K on mu1-weighted zero-mean functions, computed once:
+        K is self-adjoint in L2(mu1), and B0 shares its eigenvalues there."""
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.B0))))
 
-        K is self-adjoint in L2(mu1), so ``W^(1/2) K0 W^(-1/2)`` (W = diag(w1))
-        is symmetric up to rounding; it annihilates sqrt(w1), the image of the
-        constants, and its largest absolute eigenvalue is the norm.
-        """
-        d = np.sqrt(self.w1)
-        M = (self.zero_mean_matrix() * (1.0 / d)[None, :]) * d[:, None]
-        return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
+    def below(self, gate: float) -> bool:
+        """Whether the norm is below ``gate``: one Cholesky of ``gate I - B0``,
+        none once the norm is known to be below a gate no higher."""
+        if gate < self._passed:
+            try:
+                np.linalg.cholesky(gate * np.eye(len(self.B0)) - self.B0)
+            except np.linalg.LinAlgError:
+                return False
+            self._passed = gate
+        return True
+
+    def solve_weighted(self, d: np.ndarray, r2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``(diag(d) - diag(r2) K) h = rhs`` for 0 < r2 < d by Woodbury:
+        one m x m solve of ``I - Z^T diag(r2 / d) Z``."""
+        g, s = rhs / d, np.sqrt(self.r)
+        W = self.Z * np.sqrt(r2 / d)[:, None]
+        y = np.linalg.solve(np.eye(len(self.B0)) - W.T @ W, self.Z.T @ (s * g))
+        return g + r2 / (d * s) * (self.Z @ y)
 
 
 def build_operator(bins: Binning, weights: np.ndarray | None = None) -> FredholmOperator:
@@ -67,19 +92,8 @@ def build_operator(bins: Binning, weights: np.ndarray | None = None) -> Fredholm
     mu = bins.mu
     weights = mu.atom_masses() if weights is None else weights
     rows = np.repeat(np.arange(mu.n1), mu.n2)
-    C = np.bincount(rows * bins.m + bins.index.ravel(), weights.ravel(),
-                    mu.n1 * bins.m).reshape(mu.n1, bins.m)
-    r, b = C.sum(axis=1), C.sum(axis=0)
-    if np.any(r <= 0) or np.any(b <= 0):
-        raise FredholmError("a row of atoms or a bin has zero weight")
-    # P(bin | x1 = i) times P(x1 = i' | bin)
-    K = (C / r[:, None]) @ (C / b[None, :]).T
-    w1 = r / r.sum()
-    if np.max(np.abs(K.sum(axis=1) - 1.0)) > 1e-12:
-        raise FredholmError("operator rows do not sum to one")
-    if np.max(np.abs(w1 @ K - w1)) > 1e-12:
-        raise FredholmError("operator does not preserve the mu1-mean")
-    return FredholmOperator(K, w1)
+    return FredholmOperator(np.bincount(rows * bins.m + bins.index.ravel(), weights.ravel(),
+                                        mu.n1 * bins.m).reshape(mu.n1, bins.m))
 
 
 def contraction_norm(op: FredholmOperator) -> float:
@@ -97,23 +111,25 @@ def counterexample_violation() -> float:
 
 
 def solve(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - K) h = rhs on the zero-mean subspace by one direct solve
-    of the projected system.
+    """Solve (I - K) h = rhs on the zero-mean subspace by Woodbury:
+    ``h = rhs + D_r^-1/2 Z y`` with ``(I - B0) y = Z^T D_r^1/2 rhs``.
 
-    Raises when the norm is 1 to rounding (at least ``SINGULAR_GATE``): I - K0
-    is then singular on the zero-mean subspace, and a direct solve can return
-    a huge h at a small residual.  ``solve_regularized`` answers there.
+    Raises when the norm is 1 to rounding (not below ``SINGULAR_GATE``):
+    I - K0 is then singular on the zero-mean subspace, and a direct solve can
+    return a huge h at a small residual.  ``solve_regularized`` answers there.
     """
     rhs = np.asarray(rhs, dtype=float)
     if abs(float(op.w1 @ rhs)) > 1e-10:
         raise FredholmError("right-hand side must have zero mu1-mean")
-    if op.norm >= SINGULAR_GATE:
-        raise FredholmError(f"contraction norm {op.norm!r} is 1 to rounding: "
+    if not op.below(SINGULAR_GATE):
+        raise FredholmError(f"contraction norm {contraction_norm(op)!r} is 1 to rounding: "
                             "I - K is singular on zero-mean functions")
+    s = np.sqrt(op.r)
     try:
-        h = np.linalg.solve(np.eye(op.n1) - op.zero_mean_matrix(), rhs)
+        y = np.linalg.solve(np.eye(len(op.B0)) - op.B0, op.Z.T @ (s * rhs))
     except np.linalg.LinAlgError as exc:
         raise FredholmError(f"direct solve failed: {exc}") from exc
+    h = rhs + (op.Z @ y) / s
     return h - float(op.w1 @ h)
 
 
@@ -129,7 +145,7 @@ def certificate(op: FredholmOperator, rhs: np.ndarray) -> tuple[float, float]:
         neumann = neumann + term
         if float(np.max(np.abs(term))) < 1e-13:
             break
-    residual = float(np.max(np.abs((np.eye(op.n1) - K0) @ h - rhs)))
+    residual = float(np.max(np.abs((np.eye(op.w1.size) - K0) @ h - rhs)))
     return residual, float(np.max(np.abs(neumann - h)))
 
 
@@ -138,5 +154,5 @@ def solve_regularized(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     rhs = rhs - float(op.w1 @ rhs)
     K0 = op.zero_mean_matrix()
-    h, *_ = np.linalg.lstsq(np.eye(op.n1) - K0, rhs, rcond=1e-10)
+    h, *_ = np.linalg.lstsq(np.eye(op.w1.size) - K0, rhs, rcond=1e-10)
     return h - float(op.w1 @ h)

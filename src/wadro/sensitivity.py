@@ -177,7 +177,7 @@ class PointState:
     Built once and passed to ``solve_foc`` for each set: the gradient field
     in the ball's form (``S1``, ``S2``, read-only), the binning ``bins`` (the
     one passed in, else mu's quantile binning into n2 bins on first use) and
-    mu's Fredholm operator ``op``, built on first use with its norm cached.
+    mu's Fredholm operator ``op``, built on first use.
     """
 
     def __init__(self, mu: GridMeasure, G: GradientField, metric: Metric,
@@ -255,12 +255,11 @@ class _HedgeMap:
             self.bins = state.bins
             if cs.martingale:
                 self.op = state.op
-            if cs.martingale and cs.marginal1:
+            if cs.martingale and cs.marginal1 and not self.op.below(fredholm.REGULARIZE_GATE):
                 contraction = fredholm.contraction_norm(self.op)
-                if contraction >= fredholm.REGULARIZE_GATE:
-                    self.warnings.append(
-                        f"informational-discrepancy contraction {contraction:.6f} >= "
-                        f"{fredholm.REGULARIZE_GATE}; using regularized hedge solve")
+                self.warnings.append(
+                    f"informational-discrepancy contraction {contraction:.6f} >= "
+                    f"{fredholm.REGULARIZE_GATE}; using regularized hedge solve")
         a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
 
         def partials(c):
@@ -367,12 +366,12 @@ class _HedgeMap:
                 if cs.marginal1:
                     rhs = rhs / d
                     rhs = rhs - float(op.w1 @ rhs)
-                    if op.norm >= fredholm.REGULARIZE_GATE:
+                    if not op.below(fredholm.REGULARIZE_GATE):
                         dh = fredholm.solve_regularized(op, rhs)
                     else:
                         dh = fredholm.solve(op, rhs)
                 else:
-                    dh = np.linalg.solve(np.diag(d) - r2[:, None] * op.K, rhs)
+                    dh = op.solve_weighted(d, r2, rhs)
                 df2 = df2 - self.bins.sums(D2 * dh[:, None]) / b2
         if cs.marginal1:
             df1 = g1 / r1 if dh is None else g1 / r1 - self.c1 * dh

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wadro
-from wadro import cli, sensitivity
+from wadro import cli, measure, sensitivity
 from wadro.criterion import gradient_field, preset, value
 from wadro.measure import ModelSpec, build_model, canonical_test_measure, quantile_bins, to_csv
 from wadro.svgplot import line_chart
@@ -41,7 +41,7 @@ def test_bad_config_exit_code(tmp_path):
     ["hedge", "--sigma", "0.5", "--set", "metric.ball=foo"],
     ["hedge", "--sigma", "0.5", "--set", "constraints.sets=martingale,marginal"],
     ["curve", "--set", "model.family=custom"],
-    ["hedge", "--sigma", "0.5", "--set", "model.family=custom"],
+    ["hedge", "--sigma", "0.5", "--set", "model.family=custom"], ["hedge", "--sigma", "-1"],
     ["curve", "--set", "criterion.name=american_put:K=abc"],
     ["curve", "--set", "criterion.name=foo"],
     ["oracle", "--set", "oracle.radii=-0.1,0.1,0.2"],
@@ -193,6 +193,16 @@ def test_gauss_hermite_grid_numpy_cannot_build_exits_bad_config(tmp_path, n):
     assert proc.returncode == cli.EXIT_BAD_CONFIG and proc.stdout == "" and not out.exists()
     assert proc.stderr == (f"bad configuration: numpy's gauss_hermite rule has weights that are "
                            f"not finite and positive at n = {n}; use fewer nodes\n")
+
+
+def test_oracle_computes_no_quadrature(tmp_path, monkeypatch):
+    # oracle reads the canned measure or model.measure_csv, so no sigma
+    # point's model is built, not even to validate it
+    calls, nodes = [], measure._cached_nodes
+    monkeypatch.setattr(measure, "_cached_nodes", lambda *a: calls.append(a) or nodes(*a))
+    assert run_cli(["oracle", "--set", "criterion.name=linear:x2", "--out", str(tmp_path)]) \
+        == cli.EXIT_OK
+    assert calls == []
 
 
 def test_line_chart_without_finite_points():

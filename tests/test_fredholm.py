@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wadro.fredholm import (FredholmError, FredholmOperator, build_operator, certificate,
-                            contraction_norm, solve, solve_regularized)
+from wadro.fredholm import (REGULARIZE_GATE, SINGULAR_GATE, FredholmError, FredholmOperator,
+                            build_operator, certificate, contraction_norm, solve,
+                            solve_regularized)
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            quantile_bins, sign_copy_measure)
 from wadro.criterion import GradientField, american_put, gradient_field
@@ -73,10 +74,8 @@ def test_contraction_power_iteration_matches_svd():
 def test_contraction_permutation_invariant():
     mu = build_model(ModelSpec("black_scholes", 0.7, 16, 16))
     op = build_operator(quantile_bins(mu, 16))
-    rng = np.random.default_rng(3)
-    perm = rng.permutation(16)
-    P = np.eye(16)[perm]
-    op2 = FredholmOperator(P @ op.K @ P.T, op.w1[perm])
+    perm = np.random.default_rng(3).permutation(16)
+    op2 = FredholmOperator(op.C[perm])
     assert abs(contraction_norm(op) - contraction_norm(op2)) <= 1e-10
 
 
@@ -155,13 +154,28 @@ def test_solve_refuses_an_operator_of_norm_one():
 
 
 
-def _near_gate_measure():
-    # two rows that each leak 0.03 % of their mass across the bin edge at 0:
-    # a well-posed operator of norm 0.9988, just under REGULARIZE_GATE
+def _near_gate_measure(leak=3e-4):
+    # two rows that each leak the share ``leak`` of their mass across the bin
+    # edge at 0: a well-posed operator of norm 1 - 4 leak, 0.9988 by default,
+    # just under REGULARIZE_GATE
     x2 = np.array([[-2.0, -1.0, 0.5], [-0.5, 1.0, 2.0]])
-    q = np.array([[0.49985, 0.49985, 0.0003], [0.0003, 0.49985, 0.49985]])
+    a = 0.5 - leak / 2
+    q = np.array([[a, a, leak], [leak, a, a]])
     return GridMeasure(np.sum(q * x2, axis=1), np.array([0.5, 0.5]), x2, q,
                        is_martingale=True)
+
+
+@pytest.mark.parametrize("mu, m", [(_near_gate_measure(), 2), (_near_gate_measure(1e-5), 2),
+                                   (sign_copy_measure(64), 64), (sign_copy_measure(200), 200),
+                                   (sign_copy_measure(200), 400)],
+                         ids=["near_gate", "between_gates", "sign_copy_64", "sign_copy_200",
+                              "sign_copy_200_fine"])
+def test_gate_agrees_with_the_norm(mu, m):
+    # norms 0.9988, 0.99996, 1 to rounding, 0.995 (the 200 bins merge) and
+    # 1 to rounding; a gate below one that passed still takes its Cholesky
+    op = build_operator(quantile_bins(mu, m))
+    gates = (SINGULAR_GATE, REGULARIZE_GATE, 0.5, REGULARIZE_GATE, SINGULAR_GATE)
+    assert [op.below(g) for g in gates] == [op.norm < g for g in gates]
 
 
 def test_solve_near_the_gate():

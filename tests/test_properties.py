@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from lattice import LP_SETS, lattice_measure, linprog_rows
 from report_sweep import constraint_sets
 from wadro.criterion import GradientField, gradient_field, linear_criterion
+from wadro.fredholm import REGULARIZE_GATE, SINGULAR_GATE, build_operator, solve
 from wadro.measure import GridMeasure, quantile_bins
 from wadro.oracle import (FAMILY_RTOL, DiscreteBallProblem, default_target_support,
                           family_check, transport_lp)
@@ -64,6 +65,31 @@ def test_family_check_realizes_the_value(grid, cs, p):
     if rep.converged:
         out = family_check(c, state, cs, rep)
         assert out["error"] <= FAMILY_RTOL and out["residual"] <= 1e-12, out
+
+
+@given(binned_grids())
+def test_fredholm_bin_space_matches_the_dense_path(grid):
+    # on the drawn bins (often m < n1) and on bins as fine as the atoms
+    # (m > n1), reweighted at random: each gate's Cholesky agrees with the
+    # norm, and both Woodbury solves with the n1 x n1 ones, to 1e-12 up to
+    # REGULARIZE_GATE and by the condition number beyond it
+    mu, bins, rng = grid
+    weights = mu.atom_masses() * rng.uniform(0.1, 10.0, mu.x2.shape)
+    gates = (SINGULAR_GATE, REGULARIZE_GATE, 0.5, SINGULAR_GATE)
+    for b in (bins, quantile_bins(mu, mu.n1 * mu.n2)):
+        op = build_operator(b, weights)
+        assert [op.below(g) for g in gates] == [op.norm < g for g in gates]
+        rhs = rng.normal(size=mu.n1)
+        r2 = op.r * rng.uniform(0.5, 2.0, mu.n1)
+        d = r2 * rng.uniform(1.05, 3.0, mu.n1)
+        dense = np.linalg.solve(np.diag(d) - r2[:, None] * op.K, rhs)
+        assert np.max(np.abs(op.solve_weighted(d, r2, rhs) - dense)) \
+            <= 1e-12 * np.max(np.abs(dense))
+        if op.norm < SINGULAR_GATE:
+            rhs -= float(op.w1 @ rhs)
+            dense = np.linalg.solve(np.eye(mu.n1) - op.zero_mean_matrix(), rhs)
+            assert np.max(np.abs(solve(op, rhs) - dense)) \
+                <= 1e-12 * max(1.0, 1e-3 / (1.0 - op.norm)) * np.max(np.abs(dense))
 
 
 @given(binned_grids())

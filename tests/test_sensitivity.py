@@ -307,9 +307,7 @@ def test_mart_marginal_with_underflowing_atom_masses():
         assert rep.converged and np.isfinite(rep.value), p
 
 
-def test_p2_mart_marginal_builds_one_operator(monkeypatch):
-    # the warm start's weights 2 mw give mu's own operator bit for bit, so
-    # the solve reuses it and its norm instead of building a second one
+def _count_operators_and_eigenproblems(monkeypatch) -> dict:
     calls = {"operator": 0, "eigvalsh": 0}
 
     def counted(name, fn):
@@ -321,11 +319,32 @@ def test_p2_mart_marginal_builds_one_operator(monkeypatch):
     monkeypatch.setattr(fredholm, "FredholmOperator",
                         counted("operator", fredholm.FredholmOperator))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
-    rep = solve_foc(PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD,
-                               quantile_bins(mu, 32)), BOTH)
+    return calls
+
+
+def test_p2_mart_marginal_builds_one_operator(monkeypatch):
+    # the warm start's weights 2 mw give mu's own operator bit for bit, so
+    # the solve reuses it instead of building a second one; its gates are
+    # Choleskys, so no eigenproblem runs
+    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))     # hermegauss is an eigenproblem
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD,
+                       quantile_bins(mu, 32))
+    calls = _count_operators_and_eigenproblems(monkeypatch)
+    rep = solve_foc(state, BOTH)
     assert rep.converged and rep.iterations == 0
-    assert calls == {"operator": 1, "eigvalsh": 1}
+    assert calls == {"operator": 1, "eigvalsh": 0}
+
+
+def test_general_p_newton_steps_solve_no_eigenproblem(monkeypatch):
+    # every p != 2 Newton step builds a reweighted operator and gates its
+    # solve without the norm
+    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu),
+                       Metric("wp_adapted", 1.5), quantile_bins(mu, 32))
+    calls = _count_operators_and_eigenproblems(monkeypatch)
+    rep = solve_foc(state, BOTH)
+    assert rep.converged and rep.iterations > 0
+    assert calls["operator"] >= rep.iterations and calls["eigvalsh"] == 0
 
 
 def test_point_state_refuses_another_measures_binning():
