@@ -15,7 +15,7 @@ from .fredholm import (FredholmError, FredholmOperator, build_operator,
                        contraction_norm, solve)
 from .oracle import (Coupling, DiscreteBallProblem, FeasibleFamily, OracleError,
                      bicausal_distance, classical_distance,
-                     default_target_support, dro_lp, family_check, family_slope,
+                     default_target_support, dro_lp, family_check,
                      feasible_family, oracle_report, slope_estimate)
 
 __version__ = "0.1.0"

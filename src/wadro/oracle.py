@@ -49,7 +49,7 @@ class DiscreteBallProblem:
     radius: float
     p: float = 2.0
     constraints: ConstraintSet = ConstraintSet()    # the perturbed law keeps them
-    objective: object = None            # callable (y1, y2) -> value, or (N_t,) array
+    objective: object = None            # callable (y1, y2) -> values
 
     def __post_init__(self):
         tgt = np.atleast_2d(np.asarray(self.target_support, dtype=float))
@@ -59,16 +59,12 @@ class DiscreteBallProblem:
             raise OracleError("radius must be nonnegative")
         if not (self.p >= 1):
             raise OracleError("need p >= 1")
+        if not callable(self.objective):
+            raise OracleError("the objective must be a callable (y1, y2) -> values")
         object.__setattr__(self, "target_support", tgt)
 
     def objective_values(self) -> np.ndarray:
-        if callable(self.objective):
-            return np.asarray(self.objective(self.target_support[:, 0],
-                                             self.target_support[:, 1]), dtype=float)
-        vals = np.asarray(self.objective, dtype=float)
-        if vals.shape != (self.target_support.shape[0],):
-            raise OracleError("objective values must match the target support")
-        return vals
+        return np.asarray(self.objective(*self.target_support.T), dtype=float)
 
 
 def _snap_to(values: np.ndarray, atoms: np.ndarray, err: str) -> np.ndarray:
@@ -400,10 +396,12 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
 
     F is the sensitivity solve's hedge map, whose directions are the
     constraints' own derivatives.  Newton solves for u_r with the derivative
-    at zero, the hedge map's residual of its own field, built once and
-    pseudo-inverted: with M+m1+m2 it has one null direction (f1 + c, f2 - c,
-    h + c), which moves no atom.  theta1 must be a function of x1, as the
-    adapted ball's directions are.  The messages start with the hedge map's.
+    at zero, the hedge map's residual of its own field: ``diag(1/w1, 1/mass,
+    1/w1, 1) A^T diag(mw) A``, inverted by the hedge map's own block solve.
+    With M+m1+m2 it has one null direction (f1 + c, f2 - c, h + c), which
+    moves no atom and which the zero-mean Fredholm solve leaves out.  theta1
+    must be a function of x1, as the adapted ball's directions are.  The
+    messages start with the hedge map's.
     """
     mu = state.mu
     if not state.metric.adapted:
@@ -428,22 +426,23 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
         return np.concatenate(out + [[np.sum(mw * f(c.fn(a, x2))) for c in cs.mean_phi]])
 
     sizes = [0 if v is None else v.size for v in hedges.u]
+    weights = (mu.w1, None if bins is None else bins.mass, mu.w1, 1.0)
 
-    def field(v):
+    def split(v):
         parts = np.split(v, np.cumsum(sizes)[:-1])
-        return hedges.field(tuple(None if z is None else p for z, p in zip(hedges.u, parts)))
+        return tuple(None if z is None else p for z, p in zip(hedges.u, parts))
 
-    def derivative(v):
-        return np.concatenate(list(hedges.residual(*field(v)).values()))
+    def newton(g):  # the derivative's inverse applied to the constraint gap g
+        b = tuple(None if p is None else w * p for w, p in zip(weights, split(g)))
+        return np.concatenate([z for z in hedges.solve(b, mw, mw, hedges.op) if z is not None])
 
     n = sum(sizes)      # as many constraints as multipliers
-    J_inv = np.linalg.pinv(np.reshape([derivative(e) for e in np.eye(n)], (n, n)).T)
     target, scale = constraints(mu.x1, mu.x2), 1.0 + constraints(mu.x1, mu.x2, np.abs)
     measures, mults, resids, warns = [], [], [], list(hedges.warnings)
     for r in r_list:
         v, res = np.zeros(n), np.inf
         for its in range(NEWTON_MAX_ITER + 1):
-            F = field(v)
+            F = hedges.field(split(v))
             step = (r * t1 + F[0][:, 0], r * t2 + F[1])
             g = constraints(mu.x1 + step[0], mu.x2 + step[1]) - target
             new = float(np.max(np.abs(g) / scale, initial=0.0))
@@ -452,7 +451,7 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
             res, u, (F1, F2), (d1, d2) = new, v, F, step
             if res == 0.0:
                 break
-            v = v - J_inv @ g
+            v = v - newton(g)
         # a residual res moves a difference quotient at r by about res / r
         if res > NEWTON_RTOL * r:
             warns.append(f"Newton stopped at r={r:g} with residual {res:.3e}; family truncated")
@@ -478,33 +477,23 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
                           tuple(mults), tuple(resids), tuple(warns))
 
 
-def family_slope(c: Criterion, mu, family: FeasibleFamily) -> float:
-    """Difference quotient of the criterion along the family.
-
-    With two radii r and r/2 in the list, Richardson extrapolation removes
-    the first-order error in r.
-    """
-    base = criterion_value(c, mu)
-    slopes = [(criterion_value(c, nu) - base) / r
-              for r, nu in zip(family.r_list, family.measures)]
-    if not slopes:
-        raise OracleError("empty feasible family")
-    if len(slopes) >= 2 and abs(family.r_list[1] * 2 - family.r_list[0]) < 1e-15:
-        return 2.0 * slopes[1] - slopes[0]
-    return slopes[-1]
-
-
 def family_check(c: Criterion, state: PointState, cs: ConstraintSet, report) -> dict:
     """The displacement family along the report's direction T, JSON-ready.
 
     ``state`` holds the gradient of ``c`` and ``report`` is its solve for
-    ``cs``.  Returns the Richardson slope at ``FAMILY_RADII`` (NaN when the
-    family is truncated), the largest constraint residual, the family's
-    messages, and the slope's error against the report's value relative to
-    max(value, |S|_L2(mu)), which ``FAMILY_RTOL`` bounds.
+    ``cs``.  Returns the Richardson slope ``2 s(r/2) - s(r)`` of the
+    difference quotients s at ``FAMILY_RADII`` = (r, r/2), which removes
+    their first-order error in r (NaN when the family is truncated), the
+    largest constraint residual, the family's messages, and the slope's
+    error against the report's value relative to max(value, |S|_L2(mu)),
+    which ``FAMILY_RTOL`` bounds.
     """
     fam = feasible_family(state, cs, (report.T1, report.T2), FAMILY_RADII)
-    slope = family_slope(c, state.mu, fam) if fam.r_list == FAMILY_RADII else float("nan")
+    slope = float("nan")
+    if fam.r_list == FAMILY_RADII:
+        base = criterion_value(c, state.mu)
+        s = [(criterion_value(c, nu) - base) / r for r, nu in zip(fam.r_list, fam.measures)]
+        slope = 2.0 * s[1] - s[0]
     scale = max(report.value, _norm(state.mu.atom_masses(), state.S1, state.S2, W2AD))
     return {"slope": slope, "error": abs(slope - report.value) / scale,
             "residual": max((res["constraint"] for res in fam.residuals), default=float("nan")),

@@ -232,11 +232,14 @@ class _HedgeMap:
 
     The multipliers ``u = (f1, f2, h, lam)`` (None when inactive) give the
     hedge field ``F1 = f1(x1) + c1 h(x1) + sum_a lam_a d1phi_a``,
-    ``F2 = f2(bin(x2)) + c2 h(x1) + sum_a lam_a d2phi_a``.  h hedges the
-    conditional constraint with the per-row weight ``c1 = E1[d1 psi]`` and
-    the per-atom weight ``c2 = d2 psi``; the martingale is psi = x2 - x1,
-    with c1 = -1 and the unit c2 left implicit (``c2`` None).  With the
-    martingale and second-marginal flags, ``op`` is mu's Fredholm operator.
+    ``F2 = f2(bin(x2)) + c2 h(x1) + sum_a lam_a d2phi_a``, written ``A u``.
+    h hedges the conditional constraint with the per-row weight
+    ``c1 = E1[d1 psi]`` and the per-atom weight ``c2 = d2 psi``; the
+    martingale is psi = x2 - x1, with c1 = -1 and c2 = 1.  ``adjoint`` is
+    ``A^T`` and ``solve`` inverts ``A^T diag(D) A``; at D = mu's masses,
+    scaled by (1/w1, 1/bin mass, 1/w1, 1), that is the derivative of
+    ``residual`` along the field.  With the martingale and second-marginal
+    flags, ``op`` is mu's Fredholm operator.
     """
 
     def __init__(self, state: PointState, cs: ConstraintSet):
@@ -274,7 +277,7 @@ class _HedgeMap:
             self.phi.append((p1, p2))
         self.c1 = self.c2 = None
         if cs.martingale:
-            self.c1 = -np.ones(mu.n1)
+            self.c1, self.c2 = -np.ones(mu.n1), np.ones_like(mu.x2)
         elif cs.cond_psi is not None:
             if not state.metric.adapted:
                 raise SensitivityError("conditional constraints require the adapted ball")
@@ -314,7 +317,7 @@ class _HedgeMap:
                 F2 += la * p2
         if h is not None:
             F1 += (self.c1 * h)[:, None]
-            F2 += h[:, None] if self.c2 is None else self.c2 * h[:, None]
+            F2 += self.c2 * h[:, None]
         return F1, F2
 
     def residual(self, T1, T2):
@@ -324,34 +327,40 @@ class _HedgeMap:
         if self.cs.marginal2:
             comps["m2"] = self.bins.e2(T2)
         if self.c1 is not None:
-            comps["h"] = cond_exp_1(self.mu, T2 - T1 if self.c2 is None
-                                    else self.c1[:, None] * T1 + self.c2 * T2)
+            comps["h"] = cond_exp_1(self.mu, self.c1[:, None] * T1 + self.c2 * T2)
         if self.phi:
             comps["phi"] = np.array([np.sum(self.mw * (p1 * T1 + p2 * T2)) for p1, p2 in self.phi])
         return comps
 
-    def _solve_u(self, G1, G2, D1, D2, op):
-        """The (f1, f2, h) block of ``A^T diag(D) A du = A^T G``; lam stays None.
+    def adjoint(self, G1, G2):
+        """``A^T G`` for per-atom values G1, G2: per row (f1), per bin (f2),
+        per row against (c1, c2) (h) and against each mean constraint (lam)."""
+        g1 = G1.sum(axis=1)
+        return (g1 if self.cs.marginal1 else None,
+                self.bins.sums(G2) if self.cs.marginal2 else None,
+                None if self.c1 is None else (self.c2 * G2).sum(axis=1) + self.c1 * g1,
+                np.array([np.sum(p1 * G1 + p2 * G2) for p1, p2 in self.phi]) if self.phi
+                else None)
+
+    def _solve_u(self, b, D1, D2, op):
+        """The (f1, f2, h) block of ``A^T diag(D) A du = b``; lam stays None.
 
         f2 eliminates bin by bin.  c1 is constant on each row, so f1 absorbs
         h's first component.  h is left with ``diag(d) - diag(r2) K_D``, K_D
-        the conditional-expectation operator of the measure reweighted by D2
-        (``op`` when the caller has it): with f1, ``r2 (I - K_D)`` on
-        zero-mean functions.  f2 meets no h but the martingale's, whose c2 is
-        one.
+        the conditional-expectation operator ``op`` of the measure reweighted
+        by D2: with f1, ``r2 (I - K_D)`` on zero-mean functions, whose null
+        direction (f1 + c, f2 - c, h + c) moves no atom.  f2 meets no h but
+        the martingale's, whose c2 is one.
         """
         cs = self.cs
-        g1, r1 = G1.sum(axis=1), D1.sum(axis=1)
+        g1, g2, rhs, _ = b
+        r1 = D1.sum(axis=1)
         df1 = df2 = dh = None
         if cs.marginal2:
             b2 = self.bins.sums(D2)
-            df2 = self.bins.sums(G2) / b2
+            df2 = g2 / b2
         if self.c1 is not None:
-            if self.c2 is None:
-                rhs, r2 = G2.sum(axis=1), D2.sum(axis=1)
-            else:
-                rhs, r2 = np.sum(self.c2 * G2, axis=1), np.sum(D2 * self.c2 ** 2, axis=1)
-            rhs = rhs + self.c1 * g1
+            r2 = (D2 * self.c2 ** 2).sum(axis=1)
             if cs.marginal2:
                 rhs = rhs - np.sum(D2 * df2[self.bins.index], axis=1)
             if cs.marginal1:    # f1 takes c1 g1 and c1^2 r1 back out
@@ -360,49 +369,46 @@ class _HedgeMap:
                 d = self.c1 * self.c1 * r1 + r2
             if not cs.marginal2:
                 dh = rhs / d
+            elif not cs.marginal1:
+                dh = op.solve_weighted(d, r2, rhs)
             else:
-                if op is None:
-                    op = fredholm.build_operator(self.bins, D2)
-                if cs.marginal1:
-                    rhs = rhs / d
-                    rhs = rhs - float(op.w1 @ rhs)
-                    if not op.below(fredholm.REGULARIZE_GATE):
-                        dh = fredholm.solve_regularized(op, rhs)
-                    else:
-                        dh = fredholm.solve(op, rhs)
-                else:
-                    dh = op.solve_weighted(d, r2, rhs)
+                rhs = rhs / d
+                solver = (fredholm.solve if op.below(fredholm.REGULARIZE_GATE)
+                          else fredholm.solve_regularized)
+                dh = solver(op, rhs - float(op.w1 @ rhs))
+            if cs.marginal2:
                 df2 = df2 - self.bins.sums(D2 * dh[:, None]) / b2
         if cs.marginal1:
             df1 = g1 / r1 if dh is None else g1 / r1 - self.c1 * dh
         return df1, df2, dh, None
 
-    def _complement(self, D1, D2, op=None):
+    def _complement(self, D1, D2, op):
         """Schur complement of the (f1, f2, h) block in ``A^T diag(D) A``,
         and that block's solves against each mean constraint's column."""
-        Z = [self._solve_u(D1 * p1, D2 * p2, D1, D2, op) for p1, p2 in self.phi]
-        E = [self.field(z) for z in Z]
-        S = np.array([[np.sum(D1 * q1 * (p1 - e1) + D2 * q2 * (p2 - e2))
-                       for (p1, p2), (e1, e2) in zip(self.phi, E)] for q1, q2 in self.phi])
-        return S, Z
+        cols = [self.adjoint(D1 * p1, D2 * p2) for p1, p2 in self.phi]
+        Z = [self._solve_u(b, D1, D2, op) for b in cols]
+        return np.column_stack([b[3] - self._lam_rows(D1, D2, z) for b, z in zip(cols, Z)]), Z
 
-    def correction(self, G1, G2, D1, D2, op=None):
-        """Solve ``A^T diag(D) A du = A^T G`` for the hedge map A.
+    def _lam_rows(self, D1, D2, u):
+        """The mean constraints' rows of ``A^T diag(D) A`` applied to u."""
+        F1, F2 = self.field(u)
+        return np.array([np.sum(p1 * D1 * F1 + p2 * D2 * F2) for p1, p2 in self.phi])
 
-        D1, D2 are per-atom weights on F1, F2 and G1, G2 per-atom values; at
-        D = mw this is the p = 2 closed form.  The mean multipliers border
+    def solve(self, b, D1, D2, op=None):
+        """Solve ``A^T diag(D) A du = b`` for per-atom weights D1, D2 on F1, F2.
+
+        At D = mw this is the p = 2 closed form.  The mean multipliers border
         the (f1, f2, h) block: one block solve per mean constraint, then the
-        k x k Schur complement.
+        k x k Schur complement.  ``op``, the Fredholm operator of D2, is
+        built here when the caller has none.
         """
-        if op is None and self.op is not None and self.phi:
+        if op is None and self.op is not None:
             op = fredholm.build_operator(self.bins, D2)     # shared by the k + 1 block solves
-        du = self._solve_u(G1, G2, D1, D2, op)
+        du = self._solve_u(b, D1, D2, op)
         if not self.phi:
             return du
         S, Z = self._complement(D1, D2, op)
-        F1, F2 = self.field(du)
-        gl = [np.sum(p1 * (G1 - D1 * F1) + p2 * (G2 - D2 * F2)) for p1, p2 in self.phi]
-        dlam = np.linalg.solve(S, gl)
+        dlam = np.linalg.solve(S, b[3] - self._lam_rows(D1, D2, du))
         for la, z in zip(dlam, Z):
             du = _axpy(du, -la, z)
         return du[:3] + (dlam,)
@@ -489,7 +495,8 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
     # operator bit for bit unchanged: mu's own serves every p = 2 step
     if warm_start:
         G1, G2, D1, D2 = _newton_weights(mw, problem.S1_0, problem.S2_0, metric, 2.0, 0.0)
-        problem.u = _axpy(problem.u, -1.0, problem.correction(G1, G2, D1, D2, problem.op))
+        problem.u = _axpy(problem.u, -1.0, problem.solve(problem.adjoint(G1, G2), D1, D2,
+                                                         problem.op))
     converged = False
     for it in range(FOC_MAX_ITER + 1):
         F1, F2 = problem.field(problem.u)
@@ -502,7 +509,7 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
         if it == FOC_MAX_ITER:
             break
         G1, G2, D1, D2 = _newton_weights(mw, S1, S2, metric, pc, eps)
-        du = problem.correction(G1, G2, D1, D2, problem.op if pc == 2.0 else None)
+        du = problem.solve(problem.adjoint(G1, G2), D1, D2, problem.op if pc == 2.0 else None)
         t = 1.0
         if pc != 2.0:           # Armijo backtracking on the smoothed objective
             dF1, dF2 = problem.field(du)

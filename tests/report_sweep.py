@@ -14,11 +14,14 @@ error's type and message.
 
 ``--compare`` prints, per (constraint set, p), how many reports are
 byte-identical, the largest difference of each field, and every combination
-whose raised error changed.  Differences are relative to the field's largest
-entry, except that the direction T = (T1, T2), of unit norm, differs by the
-mass-weighted L^p norm of the difference, and the residual, the iteration
-count and the converged flag by their absolute differences.  Not collected
-by the test suite (no ``test_`` prefix).
+whose raised error changed.  The value differs relative to the larger of
+the two; the direction T = (T1, T2), of unit norm, by the mass-weighted L^p
+norm of the difference; the multipliers by mass-weighted norms relative to
+the report's |S|_L2(mu): h and f1 in L2(mu1), f2 in L2 of the bin masses,
+lambda in the max norm; and the residual, the iteration count and the
+converged flag by their absolute differences.  So a multiplier that is zero
+to rounding, or noise on a row of negligible mass, reads as no change.  Not
+collected by the test suite (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import pickle
 import numpy as np
 
 from wadro.criterion import gradient_field, preset
-from wadro.measure import ModelSpec, build_model, canonical_test_measure
+from wadro.measure import ModelSpec, build_model, canonical_test_measure, quantile_bins
 from wadro.sensitivity import (CondConstraint, ConstraintSet, MeanConstraint, Metric, PointState,
                                martingale_psi, solve_foc)
 
@@ -68,15 +71,20 @@ def measures():
 
 
 def sweep() -> dict:
-    """{"reports": {key: fields or error}, "masses": {measure name: atom masses}}."""
-    out, masses = {}, {}
+    """{"reports": {key: fields or error}, "masses": {measure name: atom masses},
+    "bin_masses": {measure name: masses of its n2 quantile bins},
+    "scales": {(measure, payoff, ball): |S|_L2(mu)}}."""
+    out, masses, bin_masses, scales = {}, {}, {}, {}
     sets = constraint_sets()
     payoffs = {name: preset(name) for name in ("american_put", "linear:x2^2")}
     for (mname, mu), (pname, crit) in itertools.product(measures(), payoffs.items()):
         G = gradient_field(crit, mu)
-        masses[mname] = mu.atom_masses()
+        masses[mname] = mw = mu.atom_masses()
+        bin_masses[mname] = quantile_bins(mu, mu.n2).mass
         for ball, p in itertools.product(("wp", "wp_adapted"), (1.5, 2.0, 3.0)):
             state = PointState(mu, G, Metric(ball, p))
+            scales[mname, pname, ball] = float(np.sqrt(np.sum(mw * (state.S1 ** 2
+                                                                    + state.S2 ** 2))))
             for label, cs in sets.items():
                 try:
                     rep = solve_foc(state, cs)
@@ -84,7 +92,7 @@ def sweep() -> dict:
                 except Exception as exc:    # recorded, so that changed errors show
                     entry = {"error": f"{type(exc).__name__}: {exc}"}
                 out[mname, pname, ball, p, label] = entry
-    return {"reports": out, "masses": masses}
+    return {"reports": out, "masses": masses, "bin_masses": bin_masses, "scales": scales}
 
 
 def _same(a, b) -> bool:
@@ -94,20 +102,28 @@ def _same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _diff(a, b, relative: bool) -> float:
+def _diff(a, b, weights=None, scale=None) -> float:
+    """The largest |a - b|, or its L2(weights) norm; relative to ``scale``,
+    else to the larger of |a| and |b| when ``scale`` is None."""
     if a is None or b is None:
         return 0.0 if a is b else float("inf")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return float("inf")
-    gap = float(np.max(np.abs(a - b), initial=0.0))
-    if gap == 0.0 or not relative:
+    if weights is None:
+        gap = float(np.max(np.abs(a - b), initial=0.0))
+    else:
+        gap = float(np.sqrt(np.sum(weights * (a - b) ** 2)))
+    if gap == 0.0 or scale == 0.0:
         return gap
-    return gap / max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    if scale is None:
+        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return gap / scale
 
 
 def compare(old: dict, new: dict) -> None:
-    masses, old, new = old["masses"], old["reports"], new["reports"]
+    masses, bin_masses, scales = new["masses"], new["bin_masses"], new["scales"]
+    old, new = old["reports"], new["reports"]
     groups = {}
     changed_errors = []
     for key in sorted(set(old) | set(new), key=str):
@@ -127,9 +143,13 @@ def compare(old: dict, new: dict) -> None:
         p, diff = key[3], group["diff"]
         gap = masses[key[0]] * (np.abs(a["T1"] - b["T1"]) ** p + np.abs(a["T2"] - b["T2"]) ** p)
         diff["T"] = max(diff["T"], float(np.sum(gap)) ** (1.0 / p))
-        for f in FIELDS:
-            if f not in ("T1", "T2"):
-                diff[f] = max(diff.get(f, 0.0), _diff(a[f], b[f], f not in ABSOLUTE))
+        w1, scale = masses[key[0]].sum(axis=1), scales[key[0], key[1], key[2]]
+        # per field: the L2 weights, if any, and the scale it is measured against
+        args = {"value": (), "f1": (w1, scale), "f2": (bin_masses[key[0]], scale),
+                "h_hat": (w1, scale), "lambda_hat": (None, scale),
+                **{f: (None, 1.0) for f in ABSOLUTE}}
+        for f, arg in args.items():
+            diff[f] = max(diff.get(f, 0.0), _diff(a[f], b[f], *arg))
     for (label, p), g in sorted(groups.items(), key=str):
         worst = " ".join(f"{f}={v:.1e}" for f, v in g["diff"].items() if v)
         print(f"{label:28s} p={p:<4} {g['identical']:4d}/{g['n']:<4d} byte-identical "

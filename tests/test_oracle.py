@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lattice import LP_SETS, lp_bytes
-from report_sweep import constraint_sets
+from report_sweep import PHI, constraint_sets
 from wadro.criterion import american_put, gradient_field, preset, value
 from wadro.measure import GridMeasure, ModelSpec, build_model, canonical_test_measure
 from wadro.oracle import (Coupling, DiscreteBallProblem, OracleError, bicausal_distance,
@@ -44,6 +44,14 @@ def test_dro_lp_zero_radius_recovers_value():
     tgt = default_target_support(mu, [0.1])
     v, _ = dro_lp(DiscreteBallProblem(mu, tgt, 0.0, 2.0, objective=_obj_y2))
     assert abs(v - value(preset("linear:x2"), mu)) <= 1e-10
+
+
+def test_problem_refuses_an_objective_that_is_not_callable():
+    mu = canonical_test_measure()
+    tgt = default_target_support(mu, [0.1])
+    for objective in (None, _obj_y2(*tgt.T)):
+        with pytest.raises(OracleError, match="callable"):
+            DiscreteBallProblem(mu, tgt, 0.1, 2.0, objective=objective)
 
 
 def test_dro_lp_rejects_budget_overspend(monkeypatch):
@@ -400,6 +408,21 @@ def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, co
                 assert out["residual"] <= 1e-12
                 checked += 1
     assert checked == converged
+
+
+@pytest.mark.parametrize("family", ["black_scholes", "bachelier"])
+def test_family_check_realizes_mart_marginal2_mean_at_general_p(family):
+    # M+m2 with a mean constraint away from p = 2, where each Newton step
+    # builds the reweighted operator that its k + 1 block solves share
+    mu = build_model(ModelSpec(family, 0.5, 16, 16))
+    c = american_put(side="buyer")
+    cs = ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,))
+    for p in (1.5, 3.0):
+        state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
+        rep = solve_foc(state, cs)
+        assert rep.converged and rep.iterations > 0, p
+        out = family_check(c, state, cs, rep)
+        assert out["error"] <= oracle.FAMILY_RTOL and not out["warnings"], p
 
 
 def test_dro_lp_concave_in_budget():

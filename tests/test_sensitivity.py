@@ -9,10 +9,11 @@ from wadro import fredholm
 from wadro.criterion import Criterion, GradientField, american_put, gradient_field
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins, sign_copy_measure)
+from report_sweep import PHI, PSI_SQ
 from wadro.oracle import feasible_family
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
-                               W2, W2AD, adapted_gradient, chain_violation,
+                               W2, W2AD, _HedgeMap, adapted_gradient, chain_violation,
                                marginal_path_violation, martingale_psi, n_map,
                                report_tables, report_to_json, solve_foc)
 
@@ -175,6 +176,44 @@ def test_general_redundancy_and_singularity_rejected():
     with pytest.raises(SensitivityError):
         solve_foc(PointState(mu, _const_field(mu, 1.0, 0.0), W2),
                   ConstraintSet(mean_phi=(phi, phi)))
+
+
+def test_conditional_constraint_refusals():
+    mu = canonical_test_measure()
+    with pytest.raises(SensitivityError, match="require the adapted ball"):
+        solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), W2),
+                  ConstraintSet(cond_psi=martingale_psi()))
+    # d2 psi vanishes on the first row, so h has nothing to hedge there with
+    flat = CondConstraint(lambda a, b: (a > mu.x1[0]) * (b - a),
+                          lambda a, b: -1.0 * (a > mu.x1[0]),
+                          lambda a, b: 1.0 * (a > mu.x1[0]), "flat")
+    with pytest.raises(SensitivityError, match=r"E1\[\(d2 psi\)\^2\] is degenerate"):
+        solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD),
+                  ConstraintSet(cond_psi=flat))
+
+
+@pytest.mark.parametrize("cs", [
+    ConstraintSet(martingale=True, marginal1=True, marginal2=True),
+    ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,)),
+    ConstraintSet(marginal1=True, mean_phi=(PHI,), cond_psi=PSI_SQ),
+    ConstraintSet(martingale=True, mean_phi=(PHI,))], ids=ConstraintSet.label)
+def test_block_solve_inverts_the_constraint_derivative(cs):
+    # the feasible family's Newton step: b, the derivative residual(F(u))
+    # weighted by (w1, bin mass, w1, 1), is A^T diag(mw) A u, so solve(b) at
+    # D = mw has u's field; M+m1+m2's null direction (f1 + c, f2 - c, h + c)
+    # moves no atom
+    rng = np.random.default_rng(0)
+    for family, n in (("black_scholes", 16), ("bachelier", 24)):
+        mu = build_model(ModelSpec(family, 0.5, n, n))
+        hedges = _HedgeMap(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD), cs)
+        u = tuple(None if z is None else rng.standard_normal(z.shape) for z in hedges.u)
+        F1, F2 = hedges.field(u)
+        res, mass = hedges.residual(F1, F2), None if hedges.bins is None else hedges.bins.mass
+        b = tuple(None if z is None else w * res[k]
+                  for z, k, w in zip(u, ("m1", "m2", "h", "phi"), (mu.w1, mass, mu.w1, 1.0)))
+        G1, G2 = hedges.field(hedges.solve(b, hedges.mw, hedges.mw, hedges.op))
+        scale = np.max(np.abs(F1)) + np.max(np.abs(F2))
+        assert np.max(np.abs(G1 - F1)) + np.max(np.abs(G2 - F2)) <= 1e-12 * scale, family
 
 
 def test_constraint_set_validation():
@@ -528,10 +567,6 @@ def _call(K):
     """The vanilla call (x2 - K)^+ as a mean constraint."""
     return MeanConstraint(lambda a, b: np.maximum(b - K, 0.0), lambda a, b: np.zeros_like(a),
                           lambda a, b: (b > K).astype(float), f"call:{K:.4g}")
-
-
-PSI_SQ = CondConstraint(lambda a, b: b ** 2 - a ** 2, lambda a, b: -2.0 * a,
-                        lambda a, b: 2.0 * b, "x2^2-x1^2")
 
 
 def _strikes(mu, bins):
