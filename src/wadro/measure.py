@@ -201,8 +201,11 @@ def build_model(spec: ModelSpec) -> GridMeasure:
 
 
 def cond_exp_1(mu: GridMeasure, field: np.ndarray) -> np.ndarray:
-    """Exact conditional expectation given X1: v[i] = sum_j q[i,j] field[i,j]."""
+    """Exact conditional expectation given X1: v[i] = sum_j q[i,j] field[i,j];
+    a function of x1 alone may come as an (n1, 1) column: v[i] = field[i] sum_j q[i,j]."""
     field = np.asarray(field, dtype=float)
+    if field.shape == (mu.n1, 1):
+        return field[:, 0] * mu.q.sum(axis=1)
     if field.shape != mu.x2.shape:
         raise MeasureError(f"field shape {field.shape} does not match grid {mu.x2.shape}")
     return np.sum(mu.q * field, axis=1)

@@ -434,7 +434,8 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
 
     def newton(g):  # the derivative's inverse applied to the constraint gap g
         b = tuple(None if p is None else w * p for w, p in zip(weights, split(g)))
-        return np.concatenate([z for z in hedges.solve(b, mw, mw, hedges.op) if z is not None])
+        return np.concatenate([z for z in hedges.solve(b, state.mw1, mw, hedges.op)
+                               if z is not None])
 
     n = sum(sizes)      # as many constraints as multipliers
     target, scale = constraints(mu.x1, mu.x2), 1.0 + constraints(mu.x1, mu.x2, np.abs)
@@ -471,7 +472,7 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
             warns.append(f"displaced grid invalid at r={r:g}: {exc}")
             break
         measures.append(nu)
-        mults.append({"u": u, "correction": _norm(mw, F1, F2, W2AD)})
+        mults.append({"u": u, "correction": _norm(state.mw1, mw, F1, F2, W2AD)})
         resids.append({"constraint": res, "newton_iterations": its})
     return FeasibleFamily(tuple(r_list[:len(measures)]), tuple(measures),
                           tuple(mults), tuple(resids), tuple(warns))
@@ -494,7 +495,7 @@ def family_check(c: Criterion, state: PointState, cs: ConstraintSet, report) -> 
         base = criterion_value(c, state.mu)
         s = [(criterion_value(c, nu) - base) / r for r, nu in zip(fam.r_list, fam.measures)]
         slope = 2.0 * s[1] - s[0]
-    scale = max(report.value, _norm(state.mu.atom_masses(), state.S1, state.S2, W2AD))
+    scale = max(report.value, state.norm)
     return {"slope": slope, "error": abs(slope - report.value) / scale,
             "residual": max((res["constraint"] for res in fam.residuals), default=float("nan")),
             "warnings": list(fam.warnings)}

@@ -14,6 +14,9 @@ p = 2 the first step is exact.  For p > 2, |s|^p' is smoothed to
 (s^2 + eps^2)^(p'/2) with eps driven toward zero.  Every report carries the
 normalized optimal direction, a first-order-condition residual certificate
 and whether it met FOC_TOL.
+On the adapted ball the first components of S, of every hedge field and of
+the Newton weights are functions of x1, held as (n1, 1) columns weighed by
+the row masses: every sum over atoms splits into one per component.
 """
 
 from __future__ import annotations
@@ -175,18 +178,22 @@ class PointState:
     """What every constraint set's solve at one (mu, G, metric) reads.
 
     Built once and passed to ``solve_foc`` for each set: the gradient field
-    in the ball's form (``S1``, ``S2``, read-only), the binning ``bins`` (the
-    one passed in, else mu's quantile binning into n2 bins on first use) and
-    mu's Fredholm operator ``op``, built on first use.
+    in the ball's form (``S1``, ``S2``, read-only) with the masses ``mw1``,
+    ``mw`` of its components and its L2(mu) norm ``norm``, shared by the sets,
+    the binning ``bins`` (the one passed in, else mu's quantile binning into
+    n2 bins on first use) and mu's Fredholm operator ``op``, built on first
+    use.  The adapted ball's S1 = E1[g1] and mw1 are (n1, 1) columns.
     """
 
     def __init__(self, mu: GridMeasure, G: GradientField, metric: Metric,
                  bins: Binning | None = None):
-        self.mu, self.metric = mu, metric
-        S = adapted_gradient(mu, G) if metric.adapted else G
+        self.mu, self.metric, self.mw = mu, metric, mu.atom_masses()
         # read-only copies: the solves share them, and G stays the caller's
-        self.S1, self.S2 = np.array(S.g1), np.array(S.g2)
-        self.S1.flags.writeable = self.S2.flags.writeable = False
+        self.S1, self.mw1 = ((cond_exp_1(mu, G.g1)[:, None], self.mw.sum(axis=1)[:, None])
+                             if metric.adapted else (np.array(G.g1), self.mw))
+        self.S2 = np.array(G.g2)
+        self.S1.flags.writeable = self.S2.flags.writeable = self.mw1.flags.writeable = False
+        self.norm = _norm(self.mw1, self.mw, self.S1, self.S2, W2AD)
         if bins is not None:
             if bins.mu is not mu:
                 raise SensitivityError("the binning was built for another measure")
@@ -201,17 +208,17 @@ class PointState:
         return fredholm.build_operator(self.bins)
 
 
-def _norm(mw: np.ndarray, X1: np.ndarray, X2: np.ndarray, metric: Metric) -> float:
-    """The ball's primal L^p norm of a per-atom pair."""
+def _norm(mw1, mw, X1: np.ndarray, X2: np.ndarray, metric: Metric) -> float:
+    """The ball's primal L^p norm of a pair (X1, X2) with masses mw1, mw."""
     q = metric.p
     if metric.adapted:
-        val = np.sum(mw * (np.abs(X1) ** q + np.abs(X2) ** q))
+        val = np.sum(mw1 * np.abs(X1) ** q) + np.sum(mw * np.abs(X2) ** q)
     else:
         val = np.sum(mw * np.hypot(X1, X2) ** q)
     return float(val ** (1.0 / q))
 
 
-def _direction(mw, S1, S2, metric: Metric):
+def _direction(mw1, mw, S1, S2, metric: Metric):
     """Normalized optimal direction T = N_d(S)/c with unit primal norm, and c."""
     if metric.p == 2.0:         # N_d is the identity
         T1, T2 = S1, S2
@@ -221,7 +228,7 @@ def _direction(mw, S1, S2, metric: Metric):
         mag = np.hypot(S1, S2)
         fac = np.power(mag, metric.p_conj - 2.0, where=mag > 0, out=np.zeros_like(mag))
         T1, T2 = fac * S1, fac * S2
-    c = _norm(mw, T1, T2, metric)
+    c = _norm(mw1, mw, T1, T2, metric)
     if c == 0.0:
         return np.zeros_like(S1), np.zeros_like(S2), 0.0
     return T1 / c, T2 / c, c
@@ -239,7 +246,8 @@ class _HedgeMap:
     ``A^T`` and ``solve`` inverts ``A^T diag(D) A``; at D = mu's masses,
     scaled by (1/w1, 1/bin mass, 1/w1, 1), that is the derivative of
     ``residual`` along the field.  With the martingale and second-marginal
-    flags, ``op`` is mu's Fredholm operator.
+    flags, ``op`` is mu's Fredholm operator.  On the adapted ball F1 and
+    each d1phi are (n1, 1) columns, shaped as the state's S1.
     """
 
     def __init__(self, state: PointState, cs: ConstraintSet):
@@ -250,8 +258,7 @@ class _HedgeMap:
         if cs.martingale:
             _require_martingale(mu)
         self.cs = cs
-        self.mw = mu.atom_masses()
-        self.S1_0, self.S2_0 = state.S1, state.S2
+        self.mw1, self.mw = state.mw1, state.mw
         self.warnings: list[str] = []
         self.bins = self.op = None
         if cs.marginal2:
@@ -273,7 +280,7 @@ class _HedgeMap:
         for c in cs.mean_phi:
             p1, p2 = partials(c)
             if state.metric.adapted:
-                p1 = np.broadcast_to(cond_exp_1(mu, p1)[:, None], p1.shape).copy()
+                p1 = cond_exp_1(mu, p1)[:, None]
             self.phi.append((p1, p2))
         self.c1 = self.c2 = None
         if cs.martingale:
@@ -295,8 +302,9 @@ class _HedgeMap:
             # the Schur complement in the mean constraints' own scale: a least
             # eigenvalue near zero puts a combination of them in the span of
             # the other hedges (for one constraint it is a squared sine)
-            g = np.sqrt([np.sum(self.mw * (p1 * p1 + p2 * p2)) for p1, p2 in self.phi])
-            S = self._complement(self.mw, self.mw, self.op)[0]
+            g = np.sqrt([np.sum(self.mw1 * p1 * p1) + np.sum(self.mw * p2 * p2)
+                         for p1, p2 in self.phi])
+            S = self._complement(self.mw1, self.mw, self.op)[0]
             if not (np.all(g > 0) and np.linalg.eigvalsh((S + S.T) / (2 * np.outer(g, g)))[0]
                     > 1e-12):
                 raise SensitivityError(
@@ -305,8 +313,7 @@ class _HedgeMap:
 
     def field(self, u):
         f1, f2, h, lam = u
-        F1 = np.zeros_like(self.S1_0)
-        F2 = np.zeros_like(self.S2_0)
+        F1, F2 = np.zeros(self.mw1.shape), np.zeros(self.mw.shape)
         if f1 is not None:
             F1 += f1[:, None]
         if f2 is not None:
@@ -329,17 +336,18 @@ class _HedgeMap:
         if self.c1 is not None:
             comps["h"] = cond_exp_1(self.mu, self.c1[:, None] * T1 + self.c2 * T2)
         if self.phi:
-            comps["phi"] = np.array([np.sum(self.mw * (p1 * T1 + p2 * T2)) for p1, p2 in self.phi])
+            comps["phi"] = np.array([np.sum(self.mw1 * p1 * T1) + np.sum(self.mw * p2 * T2)
+                                     for p1, p2 in self.phi])
         return comps
 
     def adjoint(self, G1, G2):
-        """``A^T G`` for per-atom values G1, G2: per row (f1), per bin (f2),
+        """``A^T G`` for values G1, G2 shaped as F1, F2: per row (f1), per bin (f2),
         per row against (c1, c2) (h) and against each mean constraint (lam)."""
         g1 = G1.sum(axis=1)
         return (g1 if self.cs.marginal1 else None,
                 self.bins.sums(G2) if self.cs.marginal2 else None,
                 None if self.c1 is None else (self.c2 * G2).sum(axis=1) + self.c1 * g1,
-                np.array([np.sum(p1 * G1 + p2 * G2) for p1, p2 in self.phi]) if self.phi
+                np.array([np.sum(p1 * G1) + np.sum(p2 * G2) for p1, p2 in self.phi]) if self.phi
                 else None)
 
     def _solve_u(self, b, D1, D2, op):
@@ -392,10 +400,10 @@ class _HedgeMap:
     def _lam_rows(self, D1, D2, u):
         """The mean constraints' rows of ``A^T diag(D) A`` applied to u."""
         F1, F2 = self.field(u)
-        return np.array([np.sum(p1 * D1 * F1 + p2 * D2 * F2) for p1, p2 in self.phi])
+        return np.array([np.sum(p1 * D1 * F1) + np.sum(p2 * D2 * F2) for p1, p2 in self.phi])
 
     def solve(self, b, D1, D2, op=None):
-        """Solve ``A^T diag(D) A du = b`` for per-atom weights D1, D2 on F1, F2.
+        """Solve ``A^T diag(D) A du = b`` for weights D1, D2 shaped as F1, F2.
 
         At D = mw this is the p = 2 closed form.  The mean multipliers border
         the (f1, f2, h) block: one block solve per mean constraint, then the
@@ -441,26 +449,27 @@ def _residual_norm(problem, comps) -> float:
     return worst
 
 
-def _objective(mw, S1, S2, metric: Metric, pc: float, eps: float) -> float:
+def _objective(mw1, mw, S1, S2, metric: Metric, pc: float, eps: float) -> float:
     """Smoothed objective: sum mw psi(S), |s|^pc replaced by (s^2 + eps^2)^(pc/2)."""
     e2 = eps * eps
     if metric.adapted:
-        return float(np.sum(mw * ((S1 * S1 + e2) ** (0.5 * pc) + (S2 * S2 + e2) ** (0.5 * pc))))
+        return float(np.sum(mw1 * (S1 * S1 + e2) ** (0.5 * pc))
+                     + np.sum(mw * (S2 * S2 + e2) ** (0.5 * pc)))
     return float(np.sum(mw * (S1 * S1 + S2 * S2 + e2) ** (0.5 * pc)))
 
 
-def _newton_weights(mw, S1, S2, metric: Metric, pc: float, eps: float):
-    """Per-atom gradient (G1, G2) and Hessian weights (D1, D2) of the smoothed objective.
+def _newton_weights(mw1, mw, S1, S2, metric: Metric, pc: float, eps: float):
+    """Gradient (G1, G2) and Hessian weights (D1, D2) of the smoothed objective.
 
     The classical ball's per-atom Hessian is a 2x2 block; the larger of its
     two eigenvalues serves as one scalar weight for both components, so the
     quadratic model majorizes the objective near S and its step descends.
     """
     if pc == 2.0:
-        return 2.0 * mw * S1, 2.0 * mw * S2, 2.0 * mw, 2.0 * mw
+        return 2.0 * mw1 * S1, 2.0 * mw * S2, 2.0 * mw1, 2.0 * mw
     e2 = eps * eps
 
-    def weights(sq):
+    def weights(mw, sq):
         # gradient factor and radial second derivative of (sq + eps^2)^(pc/2),
         # floored so that no row or bin loses all weight to underflow
         v = sq + e2
@@ -468,9 +477,9 @@ def _newton_weights(mw, S1, S2, metric: Metric, pc: float, eps: float):
         return w, np.maximum(w * ((pc - 1.0) * sq + e2) / v, np.finfo(float).tiny)
 
     if metric.adapted:
-        (w1, D1), (w2, D2) = weights(S1 * S1), weights(S2 * S2)
+        (w1, D1), (w2, D2) = weights(mw1, S1 * S1), weights(mw, S2 * S2)
         return w1 * S1, w2 * S2, D1, D2
-    w, radial = weights(S1 * S1 + S2 * S2)
+    w, radial = weights(mw, S1 * S1 + S2 * S2)
     D = np.maximum(w, radial)
     return w * S1, w * S2, D, D
 
@@ -479,7 +488,7 @@ def _axpy(u, t, du):
     return tuple(None if a is None else a + t * b for a, b in zip(u, du))
 
 
-def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityReport:
+def _run_foc(problem, state: PointState, warm_start: bool = True) -> SensitivityReport:
     """Globalized Newton on the dual-norm objective, certified by the FOC residual.
 
     ``warm_start`` starts from the p = 2 closed form.  For p' < 2 the
@@ -487,35 +496,35 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
     time a Newton decrement shows the smoothed problem solved; for p' > 2 it
     stays at a floor that only keeps every row and bin at positive weight.
     """
-    mw, pc = problem.mw, metric.p_conj
-    scale = float(np.sqrt(np.sum(mw * (problem.S1_0 ** 2 + problem.S2_0 ** 2))))
+    metric, mw1, mw, scale = state.metric, state.mw1, state.mw, state.norm
+    pc = metric.p_conj
     floor = (EPS_FLOOR if pc < 2.0 else WEIGHT_FLOOR) * scale
     eps = scale if pc < 2.0 else floor
     # the p = 2 weights are 2 mw, and scaling the weights leaves the Fredholm
     # operator bit for bit unchanged: mu's own serves every p = 2 step
     if warm_start:
-        G1, G2, D1, D2 = _newton_weights(mw, problem.S1_0, problem.S2_0, metric, 2.0, 0.0)
+        G1, G2, D1, D2 = _newton_weights(mw1, mw, state.S1, state.S2, metric, 2.0, 0.0)
         problem.u = _axpy(problem.u, -1.0, problem.solve(problem.adjoint(G1, G2), D1, D2,
                                                          problem.op))
     converged = False
     for it in range(FOC_MAX_ITER + 1):
         F1, F2 = problem.field(problem.u)
-        S1, S2 = problem.S1_0 + F1, problem.S2_0 + F2
-        T1, T2, c = _direction(mw, S1, S2, metric)
+        S1, S2 = state.S1 + F1, state.S2 + F2
+        T1, T2, c = _direction(mw1, mw, S1, S2, metric)
         res = _residual_norm(problem, problem.residual(T1, T2))
         if res <= FOC_TOL:
             converged = True
             break
         if it == FOC_MAX_ITER:
             break
-        G1, G2, D1, D2 = _newton_weights(mw, S1, S2, metric, pc, eps)
+        G1, G2, D1, D2 = _newton_weights(mw1, mw, S1, S2, metric, pc, eps)
         du = problem.solve(problem.adjoint(G1, G2), D1, D2, problem.op if pc == 2.0 else None)
         t = 1.0
         if pc != 2.0:           # Armijo backtracking on the smoothed objective
             dF1, dF2 = problem.field(du)
-            phi0 = _objective(mw, S1, S2, metric, pc, eps)
-            slope = float(np.sum(G1 * dF1 + G2 * dF2))
-            while _objective(mw, S1 - t * dF1, S2 - t * dF2, metric, pc, eps) \
+            phi0 = _objective(mw1, mw, S1, S2, metric, pc, eps)
+            slope = float(np.sum(G1 * dF1) + np.sum(G2 * dF2))
+            while _objective(mw1, mw, S1 - t * dF1, S2 - t * dF2, metric, pc, eps) \
                     > phi0 - ARMIJO * t * slope:
                 t *= 0.5
                 if t < STEP_MIN:
@@ -534,8 +543,9 @@ def _run_foc(problem, metric: Metric, warm_start: bool = True) -> SensitivityRep
     # the dual norm of S from the last direction: |N_d(S)|_p = |S|_p'^(p' - 1)
     return SensitivityReport(
         value=c ** (metric.p - 1.0), metric=metric, constraints=problem.cs.label(),
-        T1=T1, T2=T2, foc_residual=res, iterations=it, converged=converged,
-        bins=problem.bins, warnings=tuple(problem.warnings), **problem.multipliers())
+        T1=np.broadcast_to(T1, T2.shape), T2=T2, foc_residual=res, iterations=it,
+        converged=converged, bins=problem.bins, warnings=tuple(problem.warnings),
+        **problem.multipliers())
 
 
 def _require_martingale(mu: GridMeasure) -> None:
@@ -551,7 +561,7 @@ def solve_foc(state: PointState, constraints: ConstraintSet,
     p = 2 closed form, which keeps the two starting points independent for
     cross-validation.
     """
-    return _run_foc(_HedgeMap(state, constraints), state.metric, warm_start)
+    return _run_foc(_HedgeMap(state, constraints), state, warm_start)
 
 
 # the four constraint sets of the paper's study, by their command-line names

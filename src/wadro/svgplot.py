@@ -9,12 +9,16 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 44
 COLORS = ("#1f6fb4", "#d1491f", "#2d8a41", "#8146af", "#946141", "#d03a82")
 
 
+def _top(lo: float, hi: float) -> float:
+    """hi, or lo + 1 if [lo, hi] is empty or too few ulps wide for a tick step."""
+    return hi if hi - lo > 16 * math.ulp(max(abs(lo), abs(hi))) else lo + 1.0
+
+
 def _ticks(lo: float, hi: float, n: int = 5):
     """Round tick locations covering [lo, hi]."""
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _top(lo, hi)
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -49,10 +53,7 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
     fx = (lambda v: math.log10(v)) if logx else (lambda v: v)
     x_lo, x_hi = min(map(fx, xs_all)), max(map(fx, xs_all))
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_hi, y_hi = _top(x_lo, x_hi), _top(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -79,12 +79,11 @@ def sweep() -> dict:
     payoffs = {name: preset(name) for name in ("american_put", "linear:x2^2")}
     for (mname, mu), (pname, crit) in itertools.product(measures(), payoffs.items()):
         G = gradient_field(crit, mu)
-        masses[mname] = mw = mu.atom_masses()
+        masses[mname] = mu.atom_masses()
         bin_masses[mname] = quantile_bins(mu, mu.n2).mass
         for ball, p in itertools.product(("wp", "wp_adapted"), (1.5, 2.0, 3.0)):
             state = PointState(mu, G, Metric(ball, p))
-            scales[mname, pname, ball] = float(np.sqrt(np.sum(mw * (state.S1 ** 2
-                                                                    + state.S2 ** 2))))
+            scales[mname, pname, ball] = state.norm
             for label, cs in sets.items():
                 try:
                     rep = solve_foc(state, cs)

@@ -15,7 +15,7 @@ import wadro
 from wadro import cli, measure, sensitivity
 from wadro.criterion import gradient_field, preset, value
 from wadro.measure import ModelSpec, build_model, canonical_test_measure, quantile_bins, to_csv
-from wadro.svgplot import line_chart
+from wadro.svgplot import _ticks, line_chart
 
 from lattice import lattice_measure
 
@@ -209,6 +209,27 @@ def test_line_chart_without_finite_points():
     for logx in (False, True):
         svg = line_chart([("G", [0.5, 80.0], [float("nan")] * 2)], logx=logx)
         assert svg.startswith("<svg") and "polyline" not in svg
+
+
+def test_ticks_of_a_range_a_few_ulps_wide():
+    # a tick step below half an ulp of t never moves t: such a range is flat
+    lo, hi = -0.5000000000000001, -0.49999999999999994
+    assert _ticks(lo, hi) == _ticks(lo, lo) == [-0.4, -0.2, 0.0, 0.2, 0.4]
+    assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def test_hedge_chart_of_a_strategy_flat_to_rounding(tmp_path):
+    # f2 is -1 up to rounding, so a chart range is a few ulps wide; in a
+    # fresh process, so that a hang fails by the timeout
+    src = os.path.dirname(os.path.dirname(wadro.__file__))
+    proc = subprocess.run([sys.executable, "-m", "wadro.cli", "hedge", "--sigma", "0.7",
+                           "--set", "criterion.name=linear:x1+x2",
+                           "--set", "constraints.sets=marginal", "--set", "model.n1=6",
+                           "--set", "model.n2=6", "--out", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert (tmp_path / "hedge.svg").read_text().startswith("<svg")
 
 
 def test_curve_with_every_sigma_failed_exits_check_failed(tmp_path, capsys):

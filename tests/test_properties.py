@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lattice import LP_SETS, lattice_measure, linprog_rows
-from report_sweep import constraint_sets
+from report_sweep import PHI, PSI_SQ, constraint_sets
 from wadro.criterion import GradientField, gradient_field, linear_criterion
 from wadro.fredholm import REGULARIZE_GATE, SINGULAR_GATE, build_operator, solve
-from wadro.measure import GridMeasure, quantile_bins
+from wadro.measure import GridMeasure, cond_exp_1, quantile_bins
 from wadro.oracle import (FAMILY_RTOL, DiscreteBallProblem, default_target_support,
                           family_check, transport_lp)
-from wadro.sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, Metric, PointState,
-                               SensitivityError, chain_violation, martingale_psi, solve_foc)
+from wadro.sensitivity import (CONSTRAINT_SETS, FOC_TOL, W2AD, ConstraintSet, Metric,
+                               PointState, SensitivityError, adapted_gradient, chain_violation,
+                               martingale_psi, solve_foc)
 from wadro.simplex import solve_lp
 
 
@@ -117,6 +118,60 @@ def test_martingale_flag_is_the_conditional_constraint_x2_minus_x1(grid, p):
     flag = solve_foc(state, ConstraintSet(martingale=True))
     psi = solve_foc(state, ConstraintSet(cond_psi=martingale_psi()))
     assert abs(psi.value - flag.value) <= 1e-12 * flag.value
+
+
+# phi(x1 x2) next to the martingale has the gradient's row and atom sums
+# vanish apart at the optimum; alone, or next to psi, only their total does
+ROW_FORM_SETS = [CONSTRAINT_SETS["martingale"], CONSTRAINT_SETS["marginal"],
+                 CONSTRAINT_SETS["mart_marginal"], ConstraintSet(martingale=True, mean_phi=(PHI,)),
+                 ConstraintSet(cond_psi=PSI_SQ), ConstraintSet(mean_phi=(PHI,)),
+                 ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ)]
+
+
+@given(binned_grids(), st.sampled_from([1.5, 2.0, 3.0]))
+def test_adapted_row_form_matches_the_full_grid(grid, p):
+    # the adapted solve holds first components once per x1 row; S + F(u),
+    # rebuilt on full (n1, n2) arrays from the report's multipliers, gives
+    # the report's value and direction, and at p = 2 its mean constraint's
+    # residual, summed atom by atom, is certified
+    mu, bins, rng = grid
+    G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
+    state = PointState(mu, G, Metric("wp_adapted", p), bins)
+    a, zero, mw, pc = (np.broadcast_to(mu.x1[:, None], mu.x2.shape), np.zeros(mu.x2.shape),
+                       mu.atom_masses(), p / (p - 1.0))
+    for cs in ROW_FORM_SETS:
+        try:
+            rep = solve_foc(state, cs)
+        except SensitivityError:    # the draw breaks an assumption of the set
+            continue
+        R1, R2 = adapted_gradient(mu, G).g1, G.g2
+        if rep.f1 is not None:
+            R1 = R1 + rep.f1[:, None]
+        if rep.f2 is not None:
+            R2 = R2 + rep.f2[bins.index]
+        if rep.h_hat is not None:
+            c1 = cond_exp_1(mu, cs.psi.d1(a, mu.x2) + zero)
+            R1 = R1 + (c1 * rep.h_hat)[:, None]
+            R2 = R2 + (cs.psi.d2(a, mu.x2) + zero) * rep.h_hat[:, None]
+        P = [(cond_exp_1(mu, c.d1(a, mu.x2) + zero)[:, None] + zero, c.d2(a, mu.x2) + zero)
+             for c in cs.mean_phi]
+        for lam, (p1, p2) in zip(() if rep.lambda_hat is None else rep.lambda_hat, P):
+            R1, R2 = R1 + lam * p1, R2 + lam * p2
+        value = np.sum(mw * (np.abs(R1) ** pc + np.abs(R2) ** pc)) ** (1.0 / pc)
+        # a value that is 0 to rounding is measured against |S|
+        assert abs(value - rep.value) <= 1e-12 * max(value, 1e-3 * state.norm), cs.label()
+        assert rep.T1.shape == mu.x2.shape and not rep.T1.flags.writeable
+        if value <= 1e-6 * state.norm or p > 2.0:   # |s|^(p'-1) is not Lipschitz at 0 for p > 2
+            continue
+        N1, N2 = np.sign(R1) * np.abs(R1) ** (pc - 1.0), np.sign(R2) * np.abs(R2) ** (pc - 1.0)
+        c = np.sum(mw * (np.abs(N1) ** p + np.abs(N2) ** p)) ** (1.0 / p)
+        T_err = max(np.max(np.abs(N1 / c - rep.T1)), np.max(np.abs(N2 / c - rep.T2)))
+        assert T_err <= 1e-9 * max(1.0, np.max(np.abs(N1 / c)), np.max(np.abs(N2 / c))), \
+            cs.label()
+        if p == 2.0:
+            assert rep.converged, cs.label()
+            for p1, p2 in P:
+                assert abs(np.sum(mw * (p1 * N1 + p2 * N2)) / c) <= FOC_TOL, cs.label()
 
 
 FLAG_SETS = [ConstraintSet(martingale=m, marginal1=m1, marginal2=m2)

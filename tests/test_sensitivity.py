@@ -605,7 +605,7 @@ def _least_squares(mu, state, cs, bins):
         cols.append((p1, c.d2(mu.x1[:, None], mu.x2) + zero))
     w = np.sqrt(mu.atom_masses()).ravel()
     A = np.array([np.concatenate([w * c1.ravel(), w * c2.ravel()]) for c1, c2 in cols]).T
-    s = np.concatenate([w * state.S1.ravel(), w * state.S2.ravel()])
+    s = np.concatenate([w * (state.S1 + zero).ravel(), w * state.S2.ravel()])
     return s + A @ np.linalg.lstsq(A, -s, rcond=None)[0], s, w
 
 
