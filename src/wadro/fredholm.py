@@ -88,11 +88,11 @@ class FredholmOperator:
 def build_operator(bins: Binning, weights: np.ndarray | None = None) -> FredholmOperator:
     """Assemble the operator of the binned measure from its joint atom masses,
     or from nonnegative atom ``weights`` (n1, n2) with positive weight on
-    every row and bin."""
+    every row and bin, summed in one pass into the (row, bin) cells."""
     mu = bins.mu
     weights = mu.atom_masses() if weights is None else weights
-    rows = np.repeat(np.arange(mu.n1), mu.n2)
-    return FredholmOperator(np.bincount(rows * bins.m + bins.index.ravel(), weights.ravel(),
+    cells = (np.arange(mu.n1)[:, None] * bins.m + bins.index).ravel()
+    return FredholmOperator(np.bincount(cells, weights.ravel(),
                                         mu.n1 * bins.m).reshape(mu.n1, bins.m))
 
 

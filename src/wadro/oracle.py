@@ -19,7 +19,7 @@ import numpy as np
 
 from .criterion import Criterion, gradient_field, value as criterion_value
 from .measure import MERGE_TOL, WEIGHT_TOL, Binning, GridMeasure, MeasureError, marginal_2
-from .sensitivity import W2, W2AD, ConstraintSet, PointState, _HedgeMap, _norm, solve_foc
+from .sensitivity import W2, ConstraintSet, PointState, _HedgeMap, _norm, solve_foc
 from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, solve_lp
 
 NEWTON_MAX_ITER = 50
@@ -472,7 +472,7 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
             warns.append(f"displaced grid invalid at r={r:g}: {exc}")
             break
         measures.append(nu)
-        mults.append({"u": u, "correction": _norm(state.mw1, mw, F1, F2, W2AD)})
+        mults.append({"u": u, "correction": _norm(state.mw1, mw, F1, F2)})
         resids.append({"constraint": res, "newton_iterations": its})
     return FeasibleFamily(tuple(r_list[:len(measures)]), tuple(measures),
                           tuple(mults), tuple(resids), tuple(warns))

@@ -162,9 +162,7 @@ def n_map(v, p: float):
     """Duality map sgn(v) |v|^{p'-1}, applied componentwise; N(0) = 0."""
     if not (p > 1):
         raise SensitivityError("the exponent must satisfy p > 1")
-    v = np.asarray(v, dtype=float)
-    e = p / (p - 1.0) - 1.0
-    out = np.sign(v) * np.power(np.abs(v), e, where=v != 0, out=np.zeros_like(v))
+    out = np.copysign(np.abs(v) ** (p / (p - 1.0) - 1.0), np.asarray(v, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -193,7 +191,7 @@ class PointState:
                              if metric.adapted else (np.array(G.g1), self.mw))
         self.S2 = np.array(G.g2)
         self.S1.flags.writeable = self.S2.flags.writeable = self.mw1.flags.writeable = False
-        self.norm = _norm(self.mw1, self.mw, self.S1, self.S2, W2AD)
+        self.norm = _norm(self.mw1, self.mw, self.S1, self.S2)
         if bins is not None:
             if bins.mu is not mu:
                 raise SensitivityError("the binning was built for another measure")
@@ -208,14 +206,19 @@ class PointState:
         return fredholm.build_operator(self.bins)
 
 
-def _norm(mw1, mw, X1: np.ndarray, X2: np.ndarray, metric: Metric) -> float:
-    """The ball's primal L^p norm of a pair (X1, X2) with masses mw1, mw."""
-    q = metric.p
-    if metric.adapted:
-        val = np.sum(mw1 * np.abs(X1) ** q) + np.sum(mw * np.abs(X2) ** q)
-    else:
-        val = np.sum(mw * np.hypot(X1, X2) ** q)
-    return float(val ** (1.0 / q))
+def _dot(mw, X, Y) -> float:
+    """sum mw X Y, in one pass with no temporary."""
+    return float(np.einsum("ij,ij,ij->", mw, X, Y))
+
+
+def _norm(mw1, mw, X1: np.ndarray, X2: np.ndarray) -> float:
+    """The L2(mu) norm of a pair (X1, X2) with masses mw1, mw."""
+    return (_dot(mw1, X1, X1) + _dot(mw, X2, X2)) ** 0.5
+
+
+def _add(F, term, shape):
+    """F + term as an array of ``shape``, in place into F, else (F None) a copy."""
+    return np.array(np.broadcast_to(term, shape)) if F is None else np.add(F, term, out=F)
 
 
 def _direction(mw1, mw, S1, S2, metric: Metric):
@@ -228,7 +231,7 @@ def _direction(mw1, mw, S1, S2, metric: Metric):
         mag = np.hypot(S1, S2)
         fac = np.power(mag, metric.p_conj - 2.0, where=mag > 0, out=np.zeros_like(mag))
         T1, T2 = fac * S1, fac * S2
-    c = _norm(mw1, mw, T1, T2, metric)
+    c = (_dot(mw1, T1, S1) + _dot(mw, T2, S2)) ** (1.0 / metric.p)   # N_d(s) s = |N_d(s)|^p
     if c == 0.0:
         return np.zeros_like(S1), np.zeros_like(S2), 0.0
     return T1 / c, T2 / c, c
@@ -242,7 +245,8 @@ class _HedgeMap:
     ``F2 = f2(bin(x2)) + c2 h(x1) + sum_a lam_a d2phi_a``, written ``A u``.
     h hedges the conditional constraint with the per-row weight
     ``c1 = E1[d1 psi]`` and the per-atom weight ``c2 = d2 psi``; the
-    martingale is psi = x2 - x1, with c1 = -1 and c2 = 1.  ``adjoint`` is
+    martingale is psi = x2 - x1, with c1 = -1 and c2 = 1 (held as None: no
+    pass over the atoms).  ``adjoint`` is
     ``A^T`` and ``solve`` inverts ``A^T diag(D) A``; at D = mu's masses,
     scaled by (1/w1, 1/bin mass, 1/w1, 1), that is the derivative of
     ``residual`` along the field.  With the martingale and second-marginal
@@ -282,15 +286,15 @@ class _HedgeMap:
             if state.metric.adapted:
                 p1 = cond_exp_1(mu, p1)[:, None]
             self.phi.append((p1, p2))
-        self.c1 = self.c2 = None
+        self.c1 = self.c2 = self.qc2 = None     # qc2 = q c2: E1[c2 T] is a row dot
         if cs.martingale:
-            self.c1, self.c2 = -np.ones(mu.n1), np.ones_like(mu.x2)
+            self.c1, self.qc2 = -np.ones(mu.n1), mu.q
         elif cs.cond_psi is not None:
             if not state.metric.adapted:
                 raise SensitivityError("conditional constraints require the adapted ball")
             d1, self.c2 = partials(cs.cond_psi)
-            self.c1 = cond_exp_1(mu, d1)
-            if np.min(cond_exp_1(mu, self.c2 ** 2)) <= 1e-14:
+            self.c1, self.qc2 = cond_exp_1(mu, d1), mu.q * self.c2
+            if np.min(np.einsum("ij,ij->i", self.qc2, self.c2)) <= 1e-14:
                 raise SensitivityError(
                     "E1[(d2 psi)^2] is degenerate on some atom (assumption A (iii) surrogate)")
         # None, not an empty array, when inactive: every Newton step carries u
@@ -302,8 +306,7 @@ class _HedgeMap:
             # the Schur complement in the mean constraints' own scale: a least
             # eigenvalue near zero puts a combination of them in the span of
             # the other hedges (for one constraint it is a squared sine)
-            g = np.sqrt([np.sum(self.mw1 * p1 * p1) + np.sum(self.mw * p2 * p2)
-                         for p1, p2 in self.phi])
+            g = np.array([_norm(self.mw1, self.mw, p1, p2) for p1, p2 in self.phi])
             S = self._complement(self.mw1, self.mw, self.op)[0]
             if not (np.all(g > 0) and np.linalg.eigvalsh((S + S.T) / (2 * np.outer(g, g)))[0]
                     > 1e-12):
@@ -311,30 +314,31 @@ class _HedgeMap:
                     "normal matrix is singular: a mean constraint is spanned by the other "
                     "hedges (non-redundancy assumption A (iv) violated)")
 
-    def field(self, u):
+    def field(self, u, base=(None, None)):
+        """The hedge field ``A u`` plus ``base``, summed in place; a part no
+        multiplier reaches is a read-only view of its base (or of 0)."""
         f1, f2, h, lam = u
-        F1, F2 = np.zeros(self.mw1.shape), np.zeros(self.mw.shape)
+        s1, s2 = self.mw1.shape, self.mw.shape
+        F1, F2 = None, None if f2 is None else f2[self.bins.index]
         if f1 is not None:
-            F1 += f1[:, None]
-        if f2 is not None:
-            F2 += f2[self.bins.index]
-        if lam is not None:
-            for la, (p1, p2) in zip(lam, self.phi):
-                F1 += la * p1
-                F2 += la * p2
+            F1 = _add(F1, f1[:, None], s1)
         if h is not None:
-            F1 += (self.c1 * h)[:, None]
-            F2 += self.c2 * h[:, None]
-        return F1, F2
+            F1 = _add(F1, (self.c1 * h)[:, None], s1)
+            F2 = _add(F2, h[:, None] if self.c2 is None else self.c2 * h[:, None], s2)
+        for la, (p1, p2) in zip(() if lam is None else lam, self.phi):
+            F1, F2 = _add(F1, la * p1, s1), _add(F2, la * p2, s2)
+        return tuple(np.broadcast_to(0.0 if b is None else b, s) if F is None
+                     else F if b is None else _add(F, b, s)
+                     for F, b, s in ((F1, base[0], s1), (F2, base[1], s2)))
 
     def residual(self, T1, T2):
-        comps = {}
+        comps, e1 = {}, cond_exp_1(self.mu, T1)
         if self.cs.marginal1:
-            comps["m1"] = cond_exp_1(self.mu, T1)
+            comps["m1"] = e1
         if self.cs.marginal2:
             comps["m2"] = self.bins.e2(T2)
         if self.c1 is not None:
-            comps["h"] = cond_exp_1(self.mu, self.c1[:, None] * T1 + self.c2 * T2)
+            comps["h"] = self.c1 * e1 + np.einsum("ij,ij->i", self.qc2, T2)
         if self.phi:
             comps["phi"] = np.array([np.sum(self.mw1 * p1 * T1) + np.sum(self.mw * p2 * T2)
                                      for p1, p2 in self.phi])
@@ -346,9 +350,13 @@ class _HedgeMap:
         g1 = G1.sum(axis=1)
         return (g1 if self.cs.marginal1 else None,
                 self.bins.sums(G2) if self.cs.marginal2 else None,
-                None if self.c1 is None else (self.c2 * G2).sum(axis=1) + self.c1 * g1,
+                None if self.c1 is None else self._c2_rows(G2) + self.c1 * g1,
                 np.array([np.sum(p1 * G1) + np.sum(p2 * G2) for p1, p2 in self.phi]) if self.phi
                 else None)
+
+    def _c2_rows(self, G):
+        """Per row, sum_j c2 G: the row sum for the martingale's unit c2."""
+        return G.sum(axis=1) if self.c2 is None else np.einsum("ij,ij->i", self.c2, G)
 
     def _solve_u(self, b, D1, D2, op):
         """The (f1, f2, h) block of ``A^T diag(D) A du = b``; lam stays None.
@@ -358,24 +366,26 @@ class _HedgeMap:
         the conditional-expectation operator ``op`` of the measure reweighted
         by D2: with f1, ``r2 (I - K_D)`` on zero-mean functions, whose null
         direction (f1 + c, f2 - c, h + c) moves no atom.  f2 meets no h but
-        the martingale's, whose c2 is one.
+        the martingale's, whose c2 is one; that set alone passes ``op``, whose
+        ``r`` (r2), ``b`` (bin sums) and ``C`` (h-f2 coupling) are D2's sums.
         """
         cs = self.cs
         g1, g2, rhs, _ = b
         r1 = D1.sum(axis=1)
         df1 = df2 = dh = None
         if cs.marginal2:
-            b2 = self.bins.sums(D2)
+            b2 = self.bins.sums(D2) if op is None else op.b
             df2 = g2 / b2
         if self.c1 is not None:
-            r2 = (D2 * self.c2 ** 2).sum(axis=1)
-            if cs.marginal2:
-                rhs = rhs - np.sum(D2 * df2[self.bins.index], axis=1)
+            if op is None:
+                r2 = self._c2_rows(D2 if self.c2 is None else D2 * self.c2)
+            else:
+                r2, rhs = op.r, rhs - op.C @ df2
             if cs.marginal1:    # f1 takes c1 g1 and c1^2 r1 back out
                 rhs, d = rhs - self.c1 * g1, r2
             else:
                 d = self.c1 * self.c1 * r1 + r2
-            if not cs.marginal2:
+            if op is None:
                 dh = rhs / d
             elif not cs.marginal1:
                 dh = op.solve_weighted(d, r2, rhs)
@@ -384,8 +394,8 @@ class _HedgeMap:
                 solver = (fredholm.solve if op.below(fredholm.REGULARIZE_GATE)
                           else fredholm.solve_regularized)
                 dh = solver(op, rhs - float(op.w1 @ rhs))
-            if cs.marginal2:
-                df2 = df2 - self.bins.sums(D2 * dh[:, None]) / b2
+            if op is not None:
+                df2 = df2 - (op.C.T @ dh) / b2
         if cs.marginal1:
             df1 = g1 / r1 if dh is None else g1 / r1 - self.c1 * dh
         return df1, df2, dh, None
@@ -407,8 +417,8 @@ class _HedgeMap:
 
         At D = mw this is the p = 2 closed form.  The mean multipliers border
         the (f1, f2, h) block: one block solve per mean constraint, then the
-        k x k Schur complement.  ``op``, the Fredholm operator of D2, is
-        built here when the caller has none.
+        k x k Schur complement.  ``op``, the Fredholm operator of D2 (mu's own
+        at D2 = mw), is built here when the set has one and the caller none.
         """
         if op is None and self.op is not None:
             op = fredholm.build_operator(self.bins, D2)     # shared by the k + 1 block solves
@@ -449,39 +459,29 @@ def _residual_norm(problem, comps) -> float:
     return worst
 
 
-def _objective(mw1, mw, S1, S2, metric: Metric, pc: float, eps: float) -> float:
-    """Smoothed objective: sum mw psi(S), |s|^pc replaced by (s^2 + eps^2)^(pc/2)."""
-    e2 = eps * eps
-    if metric.adapted:
-        return float(np.sum(mw1 * (S1 * S1 + e2) ** (0.5 * pc))
-                     + np.sum(mw * (S2 * S2 + e2) ** (0.5 * pc)))
-    return float(np.sum(mw * (S1 * S1 + S2 * S2 + e2) ** (0.5 * pc)))
-
-
-def _newton_weights(mw1, mw, S1, S2, metric: Metric, pc: float, eps: float):
-    """Gradient (G1, G2) and Hessian weights (D1, D2) of the smoothed objective.
-
-    The classical ball's per-atom Hessian is a 2x2 block; the larger of its
-    two eigenvalues serves as one scalar weight for both components, so the
-    quadratic model majorizes the objective near S and its step descends.
+def _smoothed(mw1, mw, S1, S2, metric: Metric, pc: float, eps: float):
+    """Smoothed objective sum mw psi(S), |s|^pc replaced by v^(pc/2), v = s^2 +
+    eps^2, with its gradient (G1, G2) and Hessian weights (D1, D2): one power of
+    v per component gives the gradient factor w and the radial second derivative,
+    floored so that no row or bin loses all weight to underflow.  The classical
+    ball's per-atom Hessian is a 2x2 block; the larger of its two eigenvalues
+    serves as one scalar weight for both components, so the quadratic model
+    majorizes the objective near S and its step descends.
     """
-    if pc == 2.0:
-        return 2.0 * mw1 * S1, 2.0 * mw * S2, 2.0 * mw1, 2.0 * mw
     e2 = eps * eps
 
-    def weights(mw, sq):
-        # gradient factor and radial second derivative of (sq + eps^2)^(pc/2),
-        # floored so that no row or bin loses all weight to underflow
-        v = sq + e2
-        w = pc * mw * v ** (0.5 * pc - 1.0)
-        return w, np.maximum(w * ((pc - 1.0) * sq + e2) / v, np.finfo(float).tiny)
+    def part(m, v):
+        a = m * v ** (0.5 * pc - 1.0)
+        w = pc * a
+        return np.sum(a * v), w, np.maximum(w * ((2.0 - pc) * e2 / v + (pc - 1.0)),
+                                            np.finfo(float).tiny)
 
     if metric.adapted:
-        (w1, D1), (w2, D2) = weights(mw1, S1 * S1), weights(mw, S2 * S2)
-        return w1 * S1, w2 * S2, D1, D2
-    w, radial = weights(mw, S1 * S1 + S2 * S2)
+        (phi1, w1, D1), (phi2, w2, D2) = part(mw1, S1 * S1 + e2), part(mw, S2 * S2 + e2)
+        return float(phi1 + phi2), (w1 * S1, w2 * S2, D1, D2)
+    phi, w, radial = part(mw, S1 * S1 + S2 * S2 + e2)
     D = np.maximum(w, radial)
-    return w * S1, w * S2, D, D
+    return float(phi), (w * S1, w * S2, D, D)
 
 
 def _axpy(u, t, du):
@@ -495,21 +495,20 @@ def _run_foc(problem, state: PointState, warm_start: bool = True) -> Sensitivity
     smoothing eps starts at the scale of the field and shrinks tenfold each
     time a Newton decrement shows the smoothed problem solved; for p' > 2 it
     stays at a floor that only keeps every row and bin at positive weight.
+    S + F(u), the smoothed objective and its weights carry over from the accepted trial.
     """
     metric, mw1, mw, scale = state.metric, state.mw1, state.mw, state.norm
     pc = metric.p_conj
     floor = (EPS_FLOOR if pc < 2.0 else WEIGHT_FLOOR) * scale
     eps = scale if pc < 2.0 else floor
-    # the p = 2 weights are 2 mw, and scaling the weights leaves the Fredholm
-    # operator bit for bit unchanged: mu's own serves every p = 2 step
+    # the p = 2 weights (mw S, mw) have mu's own Fredholm operator
     if warm_start:
-        G1, G2, D1, D2 = _newton_weights(mw1, mw, state.S1, state.S2, metric, 2.0, 0.0)
-        problem.u = _axpy(problem.u, -1.0, problem.solve(problem.adjoint(G1, G2), D1, D2,
-                                                         problem.op))
+        problem.u = _axpy(problem.u, -1.0, problem.solve(
+            problem.adjoint(mw1 * state.S1, mw * state.S2), mw1, mw, problem.op))
+    S1, S2 = problem.field(problem.u, (state.S1, state.S2))
+    smooth = None           # the smoothed objective and its weights at S and eps
     converged = False
     for it in range(FOC_MAX_ITER + 1):
-        F1, F2 = problem.field(problem.u)
-        S1, S2 = state.S1 + F1, state.S2 + F2
         T1, T2, c = _direction(mw1, mw, S1, S2, metric)
         res = _residual_norm(problem, problem.residual(T1, T2))
         if res <= FOC_TOL:
@@ -517,26 +516,30 @@ def _run_foc(problem, state: PointState, warm_start: bool = True) -> Sensitivity
             break
         if it == FOC_MAX_ITER:
             break
-        G1, G2, D1, D2 = _newton_weights(mw1, mw, S1, S2, metric, pc, eps)
-        du = problem.solve(problem.adjoint(G1, G2), D1, D2, problem.op if pc == 2.0 else None)
-        t = 1.0
+        if pc == 2.0:
+            du = problem.solve(problem.adjoint(mw1 * S1, mw * S2), mw1, mw, problem.op)
+        else:
+            phi0, (G1, G2, D1, D2) = smooth or _smoothed(mw1, mw, S1, S2, metric, pc, eps)
+            du = problem.solve(problem.adjoint(G1, G2), D1, D2)
+        dF1, dF2 = problem.field(du)
+        t, trial = 1.0, (S1 - dF1, S2 - dF2)
         if pc != 2.0:           # Armijo backtracking on the smoothed objective
-            dF1, dF2 = problem.field(du)
-            phi0 = _objective(mw1, mw, S1, S2, metric, pc, eps)
-            slope = float(np.sum(G1 * dF1) + np.sum(G2 * dF2))
-            while _objective(mw1, mw, S1 - t * dF1, S2 - t * dF2, metric, pc, eps) \
+            slope = float(np.vdot(G1, dF1) + np.vdot(G2, dF2))
+            while (smooth := _smoothed(mw1, mw, *trial, metric, pc, eps))[0] \
                     > phi0 - ARMIJO * t * slope:
                 t *= 0.5
                 if t < STEP_MIN:
                     break
+                trial = S1 - t * dF1, S2 - t * dF2
             if t < STEP_MIN:    # no decrease left at this smoothing
                 if eps <= floor:
                     break
-                eps = max(EPS_SHRINK * eps, floor)
+                eps, smooth = max(EPS_SHRINK * eps, floor), None
                 continue
             if slope <= SOLVED * phi0:      # smoothed problem solved: sharpen it
-                eps = max(EPS_SHRINK * eps, floor)
+                eps, smooth = max(EPS_SHRINK * eps, floor), None
         problem.u = _axpy(problem.u, -t, du)
+        S1, S2 = trial
     if not converged:
         problem.warnings.append(
             f"FOC iteration did not converge: residual {res:.3e} after {it} steps")
@@ -604,12 +607,8 @@ def marginal_value_closed_form(mu: GridMeasure, G: GradientField, metric: Metric
     if metric.p != 2.0:
         raise SensitivityError("closed form is for p = 2")
     st = PointState(mu, G, metric, bins)
-    mw = mu.atom_masses()
-    c2 = st.S2 - st.bins.e2(st.S2)[st.bins.index]
-    if metric.adapted:
-        return float(np.sqrt(np.sum(mw * c2 ** 2)))
-    c1 = st.S1 - cond_exp_1(mu, st.S1)[:, None]
-    return float(np.sqrt(np.sum(mw * (c1 ** 2 + c2 ** 2))))
+    c1 = 0 * st.S1 if metric.adapted else st.S1 - cond_exp_1(mu, st.S1)[:, None]
+    return _norm(st.mw1, st.mw, c1, st.S2 - st.bins.e2(st.S2)[st.bins.index])
 
 
 def marginal_path_violation(metric: Metric = W2AD) -> float:

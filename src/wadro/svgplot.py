@@ -10,8 +10,9 @@ COLORS = ("#1f6fb4", "#d1491f", "#2d8a41", "#8146af", "#946141", "#d03a82")
 
 
 def _top(lo: float, hi: float) -> float:
-    """hi, or lo + 1 if [lo, hi] is empty or too few ulps wide for a tick step."""
-    return hi if hi - lo > 16 * math.ulp(max(abs(lo), abs(hi))) else lo + 1.0
+    """hi, or lo + max(1, 64 ulps) if [lo, hi] is empty or too few ulps wide for a tick step."""
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    return hi if hi - lo > 16 * ulp else lo + max(1.0, 64 * ulp)
 
 
 def _ticks(lo: float, hi: float, n: int = 5):

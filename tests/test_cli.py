@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -216,6 +217,16 @@ def test_ticks_of_a_range_a_few_ulps_wide():
     lo, hi = -0.5000000000000001, -0.49999999999999994
     assert _ticks(lo, hi) == _ticks(lo, lo) == [-0.4, -0.2, 0.0, 0.2, 0.4]
     assert _ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def test_ticks_of_a_flat_range_at_large_magnitudes():
+    # lo + 1 is lo from 2^53 on (log10(0) raised there) and below half an ulp
+    # from 2^52 (the tick loop never ended there)
+    for v in (2.0 ** 52, 2.0 ** 53, 1e20, -1e20, 1e300):
+        ticks = _ticks(v, v)
+        assert 1 <= len(ticks) <= 6 and all(math.isfinite(t) for t in ticks), v
+    svg = line_chart([("a", [1, 2], [1e20, 1e20])])
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
 def test_hedge_chart_of_a_strategy_flat_to_rounding(tmp_path):

@@ -14,8 +14,8 @@ from wadro.measure import GridMeasure, cond_exp_1, quantile_bins
 from wadro.oracle import (FAMILY_RTOL, DiscreteBallProblem, default_target_support,
                           family_check, transport_lp)
 from wadro.sensitivity import (CONSTRAINT_SETS, FOC_TOL, W2AD, ConstraintSet, Metric,
-                               PointState, SensitivityError, adapted_gradient, chain_violation,
-                               martingale_psi, solve_foc)
+                               PointState, SensitivityError, _HedgeMap, adapted_gradient,
+                               chain_violation, martingale_psi, solve_foc)
 from wadro.simplex import solve_lp
 
 
@@ -91,6 +91,51 @@ def test_fredholm_bin_space_matches_the_dense_path(grid):
             dense = np.linalg.solve(np.eye(mu.n1) - op.zero_mean_matrix(), rhs)
             assert np.max(np.abs(solve(op, rhs) - dense)) \
                 <= 1e-12 * max(1.0, 1e-3 / (1.0 - op.norm)) * np.max(np.abs(dense))
+
+
+BLOCK_SETS = [CONSTRAINT_SETS["martingale"], CONSTRAINT_SETS["marginal"],
+              ConstraintSet(martingale=True, marginal2=True), CONSTRAINT_SETS["mart_marginal"],
+              ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,))]
+
+
+@given(binned_grids(), st.sampled_from(BLOCK_SETS))
+def test_block_solve_matches_a_dense_solve_at_random_weights(grid, cs):
+    # at weights other than mu's masses the reweighted Fredholm operator is
+    # not mu's own, and the block solve reads the weights' sums from it; its
+    # field A du equals a dense solve's of A^T diag(D) A du = b, with A built
+    # column by column from field and b in the range of A^T (M+m1+m2's null
+    # direction moves no atom, so the fields agree where du need not), to
+    # 1e-12 times the condition number of D^1/2 A off its null space (a mean
+    # constraint close to the span of the other hedges has a large one);
+    # draws whose reweighted operator takes the regularized solve are left out
+    mu, bins, rng = grid
+    state = PointState(mu, GradientField(np.zeros_like(mu.x2), np.ones_like(mu.x2)), W2AD, bins)
+    try:
+        hedges = _HedgeMap(state, cs)
+    except SensitivityError:        # the draw spans phi by the other hedges
+        return
+    sizes = [0 if z is None else z.size for z in hedges.u]
+
+    def split(v):
+        parts = np.split(v, np.cumsum(sizes)[:-1])
+        return tuple(None if z is None else part for z, part in zip(hedges.u, parts))
+
+    def column(v):
+        return np.concatenate([F.ravel() for F in hedges.field(split(v))])
+
+    A = np.column_stack([column(e) for e in np.eye(sum(sizes))])
+    D1 = state.mw1 * rng.uniform(0.1, 10.0, state.mw1.shape)
+    D2 = state.mw * rng.uniform(0.1, 10.0, state.mw.shape)
+    D = np.concatenate([D1.ravel(), D2.ravel()])
+    if hedges.op is not None and not build_operator(bins, D2).below(REGULARIZE_GATE):
+        return
+    g, w = rng.normal(size=D.size), np.sqrt(D)
+    b = A.T @ (D * g)     # so A du is the D-weighted least-squares fit of g
+    dense = A @ np.linalg.lstsq(w[:, None] * A, w * g, rcond=None)[0]
+    sv = np.linalg.svd(w[:, None] * A, compute_uv=False)
+    kappa = sv[0] / np.min(sv[sv > 1e-13 * sv[0]])
+    F = column(np.concatenate([z for z in hedges.solve(split(b), D1, D2) if z is not None]))
+    assert np.max(np.abs(F - dense)) <= 1e-12 * max(1.0, kappa) * np.max(np.abs(dense))
 
 
 @given(binned_grids())

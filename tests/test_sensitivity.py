@@ -7,7 +7,7 @@ import pytest
 
 from wadro import fredholm
 from wadro.criterion import Criterion, GradientField, american_put, gradient_field
-from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
+from wadro.measure import (Binning, GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins, sign_copy_measure)
 from report_sweep import PHI, PSI_SQ
 from wadro.oracle import feasible_family
@@ -362,8 +362,8 @@ def _count_operators_and_eigenproblems(monkeypatch) -> dict:
 
 
 def test_p2_mart_marginal_builds_one_operator(monkeypatch):
-    # the warm start's weights 2 mw give mu's own operator bit for bit, so
-    # the solve reuses it instead of building a second one; its gates are
+    # the warm start's weights (mw S, mw) give mu's own operator, so the
+    # solve reuses it instead of building a second one; its gates are
     # Choleskys, so no eigenproblem runs
     mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))     # hermegauss is an eigenproblem
     state = PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD,
@@ -372,6 +372,48 @@ def test_p2_mart_marginal_builds_one_operator(monkeypatch):
     rep = solve_foc(state, BOTH)
     assert rep.converged and rep.iterations == 0
     assert calls == {"operator": 1, "eigvalsh": 0}
+
+
+def test_p2_mart_marginal_sums_the_atoms_into_bins_twice(monkeypatch):
+    # the block solve reads the weights' row, bin and row-by-bin sums from
+    # their operator: the grid is summed into the bins once by the adjoint
+    # and once by the residual, and into the (row, bin) cells by the one
+    # operator build
+    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD,
+                       quantile_bins(mu, 32))
+    calls = _count_operators_and_eigenproblems(monkeypatch)
+    lengths, bincount = [], np.bincount
+
+    def counted(x, *args, **kwargs):
+        if np.size(x) == mu.n1 * mu.n2:
+            lengths.append(kwargs.get("minlength", args[1] if len(args) > 1 else 0))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    rep = solve_foc(state, BOTH)
+    assert rep.converged and rep.iterations == 0 and calls["operator"] == 1
+    m = state.bins.m
+    assert lengths.count(m) <= 2 and lengths.count(mu.n1 * m) == 1 and len(lengths) <= 3
+
+
+def test_general_p_newton_steps_sum_no_weights_into_bins(monkeypatch):
+    # every Binning.sums of a p = 1.5 M+m1+m2 solve is an adjoint (the warm
+    # start's and one per step) or a residual (one per iterate): each step's
+    # weights are summed into the bins by their operator alone
+    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu),
+                       Metric("wp_adapted", 1.5), quantile_bins(mu, 32))
+    calls, sums = [], Binning.sums
+
+    def counted(self, values):
+        calls.append(np.shape(values))
+        return sums(self, values)
+
+    monkeypatch.setattr(Binning, "sums", counted)
+    rep = solve_foc(state, BOTH)
+    assert rep.converged and rep.iterations > 0
+    assert len(calls) == 2 * (rep.iterations + 1)
 
 
 def test_general_p_newton_steps_solve_no_eigenproblem(monkeypatch):
