@@ -102,6 +102,10 @@ class RunConfig:
     def model_spec(self, sigma: float) -> ModelSpec:
         return ModelSpec(self.family, sigma, self.n1, self.n2, self.quadrature)
 
+    @functools.cached_property
+    def parsed_criterion(self) -> Criterion:    # built, its derivatives checked, once
+        return preset(self.criterion)
+
     def validate(self):
         """Refuse a bad value before any work: the ball, criterion, sigma grid,
         bin count and oracle radii (``main`` checks the models a command builds)."""
@@ -114,7 +118,7 @@ class RunConfig:
                 raise ConfigError(f"unknown constraint set {s!r}")
         self.metric()
         try:
-            preset(self.criterion)
+            _ = self.parsed_criterion       # kept: the command reads it
         except ValueError as exc:
             raise ConfigError(f"criterion.name {self.criterion!r}: {exc}") from exc
         if self.bins is not None and self.bins < 1:
@@ -203,7 +207,7 @@ def _curve_point(cfg: RunConfig, c: Criterion, sigma: float) -> dict:
 
 
 def cmd_curve(cfg: RunConfig) -> int:
-    c = preset(cfg.criterion)
+    c = cfg.parsed_criterion
     sens_cols = [col for name, col in CURVE_COLUMNS.items() if name in cfg.curve_sets()]
     header = ["sigma", "price"] + sens_cols + ["vega"] + [f"relative_{cn}" for cn in sens_cols]
     rows, failed = [], 0
@@ -235,7 +239,7 @@ def cmd_curve(cfg: RunConfig) -> int:
 
 
 def cmd_hedge(cfg: RunConfig, sigma: float) -> int:
-    c = preset(cfg.criterion)
+    c = cfg.parsed_criterion
     spec = cfg.model_spec(sigma)
     mu = build_model(spec)
     G = gradient_field(c, mu)
@@ -308,7 +312,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if mu.n1 * mu.n2 > 100:
         print("oracle instances are capped at 100 atoms", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    c = preset(cfg.criterion)
+    c = cfg.parsed_criterion
     if c.kind != "linear":
         print("the LP oracle needs a linear criterion (e.g. linear:x2)", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -33,21 +33,22 @@ class FredholmOperator:
     ``K[i, i'] = sum_b P(bin b | X1 = x1[i]) P(X1 = x1[i'] | bin b)``, that is
     ``D_r^-1 C D_b^-1 C^T`` for row sums r and bin sums b.  The runtime works
     on the symmetric m x m ``B0 = Z^T Z - t t^T``, ``Z = D_r^-1/2 C D_b^-1/2``
-    and ``t = sqrt(b / sum b)``, whose nonzero eigenvalues are K's on
-    zero-mean functions; K is formed only on request.  K preserves constants
-    and the mu1-mean (``w1``): in bin space both read ``B t = t``.
+    (``s`` = sqrt(r), kept for the solves) and ``t = sqrt(b / sum b)``, whose nonzero
+    eigenvalues are K's on zero-mean functions; K is formed only on request.  K
+    preserves constants and the mu1-mean (``w1``): in bin space both read ``B t = t``.
     """
 
     def __init__(self, C: np.ndarray):
         r, b = C.sum(axis=1), C.sum(axis=0)
-        if np.any(r <= 0) or np.any(b <= 0):
+        if (r <= 0).any() or (b <= 0).any():
             raise FredholmError("a row of atoms or a bin has zero weight")
         self.C, self.r, self.b, self.w1 = C, r, b, r / r.sum()
-        self.Z = C / np.sqrt(r)[:, None] / np.sqrt(b)[None, :]
-        B, t = self.Z.T @ self.Z, np.sqrt(b / b.sum())
-        if not np.max(np.abs(B @ t - t)) <= 1e-12:
+        self.s = np.sqrt(r)
+        Z = self.Z = C / self.s[:, None] / np.sqrt(b)
+        B, t = Z.T @ Z, np.sqrt(b / b.sum())
+        if not abs(B @ t - t).max() <= 1e-12:
             raise FredholmError("operator does not preserve constants and the mu1-mean")
-        self.B0 = B - np.outer(t, t)
+        self.B0 = np.subtract(B, t[:, None] * t, out=B)
         self._passed = np.inf       # the lowest gate the norm is known to be below
 
     @cached_property
@@ -79,10 +80,10 @@ class FredholmOperator:
     def solve_weighted(self, d: np.ndarray, r2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(diag(d) - diag(r2) K) h = rhs`` for 0 < r2 < d by Woodbury:
         one m x m solve of ``I - Z^T diag(r2 / d) Z``."""
-        g, s = rhs / d, np.sqrt(self.r)
+        g = rhs / d
         W = self.Z * np.sqrt(r2 / d)[:, None]
-        y = np.linalg.solve(np.eye(len(self.B0)) - W.T @ W, self.Z.T @ (s * g))
-        return g + r2 / (d * s) * (self.Z @ y)
+        y = np.linalg.solve(np.eye(len(self.B0)) - W.T @ W, self.Z.T @ (self.s * g))
+        return g + r2 / (d * self.s) * (self.Z @ y)
 
 
 def build_operator(bins: Binning, weights: np.ndarray | None = None) -> FredholmOperator:
@@ -124,12 +125,11 @@ def solve(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
     if not op.below(SINGULAR_GATE):
         raise FredholmError(f"contraction norm {contraction_norm(op)!r} is 1 to rounding: "
                             "I - K is singular on zero-mean functions")
-    s = np.sqrt(op.r)
     try:
-        y = np.linalg.solve(np.eye(len(op.B0)) - op.B0, op.Z.T @ (s * rhs))
+        y = np.linalg.solve(np.eye(len(op.B0)) - op.B0, op.Z.T @ (op.s * rhs))
     except np.linalg.LinAlgError as exc:
         raise FredholmError(f"direct solve failed: {exc}") from exc
-    h = rhs + (op.Z @ y) / s
+    h = rhs + (op.Z @ y) / op.s
     return h - float(op.w1 @ h)
 
 

@@ -40,6 +40,7 @@ class GridMeasure:
     x2 : (n1, n2) conditional second-stage support, each row strictly increasing.
     q : (n1, n2) strictly positive conditional weights, each row summing to one.
     is_martingale : whether ``sum_j q[i,j] x2[i,j] == x1[i]`` is asserted.
+    q_rows : (n1,) row sums of q, each 1 within WEIGHT_TOL; computed once, read-only.
     """
 
     x1: np.ndarray
@@ -47,6 +48,7 @@ class GridMeasure:
     x2: np.ndarray
     q: np.ndarray
     is_martingale: bool = False
+    q_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x1 = np.asarray(self.x1, dtype=float)
@@ -54,27 +56,26 @@ class GridMeasure:
         x2 = np.asarray(self.x2, dtype=float)
         q = np.asarray(self.q, dtype=float)
         for name, arr in (("x1", x1), ("w1", w1), ("x2", x2), ("q", q)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise MeasureError(f"{name} contains non-finite entries")
         if x1.ndim != 1 or w1.shape != x1.shape:
             raise MeasureError("x1 and w1 must be vectors of equal length")
         if x2.ndim != 2 or x2.shape[0] != x1.size or q.shape != x2.shape:
             raise MeasureError("x2 and q must be (n1, n2) matrices")
-        if np.any(np.diff(x1) <= 0):
+        if (x1[1:] <= x1[:-1]).any():
             raise MeasureError("x1 must be strictly increasing")
-        if np.any(np.diff(x2, axis=1) <= 0):
+        if (x2[:, 1:] <= x2[:, :-1]).any():
             raise MeasureError("each row of x2 must be strictly increasing")
-        if np.any(w1 <= 0) or abs(w1.sum() - 1.0) > WEIGHT_TOL:
+        if (w1 <= 0).any() or abs(w1.sum() - 1.0) > WEIGHT_TOL:
             raise MeasureError("w1 must be positive and sum to 1 within 1e-12")
-        if np.any(q <= 0) or np.any(np.abs(q.sum(axis=1) - 1.0) > WEIGHT_TOL):
+        q_rows = q.sum(axis=1)
+        if (q <= 0).any() or (abs(q_rows - 1.0) > WEIGHT_TOL).any():
             raise MeasureError("each row of q must be positive and sum to 1 within 1e-12")
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "q", q)
         masses = w1[:, None] * q
-        masses.flags.writeable = False
-        object.__setattr__(self, "_masses", masses)
+        masses.flags.writeable = q_rows.flags.writeable = False
+        for name, arr in (("x1", x1), ("w1", w1), ("x2", x2), ("q", q), ("_masses", masses),
+                          ("q_rows", q_rows)):
+            object.__setattr__(self, name, arr)
         if self.is_martingale and self.martingale_residual() > self.martingale_tol:
             raise MeasureError(f"martingale flag set but residual {self.martingale_residual():.3e}"
                                f" exceeds {self.martingale_tol:.3e}")
@@ -92,13 +93,13 @@ class GridMeasure:
         return self._masses
 
     def martingale_residual(self) -> float:
-        """max_i |sum_j q[i,j] x2[i,j] - x1[i]|."""
-        return float(np.max(np.abs(np.sum(self.q * self.x2, axis=1) - self.x1)))
+        """max_i |sum_j q[i,j] x2[i,j] - x1[i]|, one row dot per atom of x1."""
+        return float(abs(np.einsum("ij,ij->i", self.q, self.x2) - self.x1).max())
 
     @property
     def martingale_tol(self) -> float:
         """Largest martingale residual of a martingale: MARTINGALE_RTOL of max(1, max|x1|)."""
-        return MARTINGALE_RTOL * max(1.0, float(np.max(np.abs(self.x1))))
+        return MARTINGALE_RTOL * max(1.0, float(abs(self.x1).max()))
 
     def displaced(self, theta1: np.ndarray | float, theta2: np.ndarray | float,
                   r: float) -> "GridMeasure":
@@ -144,7 +145,7 @@ class ModelSpec:
             raise MeasureError("grid sizes must be at least 2")
         for n in (self.n1, self.n2):
             w = _cached_nodes(n, self.quadrature)[1]
-            if not np.all(np.isfinite(w) & (w > 0)):
+            if not (np.isfinite(w) & (w > 0)).all():
                 raise MeasureError(f"numpy's {self.quadrature} rule has weights that are not "
                                    f"finite and positive at n = {n}; use fewer nodes")
 
@@ -182,7 +183,7 @@ def build_model(spec: ModelSpec) -> GridMeasure:
 
     Rows are renormalized so the martingale identity holds exactly on the
     grid: the Bachelier innovation grid is recentered, the Black-Scholes
-    exponential is divided by its quadrature mean.
+    exponential is divided by its quadrature mean; q is one read-only row of weights, broadcast.
     """
     z1, w1 = std_normal_nodes(spec.n1, spec.quadrature)
     z2, w2 = std_normal_nodes(spec.n2, spec.quadrature)
@@ -196,16 +197,16 @@ def build_model(spec: ModelSpec) -> GridMeasure:
         x1 = e1 / (w1 @ e1)
         e2 = np.exp(s * z2)
         x2 = x1[:, None] * (e2 / (w2 @ e2))[None, :]
-    q = np.tile(w2, (spec.n1, 1))
+    q = np.broadcast_to(w2, (spec.n1, spec.n2))
     return GridMeasure(x1, w1, x2, q, is_martingale=True)
 
 
 def cond_exp_1(mu: GridMeasure, field: np.ndarray) -> np.ndarray:
-    """Exact conditional expectation given X1: v[i] = sum_j q[i,j] field[i,j];
-    a function of x1 alone may come as an (n1, 1) column: v[i] = field[i] sum_j q[i,j]."""
+    """Exact conditional expectation given X1: v[i] = sum_j q[i,j] field[i,j]; a function
+    of x1 alone may come as an (n1, 1) column, weighed by the measure's row sums of q."""
     field = np.asarray(field, dtype=float)
     if field.shape == (mu.n1, 1):
-        return field[:, 0] * mu.q.sum(axis=1)
+        return field[:, 0] * mu.q_rows
     if field.shape != mu.x2.shape:
         raise MeasureError(f"field shape {field.shape} does not match grid {mu.x2.shape}")
     return np.sum(mu.q * field, axis=1)

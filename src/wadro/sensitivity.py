@@ -39,6 +39,7 @@ SOLVED = 1e-6
 EPS_SHRINK = 0.1
 EPS_FLOOR = 1e-30
 WEIGHT_FLOOR = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 class SensitivityError(ValueError):
@@ -218,7 +219,7 @@ def _norm(mw1, mw, X1: np.ndarray, X2: np.ndarray) -> float:
 
 def _add(F, term, shape):
     """F + term as an array of ``shape``, in place into F, else (F None) a copy."""
-    return np.array(np.broadcast_to(term, shape)) if F is None else np.add(F, term, out=F)
+    return np.positive(term, out=np.empty(shape)) if F is None else np.add(F, term, out=F)
 
 
 def _direction(mw1, mw, S1, S2, metric: Metric):
@@ -226,7 +227,7 @@ def _direction(mw1, mw, S1, S2, metric: Metric):
     if metric.p == 2.0:         # N_d is the identity
         T1, T2 = S1, S2
     elif metric.adapted:
-        T1, T2 = n_map(S1, metric.p), n_map(S2, metric.p)
+        T1, T2 = (np.copysign(abs(S) ** (metric.p_conj - 1.0), S) for S in (S1, S2))
     else:
         mag = np.hypot(S1, S2)
         fac = np.power(mag, metric.p_conj - 2.0, where=mag > 0, out=np.zeros_like(mag))
@@ -274,9 +275,9 @@ class _HedgeMap:
                 self.warnings.append(
                     f"informational-discrepancy contraction {contraction:.6f} >= "
                     f"{fredholm.REGULARIZE_GATE}; using regularized hedge solve")
-        a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
 
         def partials(c):
+            a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
             return (np.asarray(c.d1(a, mu.x2), dtype=float) + np.zeros_like(mu.x2),
                     np.asarray(c.d2(a, mu.x2), dtype=float) + np.zeros_like(mu.x2))
 
@@ -340,7 +341,7 @@ class _HedgeMap:
         if self.c1 is not None:
             comps["h"] = self.c1 * e1 + np.einsum("ij,ij->i", self.qc2, T2)
         if self.phi:
-            comps["phi"] = np.array([np.sum(self.mw1 * p1 * T1) + np.sum(self.mw * p2 * T2)
+            comps["phi"] = np.array([(self.mw1 * p1 * T1).sum() + (self.mw * p2 * T2).sum()
                                      for p1, p2 in self.phi])
         return comps
 
@@ -351,7 +352,7 @@ class _HedgeMap:
         return (g1 if self.cs.marginal1 else None,
                 self.bins.sums(G2) if self.cs.marginal2 else None,
                 None if self.c1 is None else self._c2_rows(G2) + self.c1 * g1,
-                np.array([np.sum(p1 * G1) + np.sum(p2 * G2) for p1, p2 in self.phi]) if self.phi
+                np.array([(p1 * G1).sum() + (p2 * G2).sum() for p1, p2 in self.phi]) if self.phi
                 else None)
 
     def _c2_rows(self, G):
@@ -444,18 +445,13 @@ def _residual_norm(problem, comps) -> float:
     """Norm of the constraint operator applied to T.
 
     Per-atom and per-bin components are measured in the weighted L2 norms of
-    the spaces the operator maps into (L^p(mu_1) and its bin analogue);
-    finite-dimensional mean-constraint components in the max norm.
+    the spaces the operator maps into (L^p(mu_1) and its bin analogue), each
+    one dot; finite-dimensional mean-constraint components in the max norm.
     """
     worst = 0.0
-    w1 = problem.mu.w1
     for key, v in comps.items():
-        if key == "phi":
-            worst = max(worst, float(np.max(np.abs(v))))
-        elif key == "m2":
-            worst = max(worst, float(np.sqrt(np.sum(problem.bins.mass * v ** 2))))
-        else:
-            worst = max(worst, float(np.sqrt(np.sum(w1 * v ** 2))))
+        w = problem.bins.mass if key == "m2" else problem.mu.w1
+        worst = max(worst, float(abs(v).max()) if key == "phi" else float(v @ (w * v)) ** 0.5)
     return worst
 
 
@@ -473,8 +469,7 @@ def _smoothed(mw1, mw, S1, S2, metric: Metric, pc: float, eps: float):
     def part(m, v):
         a = m * v ** (0.5 * pc - 1.0)
         w = pc * a
-        return np.sum(a * v), w, np.maximum(w * ((2.0 - pc) * e2 / v + (pc - 1.0)),
-                                            np.finfo(float).tiny)
+        return (a * v).sum(), w, np.maximum(w * ((2.0 - pc) * e2 / v + (pc - 1.0)), _TINY)
 
     if metric.adapted:
         (phi1, w1, D1), (phi2, w2, D2) = part(mw1, S1 * S1 + e2), part(mw, S2 * S2 + e2)

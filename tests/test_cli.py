@@ -157,6 +157,24 @@ def test_curve_outputs_are_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["curve", "--set", "model.sigma=0.5"], ["hedge", "--sigma", "0.5"],
+    ["oracle", "--set", "criterion.name=linear:x2"]], ids=lambda a: a[0])
+def test_command_builds_its_criterion_once(tmp_path, monkeypatch, args):
+    # validation builds the criterion, its derivative check included, and the
+    # command reads the one it kept
+    names, preset_ = [], cli.preset
+
+    def counted(name):
+        names.append(name)
+        return preset_(name)
+
+    monkeypatch.setattr(cli, "preset", counted)
+    grid = ["--set", "model.n1=8", "--set", "model.n2=8"] if args[0] != "oracle" else []
+    assert run_cli(args + grid + ["--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(names) == 1
+
+
 def test_curve_relative_columns(tmp_path):
     rc = run_cli(["curve", "--set", "model.sigma=0.5", "--set", "model.n1=16",
                   "--set", "model.n2=16", "--out", str(tmp_path)])

@@ -74,6 +74,36 @@ def test_grid_measure_invariants_enforced():
         GridMeasure(x1, w1, x2 + 0.5, q, is_martingale=True)
 
 
+@pytest.mark.parametrize("row", [[0.0, 0.0], [1.0, 1.0 + 2 ** -52], [1.0, 1.0 - 2 ** -53],
+                                 [-1e308, 1e308], [1e308, -1e308], [5e-324, 1e-323],
+                                 [0.0, -0.0]])
+def test_row_order_verdict_is_the_sign_of_the_differences(row):
+    # neighbours compared directly, after the finiteness check, refuse the
+    # rows whose differences are not positive, overflow and signed zeros too
+    x2 = np.array([row, [0.0, 1.0]])
+    args = (np.array([0.0, 1.0]), np.array([0.5, 0.5]), x2, np.full((2, 2), 0.5))
+    with np.errstate(over="ignore"):
+        increasing = np.all(np.diff(x2, axis=1) > 0)
+    if increasing:
+        GridMeasure(*args)
+    else:
+        with pytest.raises(MeasureError, match="strictly increasing"):
+            GridMeasure(*args)
+
+
+def test_build_model_q_is_one_read_only_quadrature_row():
+    # every row of q is the second quadrature's weights: one row broadcast,
+    # read-only, with the row sums and martingale residual of the tiled grid
+    mu = build_model(ModelSpec("black_scholes", 0.5, 12, 10))
+    tiled = np.tile(std_normal_nodes(10)[1], (12, 1))
+    assert not mu.q.flags.writeable and mu.q.strides[0] == 0
+    assert np.array_equal(mu.q, tiled)
+    assert not mu.q_rows.flags.writeable
+    assert np.array_equal(mu.q_rows, tiled.sum(axis=1))
+    residual = float(np.max(np.abs(np.sum(tiled * mu.x2, axis=1) - mu.x1)))
+    assert abs(mu.martingale_residual() - residual) <= 1e-14 * max(1.0, np.max(np.abs(mu.x1)))
+
+
 def test_cond_exp_1_constant_and_martingale():
     mu = build_model(ModelSpec("bachelier", 1.0, 8, 8))
     assert np.allclose(cond_exp_1(mu, np.ones_like(mu.x2)), 1.0, atol=1e-14)

@@ -416,6 +416,42 @@ def test_general_p_newton_steps_sum_no_weights_into_bins(monkeypatch):
     assert len(calls) == 2 * (rep.iterations + 1)
 
 
+def test_general_p_newton_step_builds_one_operator_and_one_cholesky(monkeypatch):
+    # each p = 1.5 M+m1+m2 Newton step builds one reweighted operator and
+    # gates it with one Cholesky; the direct solve's higher gate then reads
+    # the cached verdict.  mu's own operator, which the warm start solves
+    # with, is built and gated before the count
+    mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu),
+                       Metric("wp_adapted", 1.5), quantile_bins(mu, 32))
+    assert state.op.below(fredholm.REGULARIZE_GATE)
+    calls = _count_operators_and_eigenproblems(monkeypatch)
+    choleskys, cholesky = [], np.linalg.cholesky
+
+    def counted(a):
+        choleskys.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rep = solve_foc(state, BOTH)
+    assert rep.converged and rep.iterations > 0
+    assert calls == {"operator": rep.iterations, "eigvalsh": 0}
+    assert len(choleskys) == rep.iterations
+
+
+def test_cond_exp_1_of_a_column_reads_no_grid():
+    # a function of x1 alone is weighed by the row sums of q that the measure
+    # holds: with every (n1, n2) array of the measure taken away it still
+    # gives the per-atom sum
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    col = np.random.default_rng(3).standard_normal((16, 1))
+    expected = np.sum(mu.q * col, axis=1)
+    for grid in ("x2", "q", "_masses"):
+        object.__setattr__(mu, grid, None)
+    got = cond_exp_1(mu, col)
+    assert got.shape == (16,) and np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(col))
+
+
 def test_general_p_newton_steps_solve_no_eigenproblem(monkeypatch):
     # every p != 2 Newton step builds a reweighted operator and gates its
     # solve without the norm
