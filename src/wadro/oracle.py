@@ -77,8 +77,8 @@ def _snap_to(values: np.ndarray, atoms: np.ndarray, err: str) -> np.ndarray:
     return idx
 
 
-_AXIS_DIRS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-_DIAG_DIRS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]) / np.sqrt(2.0)
+_DIRS = np.vstack([[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],       # axes, diagonals
+                   np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]) / np.sqrt(2.0)])
 
 
 def default_target_support(mu: GridMeasure, radii,
@@ -91,27 +91,25 @@ def default_target_support(mu: GridMeasure, radii,
     coordinate snaps onto its clusters (the second among points of equal
     first), whose atom coordinate, if any, stays exact.
     """
-    dirs = np.vstack([_AXIS_DIRS, _DIAG_DIRS])
-    if constraints.marginal1:
-        dirs = dirs[dirs[:, 0] == 0.0]
-    if constraints.marginal2:
-        dirs = dirs[dirs[:, 1] == 0.0]
+    m1, m2 = constraints.marginal1, constraints.marginal2
+    dirs = [d for d in _DIRS if not (m1 and d[0] or m2 and d[1])]     # pinned coordinates stay
     atoms = np.column_stack([np.repeat(mu.x1, mu.n2), mu.x2.ravel()])
     pts = np.vstack([atoms] + [atoms + r * d for r in np.atleast_1d(radii) if r > 0 for d in dirs])
     tol = MERGE_TOL * max(1.0, float(np.max(np.abs(atoms))))
-    is_atom = np.arange(len(pts)) < len(atoms)
-    group = np.zeros(len(pts))
+    n = len(pts)
+    late = n * (np.arange(n) >= len(atoms))         # puts a cluster's atoms first
+    order, group = np.argsort(pts[:, 0], kind="stable"), np.zeros(n, dtype=np.intp)
     for k in range(2):
-        # a cluster: values of one group whose sorted gaps are at most tol;
-        # each takes its first value, atoms' values coming first
-        order = np.lexsort((pts[:, k], group))
+        # a cluster: sorted values of one group (for k = 1, of one first-coordinate
+        # cluster) whose gaps are at most tol; it takes its first atom's value,
+        # else its first point's.  Each second-coordinate cluster is one target.
         v, g = pts[order, k], group[order]
-        cluster = np.cumsum((np.diff(v, prepend=-np.inf) > tol) | (np.diff(g, prepend=g[0]) != 0))
-        rank = np.lexsort((~is_atom[order], cluster))
-        pts[order, k] = v[rank[np.diff(cluster[rank], prepend=0) > 0]][cluster - 1]
-        group = pts[:, 0]
-    pts = pts[order]                    # sorted by (x1, x2), so repeats are neighbours
-    return pts[np.r_[True, np.any(np.diff(pts, axis=0) != 0.0, axis=1)]]
+        new = (np.diff(v, prepend=-np.inf) > tol) | (np.diff(g, prepend=-1) != 0)
+        x = v[np.minimum.reduceat(np.arange(n) + late[order], new.nonzero()[0]) % n]
+        if k == 0:
+            x1, group[order] = x, new.cumsum() - 1
+            order = np.lexsort((pts[:, 1], group))
+    return np.column_stack([x1[g[new]], x])
 
 
 class Coupling:
@@ -310,9 +308,9 @@ def slope_estimate(radii, values):
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
         raise OracleError("nonfinite slope data")
     X = np.column_stack([np.ones_like(r), r, r ** 2])
-    if np.linalg.matrix_rank(X) < 3:
+    coef, _, rank, _ = np.linalg.lstsq(X, v, rcond=None)    # rank as np.linalg.matrix_rank
+    if rank < 3:
         raise OracleError("degenerate design matrix (radii must be distinct)")
-    coef, *_ = np.linalg.lstsq(X, v, rcond=None)
     resid = float(np.max(np.abs(X @ coef - v)))
     return float(coef[1]), resid
 

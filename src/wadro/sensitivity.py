@@ -181,7 +181,8 @@ class PointState:
     ``mw`` of its components and its L2(mu) norm ``norm``, shared by the sets,
     the binning ``bins`` (the one passed in, else mu's quantile binning into
     n2 bins on first use) and mu's Fredholm operator ``op``, built on first
-    use.  The adapted ball's S1 = E1[g1] and mw1 are (n1, 1) columns.
+    use.  The adapted ball's S1 = E1[g1] and mw1 are (n1, 1) columns.  A field
+    of infinite norm raises SensitivityError.
     """
 
     def __init__(self, mu: GridMeasure, G: GradientField, metric: Metric,
@@ -193,6 +194,8 @@ class PointState:
         self.S2 = np.array(G.g2)
         self.S1.flags.writeable = self.S2.flags.writeable = self.mw1.flags.writeable = False
         self.norm = _norm(self.mw1, self.mw, self.S1, self.S2)
+        if not np.isfinite(self.norm):
+            raise SensitivityError(f"the gradient field's L2(mu) norm is {self.norm}, not finite")
         if bins is not None:
             if bins.mu is not mu:
                 raise SensitivityError("the binning was built for another measure")
@@ -451,7 +454,8 @@ def _residual_norm(problem, comps) -> float:
     worst = 0.0
     for key, v in comps.items():
         w = problem.bins.mass if key == "m2" else problem.mu.w1
-        worst = max(worst, float(abs(v).max()) if key == "phi" else float(v @ (w * v)) ** 0.5)
+        norm = float(abs(v).max()) if key == "phi" else float(v @ (w * v)) ** 0.5
+        worst = norm if norm > worst or norm != norm else worst     # a NaN stays
     return worst
 
 

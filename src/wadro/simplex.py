@@ -32,13 +32,13 @@ FEAS_TOL of each row's scale) and raises InaccurateError when pivots on
 near-zero elements have lost it.
 
 A starting basis, such as an earlier LP's final one, is checked on the
-lists, without the tableau: B from its columns' entries, two m x m solves
-for the levels B^-1 rhs and the row prices y = B^-T c_B, and one sum over
-the entries for the reduced costs c - y A.  If the levels are >= -HARRIS_TOL
-and every reduced cost is >= -PIVOT_TOL (the pivot loop's own stopping
-tests), its point is certified and returned after 0 pivots.  Any other
-basis (a wrong length, a repeated or out-of-range index, an artificial, a
-singular B) is ignored.
+lists, without the tableau: B from its columns' entries, the levels B^-1 rhs
+and the row prices y = B^-T c_B with B's singleton rows eliminated first
+(_basis_solve), and one sum over the entries for the reduced costs c - y A.
+If the levels are >= -HARRIS_TOL and every reduced cost is >= -PIVOT_TOL
+(the pivot loop's own stopping tests), its point is certified and returned
+after 0 pivots.  Any other basis (a wrong length, a repeated or out-of-range
+index, an artificial, a singular B) is ignored.
 """
 
 from __future__ import annotations
@@ -183,6 +183,25 @@ def _certify(x, rows, cols, vals, b, n_eq, scale) -> None:
                                   f"by {np.max(part):.3e} of its scale")
 
 
+def _basis_solve(B, rhs, cost):
+    """The levels B^-1 rhs and the row prices B^-T cost of a basis matrix B.
+
+    A singleton row of B (one nonzero entry) fixes its column's level, and its
+    price follows by back-substitution, so only the other rows' block takes
+    the dense solves (Markowitz 1957).  Raises LinAlgError when that block is
+    singular or, two singletons sharing a column, not square."""
+    one = (np.count_nonzero(B, axis=1) == 1).nonzero()[0]
+    col = (B[one] != 0.0).argmax(axis=1)
+    rest, free = (np.flatnonzero(np.bincount(k, minlength=len(B)) == 0) for k in (one, col))
+    K, C, piv = B[rest][:, free], B[rest][:, col], B[one, col]
+    levels, y = np.empty_like(rhs), np.empty_like(rhs)
+    levels[col] = rhs[one] / piv
+    levels[free] = np.linalg.solve(K, rhs[rest] - C @ levels[col])
+    y[rest] = np.linalg.solve(K.T, cost[free])
+    y[one] = (cost[col] - y[rest] @ C) / piv
+    return levels, y
+
+
 def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False, basis=None) -> LPResult:
     """Solve the LP; returns primal solution, optimal value and final basis.
 
@@ -248,8 +267,7 @@ def solve_lp(c, rows, cols, vals, b, n_eq: int, maximize: bool = False, basis=No
         B = np.zeros((m, m))
         B[t_rows[on], at[t_cols[on]]] = t_vals[on]
         with contextlib.suppress(np.linalg.LinAlgError):        # a singular B
-            levels = np.linalg.solve(B, rhs)
-            y = np.linalg.solve(B.T, obj[start])                # the row prices
+            levels, y = _basis_solve(B, rhs, obj[start])        # y: the row prices
             red = obj[:ntot] - np.bincount(t_cols, y[t_rows] * t_vals, ntot)
             if np.all(levels >= -HARRIS_TOL) and np.all(red >= -PIVOT_TOL):
                 return answer(start, levels, 0)

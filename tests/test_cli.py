@@ -14,7 +14,7 @@ import pytest
 
 import wadro
 from wadro import cli, measure, sensitivity
-from wadro.criterion import gradient_field, preset, value
+from wadro.criterion import GradientField, gradient_field, preset, value
 from wadro.measure import ModelSpec, build_model, canonical_test_measure, quantile_bins, to_csv
 from wadro.svgplot import _ticks, line_chart
 
@@ -411,6 +411,23 @@ def test_curve_partial_failure_writes_nan_markers(tmp_path, capsys):
     assert len(rows) == 2
     assert rows[0]["price"] not in ("", "nan")
     assert rows[1]["price"] == "nan"
+
+
+def test_curve_writes_a_gradient_of_infinite_norm_as_a_failed_row(tmp_path, monkeypatch, capsys):
+    # the second sigma's gradient field (0, 1e300) squares to inf: its row is
+    # NaN throughout and stderr names the field; the other rows are solved
+    real = cli.gradient_field
+    fields = iter([real, lambda c, mu: GradientField(0.0 * mu.x2, 1e300 + 0.0 * mu.x2), real])
+    monkeypatch.setattr(cli, "gradient_field", lambda c, mu: next(fields)(c, mu))
+    rc = run_cli(["curve", "--set", "metric.p=1.5", "--set", "model.sigma=0.2,0.5,1.0",
+                  "--set", "model.n1=8", "--set", "model.n2=8", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["sigma=0.5 failed: the gradient field's L2(mu) norm is inf, not finite"]
+    rows = list(csv.DictReader(open(tmp_path / "curve.csv")))
+    assert [row["sigma"] for row in rows] == ["0.2", "0.5", "1.0"]
+    for k, row in enumerate(rows):
+        assert all((row[col] in ("nan", "")) == (k == 1) for col in row if col != "sigma"), row
 
 
 def test_curve_writes_nan_for_unconverged_values(tmp_path, monkeypatch, capsys):

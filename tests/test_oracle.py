@@ -6,7 +6,7 @@ import pytest
 from lattice import LP_SETS, lp_bytes
 from report_sweep import PHI, constraint_sets
 from wadro.criterion import american_put, gradient_field, preset, value
-from wadro.measure import GridMeasure, ModelSpec, build_model, canonical_test_measure
+from wadro.measure import MERGE_TOL, GridMeasure, ModelSpec, build_model, canonical_test_measure
 from wadro.oracle import (Coupling, DiscreteBallProblem, OracleError, bicausal_distance,
                           classical_distance, default_target_support, dro_lp,
                           family_check, feasible_family, oracle_report, slope_estimate,
@@ -206,6 +206,13 @@ def test_slope_estimate_exact_fits():
         slope_estimate([0.0, 0.1], [1.0, 1.1])
     with pytest.raises(OracleError):
         slope_estimate([0.1, 0.1, 0.1], [1.0, 1.0, 1.0])
+    # repeated radii: rank 2 is degenerate however many points; 3 distinct fit
+    for radii in ([0.0, 0.1, 0.1, 0.0], [0.0, 0.0, 0.2, 0.2, 0.2], [0.05, 0.05, 0.05, 0.1]):
+        r = np.array(radii)
+        with pytest.raises(OracleError, match="degenerate design matrix"):
+            slope_estimate(r, 2.0 + 3.0 * r)
+    r = np.array([0.0, 0.1, 0.1, 0.2, 0.2])
+    assert abs(slope_estimate(r, 1.0 + 0.5 * r - 2.0 * r ** 2)[0] - 0.5) <= 1e-10
 
 
 def test_bicausal_zero_and_translation():
@@ -437,3 +444,68 @@ def test_dro_lp_concave_in_budget():
     b = np.array(radii) ** 2
     slopes = np.diff(vals) / np.diff(b)
     assert np.all(np.diff(slopes) <= 1e-8)
+
+
+def _brute_force_support(mu, radii, cs):
+    """default_target_support from its definition by O(N^2) comparisons: the
+    clusters of a coordinate are the connected components of "within tol"
+    (for the second coordinate, among points of one first-coordinate
+    cluster), each at its smallest atom value, else its smallest value."""
+    dirs = np.vstack([[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
+                      np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]) / np.sqrt(2.0)])
+    dirs = [d for d in dirs if not (cs.marginal1 and d[0]) and not (cs.marginal2 and d[1])]
+    atoms = np.array([(a, z) for a, row in zip(mu.x1, mu.x2) for z in row])
+    pts = np.vstack([atoms] + [atoms + r * d for r in radii if r > 0 for d in dirs])
+    is_atom = np.arange(len(pts)) < len(atoms)
+    tol = MERGE_TOL * max(1.0, np.abs(atoms).max())
+
+    def snapped(values, linked):
+        near = (np.abs(values[:, None] - values[None, :]) <= tol) & linked
+        label = np.arange(len(values))
+        while True:             # each point takes the smallest label of its component
+            new = np.where(near, label[None, :], len(values)).min(axis=1)
+            if np.array_equal(new, label):
+                break
+            label = new
+        out = np.empty_like(values)
+        for c in np.unique(label):
+            members = label == c
+            out[members] = values[members & is_atom if np.any(members & is_atom) else members].min()
+        return out, label
+
+    x1, group = snapped(pts[:, 0], True)
+    x2, _ = snapped(pts[:, 1], group[:, None] == group[None, :])
+    return np.unique(np.column_stack([x1, x2]), axis=0), pts, tol
+
+
+def _planted_measure(rng, n, r):
+    """An n x n grid r apart in [-1, 1] (so tol = MERGE_TOL), each coordinate
+    moved by a multiple of MERGE_TOL: the shifts by r land within MERGE_TOL of
+    other atoms, or just beyond it."""
+    offsets = MERGE_TOL * np.array([0.0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001, 2.0, -2.0])
+    base = r * (np.arange(n) - (n - 1) / 2)
+    x1 = base + rng.choice(offsets, n)
+    x2 = (base[:, None] + base[None, :]) / 2 + rng.choice(offsets, (n, n))
+    x2 += rng.choice([0.0, r / 2], (n, 1))      # rows offset by r / 2 link with the diagonals
+    return GridMeasure(x1, np.full(n, 1.0 / n), x2, np.full((n, n), 1.0 / n))
+
+
+def test_default_target_support_equals_brute_force_clustering():
+    # planted coordinates MERGE_TOL apart merge and those just beyond it do
+    # not, in chains too; the canned measure's 0.1 grid meets its shifts at
+    # rounding distance
+    rng = np.random.default_rng(28)
+    cases = [(_planted_measure(rng, 5, r), radii) for r in (0.1, 0.2, 0.25)
+             for radii in ([r], [r / 2, r], [r, 2 * r, 0.0])]
+    cases += [(canonical_test_measure(), radii) for radii in ([0.1], [0.05, 0.2], [0.3])]
+    merged = kept = 0
+    for mu, radii in cases:
+        for m1, m2 in ((False, False), (True, False), (False, True), (True, True)):
+            cs = ConstraintSet(marginal1=m1, marginal2=m2)
+            got = default_target_support(mu, radii, cs)
+            ref, pts, tol = _brute_force_support(mu, radii, cs)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (radii, m1, m2)
+            gaps = np.abs(pts[:, None, 0] - pts[None, :, 0])
+            merged += np.count_nonzero((gaps > 0) & (gaps <= tol))
+            kept += np.count_nonzero((gaps > tol) & (gaps <= 3 * tol))
+    assert merged > 0 and kept > 0

@@ -13,7 +13,8 @@ from report_sweep import PHI, PSI_SQ
 from wadro.oracle import feasible_family
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
-                               W2, W2AD, _HedgeMap, adapted_gradient, chain_violation,
+                               W2, W2AD, _HedgeMap, _residual_norm, adapted_gradient,
+                               chain_violation,
                                marginal_path_violation, martingale_psi, n_map,
                                report_tables, report_to_json, solve_foc)
 
@@ -267,6 +268,36 @@ def test_solve_foc_zero_gradient_short_circuits():
     rep = solve_foc(PointState(mu, _const_field(mu, 0.0, 0.0), W2AD),
                     ConstraintSet(martingale=True))
     assert rep.value == 0.0 and rep.iterations == 0 and rep.converged
+
+
+@pytest.mark.parametrize("metric", [Metric("wp_adapted", 1.5), W2AD, W2],
+                         ids=["adapted-1.5", "adapted-2", "classical-2"])
+def test_gradient_of_infinite_norm_is_refused(metric):
+    # a field of (0, 1e300) squares to inf: every set refuses it by name, where
+    # three reported the value inf as converged at residual 0 and M+m1+m2
+    # raised about a right-hand side's mean
+    mu = build_model(ModelSpec("black_scholes", 0.5, 8, 8))
+    for cs in CONSTRAINT_SETS.values():
+        with pytest.raises(SensitivityError, match=r"gradient field's L2\(mu\) norm is inf"):
+            solve_foc(PointState(mu, _const_field(mu, 0.0, 1e300), metric), cs)
+
+
+def test_residual_norm_keeps_a_nan():
+    # a NaN in any component, first or last, makes the norm NaN, which no
+    # tolerance test passes; max() alone kept the other components' norm
+    mu = build_model(ModelSpec("black_scholes", 0.5, 8, 8))
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD)
+    for cs, keys in ((ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,)),
+                      ["m2", "h", "phi"]),
+                     (ConstraintSet(marginal1=True, marginal2=True, mean_phi=(PHI,)),
+                      ["m1", "m2", "phi"])):
+        problem = _HedgeMap(state, cs)
+        comps = problem.residual(state.S1, state.S2)
+        assert list(comps) == keys and np.isfinite(_residual_norm(problem, comps))
+        for key in keys:
+            bad = dict(comps, **{key: comps[key].copy()})
+            bad[key][-1] = np.nan
+            assert math.isnan(_residual_norm(problem, bad)), key
 
 
 @pytest.mark.parametrize("family,sigma", [("bachelier", 1.0), ("black_scholes", 0.5)])

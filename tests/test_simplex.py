@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lattice import LP_SETS, REPRODUCERS, lattice_measure, linprog_rows, lp_bytes
+from lattice import LP_SETS, REPRODUCERS, Reproducer, lattice_measure, linprog_rows, lp_bytes
 from wadro.measure import canonical_test_measure, marginal_2
 from wadro.criterion import preset
-from wadro import oracle
+from wadro import oracle, simplex
 from wadro.oracle import (ORACLE_SETS, Coupling, DiscreteBallProblem, OracleError,
                           default_target_support, dro_lp, oracle_report, transport_lp)
 from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
-                           _certify, solve_lp)
+                           _basis_solve, _certify, solve_lp)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -541,3 +541,96 @@ def test_against_scipy_unbounded_guard():
     else:
         with pytest.raises(UnboundedError):
             solve_lp(c, **_lists(A_eq=A_eq, b_eq=b_eq), maximize=True)
+
+
+def test_basis_solve_equals_dense_solves(monkeypatch):
+    # the warm check eliminates B's singleton rows before its two solves; its
+    # levels and row prices are the dense solves' of all of B, on sweep LPs
+    # (lp_sweep.py's kind) and oracle LPs handed their own optimal basis and
+    # random reorderings of it
+    blocks = []
+
+    def against_dense(B, rhs, cost):
+        levels, y = _basis_solve(B, rhs, cost)
+        for got, ref in ((levels, np.linalg.solve(B, rhs)), (y, np.linalg.solve(B.T, cost))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), len(B)
+        blocks.append(len(B) - np.count_nonzero(np.count_nonzero(B, axis=1) == 1))
+        return levels, y
+
+    monkeypatch.setattr(simplex, "_basis_solve", against_dense)
+    rng = np.random.default_rng(8)
+    lps = [transport_lp(Reproducer(spacing, seed, label, 0.2).problem())[0]
+           for spacing in (0.1, 0.15) for seed in range(10) for label in ("martingale", "both")]
+    lps += [_ball_lp(_MEASURES["lattice9"](), label, 0.05) for label in ("none", "martingale")]
+    for lp in lps:
+        cold = solve_lp(**lp, maximize=True)
+        if cold.basis.max() >= lp["c"].size + lp["b"].size - lp["n_eq"]:
+            continue                    # an artificial: refused before the solves
+        for basis in [cold.basis] + [rng.permutation(cold.basis) for _ in range(3)]:
+            res = solve_lp(**lp, maximize=True, basis=basis)
+            assert res.pivots == 0 and np.array_equal(res.basis, basis)
+            assert abs(res.fun - cold.fun) <= 1e-12 * max(1.0, abs(cold.fun))
+    # bases with and without singletons, with a 1x1 block and larger ones
+    assert len(blocks) >= 40 and min(blocks) == 1 and max(blocks) > 40
+
+
+def _refusal_lp(case):
+    """A 2-variable LP (maximize x0 + x1, <= rows) and a basis whose B is
+    singular in a singleton row: two of them share column x0, or the only
+    basic entry of row 1 is a listed zero."""
+    if case == "shared-column":     # rows x0 <= 1, 2 x0 <= 3, x1 <= 1; basis x0, x1, slack 2
+        rows, cols, vals, b, basis = [0, 1, 2], [0, 0, 1], [1.0, 2.0, 1.0], [1.0, 3.0, 1.0], [0, 1, 4]
+    else:                           # rows x0 <= 1, 0 x0 <= 1, x1 <= 1; basis x0, x1, slack 0
+        rows, cols, vals, b, basis = [0, 1, 2], [0, 0, 1], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0, 1, 2]
+    lp = {"c": np.ones(2), "rows": rows, "cols": cols, "vals": vals, "b": b, "n_eq": 0}
+    return lp, np.array(basis)
+
+
+@pytest.mark.parametrize("case", ["shared-column", "zero-entry"])
+def test_singular_singleton_basis_is_ignored(monkeypatch, case):
+    # the basis solve refuses the basis, and the tableau gives its cold answer
+    refused = []
+
+    def recorded(*args):
+        try:
+            return _basis_solve(*args)
+        except np.linalg.LinAlgError:
+            refused.append(case)
+            raise
+
+    monkeypatch.setattr(simplex, "_basis_solve", recorded)
+    lp, basis = _refusal_lp(case)
+    cold = solve_lp(**lp, maximize=True)
+    res = solve_lp(**lp, maximize=True, basis=basis)
+    assert refused == [case]
+    assert res.x.tobytes() == cold.x.tobytes() and res.fun == cold.fun == 2.0
+    assert res.pivots == cold.pivots > 0 and np.array_equal(res.basis, cold.basis)
+
+
+# lp_pivots and lp_values of oracle_report for the payoff x2 at radii 0.02,
+# 0.05, 0.1 and 0.2, as the check with two dense m x m solves gave them
+_PINNED_REPORTS = {
+    "canonical": {
+        "none": ([25, 0, 25, 25], [1.0200000000000005, 1.0500000000000005, 1.1000000000000005,
+                                   1.2000000000000004]),
+        "martingale": ([76, 69, 103, 83], [1.0141421356237315, 1.0353553390593278,
+                                           1.0707106781186553, 1.14142135623731]),
+        "marginal2": ([0, 0, 8, 8], [1.0000000000000004] * 4),
+        "both": ([0, 0, 11, 12], [1.0000000000000004] * 4)},
+    "lattice9": {
+        "none": ([81, 0, 0, 0], [2.8678482486353083, 2.897848248635308, 2.9478482486353084,
+                                 3.0478482486353085]),
+        "martingale": ([185, 0, 0, 0], [2.8619903842590393, 2.8832035876946356,
+                                        2.918558926753963, 2.9892696048726175]),
+        "marginal2": ([0, 0, 0, 0], [2.8478482486353083] * 4),
+        "both": ([0, 0, 0, 0], [2.8478482486353083] * 4)},
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_REPORTS)
+def test_oracle_report_pivots_and_values_are_pinned(name):
+    sets = oracle_report(_MEASURES[name](), preset("linear:x2"),
+                         (0.02, 0.05, 0.1, 0.2))["constraint_sets"]
+    for label, (pivots, values) in _PINNED_REPORTS[name].items():
+        assert sets[label]["lp_pivots"] == pivots, label
+        assert np.allclose(sets[label]["lp_values"], values, rtol=1e-14, atol=0.0), label
