@@ -340,7 +340,7 @@ def _selfcheck_items():
         op = fredholm.build_operator(quantile_bins(mu, 16))
         rhs = np.random.default_rng(0).standard_normal(16)
         rhs -= float(mu.w1 @ rhs)
-        residual, gap = fredholm.certificate(op, rhs)     # solve refuses a norm of 1
+        residual, gap = fredholm.certificate(op, rhs)
         return residual <= 1e-8 and gap <= 1e-8
 
     def monotonicity():

@@ -5,10 +5,10 @@ with the inner conditioning realized on a bin partition of the second
 marginal.  On zero-mean functions it is a strict contraction whenever the
 two stages share no common nontrivial information at grid scale; the hedge
 component of the martingale-plus-marginal sensitivity solves
-(I - K) h = rhs on that subspace.  K has rank at most the bin count m, so
-the gates and solves work on m x m matrices.  At a norm of
-``REGULARIZE_GATE`` or more the hedge layer uses the minimum-norm
-``solve_regularized`` instead.
+(diag(d) - diag(r) K) h = d rhs, with d = r on zero-mean functions when the
+first marginal is pinned too.  K has rank at most the bin count m, so the
+gates and the one solve work on m x m matrices.  At a norm of
+``REGULARIZE_GATE`` or more ``solve`` answers with the minimum-norm h.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .measure import Binning, quantile_bins, sign_copy_measure
 
 REGULARIZE_GATE = 0.999
-SINGULAR_GATE = 1.0 - 1e-12
 
 
 class FredholmError(ValueError):
@@ -53,7 +52,7 @@ class FredholmOperator:
 
     @cached_property
     def K(self) -> np.ndarray:
-        """The n1 x n1 kernel, for the checks and the regularized solve."""
+        """The n1 x n1 kernel, for the checks."""
         return (self.C / self.r[:, None]) @ (self.C / self.b[None, :]).T
 
     def zero_mean_matrix(self) -> np.ndarray:
@@ -76,14 +75,6 @@ class FredholmOperator:
                 return False
             self._passed = gate
         return True
-
-    def solve_weighted(self, d: np.ndarray, r2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``(diag(d) - diag(r2) K) h = rhs`` for 0 < r2 < d by Woodbury:
-        one m x m solve of ``I - Z^T diag(r2 / d) Z``."""
-        g = rhs / d
-        W = self.Z * np.sqrt(r2 / d)[:, None]
-        y = np.linalg.solve(np.eye(len(self.B0)) - W.T @ W, self.Z.T @ (self.s * g))
-        return g + r2 / (d * self.s) * (self.Z @ y)
 
 
 def build_operator(bins: Binning, weights: np.ndarray | None = None) -> FredholmOperator:
@@ -111,24 +102,30 @@ def counterexample_violation() -> float:
         quantile_bins(sign_copy_measure(64), 64)))]))
 
 
-def solve(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - K) h = rhs on the zero-mean subspace by Woodbury:
-    ``h = rhs + D_r^-1/2 Z y`` with ``(I - B0) y = Z^T D_r^1/2 rhs``.
+def solve(op: FredholmOperator, rhs: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """Solve ``(diag(d) - diag(r) K) h = d rhs`` by Woodbury:
+    ``h = rhs + D_d^-1 D_r^1/2 Z y`` with ``(I - W^T W) y = Z^T D_r^1/2 rhs``,
+    ``W = D_d^-1/2 D_r^1/2 Z``.  For d > r that m x m matrix is positive definite.
 
-    Raises when the norm is 1 to rounding (not below ``SINGULAR_GATE``):
-    I - K0 is then singular on the zero-mean subspace, and a direct solve can
-    return a huge h at a small residual.  ``solve_regularized`` answers there.
+    d = r (None) is (I - K) h = rhs on zero-mean functions, for an rhs of zero
+    mu1-mean against its own scale (floored at 1, so an rhs at rounding level
+    passes), with ``I - B0`` for ``I - W^T W``.  Below ``REGULARIZE_GATE`` it
+    is solved directly; at or past it, where a direct solve can return a huge
+    h at a small residual, one eigendecomposition of ``B0`` gives the L2(r)
+    minimum-norm h, its eigenvalues within 1e-10 of 1 dropped.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if abs(float(op.w1 @ rhs)) > 1e-10:
+    f = op.Z.T @ (op.s * rhs)
+    if d is not None:
+        W = op.Z * np.sqrt(op.r / d)[:, None]
+        return rhs + op.r / (d * op.s) * (op.Z @ np.linalg.solve(np.eye(len(f)) - W.T @ W, f))
+    if abs(float(op.w1 @ rhs)) > 1e-10 * max(1.0, float(op.w1 @ np.abs(rhs))):
         raise FredholmError("right-hand side must have zero mu1-mean")
-    if not op.below(SINGULAR_GATE):
-        raise FredholmError(f"contraction norm {contraction_norm(op)!r} is 1 to rounding: "
-                            "I - K is singular on zero-mean functions")
-    try:
-        y = np.linalg.solve(np.eye(len(op.B0)) - op.B0, op.Z.T @ (op.s * rhs))
-    except np.linalg.LinAlgError as exc:
-        raise FredholmError(f"direct solve failed: {exc}") from exc
+    if op.below(REGULARIZE_GATE):
+        y = np.linalg.solve(np.eye(len(f)) - op.B0, f)
+    else:       # y = -v.f / lam on a dropped mode v takes rhs's part along Z v out of h
+        lam, V = np.linalg.eigh(op.B0)
+        y = V @ ((V.T @ f) / np.where(abs(1.0 - lam) > 1e-10, 1.0 - lam, -lam))
     h = rhs + (op.Z @ y) / op.s
     return h - float(op.w1 @ h)
 
@@ -148,11 +145,3 @@ def certificate(op: FredholmOperator, rhs: np.ndarray) -> tuple[float, float]:
     residual = float(np.max(np.abs((np.eye(op.w1.size) - K0) @ h - rhs)))
     return residual, float(np.max(np.abs(neumann - h)))
 
-
-def solve_regularized(op: FredholmOperator, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solve of the projected system, for near-singular operators."""
-    rhs = np.asarray(rhs, dtype=float)
-    rhs = rhs - float(op.w1 @ rhs)
-    K0 = op.zero_mean_matrix()
-    h, *_ = np.linalg.lstsq(np.eye(op.w1.size) - K0, rhs, rcond=1e-10)
-    return h - float(op.w1 @ h)

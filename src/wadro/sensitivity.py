@@ -254,7 +254,8 @@ class _HedgeMap:
     ``A^T`` and ``solve`` inverts ``A^T diag(D) A``; at D = mu's masses,
     scaled by (1/w1, 1/bin mass, 1/w1, 1), that is the derivative of
     ``residual`` along the field.  With the martingale and second-marginal
-    flags, ``op`` is mu's Fredholm operator.  On the adapted ball F1 and
+    flags, ``op`` is mu's Fredholm operator, and the h block of each solve
+    is one bin-space ``fredholm.solve``.  On the adapted ball F1 and
     each d1phi are (n1, 1) columns, shaped as the state's S1.
     """
 
@@ -368,9 +369,11 @@ class _HedgeMap:
         f2 eliminates bin by bin.  c1 is constant on each row, so f1 absorbs
         h's first component.  h is left with ``diag(d) - diag(r2) K_D``, K_D
         the conditional-expectation operator ``op`` of the measure reweighted
-        by D2: with f1, ``r2 (I - K_D)`` on zero-mean functions, whose null
-        direction (f1 + c, f2 - c, h + c) moves no atom.  f2 meets no h but
-        the martingale's, whose c2 is one; that set alone passes ``op``, whose
+        by D2, which one ``fredholm.solve`` inverts (without f2 the block is
+        ``diag(d)``).  Without f1, d > r2; with f1, d = r2 and the block is
+        ``r2 (I - K_D)`` on zero-mean functions, whose null direction
+        (f1 + c, f2 - c, h + c) moves no atom.  f2 meets no h but the
+        martingale's, whose c2 is one; that set alone passes ``op``, whose
         ``r`` (r2), ``b`` (bin sums) and ``C`` (h-f2 coupling) are D2's sums.
         """
         cs = self.cs
@@ -389,16 +392,10 @@ class _HedgeMap:
                 rhs, d = rhs - self.c1 * g1, r2
             else:
                 d = self.c1 * self.c1 * r1 + r2
-            if op is None:
-                dh = rhs / d
-            elif not cs.marginal1:
-                dh = op.solve_weighted(d, r2, rhs)
-            else:
-                rhs = rhs / d
-                solver = (fredholm.solve if op.below(fredholm.REGULARIZE_GATE)
-                          else fredholm.solve_regularized)
-                dh = solver(op, rhs - float(op.w1 @ rhs))
-            if op is not None:
+            dh = rhs / d
+            if op is not None:      # with f1, d = r2: the zero-mean form
+                dh = (fredholm.solve(op, dh - float(op.w1 @ dh)) if cs.marginal1
+                      else fredholm.solve(op, dh, d))
                 df2 = df2 - (op.C.T @ dh) / b2
         if cs.marginal1:
             df1 = g1 / r1 if dh is None else g1 / r1 - self.c1 * dh

@@ -7,8 +7,10 @@ Gauss-Hermite 16x16 with the default 16 requested bins (10 after merging),
 the buyer's American put with K = 1.3 and rho = 0.05, adapted ball, p = 1.5.
 The model, gradient, binning and point state are built once; each round then
 calls ``solve_foc`` once per constraint set, warm-started from the p = 2
-closed form, and the first round only warms up.  Prints one JSON line: per
-set, the ``p10_us`` and ``median_us`` time of one solve over ``--solves``
+closed form, and the first round only warms up.  The sets are the four of
+``CONSTRAINT_SETS`` and ``mart_m2``, the martingale with the second marginal,
+whose d > r Fredholm solve no benchmark workload runs.  Prints one JSON line:
+per set, the ``p10_us`` and ``median_us`` time of one solve over ``--solves``
 rounds, its Newton ``steps`` and its ``value``.  Not collected by pytest (no
 ``test_`` prefix).
 
@@ -29,7 +31,10 @@ import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
 from wadro.criterion import american_put, gradient_field  # noqa: E402
 from wadro.measure import ModelSpec, build_model, quantile_bins  # noqa: E402
-from wadro.sensitivity import CONSTRAINT_SETS, Metric, PointState, solve_foc  # noqa: E402
+from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric,  # noqa: E402
+                               PointState, solve_foc)
+
+SETS = {**CONSTRAINT_SETS, "mart_m2": ConstraintSet(martingale=True, marginal2=True)}
 
 
 def main() -> None:
@@ -41,11 +46,11 @@ def main() -> None:
     mu = build_model(ModelSpec("black_scholes", 0.7, 16, 16))
     state = PointState(mu, gradient_field(american_put(K=1.3, rho=0.05, side="buyer"), mu),
                        Metric("wp_adapted", 1.5), quantile_bins(mu, 16))
-    times = {name: [] for name in CONSTRAINT_SETS}
+    times = {name: [] for name in SETS}
     reports = {}
     clock = time.perf_counter
     for k in range(args.solves + 1):
-        for name, cs in CONSTRAINT_SETS.items():
+        for name, cs in SETS.items():
             t0 = clock()
             rep = solve_foc(state, cs)
             t1 = clock()

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from wadro.fredholm import (REGULARIZE_GATE, SINGULAR_GATE, FredholmError, FredholmOperator,
-                            build_operator, certificate, contraction_norm, solve,
-                            solve_regularized)
+from wadro.fredholm import (REGULARIZE_GATE, FredholmError, FredholmOperator, build_operator,
+                            certificate, contraction_norm, solve)
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            quantile_bins, sign_copy_measure)
 from wadro.criterion import GradientField, american_put, gradient_field
@@ -131,26 +130,54 @@ def test_zero_rhs():
     assert np.allclose(solve(op, np.zeros(8)), 0.0)
 
 
+def dense_min_norm(op, rhs):
+    """The L2(r) minimum-norm least-squares solution of (I - K0) h = rhs and
+    the condition number of the kept part: lstsq on the n1 x n1 symmetric form
+    D_r^1/2 (I - K0) D_r^-1/2 (singular values at most 1), values below 1e-10 cut."""
+    s = np.sqrt(op.r)
+    A = np.eye(s.size) - s[:, None] * op.zero_mean_matrix() / s
+    sv = np.linalg.svd(A, compute_uv=False)
+    return np.linalg.lstsq(A, s * rhs, rcond=1e-10)[0] / s, sv[0] / np.min(sv[sv > 1e-10 * sv[0]])
+
+
 def test_regularized_solve_on_critical_operator():
     mu = sign_copy_measure(32)
     op = build_operator(quantile_bins(mu, 32))
     rhs = np.array([0.5, -0.5])
-    h = solve_regularized(op, rhs)
+    h = solve(op, rhs)
     assert np.all(np.isfinite(h))
     assert abs(float(op.w1 @ h)) <= 1e-10
 
 
-def test_solve_refuses_an_operator_of_norm_one():
+def test_solve_at_an_operator_of_norm_one():
     # 398 bins on 200 sign-copy rows: the norm is 1 + 7e-16, and a direct
     # solve answered |h| ~ 1.5e15 at a residual of 6.7e-16, which no
-    # residual check would catch
+    # residual check would catch; the solve drops the modes of eigenvalue 1
+    # and answers the L2(r) minimum-norm least-squares h (I - K0 is 0 on
+    # zero-mean functions here, so h is 0 and its normal equations hold;
+    # K0 is self-adjoint in L2(r))
     mu = sign_copy_measure(200)
     bins = quantile_bins(mu, 400)
     op = build_operator(bins)
     assert bins.m == 398 and op.norm >= 1.0 - 1e-12
-    with pytest.raises(FredholmError, match="singular"):
-        solve(op, np.array([1.0, -1.0]))
-    assert np.all(np.isfinite(solve_regularized(op, np.array([1.0, -1.0]))))
+    rhs = np.array([1.0, -1.0])
+    h = solve(op, rhs)
+    A = np.eye(2) - op.zero_mean_matrix()
+    assert np.all(np.isfinite(h)) and abs(float(op.w1 @ h)) <= 1e-15
+    assert np.max(np.abs(A @ (A @ h - rhs))) <= 1e-14
+    assert np.max(np.abs(h - dense_min_norm(op, rhs)[0])) <= 1e-13
+
+
+def test_solve_between_the_gate_and_one():
+    # norm 0.99996, past REGULARIZE_GATE: the eigendecomposition drops no
+    # mode, and its h is the direct solve's
+    mu = _near_gate_measure(1e-5)
+    op = build_operator(quantile_bins(mu, 2))
+    assert REGULARIZE_GATE < op.norm < 1.0 - 1e-6 and not op.below(REGULARIZE_GATE)
+    rhs = np.array([0.5, -0.5])
+    direct = np.linalg.solve(np.eye(2) - op.zero_mean_matrix(), rhs)
+    assert np.allclose(solve(op, rhs), direct, rtol=1e-10, atol=0)
+    assert np.allclose(direct, rhs / (1.0 - op.norm), rtol=1e-10)
 
 
 
@@ -174,7 +201,7 @@ def test_gate_agrees_with_the_norm(mu, m):
     # norms 0.9988, 0.99996, 1 to rounding, 0.995 (the 200 bins merge) and
     # 1 to rounding; a gate below one that passed still takes its Cholesky
     op = build_operator(quantile_bins(mu, m))
-    gates = (SINGULAR_GATE, REGULARIZE_GATE, 0.5, REGULARIZE_GATE, SINGULAR_GATE)
+    gates = (1.0 - 1e-12, REGULARIZE_GATE, 0.5, REGULARIZE_GATE, 1.0 - 1e-12)
     assert [op.below(g) for g in gates] == [op.norm < g for g in gates]
 
 

@@ -449,9 +449,8 @@ def test_general_p_newton_steps_sum_no_weights_into_bins(monkeypatch):
 
 def test_general_p_newton_step_builds_one_operator_and_one_cholesky(monkeypatch):
     # each p = 1.5 M+m1+m2 Newton step builds one reweighted operator and
-    # gates it with one Cholesky; the direct solve's higher gate then reads
-    # the cached verdict.  mu's own operator, which the warm start solves
-    # with, is built and gated before the count
+    # its solve gates it with one Cholesky.  mu's own operator, which the
+    # warm start solves with, is built and gated before the count
     mu = build_model(ModelSpec("black_scholes", 0.5, 32, 32))
     state = PointState(mu, gradient_field(american_put(side="buyer"), mu),
                        Metric("wp_adapted", 1.5), quantile_bins(mu, 32))
@@ -468,6 +467,28 @@ def test_general_p_newton_step_builds_one_operator_and_one_cholesky(monkeypatch)
     assert rep.converged and rep.iterations > 0
     assert calls == {"operator": rep.iterations, "eigvalsh": 0}
     assert len(choleskys) == rep.iterations
+
+
+def test_no_runtime_solve_forms_the_dense_kernel(monkeypatch):
+    # Bachelier sigma = 0.1, 64x64, classical ball, p = 3: many M+m1+m2
+    # Newton steps reweight the operator past REGULARIZE_GATE, where the
+    # bin-space solve answers with the minimum-norm h and no n1 x n1 K
+    mu = build_model(ModelSpec("bachelier", 0.1, 64, 64))
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu), Metric("wp", 3.0))
+    past, below = [], fredholm.FredholmOperator.below
+
+    def recorded(op, gate):
+        passed = below(op, gate)
+        past.append(gate == fredholm.REGULARIZE_GATE and not passed)
+        return passed
+
+    def refused(op):
+        raise AssertionError("the n1 x n1 kernel was formed")
+
+    monkeypatch.setattr(fredholm.FredholmOperator, "below", recorded)
+    monkeypatch.setattr(fredholm.FredholmOperator, "K", property(refused))
+    rep = solve_foc(state, BOTH)
+    assert sum(past) >= 10 and rep.iterations > 10 and np.isfinite(rep.value)
 
 
 def test_cond_exp_1_of_a_column_reads_no_grid():
