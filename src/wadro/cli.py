@@ -60,7 +60,7 @@ configuration keys (section.key, with defaults):
   criterion.name      linear:<payoff> | american_put:K=..,rho=..,side=..
                                                        [american_put]
   metric.ball         wp | wp_adapted                  [wp_adapted]
-  metric.p            exponent > 1                     [2]
+  metric.p            exponent > 1, p/(p-1) > 1        [2]
   constraints.sets    comma list of unconstrained, martingale, marginal,
                       mart_marginal; hedge takes one   [curve: all four,
                                                         hedge: mart_marginal]

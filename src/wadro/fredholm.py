@@ -3,16 +3,17 @@
 The operator maps a function f of the first stage to E[E[f(X1) | X2] | X1],
 with the inner conditioning realized on a bin partition of the second
 marginal.  On zero-mean functions it is a strict contraction whenever the
-two stages share no common nontrivial information at grid scale; the hedge
-component of the martingale-plus-marginal sensitivity solves
-(diag(d) - diag(r) K) h = d rhs, with d = r on zero-mean functions when the
-first marginal is pinned too.  K has rank at most the bin count m, so the
-gates and the one solve work on m x m matrices.  At a norm of
-``REGULARIZE_GATE`` or more ``solve`` answers with the minimum-norm h.
+two stages share no common nontrivial information at grid scale.  A
+conditional constraint's hedge next to the second marginal solves
+(diag(d) - C D_b^-1 C^T) h = d rhs, C its row-by-bin cross block (for the
+martingale diag(r) K, with d = r on zero-mean functions when the first
+marginal is pinned too): rank at most the bin count m, so the gates and the
+one solve work on m x m matrices, minimum-norm past ``REGULARIZE_GATE``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -20,10 +21,21 @@ import numpy as np
 from .measure import Binning, quantile_bins, sign_copy_measure
 
 REGULARIZE_GATE = 0.999
+# a block diag(r) - C D_b^-1 C^T whose r and b are not C's row and column sums
+CrossBlock = namedtuple("CrossBlock", "C b r")
 
 
 class FredholmError(ValueError):
     """Operator assembly or solve failed a structural check."""
+
+
+def _below(B: np.ndarray, gate: float) -> bool:
+    """Whether the symmetric B's eigenvalues are below ``gate``: one Cholesky."""
+    try:
+        np.linalg.cholesky(gate * np.eye(len(B)) - B)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class FredholmOperator:
@@ -68,29 +80,20 @@ class FredholmOperator:
     def below(self, gate: float) -> bool:
         """Whether the norm is below ``gate``: one Cholesky of ``gate I - B0``,
         none once the norm is known to be below a gate no higher."""
-        if gate < self._passed:
-            try:
-                np.linalg.cholesky(gate * np.eye(len(self.B0)) - self.B0)
-            except np.linalg.LinAlgError:
-                return False
+        if gate < self._passed and _below(self.B0, gate):
             self._passed = gate
-        return True
+        return gate >= self._passed
 
 
 def build_operator(bins: Binning, weights: np.ndarray | None = None) -> FredholmOperator:
     """Assemble the operator of the binned measure from its joint atom masses,
     or from nonnegative atom ``weights`` (n1, n2) with positive weight on
     every row and bin, summed in one pass into the (row, bin) cells."""
-    mu = bins.mu
-    weights = mu.atom_masses() if weights is None else weights
-    cells = (np.arange(mu.n1)[:, None] * bins.m + bins.index).ravel()
-    return FredholmOperator(np.bincount(cells, weights.ravel(),
-                                        mu.n1 * bins.m).reshape(mu.n1, bins.m))
+    return FredholmOperator(bins.cells(bins.mu.atom_masses() if weights is None else weights))
 
 
 def contraction_norm(op: FredholmOperator) -> float:
-    """Operator norm of K on mu1-weighted zero-mean functions:
-    :attr:`FredholmOperator.norm`."""
+    """Operator norm of K on mu1-weighted zero-mean functions: ``op.norm``."""
     return op.norm
 
 
@@ -102,32 +105,35 @@ def counterexample_violation() -> float:
         quantile_bins(sign_copy_measure(64), 64)))]))
 
 
-def solve(op: FredholmOperator, rhs: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-    """Solve ``(diag(d) - diag(r) K) h = d rhs`` by Woodbury:
-    ``h = rhs + D_d^-1 D_r^1/2 Z y`` with ``(I - W^T W) y = Z^T D_r^1/2 rhs``,
-    ``W = D_d^-1/2 D_r^1/2 Z``.  For d > r that m x m matrix is positive definite.
-
-    d = r (None) is (I - K) h = rhs on zero-mean functions, for an rhs of zero
-    mu1-mean against its own scale (floored at 1, so an rhs at rounding level
-    passes), with ``I - B0`` for ``I - W^T W``.  Below ``REGULARIZE_GATE`` it
-    is solved directly; at or past it, where a direct solve can return a huge
-    h at a small residual, one eigendecomposition of ``B0`` gives the L2(r)
-    minimum-norm h, its eigenvalues within 1e-10 of 1 dropped.
+def solve(op, rhs: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """Solve ``(diag(d) - C D_b^-1 C^T) h = d rhs`` by Woodbury from the C and
+    b of ``op``, a FredholmOperator or CrossBlock: ``h = rhs + D_d^-1/2 W y``,
+    ``(I - B) y = W^T D_d^1/2 rhs``, ``B = W^T W``, ``W = D_d^-1/2 C D_b^-1/2``,
+    for a positive semidefinite block.  d = None is the Fredholm operator's
+    (I - K) h = rhs on zero-mean functions, for an rhs of zero mu1-mean against
+    its own scale (floored at 1), with B0 for B.  Below ``REGULARIZE_GATE`` it
+    is solved directly; past it, where a direct solve can return a huge h at a
+    small residual, one eigendecomposition of B gives the L2(d) minimum-norm h,
+    eigenvalues within 1e-10 of 1 dropped.
     """
     rhs = np.asarray(rhs, dtype=float)
-    f = op.Z.T @ (op.s * rhs)
-    if d is not None:
-        W = op.Z * np.sqrt(op.r / d)[:, None]
-        return rhs + op.r / (d * op.s) * (op.Z @ np.linalg.solve(np.eye(len(f)) - W.T @ W, f))
-    if abs(float(op.w1 @ rhs)) > 1e-10 * max(1.0, float(op.w1 @ np.abs(rhs))):
-        raise FredholmError("right-hand side must have zero mu1-mean")
-    if op.below(REGULARIZE_GATE):
-        y = np.linalg.solve(np.eye(len(f)) - op.B0, f)
-    else:       # y = -v.f / lam on a dropped mode v takes rhs's part along Z v out of h
-        lam, V = np.linalg.eigh(op.B0)
+    if d is None:
+        if abs(float(op.w1 @ rhs)) > 1e-10 * max(1.0, float(op.w1 @ np.abs(rhs))):
+            raise FredholmError("right-hand side must have zero mu1-mean")
+        W, s, B, direct = op.Z, op.s, op.B0, op.below(REGULARIZE_GATE)
+    else:
+        s = np.sqrt(d)
+        W = op.C / s[:, None] / np.sqrt(op.b)
+        B = W.T @ W
+        direct = _below(B, REGULARIZE_GATE)
+    f = W.T @ (s * rhs)
+    if direct:
+        y = np.linalg.solve(np.eye(len(f)) - B, f)
+    else:       # y = -v.f / lam on a dropped mode v takes rhs's part along W v out of h
+        lam, V = np.linalg.eigh(B)
         y = V @ ((V.T @ f) / np.where(abs(1.0 - lam) > 1e-10, 1.0 - lam, -lam))
-    h = rhs + (op.Z @ y) / op.s
-    return h - float(op.w1 @ h)
+    h = rhs + (W @ y) / s
+    return h if d is not None else h - float(op.w1 @ h)
 
 
 def certificate(op: FredholmOperator, rhs: np.ndarray) -> tuple[float, float]:

@@ -232,7 +232,7 @@ class Binning:
     ``edges`` has length m+1 and brackets the pooled support; atom (i, j)
     belongs to bin b iff edges[b] <= x2[i,j] < edges[b+1].  ``index`` is the
     read-only atom -> bin map, shape (n1, n2), and ``mass`` the read-only
-    mu-mass of each bin, every one positive.  Per-bin sums and the binned
+    mu-mass of each bin, every one positive.  Bin and cell sums and the binned
     surrogate E2 of E[. | X2] read them; nothing searches the edges again.
     """
 
@@ -268,6 +268,12 @@ class Binning:
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Per-bin sums of per-atom values, shape (m,)."""
         return np.bincount(self.index.ravel(), np.ravel(values), self.m)
+
+    def cells(self, values: np.ndarray) -> np.ndarray:
+        """Per-(row, bin) sums of per-atom values, shape (n1, m), in one pass."""
+        n1 = self.index.shape[0]
+        cells = (np.arange(n1)[:, None] * self.m + self.index).ravel()
+        return np.bincount(cells, np.ravel(values), n1 * self.m).reshape(n1, self.m)
 
     def e2(self, field: np.ndarray) -> np.ndarray:
         """Binned surrogate of E[field | X2]: one value per bin.

@@ -396,8 +396,8 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
     constraints' own derivatives.  Newton solves for u_r with the derivative
     at zero, the hedge map's residual of its own field: ``diag(1/w1, 1/mass,
     1/w1, 1) A^T diag(mw) A``, inverted by the hedge map's own block solve.
-    With M+m1+m2 it has one null direction (f1 + c, f2 - c, h + c), which
-    moves no atom and which the zero-mean Fredholm solve leaves out.  theta1
+    A null direction of it (M+m1+m2's (f1 + c, f2 - c, h + c), see
+    ``_HedgeMap._solve_u``) moves no atom, and the block solve leaves it out.  theta1
     must be a function of x1, as the adapted ball's directions are.  The
     messages start with the hedge map's.
     """

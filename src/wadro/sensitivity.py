@@ -56,8 +56,8 @@ class Metric:
     def __post_init__(self):
         if self.ball not in ("wp", "wp_adapted"):
             raise SensitivityError(f"unknown ball {self.ball!r}")
-        if not (self.p > 1):
-            raise SensitivityError("the exponent must satisfy p > 1")
+        if not (self.p > 1 and self.p_conj > 1):     # p' rounds to 1 past about 1e16
+            raise SensitivityError("the exponent and its conjugate p / (p - 1) must exceed 1")
 
     @property
     def p_conj(self) -> float:
@@ -93,12 +93,8 @@ class CondConstraint:
 
 
 def martingale_psi() -> CondConstraint:
-    return CondConstraint(
-        fn=lambda a, b: b - a,
-        d1=lambda a, b: -np.ones_like(a),
-        d2=lambda a, b: np.ones_like(b),
-        name="x2-x1",
-    )
+    return CondConstraint(lambda a, b: b - a, lambda a, b: -np.ones_like(a),
+                          lambda a, b: np.ones_like(b), "x2-x1")
 
 
 @dataclass(frozen=True)
@@ -109,9 +105,7 @@ class ConstraintSet:
     E[X2 - X1 | X1] = 0, whose hedge weights (-1, 1) are exact on either
     ball; ``cond_psi`` is any other conditional constraint (adapted ball
     only).  A set holds at most one conditional constraint.  Mean constraints
-    (a vanilla call is one) mix with every flag; ``cond_psi`` mixes with
-    ``marginal1`` but not with ``marginal2``, whose hedge it would meet
-    through a c2-weighted operator.
+    (a vanilla call is one) and ``cond_psi`` mix with every flag.
     """
 
     martingale: bool = False
@@ -161,9 +155,7 @@ class SensitivityReport:
 
 def n_map(v, p: float):
     """Duality map sgn(v) |v|^{p'-1}, applied componentwise; N(0) = 0."""
-    if not (p > 1):
-        raise SensitivityError("the exponent must satisfy p > 1")
-    out = np.copysign(np.abs(v) ** (p / (p - 1.0) - 1.0), np.asarray(v, dtype=float))
+    out = np.copysign(np.abs(v) ** (Metric("wp", p).p_conj - 1.0), np.asarray(v, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -249,41 +241,25 @@ class _HedgeMap:
     ``F2 = f2(bin(x2)) + c2 h(x1) + sum_a lam_a d2phi_a``, written ``A u``.
     h hedges the conditional constraint with the per-row weight
     ``c1 = E1[d1 psi]`` and the per-atom weight ``c2 = d2 psi``; the
-    martingale is psi = x2 - x1, with c1 = -1 and c2 = 1 (held as None: no
-    pass over the atoms).  ``adjoint`` is
-    ``A^T`` and ``solve`` inverts ``A^T diag(D) A``; at D = mu's masses,
-    scaled by (1/w1, 1/bin mass, 1/w1, 1), that is the derivative of
-    ``residual`` along the field.  With the martingale and second-marginal
-    flags, ``op`` is mu's Fredholm operator, and the h block of each solve
-    is one bin-space ``fredholm.solve``.  On the adapted ball F1 and
+    martingale is psi = x2 - x1, with c1 = -1 and c2 = 1 (a unit c2 is held
+    as None: no pass over the atoms).  ``adjoint`` is ``A^T`` and ``solve``
+    inverts ``A^T diag(D) A``; at D = mu's masses, scaled by (1/w1, 1/bin
+    mass, 1/w1, 1), that is the derivative of ``residual`` along the field.
+    ``op`` is the h-f2 block at mu's masses.  On the adapted ball F1 and
     each d1phi are (n1, 1) columns, shaped as the state's S1.
     """
 
     def __init__(self, state: PointState, cs: ConstraintSet):
         mu = self.mu = state.mu
-        if cs.cond_psi is not None and cs.marginal2:
-            raise SensitivityError("a conditional constraint other than the martingale "
-                                   "cannot be combined with marginal2")
-        if cs.martingale:
-            _require_martingale(mu)
+        if cs.martingale and not mu.is_martingale and mu.martingale_residual() > mu.martingale_tol:
+            raise SensitivityError("martingale constraint needs a martingale measure")
         self.cs = cs
         self.mw1, self.mw = state.mw1, state.mw
         self.warnings: list[str] = []
-        self.bins = self.op = None
-        if cs.marginal2:
-            self.bins = state.bins
-            if cs.martingale:
-                self.op = state.op
-            if cs.martingale and cs.marginal1 and not self.op.below(fredholm.REGULARIZE_GATE):
-                contraction = fredholm.contraction_norm(self.op)
-                self.warnings.append(
-                    f"informational-discrepancy contraction {contraction:.6f} >= "
-                    f"{fredholm.REGULARIZE_GATE}; using regularized hedge solve")
 
         def partials(c):
-            a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
-            return (np.asarray(c.d1(a, mu.x2), dtype=float) + np.zeros_like(mu.x2),
-                    np.asarray(c.d2(a, mu.x2), dtype=float) + np.zeros_like(mu.x2))
+            a, zero = np.broadcast_to(mu.x1[:, None], mu.x2.shape), np.zeros_like(mu.x2)
+            return [np.asarray(d(a, mu.x2), dtype=float) + zero for d in (c.d1, c.d2)]
 
         self.phi = []
         for c in cs.mean_phi:
@@ -291,17 +267,31 @@ class _HedgeMap:
             if state.metric.adapted:
                 p1 = cond_exp_1(mu, p1)[:, None]
             self.phi.append((p1, p2))
-        self.c1 = self.c2 = self.qc2 = None     # qc2 = q c2: E1[c2 T] is a row dot
-        if cs.martingale:
-            self.c1, self.qc2 = -np.ones(mu.n1), mu.q
-        elif cs.cond_psi is not None:
+        # qc2 = q c2: E1[c2 T] is a row dot
+        self.c1, self.c2, self.qc2 = -np.ones(mu.n1) if cs.martingale else None, None, mu.q
+        if cs.cond_psi is not None:
             if not state.metric.adapted:
                 raise SensitivityError("conditional constraints require the adapted ball")
-            d1, self.c2 = partials(cs.cond_psi)
-            self.c1, self.qc2 = cond_exp_1(mu, d1), mu.q * self.c2
-            if np.min(np.einsum("ij,ij->i", self.qc2, self.c2)) <= 1e-14:
+            d1, c2 = partials(cs.cond_psi)
+            self.c1 = cond_exp_1(mu, d1)
+            if np.min(np.einsum("ij,ij,ij->i", mu.q, c2, c2)) <= 1e-14:
                 raise SensitivityError(
                     "E1[(d2 psi)^2] is degenerate on some atom (assumption A (iii) surrogate)")
+            if not cs.marginal2 or np.any(c2 != 1.0):   # else the martingale's path
+                self.c2, self.qc2 = c2, mu.q * c2
+        self.bins, self.op, self.null = state.bins if cs.marginal2 else None, None, False
+        if cs.marginal2 and self.c1 is not None:
+            # with f1, a c2 of one nonzero value k2 on every bin gives a null direction
+            self.k2, one = np.ones(self.bins.m), True
+            if self.c2 is not None:     # some atom's c2 in each bin, then every atom's
+                self.k2[self.bins.index] = self.c2
+                one = np.all((self.k2[self.bins.index] == self.c2) & (self.c2 != 0))
+            self.null = cs.marginal1 and one
+            self.op = state.op if self.null and self.c2 is None else self._operator(self.mw)
+            if self.null and not self.op.below(fredholm.REGULARIZE_GATE):
+                self.warnings.append(f"informational-discrepancy contraction "
+                                     f"{fredholm.contraction_norm(self.op):.6f} >= "
+                                     f"{fredholm.REGULARIZE_GATE}; using regularized hedge solve")
         # None, not an empty array, when inactive: every Newton step carries u
         self.u = (np.zeros(mu.n1) if cs.marginal1 else None,
                   np.zeros(self.bins.m) if cs.marginal2 else None,
@@ -363,43 +353,49 @@ class _HedgeMap:
         """Per row, sum_j c2 G: the row sum for the martingale's unit c2."""
         return G.sum(axis=1) if self.c2 is None else np.einsum("ij,ij->i", self.c2, G)
 
+    def _operator(self, D2):
+        """The h-f2 block at weights D2 for ``_solve_u``."""
+        W = D2 if self.c2 is None else D2 * self.c2
+        if self.null:
+            return fredholm.build_operator(self.bins, W if self.c2 is None else W * self.c2)
+        return fredholm.CrossBlock(self.bins.cells(W), self.bins.sums(D2), self._c2_rows(W))
+
     def _solve_u(self, b, D1, D2, op):
         """The (f1, f2, h) block of ``A^T diag(D) A du = b``; lam stays None.
 
-        f2 eliminates bin by bin.  c1 is constant on each row, so f1 absorbs
-        h's first component.  h is left with ``diag(d) - diag(r2) K_D``, K_D
-        the conditional-expectation operator ``op`` of the measure reweighted
-        by D2, which one ``fredholm.solve`` inverts (without f2 the block is
-        ``diag(d)``).  Without f1, d > r2; with f1, d = r2 and the block is
-        ``r2 (I - K_D)`` on zero-mean functions, whose null direction
-        (f1 + c, f2 - c, h + c) moves no atom.  f2 meets no h but the
-        martingale's, whose c2 is one; that set alone passes ``op``, whose
-        ``r`` (r2), ``b`` (bin sums) and ``C`` (h-f2 coupling) are D2's sums.
+        f2 eliminates bin by bin and f1 absorbs h's first component (c1 is
+        constant on each row).  h is left with ``diag(d) - C D_b^-1 C^T``, d the
+        row sums r2 of D2 c2^2 (plus c1^2 r1 without f1), C the cross block of
+        D2 c2 and b D2's bin sums, held by ``op`` and inverted by one
+        ``fredholm.solve`` (without f2 the block is ``diag(d)``).  Where c2 is k2
+        on every bin, f2 / k2 meets h as the martingale's f2 does at the weights
+        D2 c2^2, and ``op`` is their Fredholm operator; with f1 the block is then
+        r2 (I - K_D) on zero-mean functions, whose null direction (f1 - c1 c,
+        f2 - k2 c, h + c) moves no atom.
         """
-        cs = self.cs
         g1, g2, rhs, _ = b
         r1 = D1.sum(axis=1)
         df1 = df2 = dh = None
-        if cs.marginal2:
+        if self.cs.marginal2:
             b2 = self.bins.sums(D2) if op is None else op.b
-            df2 = g2 / b2
+            df2 = (self.k2 * g2 if self.null else g2) / b2
         if self.c1 is not None:
             if op is None:
                 r2 = self._c2_rows(D2 if self.c2 is None else D2 * self.c2)
             else:
                 r2, rhs = op.r, rhs - op.C @ df2
-            if cs.marginal1:    # f1 takes c1 g1 and c1^2 r1 back out
+            if self.cs.marginal1:    # f1 takes c1 g1 and c1^2 r1 back out
                 rhs, d = rhs - self.c1 * g1, r2
             else:
                 d = self.c1 * self.c1 * r1 + r2
             dh = rhs / d
-            if op is not None:      # with f1, d = r2: the zero-mean form
-                dh = (fredholm.solve(op, dh - float(op.w1 @ dh)) if cs.marginal1
+            if op is not None:      # with the null direction, the zero-mean form
+                dh = (fredholm.solve(op, dh - float(op.w1 @ dh)) if self.null
                       else fredholm.solve(op, dh, d))
                 df2 = df2 - (op.C.T @ dh) / b2
-        if cs.marginal1:
+        if self.cs.marginal1:
             df1 = g1 / r1 if dh is None else g1 / r1 - self.c1 * dh
-        return df1, df2, dh, None
+        return df1, self.k2 * df2 if self.null else df2, dh, None
 
     def _complement(self, D1, D2, op):
         """Schur complement of the (f1, f2, h) block in ``A^T diag(D) A``,
@@ -417,12 +413,12 @@ class _HedgeMap:
         """Solve ``A^T diag(D) A du = b`` for weights D1, D2 shaped as F1, F2.
 
         At D = mw this is the p = 2 closed form.  The mean multipliers border
-        the (f1, f2, h) block: one block solve per mean constraint, then the
-        k x k Schur complement.  ``op``, the Fredholm operator of D2 (mu's own
-        at D2 = mw), is built here when the set has one and the caller none.
+        the (f1, f2, h) block: one block solve per mean constraint, then the k x
+        k Schur complement, all with ``op``, the h-f2 block at D2 (``self.op`` at
+        mw), built here when the set has one and the caller none.
         """
         if op is None and self.op is not None:
-            op = fredholm.build_operator(self.bins, D2)     # shared by the k + 1 block solves
+            op = self._operator(D2)     # shared by the k + 1 block solves
         du = self._solve_u(b, D1, D2, op)
         if not self.phi:
             return du
@@ -434,10 +430,9 @@ class _HedgeMap:
 
     def multipliers(self):
         f1, f2, h, lam = self.u
-        if h is not None and f1 is not None and f2 is not None:
-            # zero-mean representative; the shift is absorbed by f1 and f2
+        if self.null:   # the zero-mean representative; f1 and f2 absorb the shift
             c = float(self.mu.w1 @ h)
-            h, f1, f2 = h - c, f1 - c, f2 + c
+            h, f1, f2 = h - c, f1 + self.c1 * c, f2 + self.k2 * c
         return {"f1": f1, "f2": f2, "h_hat": h, "lambda_hat": lam}
 
 
@@ -497,7 +492,7 @@ def _run_foc(problem, state: PointState, warm_start: bool = True) -> Sensitivity
     pc = metric.p_conj
     floor = (EPS_FLOOR if pc < 2.0 else WEIGHT_FLOOR) * scale
     eps = scale if pc < 2.0 else floor
-    # the p = 2 weights (mw S, mw) have mu's own Fredholm operator
+    # the p = 2 weights (mw S, mw) have the h-f2 block at mu's masses
     if warm_start:
         problem.u = _axpy(problem.u, -1.0, problem.solve(
             problem.adjoint(mw1 * state.S1, mw * state.S2), mw1, mw, problem.op))
@@ -545,11 +540,6 @@ def _run_foc(problem, state: PointState, warm_start: bool = True) -> Sensitivity
         T1=np.broadcast_to(T1, T2.shape), T2=T2, foc_residual=res, iterations=it,
         converged=converged, bins=problem.bins, warnings=tuple(problem.warnings),
         **problem.multipliers())
-
-
-def _require_martingale(mu: GridMeasure) -> None:
-    if not mu.is_martingale and mu.martingale_residual() > mu.martingale_tol:
-        raise SensitivityError("martingale constraint needs a martingale measure")
 
 
 def solve_foc(state: PointState, constraints: ConstraintSet,
@@ -640,10 +630,8 @@ def report_to_json(report: SensitivityReport) -> dict:
 
 def report_tables(report: SensitivityReport, mu: GridMeasure):
     """CSV-ready rows: (x1, h, f1) and (x2_bin_center, f2)."""
-    n1 = mu.n1
-    h = report.h_hat if report.h_hat is not None else np.full(n1, np.nan)
-    f1 = report.f1 if report.f1 is not None else np.full(n1, np.nan)
-    rows1 = [(float(mu.x1[i]), float(h[i]), float(f1[i])) for i in range(n1)]
+    h, f1 = (np.full(mu.n1, np.nan) if v is None else v for v in (report.h_hat, report.f1))
+    rows1 = [(float(mu.x1[i]), float(h[i]), float(f1[i])) for i in range(mu.n1)]
     rows2 = []
     if report.f2 is not None and report.bins is not None:
         centers = report.bins.e2(mu.x2)

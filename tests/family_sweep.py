@@ -4,7 +4,7 @@
 
 The grid: Black-Scholes at sigma 0.1, 0.5 and 1 and Bachelier at sigma 0.1,
 0.3 and 1, both quadratures, 16x16 and 64x64; the American put and the
-payoff x2^2; p in {1.5, 2, 3}; the 17 constraint sets of
+payoff x2^2; p in {1.5, 2, 3}; the 19 constraint sets of
 ``report_sweep.constraint_sets``.  A solve that raises (a set whose
 assumptions the model breaks) or does not converge is not a case.  It prints
 one JSON line: ``cases``; ``clean`` (untruncated, error within

@@ -6,8 +6,8 @@ on 16x16 and 64x64 grids at sigma 0.1, 0.5 and 1; the American put and the
 payoff x2^2; both balls; p in {1.5, 2, 3}; the eight martingale/marginal flag
 sets, a conditional constraint (x2 - x1 and x2^2 - x1^2), a mean constraint
 (x1*x2) alone, with a conditional one and next to the flag sets M, m1+m2 and
-M+m1+m2, and x2^2 - x1^2 next to m1.  A solve that raises is recorded as the
-error's type and message.
+M+m1+m2, and x2^2 - x1^2 next to m1, m2 and m1+m2.  A solve that raises is
+recorded as the error's type and message.
 
     PYTHONPATH=src python tests/report_sweep.py --write reports.pkl
     PYTHONPATH=src python tests/report_sweep.py --compare old.pkl new.pkl
@@ -58,7 +58,9 @@ def constraint_sets() -> dict:
                ConstraintSet(martingale=True, mean_phi=(PHI,)),
                ConstraintSet(marginal1=True, marginal2=True, mean_phi=(PHI,)),
                ConstraintSet(martingale=True, marginal1=True, marginal2=True, mean_phi=(PHI,)),
-               ConstraintSet(marginal1=True, cond_psi=PSI_SQ)):
+               ConstraintSet(marginal1=True, cond_psi=PSI_SQ),
+               ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
+               ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ)):
         sets[cs.label()] = cs
     return sets
 

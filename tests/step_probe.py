@@ -8,8 +8,10 @@ the buyer's American put with K = 1.3 and rho = 0.05, adapted ball, p = 1.5.
 The model, gradient, binning and point state are built once; each round then
 calls ``solve_foc`` once per constraint set, warm-started from the p = 2
 closed form, and the first round only warms up.  The sets are the four of
-``CONSTRAINT_SETS`` and ``mart_m2``, the martingale with the second marginal,
-whose d > r Fredholm solve no benchmark workload runs.  Prints one JSON line:
+``CONSTRAINT_SETS``, ``mart_m2``, the martingale with the second marginal,
+and ``psi_m2``, the conditional constraint x2^2 - x1^2 with the second
+marginal, whose d > r bin-space solves no benchmark workload runs (the
+second's cross block weighs each atom by d2 psi = 2 x2).  Prints one JSON line:
 per set, the ``p10_us`` and ``median_us`` time of one solve over ``--solves``
 rounds, its Newton ``steps`` and its ``value``.  Not collected by pytest (no
 ``test_`` prefix).
@@ -33,8 +35,10 @@ from wadro.criterion import american_put, gradient_field  # noqa: E402
 from wadro.measure import ModelSpec, build_model, quantile_bins  # noqa: E402
 from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric,  # noqa: E402
                                PointState, solve_foc)
+from report_sweep import PSI_SQ  # noqa: E402
 
-SETS = {**CONSTRAINT_SETS, "mart_m2": ConstraintSet(martingale=True, marginal2=True)}
+SETS = {**CONSTRAINT_SETS, "mart_m2": ConstraintSet(martingale=True, marginal2=True),
+        "psi_m2": ConstraintSet(marginal2=True, cond_psi=PSI_SQ)}
 
 
 def main() -> None:

@@ -37,6 +37,7 @@ def test_bad_config_exit_code(tmp_path):
 @pytest.mark.parametrize("args", [
     ["curve", "--set", "model.sigma=-1,0.5"], ["curve", "--set", "model.n1=1"],
     ["curve", "--set", "metric.ball=foo"], ["curve", "--set", "metric.p=0.5"],
+    ["curve", "--set", "metric.p=1e308"], ["curve", "--set", "metric.p=inf"],
     ["curve", "--set", "model.family=heston"], ["curve", "--set", "model.quadrature=x"],
     ["curve", "--set", "output.bins=-3"], ["curve", "--set", "output.bins=0"],
     ["hedge", "--sigma", "0.5", "--set", "metric.ball=foo"],

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wadro.fredholm import (REGULARIZE_GATE, FredholmError, FredholmOperator, build_operator,
-                            certificate, contraction_norm, solve)
+from wadro.fredholm import (REGULARIZE_GATE, CrossBlock, FredholmError, FredholmOperator,
+                            build_operator, certificate, contraction_norm, solve)
 from wadro.measure import (GridMeasure, ModelSpec, build_model, cond_exp_1,
                            quantile_bins, sign_copy_measure)
 from wadro.criterion import GradientField, american_put, gradient_field
@@ -179,6 +179,24 @@ def test_solve_between_the_gate_and_one():
     assert np.allclose(solve(op, rhs), direct, rtol=1e-10, atol=0)
     assert np.allclose(direct, rhs / (1.0 - op.norm), rtol=1e-10)
 
+
+
+def test_cross_block_solve_matches_the_dense_minimum_norm_h():
+    # diag(r) - C D_b^-1 C^T for per-atom weights c2 and masses D on 3 rows
+    # and 4 bins, each bin one atom of each row: a c2 that factors as
+    # (row) x (bin) puts c2 h constant on every bin for one h, the block's
+    # null direction, and the solve answers the L2(r) minimum-norm h; a
+    # c2 that does not factor gives a positive definite block, solved exactly
+    rng = np.random.default_rng(7)
+    D = rng.uniform(0.5, 2.0, (3, 4))
+    for c2 in (np.outer([1.0, -2.0, 0.5], [1.0, 3.0, -1.0, 2.0]), rng.normal(size=(3, 4))):
+        C, b, r = D * c2, D.sum(axis=0), (D * c2 * c2).sum(axis=1)
+        block = np.diag(r) - C @ np.diag(1.0 / b) @ C.T
+        rhs = block @ rng.normal(size=3) / r         # r rhs in the block's range
+        A = block / np.sqrt(np.outer(r, r))
+        dense = np.linalg.lstsq(A, np.sqrt(r) * rhs, rcond=1e-10)[0] / np.sqrt(r)
+        h = solve(CrossBlock(C, b, r), rhs, r)
+        assert np.max(np.abs(h - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def _near_gate_measure(leak=3e-4):

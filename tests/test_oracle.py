@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -389,18 +390,28 @@ def test_feasible_family_neutral_direction_is_second_order():
         assert abs(small / big - 1.0) <= 0.05 and big > 0.0, order
 
 
-@pytest.mark.parametrize("family, sigma, quadrature, converged", [
-    ("black_scholes", 0.5, "gauss_hermite", 48), ("black_scholes", 0.5, "equally_weighted", 48),
-    ("bachelier", 0.1, "gauss_hermite", 48)],    # values near 3e-6 against |S| near 1
+PSI_M2_AT_15 = [(1.5, "m2+psi:x2^2-x1^2"), (1.5, "m1+m2+psi:x2^2-x1^2")]
+
+
+@pytest.mark.parametrize("family, sigma, quadrature, converged, truncated", [
+    ("black_scholes", 0.5, "gauss_hermite", 54, []),
+    ("black_scholes", 0.5, "equally_weighted", 54, []),
+    ("bachelier", 0.1, "gauss_hermite", 54, PSI_M2_AT_15)],  # values near 3e-6 against |S| 1
     ids=["gauss_hermite", "equally_weighted", "bachelier-0.1-gauss_hermite"])
-def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, converged):
+def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, converged,
+                                                   truncated):
     # the family along the report's own direction T has the report's value as
-    # its slope, on every adapted set the sweep computes
+    # its slope, on every adapted set the sweep computes; the one exception,
+    # pinned here, is psi = x2^2 - x1^2 next to m2 at p = 1.5 on Bachelier
+    # sigma 0.1, whose values of 3.4e-6 sit on atoms of mass near 1e-17 that T
+    # moves by 1e5 at r = 2e-6: the family's Newton, whose derivative is the
+    # hedge map's at r = 0, cannot follow the quadratic psi that far, and the
+    # family is truncated, visibly (a NaN error)
     mu = build_model(ModelSpec(family, sigma, 16, 16, quadrature))
     c = american_put(side="buyer")
     sets = list(constraint_sets().values())
-    assert len(sets) == 17
-    checked = 0
+    assert len(sets) == 19
+    checked, cut = 0, []
     for p in (1.5, 2.0, 3.0):
         state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
         for cs in sets:
@@ -411,10 +422,14 @@ def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, co
                 continue
             if rep.converged:
                 out = family_check(c, state, cs, rep)
+                checked += 1
+                if math.isnan(out["error"]):
+                    assert rep.value <= 1e-5 * state.norm, (p, cs.label())
+                    cut.append((p, cs.label()))
+                    continue
                 assert out["error"] <= oracle.FAMILY_RTOL and not out["warnings"], (p, cs.label())
                 assert out["residual"] <= 1e-12
-                checked += 1
-    assert checked == converged
+    assert checked == converged and cut == truncated
 
 
 @pytest.mark.parametrize("family", ["black_scholes", "bachelier"])

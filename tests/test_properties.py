@@ -14,10 +14,15 @@ from wadro.fredholm import REGULARIZE_GATE, build_operator, solve
 from wadro.measure import GridMeasure, cond_exp_1, quantile_bins
 from wadro.oracle import (FAMILY_RTOL, DiscreteBallProblem, default_target_support,
                           family_check, transport_lp)
-from wadro.sensitivity import (CONSTRAINT_SETS, FOC_TOL, W2AD, ConstraintSet, Metric,
-                               PointState, SensitivityError, _HedgeMap, adapted_gradient,
-                               chain_violation, martingale_psi, solve_foc)
+from wadro.sensitivity import (CONSTRAINT_SETS, FOC_TOL, W2AD, CondConstraint, ConstraintSet,
+                               Metric, PointState, SensitivityError, _HedgeMap,
+                               adapted_gradient, chain_violation, martingale_psi, solve_foc)
 from wadro.simplex import solve_lp
+
+# the martingale scaled by 2: d2 psi is 2 on every bin, so with both
+# marginals its hedges keep the martingale's null direction
+PSI_2M = CondConstraint(lambda a, b: 2.0 * (b - a), lambda a, b: np.full_like(a, -2.0),
+                        lambda a, b: np.full_like(b, 2.0), "2(x2-x1)")
 
 
 @st.composite
@@ -97,7 +102,10 @@ def test_fredholm_bin_space_matches_the_dense_path(grid):
 
 BLOCK_SETS = [CONSTRAINT_SETS["martingale"], CONSTRAINT_SETS["marginal"],
               ConstraintSet(martingale=True, marginal2=True), CONSTRAINT_SETS["mart_marginal"],
-              ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,))]
+              ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,)),
+              ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
+              ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ),
+              ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_2M)]
 
 
 @given(binned_grids(), st.sampled_from(BLOCK_SETS))
@@ -105,8 +113,9 @@ def test_block_solve_matches_a_dense_solve_at_random_weights(grid, cs):
     # at weights other than mu's masses the reweighted Fredholm operator is
     # not mu's own, and the block solve reads the weights' sums from it; its
     # field A du equals a dense solve's of A^T diag(D) A du = b, with A built
-    # column by column from field and b in the range of A^T (M+m1+m2's null
-    # direction moves no atom, so the fields agree where du need not), to
+    # column by column from field and b in the range of A^T (a null
+    # direction of the block, M+m1+m2's or a psi set's, moves no atom, so
+    # the fields agree where du need not), to
     # 1e-12 times the condition number of D^1/2 A off its null space (a mean
     # constraint close to the span of the other hedges has a large one); the
     # dense solve cuts its singular values where that condition number does
@@ -156,13 +165,19 @@ def test_shared_point_state_matches_standalone_solves(grid):
 @given(binned_grids(), st.sampled_from([1.5, 2.0, 3.0]))
 def test_martingale_flag_is_the_conditional_constraint_x2_minus_x1(grid, p):
     # the flag hedges with the exact weights (-1, 1), the conditional
-    # constraint with (E1[-1], 1) read off the grid: the same infimum
-    mu, _, rng = grid
+    # constraint with (E1[-1], 1) read off the grid, and 2 (x2 - x1) with
+    # twice those: the same infimum, alone and next to the marginals (a
+    # value 0 to rounding is measured against the unconstrained one)
+    mu, bins, rng = grid
     G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
-    state = PointState(mu, G, Metric("wp_adapted", p))
-    flag = solve_foc(state, ConstraintSet(martingale=True))
-    psi = solve_foc(state, ConstraintSet(cond_psi=martingale_psi()))
-    assert abs(psi.value - flag.value) <= 1e-12 * flag.value
+    state = PointState(mu, G, Metric("wp_adapted", p), bins)
+    scale = solve_foc(state, ConstraintSet()).value
+    for m1, m2 in ((False, False), (False, True), (True, True)):
+        flag = solve_foc(state, ConstraintSet(martingale=True, marginal1=m1, marginal2=m2))
+        for psi in (martingale_psi(), PSI_2M):
+            rep = solve_foc(state, ConstraintSet(marginal1=m1, marginal2=m2, cond_psi=psi))
+            assert abs(rep.value - flag.value) <= 1e-12 * max(flag.value, 1e-3 * scale), \
+                rep.constraints
 
 
 # phi(x1 x2) next to the martingale has the gradient's row and atom sums
@@ -170,7 +185,10 @@ def test_martingale_flag_is_the_conditional_constraint_x2_minus_x1(grid, p):
 ROW_FORM_SETS = [CONSTRAINT_SETS["martingale"], CONSTRAINT_SETS["marginal"],
                  CONSTRAINT_SETS["mart_marginal"], ConstraintSet(martingale=True, mean_phi=(PHI,)),
                  ConstraintSet(cond_psi=PSI_SQ), ConstraintSet(mean_phi=(PHI,)),
-                 ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ)]
+                 ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ),
+                 ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
+                 ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ),
+                 ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_2M)]
 
 
 @given(binned_grids(), st.sampled_from([1.5, 2.0, 3.0]))
@@ -189,22 +207,27 @@ def test_adapted_row_form_matches_the_full_grid(grid, p):
             rep = solve_foc(state, cs)
         except SensitivityError:    # the draw breaks an assumption of the set
             continue
-        R1, R2 = adapted_gradient(mu, G).g1, G.g2
+        terms = [(adapted_gradient(mu, G).g1, G.g2)]
         if rep.f1 is not None:
-            R1 = R1 + rep.f1[:, None]
+            terms.append((rep.f1[:, None] + zero, zero))
         if rep.f2 is not None:
-            R2 = R2 + rep.f2[bins.index]
+            terms.append((zero, rep.f2[bins.index]))
         if rep.h_hat is not None:
             c1 = cond_exp_1(mu, cs.psi.d1(a, mu.x2) + zero)
-            R1 = R1 + (c1 * rep.h_hat)[:, None]
-            R2 = R2 + (cs.psi.d2(a, mu.x2) + zero) * rep.h_hat[:, None]
+            terms.append(((c1 * rep.h_hat)[:, None] + zero,
+                          (cs.psi.d2(a, mu.x2) + zero) * rep.h_hat[:, None]))
         P = [(cond_exp_1(mu, c.d1(a, mu.x2) + zero)[:, None] + zero, c.d2(a, mu.x2) + zero)
              for c in cs.mean_phi]
         for lam, (p1, p2) in zip(() if rep.lambda_hat is None else rep.lambda_hat, P):
-            R1, R2 = R1 + lam * p1, R2 + lam * p2
+            terms.append((lam * p1, lam * p2))
+        R1, R2 = (sum(t[k] for t in terms) for k in (0, 1))
+        M1, M2 = (sum(abs(t[k]) for t in terms) for k in (0, 1))
         value = np.sum(mw * (np.abs(R1) ** pc + np.abs(R2) ** pc)) ** (1.0 / pc)
-        # a value that is 0 to rounding is measured against |S|
-        assert abs(value - rep.value) <= 1e-12 * max(value, 1e-3 * state.norm), cs.label()
+        # a value that is 0 to rounding is measured against the terms that
+        # cancel in it: |S| and the hedge fields, which a block near
+        # singularity makes larger than |S|
+        size = np.sum(mw * (M1 * M1 + M2 * M2)) ** 0.5
+        assert abs(value - rep.value) <= 1e-12 * max(value, 1e-3 * size), cs.label()
         assert rep.T1.shape == mu.x2.shape and not rep.T1.flags.writeable
         if value <= 1e-6 * state.norm or p > 2.0:   # |s|^(p'-1) is not Lipschitz at 0 for p > 2
             continue
