@@ -93,7 +93,8 @@ def build_operator(bins: Binning, weights: np.ndarray | None = None) -> Fredholm
 
 
 def contraction_norm(op: FredholmOperator) -> float:
-    """Operator norm of K on mu1-weighted zero-mean functions: ``op.norm``."""
+    """Operator norm of K on mu1-weighted zero-mean functions:
+    :attr:`FredholmOperator.norm`."""
     return op.norm
 
 

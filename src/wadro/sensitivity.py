@@ -93,8 +93,12 @@ class CondConstraint:
 
 
 def martingale_psi() -> CondConstraint:
-    return CondConstraint(lambda a, b: b - a, lambda a, b: -np.ones_like(a),
-                          lambda a, b: np.ones_like(b), "x2-x1")
+    return CondConstraint(
+        fn=lambda a, b: b - a,
+        d1=lambda a, b: -np.ones_like(a),
+        d2=lambda a, b: np.ones_like(b),
+        name="x2-x1",
+    )
 
 
 @dataclass(frozen=True)
@@ -251,15 +255,16 @@ class _HedgeMap:
 
     def __init__(self, state: PointState, cs: ConstraintSet):
         mu = self.mu = state.mu
-        if cs.martingale and not mu.is_martingale and mu.martingale_residual() > mu.martingale_tol:
-            raise SensitivityError("martingale constraint needs a martingale measure")
+        if cs.martingale:
+            _require_martingale(mu)
         self.cs = cs
         self.mw1, self.mw = state.mw1, state.mw
         self.warnings: list[str] = []
 
         def partials(c):
-            a, zero = np.broadcast_to(mu.x1[:, None], mu.x2.shape), np.zeros_like(mu.x2)
-            return [np.asarray(d(a, mu.x2), dtype=float) + zero for d in (c.d1, c.d2)]
+            a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
+            return (np.asarray(c.d1(a, mu.x2), dtype=float) + np.zeros_like(mu.x2),
+                    np.asarray(c.d2(a, mu.x2), dtype=float) + np.zeros_like(mu.x2))
 
         self.phi = []
         for c in cs.mean_phi:
@@ -287,7 +292,7 @@ class _HedgeMap:
                 self.k2[self.bins.index] = self.c2
                 one = np.all((self.k2[self.bins.index] == self.c2) & (self.c2 != 0))
             self.null = cs.marginal1 and one
-            self.op = state.op if self.null and self.c2 is None else self._operator(self.mw)
+            self.op = state.op if self.c2 is None else self._operator(self.mw)
             if self.null and not self.op.below(fredholm.REGULARIZE_GATE):
                 self.warnings.append(f"informational-discrepancy contraction "
                                      f"{fredholm.contraction_norm(self.op):.6f} >= "
@@ -354,10 +359,14 @@ class _HedgeMap:
         return G.sum(axis=1) if self.c2 is None else np.einsum("ij,ij->i", self.c2, G)
 
     def _operator(self, D2):
-        """The h-f2 block at weights D2 for ``_solve_u``."""
-        W = D2 if self.c2 is None else D2 * self.c2
+        """The h-f2 block at weights D2 for ``_solve_u``: the Fredholm operator
+        of D2 for a unit c2, of D2 c2^2 with the null direction, else a
+        CrossBlock, whose row sums r are not its C's."""
+        if self.c2 is None:
+            return fredholm.build_operator(self.bins, D2)
+        W = D2 * self.c2
         if self.null:
-            return fredholm.build_operator(self.bins, W if self.c2 is None else W * self.c2)
+            return fredholm.build_operator(self.bins, W * self.c2)
         return fredholm.CrossBlock(self.bins.cells(W), self.bins.sums(D2), self._c2_rows(W))
 
     def _solve_u(self, b, D1, D2, op):
@@ -542,6 +551,11 @@ def _run_foc(problem, state: PointState, warm_start: bool = True) -> Sensitivity
         **problem.multipliers())
 
 
+def _require_martingale(mu: GridMeasure) -> None:
+    if not mu.is_martingale and mu.martingale_residual() > mu.martingale_tol:
+        raise SensitivityError("martingale constraint needs a martingale measure")
+
+
 def solve_foc(state: PointState, constraints: ConstraintSet,
               warm_start: bool = True) -> SensitivityReport:
     """Minimize the dual norm over the active multipliers via the FOC.
@@ -630,8 +644,10 @@ def report_to_json(report: SensitivityReport) -> dict:
 
 def report_tables(report: SensitivityReport, mu: GridMeasure):
     """CSV-ready rows: (x1, h, f1) and (x2_bin_center, f2)."""
-    h, f1 = (np.full(mu.n1, np.nan) if v is None else v for v in (report.h_hat, report.f1))
-    rows1 = [(float(mu.x1[i]), float(h[i]), float(f1[i])) for i in range(mu.n1)]
+    n1 = mu.n1
+    h = report.h_hat if report.h_hat is not None else np.full(n1, np.nan)
+    f1 = report.f1 if report.f1 is not None else np.full(n1, np.nan)
+    rows1 = [(float(mu.x1[i]), float(h[i]), float(f1[i])) for i in range(n1)]
     rows2 = []
     if report.f2 is not None and report.bins is not None:
         centers = report.bins.e2(mu.x2)

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -390,28 +389,27 @@ def test_feasible_family_neutral_direction_is_second_order():
         assert abs(small / big - 1.0) <= 0.05 and big > 0.0, order
 
 
-PSI_M2_AT_15 = [(1.5, "m2+psi:x2^2-x1^2"), (1.5, "m1+m2+psi:x2^2-x1^2")]
+FAMILY_GRIDS = {"gauss_hermite": ("black_scholes", 0.5, "gauss_hermite"),
+                "equally_weighted": ("black_scholes", 0.5, "equally_weighted"),
+                "bachelier-0.1-gauss_hermite": ("bachelier", 0.1, "gauss_hermite")}
+# psi = x2^2 - x1^2 next to the second marginal, which the family checks below
+# take one grid and exponent at a time
+PSI_M2_LABELS = ("m2+psi:x2^2-x1^2", "m1+m2+psi:x2^2-x1^2")
 
 
-@pytest.mark.parametrize("family, sigma, quadrature, converged, truncated", [
-    ("black_scholes", 0.5, "gauss_hermite", 54, []),
-    ("black_scholes", 0.5, "equally_weighted", 54, []),
-    ("bachelier", 0.1, "gauss_hermite", 54, PSI_M2_AT_15)],  # values near 3e-6 against |S| 1
+@pytest.mark.parametrize("family, sigma, quadrature, converged", [
+    ("black_scholes", 0.5, "gauss_hermite", 48), ("black_scholes", 0.5, "equally_weighted", 48),
+    ("bachelier", 0.1, "gauss_hermite", 48)],    # values near 3e-6 against |S| near 1
     ids=["gauss_hermite", "equally_weighted", "bachelier-0.1-gauss_hermite"])
-def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, converged,
-                                                   truncated):
+def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, converged):
     # the family along the report's own direction T has the report's value as
-    # its slope, on every adapted set the sweep computes; the one exception,
-    # pinned here, is psi = x2^2 - x1^2 next to m2 at p = 1.5 on Bachelier
-    # sigma 0.1, whose values of 3.4e-6 sit on atoms of mass near 1e-17 that T
-    # moves by 1e5 at r = 2e-6: the family's Newton, whose derivative is the
-    # hedge map's at r = 0, cannot follow the quadratic psi that far, and the
-    # family is truncated, visibly (a NaN error)
+    # its slope, on every adapted set the sweep computes (psi next to m2:
+    # the test below)
     mu = build_model(ModelSpec(family, sigma, 16, 16, quadrature))
     c = american_put(side="buyer")
-    sets = list(constraint_sets().values())
-    assert len(sets) == 19
-    checked, cut = 0, []
+    sets = [cs for label, cs in constraint_sets().items() if label not in PSI_M2_LABELS]
+    assert len(sets) == 17
+    checked = 0
     for p in (1.5, 2.0, 3.0):
         state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
         for cs in sets:
@@ -422,14 +420,40 @@ def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, co
                 continue
             if rep.converged:
                 out = family_check(c, state, cs, rep)
-                checked += 1
-                if math.isnan(out["error"]):
-                    assert rep.value <= 1e-5 * state.norm, (p, cs.label())
-                    cut.append((p, cs.label()))
-                    continue
                 assert out["error"] <= oracle.FAMILY_RTOL and not out["warnings"], (p, cs.label())
                 assert out["residual"] <= 1e-12
-    assert checked == converged and cut == truncated
+                checked += 1
+    assert checked == converged
+
+
+# At p = 1.5 on Bachelier sigma 0.1 both values are 3.4e-6 against |S| = 1,
+# and T reaches 8.7e10 on an atom of mass 2e-17 (row mass 1.3e-7): at
+# r = 2e-6 no hedge restores that row's psi constraint, so the family does
+# not exist at FAMILY_RADII.  Its difference quotients at r = 5e-9 and
+# 2.5e-9 (3.42e-6, 3.38e-6) agree with the value to the rounding of the
+# criterion over r, about 1e-7, so the radii, not the value, are at fault.
+NO_FAMILY_AT_FAMILY_RADII = pytest.mark.xfail(
+    strict=True, reason="the family does not exist at FAMILY_RADII along this direction")
+
+
+@pytest.mark.parametrize("grid, p", [
+    pytest.param(grid, p, marks=NO_FAMILY_AT_FAMILY_RADII
+                 if (grid, p) == ("bachelier-0.1-gauss_hermite", 1.5) else ())
+    for grid in FAMILY_GRIDS for p in (1.5, 2.0, 3.0)])
+def test_family_check_realizes_psi_next_to_marginal2(grid, p):
+    # the report of psi = x2^2 - x1^2 next to m2, with and without m1,
+    # converges, and the family along its T has the report's value as its slope
+    family, sigma, quadrature = FAMILY_GRIDS[grid]
+    mu = build_model(ModelSpec(family, sigma, 16, 16, quadrature))
+    c = american_put(side="buyer")
+    state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
+    for label in PSI_M2_LABELS:
+        cs = constraint_sets()[label]
+        rep = solve_foc(state, cs)
+        assert rep.converged, label
+        out = family_check(c, state, cs, rep)
+        assert out["error"] <= oracle.FAMILY_RTOL and not out["warnings"], (label, out)
+        assert out["residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("family", ["black_scholes", "bachelier"])

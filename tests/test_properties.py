@@ -166,8 +166,8 @@ def test_shared_point_state_matches_standalone_solves(grid):
 def test_martingale_flag_is_the_conditional_constraint_x2_minus_x1(grid, p):
     # the flag hedges with the exact weights (-1, 1), the conditional
     # constraint with (E1[-1], 1) read off the grid, and 2 (x2 - x1) with
-    # twice those: the same infimum, alone and next to the marginals (a
-    # value 0 to rounding is measured against the unconstrained one)
+    # twice those: the same infimum, alone and next to the marginals (there
+    # a value 0 to rounding is measured against the unconstrained one)
     mu, bins, rng = grid
     G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
     state = PointState(mu, G, Metric("wp_adapted", p), bins)
@@ -176,19 +176,19 @@ def test_martingale_flag_is_the_conditional_constraint_x2_minus_x1(grid, p):
         flag = solve_foc(state, ConstraintSet(martingale=True, marginal1=m1, marginal2=m2))
         for psi in (martingale_psi(), PSI_2M):
             rep = solve_foc(state, ConstraintSet(marginal1=m1, marginal2=m2, cond_psi=psi))
-            assert abs(rep.value - flag.value) <= 1e-12 * max(flag.value, 1e-3 * scale), \
-                rep.constraints
+            bound = 1e-12 * (max(flag.value, 1e-3 * scale) if m2 else flag.value)
+            assert abs(rep.value - flag.value) <= bound, rep.constraints
 
 
 # phi(x1 x2) next to the martingale has the gradient's row and atom sums
 # vanish apart at the optimum; alone, or next to psi, only their total does
+PSI_M2_SETS = [ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
+               ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ),
+               ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_2M)]
 ROW_FORM_SETS = [CONSTRAINT_SETS["martingale"], CONSTRAINT_SETS["marginal"],
                  CONSTRAINT_SETS["mart_marginal"], ConstraintSet(martingale=True, mean_phi=(PHI,)),
                  ConstraintSet(cond_psi=PSI_SQ), ConstraintSet(mean_phi=(PHI,)),
-                 ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ),
-                 ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
-                 ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ),
-                 ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_2M)]
+                 ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ)] + PSI_M2_SETS
 
 
 @given(binned_grids(), st.sampled_from([1.5, 2.0, 3.0]))
@@ -223,10 +223,11 @@ def test_adapted_row_form_matches_the_full_grid(grid, p):
         R1, R2 = (sum(t[k] for t in terms) for k in (0, 1))
         M1, M2 = (sum(abs(t[k]) for t in terms) for k in (0, 1))
         value = np.sum(mw * (np.abs(R1) ** pc + np.abs(R2) ** pc)) ** (1.0 / pc)
-        # a value that is 0 to rounding is measured against the terms that
-        # cancel in it: |S| and the hedge fields, which a block near
-        # singularity makes larger than |S|
-        size = np.sum(mw * (M1 * M1 + M2 * M2)) ** 0.5
+        # a value that is 0 to rounding is measured against |S|; next to m2,
+        # psi's block near singularity can make the hedge fields that cancel
+        # in it larger than |S| (multipliers of 20 against |S| of 1 to 2 on
+        # 2 x 2 draws with 2 bins), and the value is measured against them
+        size = np.sum(mw * (M1 * M1 + M2 * M2)) ** 0.5 if cs in PSI_M2_SETS else state.norm
         assert abs(value - rep.value) <= 1e-12 * max(value, 1e-3 * size), cs.label()
         assert rep.T1.shape == mu.x2.shape and not rep.T1.flags.writeable
         if value <= 1e-6 * state.norm or p > 2.0:   # |s|^(p'-1) is not Lipschitz at 0 for p > 2
