@@ -36,7 +36,7 @@ from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
                       canonical_test_measure, from_csv, invariant_violation, quantile_bins)
 from .sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, MeanConstraint, Metric,
                           PointState, SensitivityError, chain_violation, closed_form_error,
-                          marginal_path_violation, report_tables, solve_foc)
+                          marginal_path_violation, martingale_psi, report_tables, solve_foc)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -354,7 +354,7 @@ def _selfcheck_items():
         c = preset("american_put:side=buyer")
         phi = MeanConstraint(lambda a, b: a * b, lambda a, b: b, lambda a, b: a, "x1*x2")
         errors = []
-        for p, cs in ((1.5, ConstraintSet(martingale=True, mean_phi=(phi,))),
+        for p, cs in ((1.5, ConstraintSet(mean_phi=(phi,), cond_psi=martingale_psi())),
                       (2.0, CONSTRAINT_SETS["mart_marginal"])):
             state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
             errors.append(oracle.family_check(c, state, cs, solve_foc(state, cs))["error"])

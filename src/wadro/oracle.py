@@ -19,7 +19,8 @@ import numpy as np
 
 from .criterion import Criterion, gradient_field, value as criterion_value
 from .measure import MERGE_TOL, WEIGHT_TOL, Binning, GridMeasure, MeasureError, marginal_2
-from .sensitivity import W2, ConstraintSet, PointState, _HedgeMap, _norm, solve_foc
+from .sensitivity import (W2, ConstraintSet, PointState, _HedgeMap, _norm, martingale_psi,
+                          solve_foc)
 from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, solve_lp
 
 NEWTON_MAX_ITER = 50
@@ -197,18 +198,19 @@ def transport_lp(prob: DiscreteBallProblem,
     its own share of each constraint goes to the right-hand side.  Row n_eq,
     the first <= row, is the transport budget.
 
-    Each constraint of ``prob.constraints`` is one ``family``: psi (x2 - x1
-    for the martingale) weighs psi(t) in a row per first coordinate, a marginal
-    1 in a row per atom of mu's, a mean phi phi(t) in one row.  The pairs come
-    from ``coupling`` (default: the problem's own), which problems that differ
-    in their constraints only can share.  Raises OracleError when a row mean
-    sum_j q_ij psi(x1_i, x2_ij) of mu exceeds ``mu.martingale_tol``, as its
-    rows would then not hold E[psi | X1] = 0, or the coupling is another ball's.
+    Each constraint of ``prob.constraints`` is one ``family``: ``cond_psi``
+    (x2 - x1 for the martingale) weighs psi(t) in a row per first coordinate,
+    a marginal 1 in a row per atom of mu's, a mean phi phi(t) in one row.  The
+    pairs come from ``coupling`` (default: the problem's own), which problems
+    that differ in their constraints only can share.  Raises OracleError when
+    a row mean sum_j q_ij psi(x1_i, x2_ij) of mu exceeds ``mu.martingale_tol``
+    (for ``martingale_psi()``: "mu is not a martingale"), as its rows would
+    then not hold E[psi | X1] = 0, or the coupling is another ball's.
     """
-    mu, cs, psi = prob.mu, prob.constraints, prob.constraints.psi
+    mu, cs, psi = prob.mu, prob.constraints, prob.constraints.cond_psi
     resid = 0.0 if psi is None else np.max(np.abs(np.sum(mu.q * psi.fn(mu.x1[:, None], mu.x2), 1)))
     if not resid <= mu.martingale_tol:      # NaN too
-        what = "a martingale" if cs.martingale else f"on E[{psi.name} | X1] = 0"
+        what = "a martingale" if psi is martingale_psi() else f"on E[{psi.name} | X1] = 0"
         raise OracleError(f"mu is not {what}: residual {resid:.3e} exceeds {mu.martingale_tol:.3e}")
     coupling = Coupling(prob) if coupling is None else coupling
     if _ball(coupling.prob) != _ball(prob):
@@ -411,7 +413,7 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
     if np.any(t1 != t1[:, :1]):
         raise OracleError("theta1 must be a function of x1 alone")
     t1, t2 = t1[:, 0], np.broadcast_to(np.asarray(theta[1], dtype=float), mu.x2.shape)
-    psi = cs.psi
+    psi = cs.cond_psi
     mw = mu.atom_masses()
 
     def constraints(x1, x2, f=np.asarray):     # f=np.abs: the magnitudes rounding scales with
@@ -500,9 +502,9 @@ def family_check(c: Criterion, state: PointState, cs: ConstraintSet, report) -> 
 
 
 # the constraint sets the LP sandwich checks, by report label
-ORACLE_SETS = {"none": ConstraintSet(), "martingale": ConstraintSet(martingale=True),
+ORACLE_SETS = {"none": ConstraintSet(), "martingale": ConstraintSet(cond_psi=martingale_psi()),
                "marginal2": ConstraintSet(marginal2=True),
-               "both": ConstraintSet(martingale=True, marginal2=True)}
+               "both": ConstraintSet(marginal2=True, cond_psi=martingale_psi())}
 SLOPE_RTOL = 0.05
 
 

@@ -5,8 +5,8 @@ the dual norm of the gradient field S plus the hedge field F(u): the
 minimum of the convex Phi(u) = sum mw |S + F(u)|^p', p' = p / (p - 1).  One
 hedge map F serves every constraint set: static hedges f1, f2 for the
 marginals, mean multipliers lambda, and a dynamic hedge h for a conditional
-constraint E[psi(X) | X1] = 0, entering with the weights (E1[d1 psi], d2 psi);
-the martingale flag is psi = x2 - x1, with weights (-1, 1).  A globalized
+constraint E[psi(X) | X1] = 0, entering with the weights (d1 psi or its row
+mean, d2 psi); the martingale is psi = x2 - x1, weights (-1, 1).  A globalized
 Newton method minimizes Phi.  Each step solves the quadratic model by the
 block elimination that is the p = 2 closed form, with the Hessian's per-atom
 weights in place of the masses, and an Armijo line search accepts it; at
@@ -92,47 +92,38 @@ class CondConstraint:
     name: str = "psi"
 
 
+_MARTINGALE = CondConstraint(fn=lambda a, b: b - a, d1=lambda a, b: -np.ones_like(a),
+                             d2=lambda a, b: np.ones_like(b), name="x2-x1")
+
+
 def martingale_psi() -> CondConstraint:
-    return CondConstraint(
-        fn=lambda a, b: b - a,
-        d1=lambda a, b: -np.ones_like(a),
-        d2=lambda a, b: np.ones_like(b),
-        name="x2-x1",
-    )
+    """The martingale E[X2 - X1 | X1] = 0, one object: a set's label is "M" for it."""
+    return _MARTINGALE
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
     """Constraints kept on the perturbed law.
 
-    ``martingale`` is the conditional constraint ``martingale_psi()``,
-    E[X2 - X1 | X1] = 0, whose hedge weights (-1, 1) are exact on either
-    ball; ``cond_psi`` is any other conditional constraint (adapted ball
-    only).  A set holds at most one conditional constraint.  Mean constraints
-    (a vanilla call is one) and ``cond_psi`` mix with every flag.
+    ``cond_psi`` is the one conditional constraint, ``martingale_psi()`` or
+    another, hedged with the weights ``_HedgeMap`` reads off its partials.
+    Only the martingale refuses a mu that breaks it: any other psi is solved
+    on mu as it is, so the perturbed law keeps mu's row means of psi, which
+    are 0 only where mu keeps E[psi | X1] = 0.  Mean constraints (a vanilla
+    call is one) mix with the marginals and ``cond_psi``.
     """
 
-    martingale: bool = False
     marginal1: bool = False
     marginal2: bool = False
     mean_phi: tuple = ()
     cond_psi: CondConstraint | None = None
 
-    def __post_init__(self):
-        if self.martingale and self.cond_psi is not None:
-            raise SensitivityError("the martingale flag is the conditional constraint x2 - x1; "
-                                   "a set holds one conditional constraint")
-
-    @property
-    def psi(self) -> CondConstraint | None:
-        """The set's conditional constraint: the martingale's, else ``cond_psi``."""
-        return martingale_psi() if self.martingale else self.cond_psi
-
     def label(self) -> str:
-        parts = [name for flag, name in ((self.martingale, "M"), (self.marginal1, "m1"),
+        mart = self.cond_psi is _MARTINGALE
+        parts = [name for flag, name in ((mart, "M"), (self.marginal1, "m1"),
                                          (self.marginal2, "m2")) if flag]
         parts += [f"phi:{c.name}" for c in self.mean_phi]
-        if self.cond_psi is not None:
+        if self.cond_psi is not None and not mart:
             parts.append(f"psi:{self.cond_psi.name}")
         return "+".join(parts) if parts else "unconstrained"
 
@@ -243,10 +234,10 @@ class _HedgeMap:
     The multipliers ``u = (f1, f2, h, lam)`` (None when inactive) give the
     hedge field ``F1 = f1(x1) + c1 h(x1) + sum_a lam_a d1phi_a``,
     ``F2 = f2(bin(x2)) + c2 h(x1) + sum_a lam_a d2phi_a``, written ``A u``.
-    h hedges the conditional constraint with the per-row weight
-    ``c1 = E1[d1 psi]`` and the per-atom weight ``c2 = d2 psi``; the
-    martingale is psi = x2 - x1, with c1 = -1 and c2 = 1 (a unit c2 is held
-    as None: no pass over the atoms).  ``adjoint`` is ``A^T`` and ``solve``
+    h hedges the conditional constraint with the per-row weight c1, d1 psi
+    where it is constant on each row (exact on either ball) else E1[d1 psi],
+    and the per-atom weight c2 = d2 psi, held as None where it is 1 (the
+    martingale's weights are (-1, 1)).  ``adjoint`` is ``A^T`` and ``solve``
     inverts ``A^T diag(D) A``; at D = mu's masses, scaled by (1/w1, 1/bin
     mass, 1/w1, 1), that is the derivative of ``residual`` along the field.
     ``op`` is the h-f2 block at mu's masses.  On the adapted ball F1 and
@@ -255,7 +246,7 @@ class _HedgeMap:
 
     def __init__(self, state: PointState, cs: ConstraintSet):
         mu = self.mu = state.mu
-        if cs.martingale:
+        if cs.cond_psi is _MARTINGALE:
             _require_martingale(mu)
         self.cs = cs
         self.mw1, self.mw = state.mw1, state.mw
@@ -273,16 +264,20 @@ class _HedgeMap:
                 p1 = cond_exp_1(mu, p1)[:, None]
             self.phi.append((p1, p2))
         # qc2 = q c2: E1[c2 T] is a row dot
-        self.c1, self.c2, self.qc2 = -np.ones(mu.n1) if cs.martingale else None, None, mu.q
+        self.c1, self.c2, self.qc2 = None, None, mu.q
         if cs.cond_psi is not None:
-            if not state.metric.adapted:
-                raise SensitivityError("conditional constraints require the adapted ball")
             d1, c2 = partials(cs.cond_psi)
-            self.c1 = cond_exp_1(mu, d1)
+            if np.all(d1 == d1[:, :1]):
+                self.c1 = d1[:, 0].copy()
+            elif state.metric.adapted:
+                self.c1 = cond_exp_1(mu, d1)
+            else:
+                raise SensitivityError("conditional constraints whose d1 psi varies within a row "
+                                       "require the adapted ball")
             if np.min(np.einsum("ij,ij,ij->i", mu.q, c2, c2)) <= 1e-14:
                 raise SensitivityError(
                     "E1[(d2 psi)^2] is degenerate on some atom (assumption A (iii) surrogate)")
-            if not cs.marginal2 or np.any(c2 != 1.0):   # else the martingale's path
+            if np.any(c2 != 1.0):
                 self.c2, self.qc2 = c2, mu.q * c2
         self.bins, self.op, self.null = state.bins if cs.marginal2 else None, None, False
         if cs.marginal2 and self.c1 is not None:
@@ -570,9 +565,9 @@ def solve_foc(state: PointState, constraints: ConstraintSet,
 # the four constraint sets of the paper's study, by their command-line names
 CONSTRAINT_SETS = {
     "unconstrained": ConstraintSet(),
-    "martingale": ConstraintSet(martingale=True),
+    "martingale": ConstraintSet(cond_psi=_MARTINGALE),
     "marginal": ConstraintSet(marginal1=True, marginal2=True),
-    "mart_marginal": ConstraintSet(martingale=True, marginal1=True, marginal2=True),
+    "mart_marginal": ConstraintSet(marginal1=True, marginal2=True, cond_psi=_MARTINGALE),
 }
 
 

@@ -3,11 +3,11 @@ constraint sets, written to a pickle and compared between two such pickles.
 
 The grid: the canned 5x5 measure and the Black-Scholes and Bachelier models
 on 16x16 and 64x64 grids at sigma 0.1, 0.5 and 1; the American put and the
-payoff x2^2; both balls; p in {1.5, 2, 3}; the eight martingale/marginal flag
-sets, a conditional constraint (x2 - x1 and x2^2 - x1^2), a mean constraint
-(x1*x2) alone, with a conditional one and next to the flag sets M, m1+m2 and
-M+m1+m2, and x2^2 - x1^2 next to m1, m2 and m1+m2.  A solve that raises is
-recorded as the error's type and message.
+payoff x2^2; both balls; p in {1.5, 2, 3}; the eight sets of the martingale
+(x2 - x1) and the two marginals, each kept or not, the conditional
+constraint x2^2 - x1^2 alone and next to m1, m2 and m1+m2, and a mean
+constraint (x1*x2) alone, with x2^2 - x1^2 and next to M, m1+m2 and M+m1+m2:
+17 sets.  A solve that raises is recorded as the error's type and message.
 
     PYTHONPATH=src python tests/report_sweep.py --write reports.pkl
     PYTHONPATH=src python tests/report_sweep.py --compare old.pkl new.pkl
@@ -47,22 +47,23 @@ PHI = MeanConstraint(lambda a, b: a * b, lambda a, b: b, lambda a, b: a, "x1*x2"
 
 
 def constraint_sets() -> dict:
-    sets = {}
-    for m, m1, m2 in itertools.product((False, True), repeat=3):
-        cs = ConstraintSet(martingale=m, marginal1=m1, marginal2=m2)
-        sets[cs.label()] = cs
-    for cs in (ConstraintSet(cond_psi=martingale_psi()), ConstraintSet(cond_psi=PSI_SQ),
-               ConstraintSet(mean_phi=(PHI,)),
-               ConstraintSet(mean_phi=(PHI,), cond_psi=martingale_psi()),
-               ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ),
-               ConstraintSet(martingale=True, mean_phi=(PHI,)),
-               ConstraintSet(marginal1=True, marginal2=True, mean_phi=(PHI,)),
-               ConstraintSet(martingale=True, marginal1=True, marginal2=True, mean_phi=(PHI,)),
-               ConstraintSet(marginal1=True, cond_psi=PSI_SQ),
-               ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
-               ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ)):
-        sets[cs.label()] = cs
-    return sets
+    """The sets by label; a label named twice is refused, as the dict would
+    keep only the last set under it."""
+    mart = martingale_psi()
+    sets = [ConstraintSet(marginal1=m1, marginal2=m2, cond_psi=psi)
+            for psi, m1, m2 in itertools.product((None, mart), (False, True), (False, True))]
+    sets += [ConstraintSet(cond_psi=PSI_SQ), ConstraintSet(mean_phi=(PHI,)),
+             ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ),
+             ConstraintSet(mean_phi=(PHI,), cond_psi=mart),
+             ConstraintSet(marginal1=True, marginal2=True, mean_phi=(PHI,)),
+             ConstraintSet(marginal1=True, marginal2=True, mean_phi=(PHI,), cond_psi=mart),
+             ConstraintSet(marginal1=True, cond_psi=PSI_SQ),
+             ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
+             ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ)]
+    labels = [cs.label() for cs in sets]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"a constraint set label is named twice: {labels}")
+    return dict(zip(labels, sets))
 
 
 def measures():

@@ -34,10 +34,10 @@ import numpy as np  # noqa: E402  (after the BLAS thread settings)
 from wadro.criterion import american_put, gradient_field  # noqa: E402
 from wadro.measure import ModelSpec, build_model, quantile_bins  # noqa: E402
 from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric,  # noqa: E402
-                               PointState, solve_foc)
+                               PointState, martingale_psi, solve_foc)
 from report_sweep import PSI_SQ  # noqa: E402
 
-SETS = {**CONSTRAINT_SETS, "mart_m2": ConstraintSet(martingale=True, marginal2=True),
+SETS = {**CONSTRAINT_SETS, "mart_m2": ConstraintSet(marginal2=True, cond_psi=martingale_psi()),
         "psi_m2": ConstraintSet(marginal2=True, cond_psi=PSI_SQ)}
 
 

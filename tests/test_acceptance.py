@@ -16,7 +16,7 @@ from wadro.measure import (ModelSpec, build_model, canonical_test_measure,
                            cond_exp_1, quantile_bins, sign_copy_measure)
 from wadro.oracle import FAMILY_RTOL, family_check, oracle_report
 from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric, PointState, W2AD,
-                               chain_violation, closed_form_error, solve_foc)
+                               chain_violation, closed_form_error, martingale_psi, solve_foc)
 from wadro.criterion import GradientField
 
 SIGMA_GRID = np.exp(np.linspace(np.log(0.05), np.log(1.5), 20))
@@ -52,9 +52,9 @@ def test_criterion_2_dual_path_p2_equivalence():
             G = gradient_field(put, mu)
             bins = quantile_bins(mu, 64)
             for cs in (ConstraintSet(),
-                       ConstraintSet(martingale=True),
+                       ConstraintSet(cond_psi=martingale_psi()),
                        ConstraintSet(marginal1=True, marginal2=True),
-                       ConstraintSet(martingale=True, marginal1=True, marginal2=True)):
+                       ConstraintSet(marginal1=True, marginal2=True, cond_psi=martingale_psi())):
                 # at p = 2 Newton's first step from zero is the closed form;
                 # at p = 1.5 the two starting points give two paths
                 for metric in (W2AD, Metric("wp_adapted", 1.5)):

@@ -463,10 +463,10 @@ def test_curve_p3_certified_and_fast(tmp_path):
     metric = sensitivity.Metric("wp_adapted", 3.0)
     bins = quantile_bins(mu, 16)
     for col, cs in (("G_ad", sensitivity.ConstraintSet()),
-                    ("G_ad_M", sensitivity.ConstraintSet(martingale=True)),
+                    ("G_ad_M", sensitivity.ConstraintSet(cond_psi=sensitivity.martingale_psi())),
                     ("G_ad_m", sensitivity.ConstraintSet(marginal1=True, marginal2=True)),
-                    ("G_ad_Mm", sensitivity.ConstraintSet(martingale=True, marginal1=True,
-                                                          marginal2=True))):
+                    ("G_ad_Mm", sensitivity.ConstraintSet(
+                        marginal1=True, marginal2=True, cond_psi=sensitivity.martingale_psi()))):
         rep = sensitivity.solve_foc(sensitivity.PointState(mu, G, metric, bins), cs)
         assert rep.converged and rep.foc_residual <= 1e-8 and not rep.warnings
         assert float(row[col]) == rep.value

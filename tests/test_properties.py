@@ -19,8 +19,11 @@ from wadro.sensitivity import (CONSTRAINT_SETS, FOC_TOL, W2AD, CondConstraint, C
                                adapted_gradient, chain_violation, martingale_psi, solve_foc)
 from wadro.simplex import solve_lp
 
-# the martingale scaled by 2: d2 psi is 2 on every bin, so with both
-# marginals its hedges keep the martingale's null direction
+# x2 - x1 built as any other psi, and the martingale scaled by 2: d2 psi is
+# 2 on every bin, so with both marginals its hedges keep the martingale's
+# null direction
+PSI_X2_MINUS_X1 = CondConstraint(lambda a, b: b - a, lambda a, b: -np.ones_like(a),
+                                 lambda a, b: np.ones_like(b), "x2-x1")
 PSI_2M = CondConstraint(lambda a, b: 2.0 * (b - a), lambda a, b: np.full_like(a, -2.0),
                         lambda a, b: np.full_like(b, 2.0), "2(x2-x1)")
 
@@ -101,8 +104,9 @@ def test_fredholm_bin_space_matches_the_dense_path(grid):
 
 
 BLOCK_SETS = [CONSTRAINT_SETS["martingale"], CONSTRAINT_SETS["marginal"],
-              ConstraintSet(martingale=True, marginal2=True), CONSTRAINT_SETS["mart_marginal"],
-              ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,)),
+              ConstraintSet(marginal2=True, cond_psi=martingale_psi()),
+              CONSTRAINT_SETS["mart_marginal"],
+              ConstraintSet(marginal2=True, mean_phi=(PHI,), cond_psi=martingale_psi()),
               ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
               ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ),
               ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_2M)]
@@ -162,22 +166,23 @@ def test_shared_point_state_matches_standalone_solves(grid):
     assert chain_violation(vals.values()) <= 1e-10 * max(1.0, vals["unconstrained"])
 
 
-@given(binned_grids(), st.sampled_from([1.5, 2.0, 3.0]))
-def test_martingale_flag_is_the_conditional_constraint_x2_minus_x1(grid, p):
-    # the flag hedges with the exact weights (-1, 1), the conditional
-    # constraint with (E1[-1], 1) read off the grid, and 2 (x2 - x1) with
-    # twice those: the same infimum, alone and next to the marginals (there
-    # a value 0 to rounding is measured against the unconstrained one)
+@given(binned_grids(), st.sampled_from(["wp", "wp_adapted"]), st.sampled_from([1.5, 2.0, 3.0]))
+def test_row_constant_psi_hedges_as_the_martingale(grid, ball, p):
+    # d1 psi constant on every row is an exact per-atom weight on either
+    # ball: x2 - x1 built as any other psi and 2 (x2 - x1), with weights
+    # (-2, 2), have the martingale's infimum, alone and next to the marginals
+    # (there a value 0 to rounding is measured against the unconstrained one)
     mu, bins, rng = grid
     G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))
-    state = PointState(mu, G, Metric("wp_adapted", p), bins)
+    state = PointState(mu, G, Metric(ball, p), bins)
     scale = solve_foc(state, ConstraintSet()).value
     for m1, m2 in ((False, False), (False, True), (True, True)):
-        flag = solve_foc(state, ConstraintSet(martingale=True, marginal1=m1, marginal2=m2))
-        for psi in (martingale_psi(), PSI_2M):
+        mart = solve_foc(state, ConstraintSet(marginal1=m1, marginal2=m2,
+                                              cond_psi=martingale_psi()))
+        for psi in (PSI_X2_MINUS_X1, PSI_2M):
             rep = solve_foc(state, ConstraintSet(marginal1=m1, marginal2=m2, cond_psi=psi))
-            bound = 1e-12 * (max(flag.value, 1e-3 * scale) if m2 else flag.value)
-            assert abs(rep.value - flag.value) <= bound, rep.constraints
+            bound = 1e-12 * (max(mart.value, 1e-3 * scale) if m2 else mart.value)
+            assert abs(rep.value - mart.value) <= bound, rep.constraints
 
 
 # phi(x1 x2) next to the martingale has the gradient's row and atom sums
@@ -186,7 +191,8 @@ PSI_M2_SETS = [ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
                ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ),
                ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_2M)]
 ROW_FORM_SETS = [CONSTRAINT_SETS["martingale"], CONSTRAINT_SETS["marginal"],
-                 CONSTRAINT_SETS["mart_marginal"], ConstraintSet(martingale=True, mean_phi=(PHI,)),
+                 CONSTRAINT_SETS["mart_marginal"],
+                 ConstraintSet(mean_phi=(PHI,), cond_psi=martingale_psi()),
                  ConstraintSet(cond_psi=PSI_SQ), ConstraintSet(mean_phi=(PHI,)),
                  ConstraintSet(mean_phi=(PHI,), cond_psi=PSI_SQ)] + PSI_M2_SETS
 
@@ -213,9 +219,9 @@ def test_adapted_row_form_matches_the_full_grid(grid, p):
         if rep.f2 is not None:
             terms.append((zero, rep.f2[bins.index]))
         if rep.h_hat is not None:
-            c1 = cond_exp_1(mu, cs.psi.d1(a, mu.x2) + zero)
+            c1 = cond_exp_1(mu, cs.cond_psi.d1(a, mu.x2) + zero)
             terms.append(((c1 * rep.h_hat)[:, None] + zero,
-                          (cs.psi.d2(a, mu.x2) + zero) * rep.h_hat[:, None]))
+                          (cs.cond_psi.d2(a, mu.x2) + zero) * rep.h_hat[:, None]))
         P = [(cond_exp_1(mu, c.d1(a, mu.x2) + zero)[:, None] + zero, c.d2(a, mu.x2) + zero)
              for c in cs.mean_phi]
         for lam, (p1, p2) in zip(() if rep.lambda_hat is None else rep.lambda_hat, P):
@@ -243,14 +249,15 @@ def test_adapted_row_form_matches_the_full_grid(grid, p):
                 assert abs(np.sum(mw * (p1 * N1 + p2 * N2)) / c) <= FOC_TOL, cs.label()
 
 
-FLAG_SETS = [ConstraintSet(martingale=m, marginal1=m1, marginal2=m2)
-             for m, m1, m2 in itertools.product((False, True), repeat=3)]
+FLAG_SETS = [ConstraintSet(marginal1=m1, marginal2=m2, cond_psi=psi)
+             for psi, m1, m2 in itertools.product((None, martingale_psi()), (False, True),
+                                                  (False, True))]
 
 
 @given(binned_grids(), st.sampled_from(["wp", "wp_adapted"]), st.sampled_from([1.5, 2.0, 3.0]),
        st.floats(1e-9, 1e9))
 def test_positive_homogeneity(grid, ball, p, c):
-    # value(cG) = c value(G) for c > 0 on every flag set, measured against the
+    # value(cG) = c value(G) for c > 0 on every FLAG_SETS set, measured against the
     # unconstrained value, which bounds every constrained one
     mu, bins, rng = grid
     G = GradientField(rng.normal(size=mu.x2.shape), rng.normal(size=mu.x2.shape))

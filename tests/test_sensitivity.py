@@ -10,6 +10,8 @@ from wadro.criterion import Criterion, GradientField, american_put, gradient_fie
 from wadro.measure import (Binning, GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins, sign_copy_measure)
 from report_sweep import PHI, PSI_SQ
+from test_oracle import _scaled_martingale_psi
+from test_properties import PSI_2M, PSI_X2_MINUS_X1
 from wadro.oracle import feasible_family
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
@@ -159,7 +161,7 @@ def test_general_psi_reproduces_martingale():
     mu = build_model(ModelSpec("black_scholes", 0.5, 24, 24))
     G = gradient_field(american_put(side="buyer"), mu)
     state = PointState(mu, G, W2AD)
-    via_psi = solve_foc(state, ConstraintSet(cond_psi=martingale_psi()))
+    via_psi = solve_foc(state, ConstraintSet(cond_psi=PSI_X2_MINUS_X1))
     direct = solve_foc(state, MART)
     assert abs(via_psi.value - direct.value) <= 1e-10
     assert np.max(np.abs(via_psi.h_hat - direct.h_hat)) <= 1e-9
@@ -180,10 +182,12 @@ def test_general_redundancy_and_singularity_rejected():
 
 
 def test_conditional_constraint_refusals():
+    # a d1 psi that varies within a row has no per-atom weight on the
+    # classical ball, whose first components are not functions of x1
     mu = canonical_test_measure()
     with pytest.raises(SensitivityError, match="require the adapted ball"):
         solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), W2),
-                  ConstraintSet(cond_psi=martingale_psi()))
+                  ConstraintSet(cond_psi=_scaled_martingale_psi()))
     # d2 psi vanishes on the first row, so h has nothing to hedge there with
     flat = CondConstraint(lambda a, b: (a > mu.x1[0]) * (b - a),
                           lambda a, b: -1.0 * (a > mu.x1[0]),
@@ -193,11 +197,37 @@ def test_conditional_constraint_refusals():
                   ConstraintSet(cond_psi=flat))
 
 
+def test_martingale_refuses_a_measure_that_is_no_martingale():
+    # with x2 scaled by 1.1 every row mean of x2 - x1 is 0.1 x1, far past
+    # mu's martingale tolerance
+    mu = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    off = GridMeasure(mu.x1, mu.w1, 1.1 * mu.x2, mu.q)
+    state = PointState(off, gradient_field(american_put(side="buyer"), off), W2AD)
+    for m2 in (False, True):
+        cs = ConstraintSet(marginal2=m2, cond_psi=martingale_psi())
+        with pytest.raises(SensitivityError, match="needs a martingale measure"):
+            solve_foc(state, cs)
+
+
+@pytest.mark.parametrize("measure", ["canned", "black_scholes-12"])
+def test_classical_psi_is_a_dense_least_squares_solve(measure):
+    # a psi whose d1 psi is constant on every row hedges each atom with its
+    # exact weights (d1 psi, d2 psi) on the classical ball, so at p = 2 the
+    # value is the least-squares distance on the assembled hedge columns
+    mu = (canonical_test_measure() if measure == "canned"
+          else build_model(ModelSpec("black_scholes", 0.5, 12, 12)))
+    state = PointState(mu, gradient_field(american_put(side="buyer"), mu), W2)
+    for psi, m1, m2 in itertools.product((PSI_SQ, PSI_2M), (False, True), (False, True)):
+        cs = ConstraintSet(marginal1=m1, marginal2=m2, cond_psi=psi)
+        dense = np.linalg.norm(_least_squares(mu, state, cs, state.bins)[0])
+        assert abs(solve_foc(state, cs).value - dense) <= 1e-12 * dense, cs.label()
+
+
 @pytest.mark.parametrize("cs", [
-    ConstraintSet(martingale=True, marginal1=True, marginal2=True),
-    ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,)),
+    ConstraintSet(marginal1=True, marginal2=True, cond_psi=martingale_psi()),
+    ConstraintSet(marginal2=True, mean_phi=(PHI,), cond_psi=martingale_psi()),
     ConstraintSet(marginal1=True, mean_phi=(PHI,), cond_psi=PSI_SQ),
-    ConstraintSet(martingale=True, mean_phi=(PHI,))], ids=ConstraintSet.label)
+    ConstraintSet(mean_phi=(PHI,), cond_psi=martingale_psi())], ids=ConstraintSet.label)
 def test_block_solve_inverts_the_constraint_derivative(cs):
     # the feasible family's Newton step: b, the derivative residual(F(u))
     # weighted by (w1, bin mass, w1, 1), is A^T diag(mw) A u, so solve(b) at
@@ -217,17 +247,13 @@ def test_block_solve_inverts_the_constraint_derivative(cs):
         assert np.max(np.abs(G1 - F1)) + np.max(np.abs(G2 - F2)) <= 1e-12 * scale, family
 
 
-def test_constraint_set_validation():
-    with pytest.raises(SensitivityError):
-        ConstraintSet(martingale=True,
-                      cond_psi=CondConstraint(lambda a, b: b - 2 * a,
-                                              lambda a, b: -2 * np.ones_like(a),
-                                              lambda a, b: np.ones_like(b), "bad"))
-    # the martingale flag is the conditional constraint x2 - x1, so naming it
-    # twice is refused too
-    with pytest.raises(SensitivityError):
-        ConstraintSet(martingale=True, cond_psi=martingale_psi())
-    assert ConstraintSet(cond_psi=martingale_psi()).label() == "psi:x2-x1"
+def test_constraint_set_labels():
+    # the martingale is one object, labelled "M" first; a psi built alike is
+    # another constraint and keeps its own name
+    assert ConstraintSet(cond_psi=martingale_psi()).label() == "M"
+    assert ConstraintSet(marginal1=True, marginal2=True,
+                         cond_psi=martingale_psi()).label() == "M+m1+m2"
+    assert ConstraintSet(cond_psi=PSI_X2_MINUS_X1).label() == "psi:x2-x1"
 
 
 def test_solve_foc_p15_against_golden_section():
@@ -239,7 +265,7 @@ def test_solve_foc_p15_against_golden_section():
                      is_martingale=True)
     metric = Metric("wp_adapted", 1.5)
     rep = solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), metric),
-                    ConstraintSet(martingale=True))
+                    ConstraintSet(cond_psi=martingale_psi()))
     pc = metric.p_conj
 
     def obj(h):
@@ -266,7 +292,7 @@ def test_solve_foc_p15_against_golden_section():
 def test_solve_foc_zero_gradient_short_circuits():
     mu = canonical_test_measure()
     rep = solve_foc(PointState(mu, _const_field(mu, 0.0, 0.0), W2AD),
-                    ConstraintSet(martingale=True))
+                    ConstraintSet(cond_psi=martingale_psi()))
     assert rep.value == 0.0 and rep.iterations == 0 and rep.converged
 
 
@@ -287,7 +313,7 @@ def test_residual_norm_keeps_a_nan():
     # tolerance test passes; max() alone kept the other components' norm
     mu = build_model(ModelSpec("black_scholes", 0.5, 8, 8))
     state = PointState(mu, gradient_field(american_put(side="buyer"), mu), W2AD)
-    for cs, keys in ((ConstraintSet(martingale=True, marginal2=True, mean_phi=(PHI,)),
+    for cs, keys in ((ConstraintSet(marginal2=True, mean_phi=(PHI,), cond_psi=martingale_psi()),
                       ["m2", "h", "phi"]),
                      (ConstraintSet(marginal1=True, marginal2=True, mean_phi=(PHI,)),
                       ["m1", "m2", "phi"])):
@@ -322,7 +348,7 @@ def test_solve_foc_never_silent_on_hard_exponents():
     G = gradient_field(american_put(side="buyer"), mu)
     with np.errstate(all="ignore"):
         rep = solve_foc(PointState(mu, G, Metric("wp_adapted", 3.0)),
-                        ConstraintSet(martingale=True))
+                        ConstraintSet(cond_psi=martingale_psi()))
     assert rep.foc_residual <= 1e-8 or rep.warnings
     assert rep.foc_residual <= 1e-6
 
@@ -625,15 +651,15 @@ def test_value_is_an_infimum_over_multipliers():
                        Metric("wp", 1.5), Metric("wp", 3.0)):
             pc = metric.p_conj
             S1 = adapted_gradient(mu, G).g1 if metric.adapted else G.g1
-            for cs in (ConstraintSet(martingale=True),
+            for cs in (ConstraintSet(cond_psi=martingale_psi()),
                        ConstraintSet(marginal1=True, marginal2=True),
-                       ConstraintSet(martingale=True, marginal1=True, marginal2=True)):
+                       ConstraintSet(marginal1=True, marginal2=True, cond_psi=martingale_psi())):
                 rep = solve_foc(PointState(mu, G, metric, bins), cs)
                 assert rep.converged, (metric, cs.label())
                 for _ in range(5):
                     f1 = rng.normal(size=mu.n1) * cs.marginal1
                     f2 = rng.normal(size=bins.m) * cs.marginal2
-                    h = rng.normal(size=mu.n1) * cs.martingale
+                    h = rng.normal(size=mu.n1) * (cs.cond_psi is not None)
                     R1 = S1 + f1[:, None] - h[:, None]
                     R2 = G.g2 + f2[bidx] + h[:, None]
                     if metric.adapted:
@@ -731,8 +757,6 @@ def _least_squares(mu, state, cs, bins):
         cols += [(r, zero) for r in rows]
     if cs.marginal2:
         cols += [(zero, (bins.index == b).astype(float)) for b in range(bins.m)]
-    if cs.martingale:
-        cols += [(-r, r) for r in rows]
     if cs.cond_psi is not None:
         a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
         c1 = cond_exp_1(mu, cs.cond_psi.d1(a, mu.x2))
@@ -751,7 +775,7 @@ def _least_squares(mu, state, cs, bins):
 @pytest.mark.parametrize("family,sigma", [("black_scholes", 0.5), ("bachelier", 0.3)])
 @pytest.mark.parametrize("metric", [W2, W2AD], ids=["wp", "wp_adapted"])
 def test_mean_constraints_mix_with_flags_at_p2(family, sigma, metric):
-    # calls next to the martingale and marginal flags, and psi next to the
+    # calls next to the martingale and the marginals, and psi next to the
     # marginals, against least squares on the explicitly assembled hedge
     # columns; on 32 x 32 the psi sets with m2, by value: there atoms of mass
     # below 1e-23 leave the least-squares field loose to 1e-12 of |S|
@@ -762,11 +786,12 @@ def test_mean_constraints_mix_with_flags_at_p2(family, sigma, metric):
         calls, split, _ = _strikes(mu, bins)
         sets = []
         if n == 16:
-            sets += [ConstraintSet(martingale=True, mean_phi=tuple(map(_call, calls[:k])))
+            sets += [ConstraintSet(mean_phi=tuple(map(_call, calls[:k])),
+                                   cond_psi=martingale_psi())
                      for k in (1, 2, 3)]
             sets += [ConstraintSet(marginal1=True, marginal2=True, mean_phi=(_call(split),)),
-                     ConstraintSet(martingale=True, marginal1=True, marginal2=True,
-                                   mean_phi=(_call(split),))]
+                     ConstraintSet(marginal1=True, marginal2=True,
+                                   mean_phi=(_call(split),), cond_psi=martingale_psi())]
         if n == 16 and metric.adapted:
             sets += [ConstraintSet(marginal1=True, cond_psi=PSI_SQ),
                      ConstraintSet(marginal1=True, cond_psi=PSI_SQ, mean_phi=(_call(calls[1]),))]
@@ -797,8 +822,8 @@ def test_value_does_not_increase_as_strikes_are_added(p, metric):
     strikes = [calls[1], calls[0], split, calls[2]]
     values = []
     for k in range(len(strikes) + 1):
-        rep = solve_foc(state, ConstraintSet(martingale=True,
-                                             mean_phi=tuple(map(_call, strikes[:k]))))
+        rep = solve_foc(state, ConstraintSet(mean_phi=tuple(map(_call, strikes[:k])),
+                                             cond_psi=martingale_psi()))
         assert rep.converged
         values.append(rep.value)
     assert all(b <= a + 1e-9 * a for a, b in zip(values, values[1:])), values
@@ -815,5 +840,5 @@ def test_redundant_mean_constraints_name_assumption_a_iv():
     # phi = x1 is spanned by f1, a call struck between bins by f2
     for phi in (mean_x1, _call(between)):
         with pytest.raises(SensitivityError, match=r"A \(iv\)"):
-            solve_foc(state, ConstraintSet(martingale=True, marginal1=True, marginal2=True,
-                                           mean_phi=(phi,)))
+            solve_foc(state, ConstraintSet(marginal1=True, marginal2=True,
+                                           mean_phi=(phi,), cond_psi=martingale_psi()))

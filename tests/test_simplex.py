@@ -11,6 +11,7 @@ from wadro.oracle import (ORACLE_SETS, Coupling, DiscreteBallProblem, OracleErro
                           default_target_support, dro_lp, oracle_report, transport_lp)
 from wadro.simplex import (InaccurateError, InfeasibleError, LPError, UnboundedError,
                            _basis_solve, _certify, solve_lp)
+from wadro.sensitivity import martingale_psi
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -206,9 +207,9 @@ def _full_coupling_value(prob):
     for i, m in enumerate(masses):                       # each atom ships its mass
         rows.append(src == i)
         rhs.append(m)
-    if cs.psi is not None:                               # E[psi(Y) | Y1] = 0
+    if cs.cond_psi is not None:                          # E[psi(Y) | Y1] = 0
         for g in np.unique(t1):
-            rows.append(np.where(t1 == g, cs.psi.fn(t1, t2), 0.0))
+            rows.append(np.where(t1 == g, cs.cond_psi.fn(t1, t2), 0.0))
             rhs.append(0.0)
     if cs.marginal2:                                     # Y2 has mu's second marginal
         order = np.argsort(mu.x2.ravel(), kind="stable")
@@ -296,7 +297,7 @@ def _all_pairs_lp(prob):
     def pooled(values, support):
         return support[np.abs(values[:, None] - support[None, :]).argmin(axis=1)]
 
-    if prob.constraints.martingale:
+    if prob.constraints.cond_psi is martingale_psi():
         family(np.unique(tgt[:, 0]), tgt[:, 0], tgt[:, 1] - tgt[:, 0],
                atoms[:, 0], atoms[:, 1] - atoms[:, 0])
     if prob.constraints.marginal2:
