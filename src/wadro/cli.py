@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fredholm, oracle, simplex
-from .criterion import (Criterion, CriterionError, buyer_seller_violation, gradient_field, preset,
-                        stopping_rule, value, vega)
+from .criterion import (Criterion, CriterionError, buyer_seller_violation, exercise_mass,
+                        gradient_field, preset, stopping_rule, value, vega)
 from .measure import (GridMeasure, MeasureError, ModelSpec, build_model,
                       canonical_test_measure, from_csv, invariant_violation, quantile_bins)
 from .sensitivity import (CONSTRAINT_SETS, W2AD, ConstraintSet, MeanConstraint, Metric,
@@ -292,7 +292,7 @@ def hedge_jump_stats(mu: GridMeasure, h: np.ndarray, c: Criterion) -> dict:
            "boundary_x1": None, "cells_from_boundary": None, "exercise_mass": 0.0}
     if c.kind != "linear":
         rule = stopping_rule(c, mu)
-        out["exercise_mass"] = float(np.sum(mu.w1[rule.stop_at_1]))
+        out["exercise_mass"] = exercise_mass(c, mu)
         flips = np.nonzero(np.diff(rule.stop_at_1.astype(int)) != 0)[0]
         if flips.size:
             b = int(flips[np.argmin(np.abs(flips - k))])

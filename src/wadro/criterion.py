@@ -233,9 +233,7 @@ def gradient_field(c: Criterion, mu: GridMeasure) -> GradientField:
     each row's value takes.
     """
     if c.kind == "linear":
-        a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
-        return GradientField(np.asarray(c.d1f(a, mu.x2), dtype=float) + np.zeros_like(mu.x2),
-                             np.asarray(c.d2f(a, mu.x2), dtype=float) + np.zeros_like(mu.x2))
+        return GradientField(mu.on_atoms(c.d1f) + 0.0, mu.on_atoms(c.d2f) + 0.0)
     rule = stopping_rule(c, mu)
     stop = rule.stop_at_1[:, None]
     g1 = np.where(stop, c.dl1(mu.x1)[:, None], 0.0) + np.zeros_like(mu.x2)

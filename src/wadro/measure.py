@@ -39,7 +39,7 @@ class GridMeasure:
     w1 : (n1,) strictly positive weights summing to one.
     x2 : (n1, n2) conditional second-stage support, each row strictly increasing.
     q : (n1, n2) strictly positive conditional weights, each row summing to one.
-    is_martingale : whether ``sum_j q[i,j] x2[i,j] == x1[i]`` is asserted.
+    is_martingale : whether E[X2 - X1 | X1] = 0 is asserted, and checked by ``cond_gap``.
     q_rows : (n1,) row sums of q, each 1 within WEIGHT_TOL; computed once, read-only.
     """
 
@@ -76,9 +76,8 @@ class GridMeasure:
         for name, arr in (("x1", x1), ("w1", w1), ("x2", x2), ("q", q), ("_masses", masses),
                           ("q_rows", q_rows)):
             object.__setattr__(self, name, arr)
-        if self.is_martingale and self.martingale_residual() > self.martingale_tol:
-            raise MeasureError(f"martingale flag set but residual {self.martingale_residual():.3e}"
-                               f" exceeds {self.martingale_tol:.3e}")
+        if self.is_martingale and not (gap := self.cond_gap(lambda a, b: b - a))[0] <= gap[1]:
+            raise MeasureError("martingale flag set but residual {:.3e} exceeds {:.3e}".format(*gap))
 
     @property
     def n1(self) -> int:
@@ -92,14 +91,23 @@ class GridMeasure:
         """Joint masses w1[i] * q[i, j], shape (n1, n2); computed once, read-only."""
         return self._masses
 
-    def martingale_residual(self) -> float:
-        """max_i |sum_j q[i,j] x2[i,j] - x1[i]|, one row dot per atom of x1."""
-        return float(abs(np.einsum("ij,ij->i", self.q, self.x2) - self.x1).max())
+    def on_atoms(self, fn) -> np.ndarray:
+        """fn(x1, x2) on the atoms, x1 passed as an (n1, 1) column, as a read-only
+        (n1, n2) view: a value per row or a constant is broadcast, not copied."""
+        return np.broadcast_to(np.asarray(fn(self.x1[:, None], self.x2), dtype=float),
+                               self.x2.shape)
 
-    @property
-    def martingale_tol(self) -> float:
-        """Largest martingale residual of a martingale: MARTINGALE_RTOL of max(1, max|x1|)."""
-        return MARTINGALE_RTOL * max(1.0, float(abs(self.x1).max()))
+    def cond_gap(self, fn) -> tuple[float, float]:
+        """How far mu is from keeping E[fn(X) | X1] = 0: its largest row |E1[fn]|,
+        and the tolerance that gap is held to, MARTINGALE_RTOL of
+        max(1, max|x1|, max_i E1[|fn|]_i).  The gap is NaN where fn is."""
+        v = self.on_atoms(fn)
+        gap, size = (float(np.max(np.abs(np.einsum("ij,ij->i", self.q, f)))) for f in (v, abs(v)))
+        return gap, MARTINGALE_RTOL * max(1.0, float(np.max(np.abs(self.x1))), size)
+
+    def martingale_residual(self) -> float:
+        """max_i |E1[x2 - x1]|_i: the martingale's ``cond_gap``."""
+        return self.cond_gap(lambda a, b: b - a)[0]
 
     def displaced(self, theta1: np.ndarray | float, theta2: np.ndarray | float,
                   r: float) -> "GridMeasure":
@@ -116,11 +124,10 @@ class GridMeasure:
     def row_expectation(self, fn) -> np.ndarray:
         """v[i] = sum_j q[i,j] fn(x1[i], x2[i,j]), one value per first-stage atom.
 
-        ``fn`` is evaluated once on the whole grid; each row is then summed
-        exactly as a per-row ``np.sum`` would sum it.
+        ``fn`` is evaluated once on the atoms (``on_atoms``); each row is then
+        summed exactly as a per-row ``np.sum`` would sum it.
         """
-        a = np.broadcast_to(self.x1[:, None], self.x2.shape)
-        return np.sum(self.q * fn(a, self.x2), axis=1)
+        return np.sum(self.q * self.on_atoms(fn), axis=1)
 
 
 @dataclass(frozen=True)
@@ -305,7 +312,8 @@ def quantile_bins(mu: GridMeasure, m: int) -> Binning:
     t = t[(t > 0) & (t < z.size)]
     interior = np.unique(0.5 * (z[t - 1] + z[t]))
     span = z[-1] - z[0] if z.size > 1 else 1.0
-    pad = max(1e-9, 1e-9 * abs(span))
+    # far from 0 the spacing of the floats near the support outgrows 1e-9 span
+    pad = max(1e-9, 1e-9 * abs(span), 4.0 * float(np.spacing(max(abs(z[0]), abs(z[-1])))))
     edges = np.concatenate(([z[0] - pad], interior, [z[-1] + pad]))
     return Binning(edges, edges.size - 1, mu)
 

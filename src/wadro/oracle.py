@@ -20,7 +20,7 @@ import numpy as np
 from .criterion import Criterion, gradient_field, value as criterion_value
 from .measure import MERGE_TOL, WEIGHT_TOL, Binning, GridMeasure, MeasureError, marginal_2
 from .sensitivity import (W2, ConstraintSet, PointState, _HedgeMap, _norm, martingale_psi,
-                          solve_foc)
+                          require_psi, solve_foc)
 from .simplex import MAX_VARIABLES, InaccurateError, InfeasibleError, solve_lp
 
 NEWTON_MAX_ITER = 50
@@ -202,16 +202,13 @@ def transport_lp(prob: DiscreteBallProblem,
     (x2 - x1 for the martingale) weighs psi(t) in a row per first coordinate,
     a marginal 1 in a row per atom of mu's, a mean phi phi(t) in one row.  The
     pairs come from ``coupling`` (default: the problem's own), which problems
-    that differ in their constraints only can share.  Raises OracleError when
-    a row mean sum_j q_ij psi(x1_i, x2_ij) of mu exceeds ``mu.martingale_tol``
-    (for ``martingale_psi()``: "mu is not a martingale"), as its rows would
-    then not hold E[psi | X1] = 0, or the coupling is another ball's.
+    that differ in their constraints only can share.  Raises OracleError, with
+    the solve's message (``require_psi``), when mu breaks E[psi | X1] = 0, as
+    its rows would then not hold at the origin, or when the coupling is
+    another ball's.
     """
     mu, cs, psi = prob.mu, prob.constraints, prob.constraints.cond_psi
-    resid = 0.0 if psi is None else np.max(np.abs(np.sum(mu.q * psi.fn(mu.x1[:, None], mu.x2), 1)))
-    if not resid <= mu.martingale_tol:      # NaN too
-        what = "a martingale" if psi is martingale_psi() else f"on E[{psi.name} | X1] = 0"
-        raise OracleError(f"mu is not {what}: residual {resid:.3e} exceeds {mu.martingale_tol:.3e}")
+    require_psi(mu, psi, OracleError)
     coupling = Coupling(prob) if coupling is None else coupling
     if _ball(coupling.prob) != _ball(prob):
         raise OracleError("the coupling was built for another ball")
@@ -391,8 +388,9 @@ def feasible_family(state: PointState, cs: ConstraintSet, theta,
                     r_list=FAMILY_RADII) -> FeasibleFamily:
     """Measures mu displaced by r theta + F(u_r) that keep every constraint of
     ``cs`` (adapted ball) at mu's value: a mean at its mean, a conditional one
-    at mu's row values, the first marginal by x1 itself, and the second at
-    the solve's bin resolution: each bin keeps its mass and its first moment.
+    at 0 on every row (the hedge map refuses a mu that breaks it), the first
+    marginal by x1 itself, and the second at the solve's bin resolution: each
+    bin keeps its mass and its first moment.
 
     F is the sensitivity solve's hedge map, whose directions are the
     constraints' own derivatives.  Newton solves for u_r with the derivative

@@ -101,16 +101,26 @@ def martingale_psi() -> CondConstraint:
     return _MARTINGALE
 
 
+def require_psi(mu: GridMeasure, psi: CondConstraint | None, error: type[Exception]) -> None:
+    """Raise ``error`` unless mu keeps E[psi | X1] = 0 within ``mu.cond_gap``'s
+    tolerance, with the one message of the solve and the transport LP; a mu
+    flagged ``is_martingale`` has kept the martingale since it was built."""
+    if psi is None or (psi is _MARTINGALE and mu.is_martingale):
+        return
+    gap, tol = mu.cond_gap(psi.fn)
+    if not gap <= tol:
+        what = "a martingale" if psi is _MARTINGALE else f"on E[{psi.name} | X1] = 0"
+        raise error(f"mu is not {what}: residual {gap:.3e} exceeds {tol:.3e}")
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Constraints kept on the perturbed law.
 
     ``cond_psi`` is the one conditional constraint, ``martingale_psi()`` or
-    another, hedged with the weights ``_HedgeMap`` reads off its partials.
-    Only the martingale refuses a mu that breaks it: any other psi is solved
-    on mu as it is, so the perturbed law keeps mu's row means of psi, which
-    are 0 only where mu keeps E[psi | X1] = 0.  Mean constraints (a vanilla
-    call is one) mix with the marginals and ``cond_psi``.
+    another, hedged with the weights ``_HedgeMap`` reads off its partials.  A
+    mu that breaks E[psi | X1] = 0 is refused (``require_psi``).  Mean
+    constraints (a vanilla call is one) mix with the marginals and ``cond_psi``.
     """
 
     marginal1: bool = False
@@ -246,27 +256,17 @@ class _HedgeMap:
 
     def __init__(self, state: PointState, cs: ConstraintSet):
         mu = self.mu = state.mu
-        if cs.cond_psi is _MARTINGALE:
-            _require_martingale(mu)
+        require_psi(mu, cs.cond_psi, SensitivityError)
         self.cs = cs
         self.mw1, self.mw = state.mw1, state.mw
         self.warnings: list[str] = []
-
-        def partials(c):
-            a = np.broadcast_to(mu.x1[:, None], mu.x2.shape)
-            return (np.asarray(c.d1(a, mu.x2), dtype=float) + np.zeros_like(mu.x2),
-                    np.asarray(c.d2(a, mu.x2), dtype=float) + np.zeros_like(mu.x2))
-
-        self.phi = []
-        for c in cs.mean_phi:
-            p1, p2 = partials(c)
-            if state.metric.adapted:
-                p1 = cond_exp_1(mu, p1)[:, None]
-            self.phi.append((p1, p2))
+        self.phi = [(mu.on_atoms(c.d1), mu.on_atoms(c.d2)) for c in cs.mean_phi]
+        if state.metric.adapted:
+            self.phi = [(cond_exp_1(mu, p1)[:, None], p2) for p1, p2 in self.phi]
         # qc2 = q c2: E1[c2 T] is a row dot
         self.c1, self.c2, self.qc2 = None, None, mu.q
         if cs.cond_psi is not None:
-            d1, c2 = partials(cs.cond_psi)
+            d1, c2 = mu.on_atoms(cs.cond_psi.d1), mu.on_atoms(cs.cond_psi.d2)
             if np.all(d1 == d1[:, :1]):
                 self.c1 = d1[:, 0].copy()
             elif state.metric.adapted:
@@ -544,11 +544,6 @@ def _run_foc(problem, state: PointState, warm_start: bool = True) -> Sensitivity
         T1=np.broadcast_to(T1, T2.shape), T2=T2, foc_residual=res, iterations=it,
         converged=converged, bins=problem.bins, warnings=tuple(problem.warnings),
         **problem.multipliers())
-
-
-def _require_martingale(mu: GridMeasure) -> None:
-    if not mu.is_martingale and mu.martingale_residual() > mu.martingale_tol:
-        raise SensitivityError("martingale constraint needs a martingale measure")
 
 
 def solve_foc(state: PointState, constraints: ConstraintSet,

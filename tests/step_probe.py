@@ -9,9 +9,10 @@ The model, gradient, binning and point state are built once; each round then
 calls ``solve_foc`` once per constraint set, warm-started from the p = 2
 closed form, and the first round only warms up.  The sets are the four of
 ``CONSTRAINT_SETS``, ``mart_m2``, the martingale with the second marginal,
-and ``psi_m2``, the conditional constraint x2^2 - x1^2 with the second
-marginal, whose d > r bin-space solves no benchmark workload runs (the
-second's cross block weighs each atom by d2 psi = 2 x2).  Prints one JSON line:
+and ``psi_m2``, the conditional constraint x2^2 - x1^2, re-centred on the
+model (``report_sweep.psi_sq``), with the second marginal, whose d > r
+bin-space solves no benchmark workload runs (the second's cross block weighs
+each atom by d2 psi = 2 x2).  Prints one JSON line:
 per set, the ``p10_us`` and ``median_us`` time of one solve over ``--solves``
 rounds, its Newton ``steps`` and its ``value``.  Not collected by pytest (no
 ``test_`` prefix).
@@ -35,10 +36,7 @@ from wadro.criterion import american_put, gradient_field  # noqa: E402
 from wadro.measure import ModelSpec, build_model, quantile_bins  # noqa: E402
 from wadro.sensitivity import (CONSTRAINT_SETS, ConstraintSet, Metric,  # noqa: E402
                                PointState, martingale_psi, solve_foc)
-from report_sweep import PSI_SQ  # noqa: E402
-
-SETS = {**CONSTRAINT_SETS, "mart_m2": ConstraintSet(marginal2=True, cond_psi=martingale_psi()),
-        "psi_m2": ConstraintSet(marginal2=True, cond_psi=PSI_SQ)}
+from report_sweep import psi_sq  # noqa: E402
 
 
 def main() -> None:
@@ -48,13 +46,16 @@ def main() -> None:
     if args.solves < 1:
         raise SystemExit("--solves must be at least 1")
     mu = build_model(ModelSpec("black_scholes", 0.7, 16, 16))
+    sets = {**CONSTRAINT_SETS,
+            "mart_m2": ConstraintSet(marginal2=True, cond_psi=martingale_psi()),
+            "psi_m2": ConstraintSet(marginal2=True, cond_psi=psi_sq(mu))}
     state = PointState(mu, gradient_field(american_put(K=1.3, rho=0.05, side="buyer"), mu),
                        Metric("wp_adapted", 1.5), quantile_bins(mu, 16))
-    times = {name: [] for name in SETS}
+    times = {name: [] for name in sets}
     reports = {}
     clock = time.perf_counter
     for k in range(args.solves + 1):
-        for name, cs in SETS.items():
+        for name, cs in sets.items():
             t0 = clock()
             rep = solve_foc(state, cs)
             t1 = clock()

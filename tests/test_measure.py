@@ -1,15 +1,17 @@
 import io
+import itertools
 import math
+import os
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from wadro.fredholm import build_operator, contraction_norm
-from wadro.measure import (Binning, GridMeasure, MeasureError, ModelSpec, build_model,
-                           canonical_test_measure, cond_exp_1, from_csv, invariant_violation,
-                           marginal_2, quantile_bins, sign_copy_measure, std_normal_nodes,
-                           to_csv)
+from wadro.measure import (MARTINGALE_RTOL, Binning, GridMeasure, MeasureError, ModelSpec,
+                           build_model, canonical_test_measure, cond_exp_1, from_csv,
+                           invariant_violation, marginal_2, quantile_bins, sign_copy_measure,
+                           std_normal_nodes, to_csv)
 
 
 def test_bachelier_three_point_nodes():
@@ -163,6 +165,38 @@ def test_cond_exp_2_gaussian_conditioning():
     u = bins.e2(field)
     centers = bins.e2(mu.x2)
     assert np.max(np.abs(u - centers / 2.0)) <= 0.05
+
+
+def test_cond_gap_keeps_every_martingale_the_old_rule_kept(monkeypatch):
+    # the martingale flag was held to max_i |sum_j q x2 - x1| <= MARTINGALE_RTOL
+    # max(1, max|x1|); the one check of every conditional constraint, row
+    # means of x2 - x1 against MARTINGALE_RTOL max(1, max|x1|, max E1|x2 - x1|),
+    # keeps every measure that rule kept, up to Black-Scholes sigma 1 on 64^2
+    # (top atom near 1.8e6)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    import workloads
+    mus = [build_model(ModelSpec(family, sigma, n, n, quadrature))
+           for family, sigma, n, quadrature in itertools.product(
+               ("bachelier", "black_scholes"), (0.1, 0.5, 1.0), (16, 64),
+               ("gauss_hermite", "equally_weighted"))]
+    mus += [canonical_test_measure(), sign_copy_measure(16),
+            from_csv(io.StringIO(workloads.martingale_measure_csv(np.random.default_rng(3), 9)))]
+    for mu in mus:
+        old = np.max(np.abs(np.einsum("ij,ij->i", mu.q, mu.x2) - mu.x1))
+        assert old <= MARTINGALE_RTOL * max(1.0, np.max(np.abs(mu.x1)))
+        gap, tol = mu.cond_gap(lambda x1, x2: x2 - x1)
+        assert gap <= tol and gap == mu.martingale_residual()
+        GridMeasure(mu.x1, mu.w1, mu.x2, mu.q, is_martingale=True)
+
+
+def test_quantile_bins_far_from_zero_keep_the_partition():
+    # shifted by 1e8 or 1e9 the atoms sit further apart than the floats there,
+    # and the bins hold the same atoms: the edge pad grows with the spacing
+    for mu in (canonical_test_measure(), build_model(ModelSpec("black_scholes", 0.5, 16, 16))):
+        bins = quantile_bins(mu, mu.n2)
+        for shift in (1e8, 1e9):
+            far = quantile_bins(GridMeasure(mu.x1 + shift, mu.w1, mu.x2 + shift, mu.q), mu.n2)
+            assert np.array_equal(far.index, bins.index) and np.array_equal(far.mass, bins.mass)
 
 
 def test_quantile_bins_cover_atoms():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lattice import LP_SETS
-from report_sweep import PHI, constraint_sets
+from report_sweep import PHI, constraint_sets, psi_sq
 from wadro.criterion import american_put, gradient_field, preset, value
 from wadro.measure import MERGE_TOL, GridMeasure, ModelSpec, build_model, canonical_test_measure
 from wadro.oracle import (Coupling, DiscreteBallProblem, OracleError, bicausal_distance,
@@ -390,8 +390,8 @@ def test_feasible_family_neutral_direction_is_second_order():
 FAMILY_GRIDS = {"gauss_hermite": ("black_scholes", 0.5, "gauss_hermite"),
                 "equally_weighted": ("black_scholes", 0.5, "equally_weighted"),
                 "bachelier-0.1-gauss_hermite": ("bachelier", 0.1, "gauss_hermite")}
-# psi = x2^2 - x1^2 next to the second marginal, which the family checks below
-# take one grid and exponent at a time
+# psi = x2^2 - x1^2, re-centred on the model, next to the second marginal,
+# which the family checks below take one grid and exponent at a time
 PSI_M2_LABELS = ("m2+psi:x2^2-x1^2", "m1+m2+psi:x2^2-x1^2")
 
 
@@ -405,7 +405,8 @@ def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, co
     # the test below)
     mu = build_model(ModelSpec(family, sigma, 16, 16, quadrature))
     c = american_put(side="buyer")
-    sets = [cs for label, cs in constraint_sets().items() if label not in PSI_M2_LABELS]
+    sets = [cs for label, cs in constraint_sets(psi_sq(mu)).items()
+            if label not in PSI_M2_LABELS]
     assert len(sets) == 15
     checked = 0
     for p in (1.5, 2.0, 3.0):
@@ -431,7 +432,8 @@ def test_family_check_realizes_every_adapted_value(family, sigma, quadrature, co
 # 2.5e-9 (3.42e-6, 3.38e-6) agree with the value to the rounding of the
 # criterion over r, about 1e-7, so the radii, not the value, are at fault.
 NO_FAMILY_AT_FAMILY_RADII = pytest.mark.xfail(
-    strict=True, reason="the family does not exist at FAMILY_RADII along this direction")
+    strict=True, raises=AssertionError,
+    reason="the family does not exist at FAMILY_RADII along this direction")
 
 
 @pytest.mark.parametrize("grid, p", [
@@ -446,7 +448,7 @@ def test_family_check_realizes_psi_next_to_marginal2(grid, p):
     c = american_put(side="buyer")
     state = PointState(mu, gradient_field(c, mu), Metric("wp_adapted", p))
     for label in PSI_M2_LABELS:
-        cs = constraint_sets()[label]
+        cs = constraint_sets(psi_sq(mu))[label]
         rep = solve_foc(state, cs)
         assert rep.converged, label
         out = family_check(c, state, cs, rep)

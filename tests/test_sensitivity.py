@@ -9,16 +9,17 @@ from wadro import fredholm
 from wadro.criterion import Criterion, GradientField, american_put, gradient_field
 from wadro.measure import (Binning, GridMeasure, ModelSpec, build_model, cond_exp_1,
                            canonical_test_measure, quantile_bins, sign_copy_measure)
-from report_sweep import PHI, PSI_SQ
+from report_sweep import PHI, psi_sq
 from test_oracle import _scaled_martingale_psi
 from test_properties import PSI_2M, PSI_X2_MINUS_X1
-from wadro.oracle import feasible_family
+from wadro.oracle import (DiscreteBallProblem, OracleError, default_target_support,
+                          feasible_family, transport_lp)
 from wadro.sensitivity import (CONSTRAINT_SETS, CondConstraint, ConstraintSet,
                                MeanConstraint, Metric, PointState, SensitivityError,
                                W2, W2AD, _HedgeMap, _residual_norm, adapted_gradient,
                                chain_violation,
                                marginal_path_violation, martingale_psi, n_map,
-                               report_tables, report_to_json, solve_foc)
+                               report_tables, report_to_json, require_psi, solve_foc)
 
 UNC, MART, MARG, BOTH = CONSTRAINT_SETS.values()
 
@@ -205,8 +206,39 @@ def test_martingale_refuses_a_measure_that_is_no_martingale():
     state = PointState(off, gradient_field(american_put(side="buyer"), off), W2AD)
     for m2 in (False, True):
         cs = ConstraintSet(marginal2=m2, cond_psi=martingale_psi())
-        with pytest.raises(SensitivityError, match="needs a martingale measure"):
+        with pytest.raises(SensitivityError, match="mu is not a martingale"):
             solve_foc(state, cs)
+
+
+def test_solve_and_lp_refuse_a_broken_psi_with_one_message():
+    # x2 - x1 + 1 breaks every row of the canned martingale by 1: the solve and
+    # the transport LP refuse it alike, on either ball
+    mu = canonical_test_measure()
+    shifted = CondConstraint(lambda a, b: b - a + 1.0, lambda a, b: -np.ones_like(a),
+                             lambda a, b: np.ones_like(b), "x2-x1+1")
+    cs = ConstraintSet(cond_psi=shifted)
+    with pytest.raises(ValueError) as err:
+        require_psi(mu, shifted, ValueError)
+    message = str(err.value)
+    assert message.startswith("mu is not on E[x2-x1+1 | X1] = 0: residual 1.000e+00 exceeds")
+    for metric in (W2, W2AD):
+        with pytest.raises(SensitivityError) as err:
+            solve_foc(PointState(mu, _const_field(mu, 0.0, 1.0), metric), cs)
+        assert str(err.value) == message
+    with pytest.raises(OracleError) as err:
+        transport_lp(DiscreteBallProblem(mu, default_target_support(mu, [0.1], cs), 0.1, 2.0, cs,
+                                         objective=lambda y1, y2: y2))
+    assert str(err.value) == message
+    # x2^2 - x1^2 breaks Black-Scholes rows by up to 167.7; re-centred, it is kept
+    bs = build_model(ModelSpec("black_scholes", 0.5, 16, 16))
+    raw = CondConstraint(lambda a, b: b ** 2 - a ** 2, lambda a, b: -2.0 * a,
+                         lambda a, b: 2.0 * b, "x2^2-x1^2")
+    state = PointState(bs, gradient_field(american_put(side="buyer"), bs), W2AD)
+    with pytest.raises(SensitivityError, match=r"residual 1\.677e\+02 exceeds"):
+        solve_foc(state, ConstraintSet(cond_psi=raw))
+    assert solve_foc(state, ConstraintSet(cond_psi=psi_sq(bs))).converged
+    # the martingale is checked on a mu that is not flagged, and kept
+    require_psi(GridMeasure(bs.x1, bs.w1, bs.x2, bs.q), martingale_psi(), ValueError)
 
 
 @pytest.mark.parametrize("measure", ["canned", "black_scholes-12"])
@@ -217,18 +249,19 @@ def test_classical_psi_is_a_dense_least_squares_solve(measure):
     mu = (canonical_test_measure() if measure == "canned"
           else build_model(ModelSpec("black_scholes", 0.5, 12, 12)))
     state = PointState(mu, gradient_field(american_put(side="buyer"), mu), W2)
-    for psi, m1, m2 in itertools.product((PSI_SQ, PSI_2M), (False, True), (False, True)):
+    for psi, m1, m2 in itertools.product((psi_sq(mu), PSI_2M), (False, True), (False, True)):
         cs = ConstraintSet(marginal1=m1, marginal2=m2, cond_psi=psi)
         dense = np.linalg.norm(_least_squares(mu, state, cs, state.bins)[0])
         assert abs(solve_foc(state, cs).value - dense) <= 1e-12 * dense, cs.label()
 
 
-@pytest.mark.parametrize("cs", [
-    ConstraintSet(marginal1=True, marginal2=True, cond_psi=martingale_psi()),
-    ConstraintSet(marginal2=True, mean_phi=(PHI,), cond_psi=martingale_psi()),
-    ConstraintSet(marginal1=True, mean_phi=(PHI,), cond_psi=PSI_SQ),
-    ConstraintSet(mean_phi=(PHI,), cond_psi=martingale_psi())], ids=ConstraintSet.label)
-def test_block_solve_inverts_the_constraint_derivative(cs):
+@pytest.mark.parametrize("make", [
+    lambda mu: ConstraintSet(marginal1=True, marginal2=True, cond_psi=martingale_psi()),
+    lambda mu: ConstraintSet(marginal2=True, mean_phi=(PHI,), cond_psi=martingale_psi()),
+    lambda mu: ConstraintSet(marginal1=True, mean_phi=(PHI,), cond_psi=psi_sq(mu)),
+    lambda mu: ConstraintSet(mean_phi=(PHI,), cond_psi=martingale_psi())],
+    ids=lambda make: make(canonical_test_measure()).label())
+def test_block_solve_inverts_the_constraint_derivative(make):
     # the feasible family's Newton step: b, the derivative residual(F(u))
     # weighted by (w1, bin mass, w1, 1), is A^T diag(mw) A u, so solve(b) at
     # D = mw has u's field; M+m1+m2's null direction (f1 + c, f2 - c, h + c)
@@ -236,7 +269,7 @@ def test_block_solve_inverts_the_constraint_derivative(cs):
     rng = np.random.default_rng(0)
     for family, n in (("black_scholes", 16), ("bachelier", 24)):
         mu = build_model(ModelSpec(family, 0.5, n, n))
-        hedges = _HedgeMap(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD), cs)
+        hedges = _HedgeMap(PointState(mu, _const_field(mu, 0.0, 1.0), W2AD), make(mu))
         u = tuple(None if z is None else rng.standard_normal(z.shape) for z in hedges.u)
         F1, F2 = hedges.field(u)
         res, mass = hedges.residual(F1, F2), None if hedges.bins is None else hedges.bins.mass
@@ -792,13 +825,14 @@ def test_mean_constraints_mix_with_flags_at_p2(family, sigma, metric):
             sets += [ConstraintSet(marginal1=True, marginal2=True, mean_phi=(_call(split),)),
                      ConstraintSet(marginal1=True, marginal2=True,
                                    mean_phi=(_call(split),), cond_psi=martingale_psi())]
+        psi = psi_sq(mu)
         if n == 16 and metric.adapted:
-            sets += [ConstraintSet(marginal1=True, cond_psi=PSI_SQ),
-                     ConstraintSet(marginal1=True, cond_psi=PSI_SQ, mean_phi=(_call(calls[1]),))]
+            sets += [ConstraintSet(marginal1=True, cond_psi=psi),
+                     ConstraintSet(marginal1=True, cond_psi=psi, mean_phi=(_call(calls[1]),))]
         if metric.adapted:
-            sets += [ConstraintSet(marginal2=True, cond_psi=PSI_SQ),
-                     ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ),
-                     ConstraintSet(marginal1=True, marginal2=True, cond_psi=PSI_SQ,
+            sets += [ConstraintSet(marginal2=True, cond_psi=psi),
+                     ConstraintSet(marginal1=True, marginal2=True, cond_psi=psi),
+                     ConstraintSet(marginal1=True, marginal2=True, cond_psi=psi,
                                    mean_phi=(_call(calls[2]),))]
         for cs in sets:
             rep = solve_foc(state, cs)
